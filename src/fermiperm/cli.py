@@ -184,7 +184,11 @@ def cmd_reduce(args) -> int:
         "state_map": [
             {"rank": r, "bits": rh.state_map[r]} for r in range(spec.dimension)
         ],
-        "verify": {"max_deviation": check.max_deviation, "passed": check.passed},
+        "verify": {
+            "max_deviation": check.max_deviation,
+            "spectrum_deviation": check.spectrum_deviation,
+            "passed": check.passed,
+        },
     }
     if overrides:
         payload["overrides"] = overrides

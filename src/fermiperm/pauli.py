@@ -18,6 +18,7 @@ Representation conventions, used consistently across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,6 +27,9 @@ from .errors import DimensionError, ResourceError
 
 DENSE_CAP = 12
 PRUNE_TOL = 1e-12
+
+# i^k for k = 0..3, indexed by k
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
@@ -43,13 +47,53 @@ def _check_dense_cap(n_qubits: int) -> None:
 
 
 def parity_u64(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount parity of an integer array (values < 2**16)."""
-    v = values.astype(np.uint64)
-    v ^= v >> np.uint64(8)
-    v ^= v >> np.uint64(4)
-    v ^= v >> np.uint64(2)
-    v ^= v >> np.uint64(1)
+    """Elementwise popcount parity (0 or 1) of an integer array, all 64 bits."""
+    v = np.array(values, dtype=np.uint64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(shift)
     return (v & np.uint64(1)).astype(np.int64)
+
+
+def _popcount_u64(values: np.ndarray) -> np.ndarray:
+    """Elementwise popcount of an integer array, all 64 bits (SWAR folding)."""
+    v = np.array(values, dtype=np.uint64)
+    m1 = np.uint64(0x5555555555555555)
+    m2 = np.uint64(0x3333333333333333)
+    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    v -= (v >> np.uint64(1)) & m1
+    v = (v & m2) + ((v >> np.uint64(2)) & m2)
+    v = (v + (v >> np.uint64(4))) & m4
+    for shift in (8, 16, 32):
+        v += v >> np.uint64(shift)
+    return (v & np.uint64(0x7F)).astype(np.int64)
+
+
+# Rows per block of a batched transform: a block holds about 2^14 complex
+# entries (256 KiB) whatever the register width.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _block_rows(dim: int) -> int:
+    return max(1, _BLOCK_ENTRIES // dim)
+
+
+def _walsh_hadamard_rows(a: np.ndarray) -> None:
+    """In place, per row: a[r, z] <- sum_v a[r, v] * (-1)^popcount(z & v).
+
+    ``a`` must be C-contiguous with a power-of-two row length; the only
+    temporary is one half-size buffer.
+    """
+    rows, size = a.shape
+    tmp = np.empty(rows * size // 2, dtype=a.dtype)
+    h = 1
+    while h < size:
+        pairs = a.reshape(rows, size // (2 * h), 2, h)
+        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        diff = tmp.reshape(rows, size // (2 * h), h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        h *= 2
 
 
 @dataclass(frozen=True)
@@ -181,6 +225,17 @@ class PauliSum:
         self._terms = {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
 
     @classmethod
+    def _from_merged(
+        cls, n_qubits: int, terms: dict[tuple[int, int], complex]
+    ) -> "PauliSum":
+        """Trusted constructor: ``terms`` already has merged keys and no
+        coefficient at or below ``PRUNE_TOL``; the dict is adopted, not copied."""
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
         return cls(n_qubits)
 
@@ -283,16 +338,32 @@ class PauliSum:
         return sum(_popcount(x | z) for (x, z) in self._terms) / len(self._terms)
 
     def to_dense(self) -> np.ndarray:
-        """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
+        """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit.
+
+        Terms sharing an X mask x fill the entries (v (+) x, v); their values
+        are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
+        so the cost is O(n 2^n) per distinct X mask.
+        """
         _check_dense_cap(self.n_qubits)
         dim = 1 << self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
+        count = len(self._terms)
+        keys = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * count)
+        keys = keys.reshape(count, 2)
+        amps = np.fromiter(self._terms.values(), complex, count)
+        amps *= _I_POWERS[_popcount_u64(keys[:, 0] & keys[:, 1]) % 4]
+        order = np.argsort(keys[:, 0], kind="stable")
+        (x, z), amps = keys[order].T, amps[order]
+        masks, slot = np.unique(x, return_inverse=True)
         cols = np.arange(dim, dtype=np.int64)
-        for (x, z), coeff in self._terms.items():
-            rows = cols ^ x
-            signs = 1.0 - 2.0 * parity_u64(cols & z)
-            amp = coeff * 1j ** (_popcount(x & z) % 4)
-            out[rows, cols] += amp * signs
+        step = _block_rows(dim)
+        for start in range(0, masks.size, step):
+            stop = min(start + step, masks.size)
+            lo, hi = np.searchsorted(slot, (start, stop))
+            block = np.zeros((stop - start, dim), dtype=complex)
+            block[slot[lo:hi] - start, z[lo:hi]] = amps[lo:hi]
+            _walsh_hadamard_rows(block)
+            out[masks[start:stop, None] ^ cols, cols] = block
         return out
 
     def matrix_element(self, row: int, col: int) -> complex:

@@ -99,6 +99,31 @@ def test_reduce_index_embed_one_fermion(tmp_path, capsys):
     assert len(data["fixed_qubits"]) == 2
 
 
+def test_reduce_verify_reports_spectrum_deviation(tmp_path, capsys):
+    from fermiperm import SectorSpec, minimal_permutation_index_embed, parse_hamiltonian
+    from fermiperm.reduction import (
+        SPECTRUM_TOL, encode_and_reduce, sector_oracle, verify_reduction,
+    )
+
+    text = "1 1 1 0\n2 2 -1 0\n1 2 0.25 0\n2 1 0.25 0\n3 4 0 0.5\n4 3 0 -0.5\n"
+    ham = tmp_path / "h.txt"
+    ham.write_text(text)
+    code, out, _ = run(
+        capsys, "reduce", "--modes", "4", "--fermions", "2",
+        "--index-embed", "--hamiltonian", str(ham),
+    )
+    assert code == 0
+    verify = json.loads(out)["verify"]
+    assert list(verify) == ["max_deviation", "spectrum_deviation", "passed"]
+    assert 0.0 <= verify["spectrum_deviation"] < SPECTRUM_TOL
+
+    spec = SectorSpec(4, 2)
+    h = parse_hamiltonian(text, n_modes=4)
+    rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
+    check = verify_reduction(rh, sector_oracle(h, spec))
+    assert verify["spectrum_deviation"] == check.spectrum_deviation
+
+
 def test_reduce_without_fermions_is_usage_error(tmp_path, capsys):
     ham = tmp_path / "h.txt"
     ham.write_text(ONE_MODE_NUMBER)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiperm import (
     DimensionError,
@@ -13,6 +15,7 @@ from fermiperm import (
     multiply,
     pauli_decompose,
 )
+from fermiperm.pauli import _block_rows, _popcount_u64, parity_u64
 from helpers import kron_dense, kron_dense_sum, random_pauli_letters, random_pauli_sum
 
 
@@ -166,6 +169,58 @@ def test_to_dense_matches_kron_oracle():
         ]
         s = PauliSum.from_terms(n, pairs)
         assert np.allclose(s.to_dense(), kron_dense_sum(pairs))
+
+
+def test_to_dense_of_zero_sum_is_zero():
+    dense = PauliSum.zero(3).to_dense()
+    assert dense.shape == (8, 8)
+    assert not dense.any()
+
+
+@st.composite
+def sums_sharing_x_masks(draw):
+    """Random sums whose terms reuse a few X masks; most terms turn every
+    X letter of their mask into Y."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0)
+    pairs = []
+    for _ in range(draw(st.integers(1, 16))):
+        x = draw(st.sampled_from(masks))
+        z = draw(st.integers(0, full))
+        if draw(st.integers(0, 3)):
+            z |= x
+        pairs.append(((x, z), draw(coeff)))
+    return PauliSum(n, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sums_sharing_x_masks())
+def test_to_dense_against_kron_oracle_shared_x_masks(s):
+    oracle = kron_dense_sum([(c, letters) for letters, c in s.items_sorted()])
+    assert np.max(np.abs(s.to_dense() - oracle), initial=0.0) < 1e-12
+
+
+def test_to_dense_round_trip_across_row_blocks():
+    """Nine qubits, with more distinct X masks than one row block holds."""
+    rng = np.random.default_rng(23)
+    s = random_pauli_sum(9, 400, rng)
+    assert len({x for (x, _), _ in s.items()}) > _block_rows(1 << 9)
+    assert pauli_decompose(s.to_dense()) - s == PauliSum.zero(9)
+
+
+def test_parity_u64_beyond_16_bits():
+    assert parity_u64([2**17, 2**17 + 1]).tolist() == [1, 0]
+    assert parity_u64([2**32, 2**63, 2**64 - 1, 2**64 - 2]).tolist() == [1, 1, 0, 1]
+
+
+def test_parity_and_popcount_u64_against_bit_count():
+    rng = np.random.default_rng(21)
+    values = rng.integers(0, 2**64, size=500, dtype=np.uint64)
+    counts = [int(v).bit_count() for v in values]
+    assert _popcount_u64(values).tolist() == counts
+    assert parity_u64(values).tolist() == [c % 2 for c in counts]
 
 
 def test_dense_cap_enforced():

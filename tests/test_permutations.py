@@ -1,28 +1,35 @@
 """Basis permutations, affine classification, and Pauli conjugation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermiperm import (
     AffineMapF2,
     BasisPermutation,
+    FermionOperator,
+    FermionTerm,
     GateCircuit,
     PauliString,
     PauliSum,
+    ResourceError,
     classify_affine,
     commutator_type,
     conjugate_pauli_affine,
     conjugate_pauli_dense,
     conjugate_pauli_matrix,
+    encode_fermion_operator,
     from_cycles,
     jw_majorana,
+    jw_majoranas,
     parse_cycles,
     pauli_decompose,
     permutation_from_circuit,
+    random_one_body,
 )
 from fermiperm import f2
 from helpers import (
@@ -238,6 +245,66 @@ def test_dense_conjugation_identity():
     rng = np.random.default_rng(7)
     s = random_pauli_sum(3, 5, rng)
     assert conjugate_pauli_dense(BasisPermutation.identity(3), s) == s
+
+
+def test_dense_conjugation_of_zero_sum_is_zero():
+    rng = np.random.default_rng(9)
+    p = random_permutation(4, rng)
+    assert conjugate_pauli_dense(p, PauliSum.zero(4)) == PauliSum.zero(4)
+
+
+def test_dense_conjugation_cap_checked_before_allocation():
+    p = BasisPermutation.identity(13)
+    s = PauliSum.identity(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            conjugate_pauli_dense(p, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dense_conjugation_across_row_blocks():
+    """Nine qubits: the displacement array spans several row blocks."""
+    rng = np.random.default_rng(24)
+    p = random_permutation(9, rng)
+    s = random_pauli_sum(9, 3, rng)
+    u = permutation_matrix(p)
+    direct = u @ s.to_dense() @ u.conj().T
+    assert np.max(np.abs(conjugate_pauli_dense(p, s).to_dense() - direct)) < 1e-12
+
+
+@st.composite
+def non_affine_hamiltonian_cases(draw):
+    """A non-affine permutation on N = 3..6 qubits and the Jordan-Wigner
+    encoding of a random one-body Hamiltonian; on half the draws it also
+    holds random two-body terms a+_p a+_q a_r a_s and their adjoints."""
+    n = draw(st.integers(3, 6))
+    p = BasisPermutation(draw(st.permutations(range(1 << n))))
+    assume(classify_affine(p) is None)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_one_body(n, rng)
+    if draw(st.booleans()):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            c, d = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            terms.append(FermionTerm.make(coeff, [(a, True), (b, True), (c, False), (d, False)]))
+        h = h + FermionOperator.from_terms(terms).hermitized()
+    return p, encode_fermion_operator(h, jw_majoranas(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_affine_hamiltonian_cases())
+def test_dense_conjugation_against_matrix_oracle_hamiltonians(case):
+    p, encoded = case
+    fast = dict(conjugate_pauli_dense(p, encoded).items())
+    slow = dict(conjugate_pauli_matrix(p, encoded).items())
+    for key in fast.keys() | slow.keys():
+        assert abs(fast.get(key, 0.0) - slow.get(key, 0.0)) <= 1e-12
 
 
 def test_dense_conjugation_term_count_one_fermion():
