@@ -26,8 +26,6 @@ from .pauli import (
     commutes,
     multiply,
     pauli_decompose,
-    simplify,
-    weight,
 )
 from .encodings import (
     FermionOperator,

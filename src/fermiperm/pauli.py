@@ -200,10 +200,6 @@ def commutator_type(a: PauliString, b: PauliString) -> str:
     return "commute" if commutes(a, b) else "anticommute"
 
 
-def weight(p: PauliString) -> int:
-    return p.weight()
-
-
 class PauliSum:
     """A complex-weighted sum of Pauli strings on a fixed register.
 
@@ -338,15 +334,30 @@ class PauliSum:
         return sum(_popcount(x | z) for (x, z) in self._terms) / len(self._terms)
 
     def to_dense(self) -> np.ndarray:
-        """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit.
+        """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
+        return self._dense_block(np.arange(1 << self.n_qubits))
+
+    def _dense_block(self, labels: np.ndarray) -> np.ndarray:
+        """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
+        labels, without the 2^n x 2^n matrix unless every label is asked for.
 
         Terms sharing an X mask x fill the entries (v (+) x, v); their values
         are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
-        so the cost is O(n 2^n) per distinct X mask.
+        so the cost is O(n 2^n) per distinct X mask.  Column j reads that
+        transform at v = labels[j] and keeps it when the row label v (+) x is
+        one of ``labels``; the others land in a spare row that is cut off.
         """
         _check_dense_cap(self.n_qubits)
         dim = 1 << self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
+        labels = np.asarray(labels, dtype=np.int64)
+        size = labels.size
+        if labels.min() < 0 or labels.max() >= dim:
+            raise DimensionError(f"block labels must lie in 0..{dim - 1}")
+        pos = np.full(dim, size, dtype=np.int64)
+        pos[labels] = np.arange(size)
+        if np.count_nonzero(pos < size) != size:
+            raise ValueError("block labels must be distinct")
+        out = np.zeros((size + 1, size), dtype=complex)
         count = len(self._terms)
         keys = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * count)
         keys = keys.reshape(count, 2)
@@ -355,7 +366,7 @@ class PauliSum:
         order = np.argsort(keys[:, 0], kind="stable")
         (x, z), amps = keys[order].T, amps[order]
         masks, slot = np.unique(x, return_inverse=True)
-        cols = np.arange(dim, dtype=np.int64)
+        cols = np.arange(size)
         step = _block_rows(dim)
         for start in range(0, masks.size, step):
             stop = min(start + step, masks.size)
@@ -363,8 +374,8 @@ class PauliSum:
             block = np.zeros((stop - start, dim), dtype=complex)
             block[slot[lo:hi] - start, z[lo:hi]] = amps[lo:hi]
             _walsh_hadamard_rows(block)
-            out[masks[start:stop, None] ^ cols, cols] = block
-        return out
+            out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
+        return out[:size]
 
     def matrix_element(self, row: int, col: int) -> complex:
         """<row| sum |col> without building the dense matrix."""
@@ -400,36 +411,21 @@ def _format_coeff(c: complex) -> str:
     return f"({c.real:g}{c.imag:+g}i)"
 
 
-def sum_add(a: PauliSum, b: PauliSum) -> PauliSum:
-    return a + b
-
-
-def sum_scale(s: PauliSum, factor: complex) -> PauliSum:
-    return s.scale(factor)
-
-
-def simplify(s: PauliSum, tol: float = PRUNE_TOL) -> PauliSum:
-    return s.simplify(tol)
-
-
-def to_dense(s: PauliSum) -> np.ndarray:
-    return s.to_dense()
-
-
 def pauli_decompose(m: np.ndarray, tol: float = PRUNE_TOL) -> PauliSum:
     """Expand a matrix in the Pauli basis: coefficients tr(Q^dag m) / 2^n.
 
     Works by recursive quadrant splitting on the most significant qubit,
     pruning zero blocks, so sparse operators cost far less than 4^n.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("expected a square matrix")
-    dim = m.shape[0]
+    dim = shape[0]
     n = dim.bit_length() - 1
     if dim != 1 << n or n < 1:
         raise ValueError("matrix dimension must be a power of two, at least 2")
     _check_dense_cap(n)
+    m = np.asarray(m, dtype=complex)
 
     terms: dict[tuple[int, int], complex] = {}
 

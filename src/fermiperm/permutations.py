@@ -11,6 +11,7 @@ and one batched Walsh-Hadamard transform over the basis-index displacements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -149,10 +150,21 @@ def parse_cycles(text: str) -> list[tuple[int, ...]]:
             raise ValueError(f"expected '(' at position {pos} of cycle string")
         end = text.find(")", pos)
         if end < 0:
-            raise ValueError("unbalanced parenthesis in cycle string")
-        body = text[pos + 1 : end].strip()
-        if body:
-            cycles.append(tuple(int(tok) for tok in body.split(",")))
+            raise ValueError(f"unbalanced parenthesis at position {pos} of cycle string")
+        body = text[pos + 1 : end]
+        if body.strip():
+            cycle = []
+            at = pos + 1  # position of the current token in text
+            for tok in body.split(","):
+                try:
+                    cycle.append(int(tok))
+                except ValueError:
+                    at += len(tok) - len(tok.lstrip())
+                    raise ValueError(
+                        f"invalid state {tok.strip()!r} at position {at} of cycle string"
+                    ) from None
+                at += len(tok) + 1
+            cycles.append(tuple(cycle))
         pos = end + 1
     return cycles
 
@@ -237,7 +249,12 @@ class GateCircuit:
             if not line:
                 continue
             tokens = line.split()
-            kind, wires = tokens[0].upper(), [int(t) for t in tokens[1:]]
+            kind, wires = tokens[0].upper(), []
+            for tok in tokens[1:]:
+                try:
+                    wires.append(int(tok))
+                except ValueError:
+                    raise ValueError(f"line {line_no}: invalid wire {tok!r}") from None
             expected = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
             if kind in expected and len(wires) != expected[kind]:
                 raise ValueError(f"line {line_no}: {kind} takes {expected[kind]} wire(s)")
@@ -245,7 +262,10 @@ class GateCircuit:
                 raise ValueError(f"line {line_no}: MCX needs at least two controls")
             if kind not in ("X", "CNOT", "TOFFOLI", "MCX"):
                 raise ValueError(f"line {line_no}: unknown gate {tokens[0]!r}")
-            circuit._push(Gate(tuple(wires[:-1]), wires[-1]))
+            try:
+                circuit._push(Gate(tuple(wires[:-1]), wires[-1]))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
         return circuit
 
 
@@ -300,16 +320,31 @@ class AffineMapF2:
         matrix = np.asarray(matrix, dtype=np.uint8)
         return cls(matrix, np.zeros(matrix.shape[0], dtype=np.uint8))
 
-    def column_masks(self) -> list[int]:
-        return f2.rows_to_masks(self.matrix.T)
+    # Conjugation tables, computed once per instance: the matrix is read-only.
+    @cached_property
+    def _column_masks(self) -> tuple[int, ...]:
+        return tuple(f2.rows_to_masks(self.matrix.T))
 
-    def offset_mask(self) -> int:
+    @cached_property
+    def _offset_mask(self) -> int:
         return f2.vec_to_mask(self.offset)
 
+    @cached_property
+    def _inverse_masks(self) -> tuple[tuple[int, ...], int]:
+        """Row masks of M^-1, and the mask of M^-1 b."""
+        minv = f2.inverse(self.matrix)
+        return tuple(f2.rows_to_masks(minv)), f2.vec_to_mask(f2.matvec(minv, self.offset))
+
+    def column_masks(self) -> list[int]:
+        return list(self._column_masks)
+
+    def offset_mask(self) -> int:
+        return self._offset_mask
+
     def apply_mask(self, state: int) -> int:
-        out = self.offset_mask()
+        out = self._offset_mask
         n = self.n_qubits
-        for i, col in enumerate(self.column_masks()):
+        for i, col in enumerate(self._column_masks):
             if (state >> (n - 1 - i)) & 1:
                 out ^= col
         return out
@@ -320,8 +355,8 @@ class AffineMapF2:
             raise ResourceError(f"register exceeds the {PERMUTATION_CAP}-qubit cap")
         dim = 1 << n
         state = np.arange(dim, dtype=np.int64)
-        image = np.full(dim, self.offset_mask(), dtype=np.int64)
-        for i, col in enumerate(self.column_masks()):
+        image = np.full(dim, self._offset_mask, dtype=np.int64)
+        for i, col in enumerate(self._column_masks):
             bit_set = (state >> (n - 1 - i)) & 1
             image ^= bit_set * col
         return BasisPermutation(image)
@@ -362,23 +397,15 @@ def conjugate_pauli_affine(a: AffineMapF2, p: PauliString) -> PauliString:
     n = a.n_qubits
     if p.n_qubits != n:
         raise DimensionError("Pauli string and affine map act on different registers")
-    minv = f2.inverse(a.matrix)
-    minv_rows = f2.rows_to_masks(minv)
-
     x_new = 0
-    for i, col in enumerate(a.column_masks()):
+    for i, col in enumerate(a._column_masks):
         if (p.x_bits >> (n - 1 - i)) & 1:
             x_new ^= col
+    inverse_rows, minv_b = a._inverse_masks
     z_new = 0
-    for j, row in enumerate(minv_rows):
+    for j, row in enumerate(inverse_rows):
         if (p.z_bits >> (n - 1 - j)) & 1:
             z_new ^= row
-
-    b_mask = a.offset_mask()
-    minv_b = 0
-    for i, row in enumerate(minv_rows):
-        if _popcount(row & b_mask) % 2:
-            minv_b |= 1 << (n - 1 - i)
     sign_flips = _popcount(p.z_bits & minv_b) % 2
 
     overlap_delta = _popcount(p.x_bits & p.z_bits) - _popcount(x_new & z_new)
@@ -430,15 +457,3 @@ def conjugate_pauli_matrix(p: BasisPermutation, s: PauliSum) -> PauliSum:
 
     u = p.to_matrix()
     return pauli_decompose(u @ s.to_dense() @ u.conj().T)
-
-
-def compose(p: BasisPermutation, q: BasisPermutation) -> BasisPermutation:
-    return p.compose(q)
-
-
-def inverse(p: BasisPermutation) -> BasisPermutation:
-    return p.inverse()
-
-
-def apply(p: BasisPermutation, index: int) -> int:
-    return p.apply(index)

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from fermiperm import GateCircuit, PauliSum, permutation_from_circuit
+from fermiperm import (
+    DimensionError,
+    GateCircuit,
+    PauliSum,
+    permutation_from_circuit,
+    rank_weightk,
+    unrank_weightk,
+)
+from fermiperm.pauli import _popcount
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -60,3 +68,37 @@ def three_cnot_circuit() -> GateCircuit:
 
 def three_cnot_permutation():
     return permutation_from_circuit(three_cnot_circuit())
+
+
+def sector_oracle_loop(h, spec) -> np.ndarray:
+    """Reference for ``sector_oracle``: one Python step per column, term and
+    ladder operator.  H[r', r] = <unrank(r')| h |unrank(r)>, applying ladder
+    operators directly to occupancy strings with the sign
+    (-1)^(number of occupied modes left of the acted mode)."""
+    n, k = spec.n_modes, spec.n_fermions
+    dim = spec.dimension
+    if dim > 1 << 12:
+        raise DimensionError("sector dimension exceeds the dense cap")
+
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        start = unrank_weightk(col, n, k)
+        for term in h.terms:
+            amp = complex(term.coefficient)
+            state = start
+            dead = False
+            for mode, dagger in reversed(term.ops):
+                bit = 1 << (n - mode)
+                occupied = bool(state & bit)
+                if dagger == occupied:
+                    dead = True
+                    break
+                left_mask = ~((bit << 1) - 1)
+                if _popcount(state & left_mask) % 2:
+                    amp = -amp
+                state ^= bit
+            if dead:
+                continue
+            if state.bit_count() == k:
+                out[rank_weightk(state, n, k), col] += amp
+    return out

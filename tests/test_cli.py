@@ -171,6 +171,38 @@ def test_perm_cycles_with_synthesis(capsys):
     assert "transpositions=2" in out
 
 
+@pytest.mark.parametrize(
+    "text, located",
+    [
+        ("X 1\nCNOT a 2\n", ["line 2", "'a'"]),
+        ("X 1\nCNOT 1 9\n", ["line 2", "wire 9"]),
+        ("# header\n\nTOFFOLI 1 2\n", ["line 3"]),
+    ],
+)
+def test_circuit_parse_error_has_line_number(tmp_path, capsys, text, located):
+    circuit = tmp_path / "bad.txt"
+    circuit.write_text(text)
+    code, out, err = run(capsys, "perm", "--modes", "3", "--circuit", str(circuit))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for piece in located:
+        assert piece in err
+
+
+@pytest.mark.parametrize(
+    "cycles, located",
+    [("(0,x)", ["'x'", "position 3"]), ("(0,1)( 2 , y)", ["'y'", "position 11"])],
+)
+def test_cycles_parse_error_names_token_and_position(capsys, cycles, located):
+    code, out, err = run(capsys, "perm", "--modes", "3", "--cycles", cycles)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for piece in located:
+        assert piece in err
+
+
 def test_verify_appendix(capsys):
     code, out, _ = run(capsys, "verify", "appendix", "--n", "3")
     assert code == 0

@@ -1,5 +1,7 @@
 """Pauli string / Pauli sum algebra against the literal-matrix oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,19 @@ def test_dense_cap_enforced():
         PauliSum.identity(13).to_dense()
     with pytest.raises((ResourceError, ValueError)):
         pauli_decompose(np.eye(2**13))
+
+
+def test_decompose_cap_checked_before_copy():
+    """A zero-stride 2^13 x 2^13 view is rejected before the 1 GiB complex copy."""
+    m = np.broadcast_to(np.float64(1.0), (2**13, 2**13))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            pauli_decompose(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_decompose_identity_and_z():

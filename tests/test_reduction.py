@@ -1,7 +1,11 @@
 """Reduction pipeline against the brute-force sector oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiperm import (
     BasisPermutation,
@@ -21,7 +25,7 @@ from fermiperm import (
     unrank_weightk,
     verify_reduction,
 )
-from helpers import random_pauli_sum, three_cnot_permutation
+from helpers import random_pauli_sum, sector_oracle_loop, three_cnot_permutation
 
 
 # --- projection ------------------------------------------------------------
@@ -124,6 +128,125 @@ def test_oracle_fermionic_sign():
     col = 0  # |011>
     row = 2  # |110>
     assert oracle[row, col] == -1.0  # one occupied mode (2) sits left of mode 3
+
+
+@st.composite
+def sector_operators(draw, n_modes, body=None):
+    """(operator, sector) with random ``body``-body terms on ``n_modes``
+    modes; with ``body=None`` the terms are arbitrary ladder strings."""
+    n = draw(n_modes)
+    k = draw(st.integers(0, n))
+    modes = st.integers(1, n)
+    parts = st.floats(-1, 1, allow_nan=False)
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        if body is None:
+            ops = draw(st.lists(st.tuples(modes, st.booleans()), max_size=5))
+        else:
+            raised = draw(st.lists(modes, min_size=body, max_size=body))
+            lowered = draw(st.lists(modes, min_size=body, max_size=body))
+            ops = [(m, True) for m in raised] + [(m, False) for m in lowered]
+        terms.append(FermionTerm.make(complex(draw(parts), draw(parts)), ops))
+    return FermionOperator.from_terms(terms), SectorSpec(n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_operators(st.integers(2, 7), body=1))
+def test_oracle_matches_loop_one_body(case):
+    h, spec = case
+    assert np.array_equal(sector_oracle(h, spec), sector_oracle_loop(h, spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_operators(st.integers(2, 7), body=2))
+def test_oracle_matches_loop_two_body(case):
+    h, spec = case
+    assert np.array_equal(sector_oracle(h, spec), sector_oracle_loop(h, spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_operators(st.integers(2, 7)))
+def test_oracle_matches_loop_leaving_the_sector(case):
+    """Terms that change the particle number map every column out of the
+    sector; mixed with conserving ones they must still agree."""
+    h, spec = case
+    assert np.array_equal(sector_oracle(h, spec), sector_oracle_loop(h, spec))
+
+
+@settings(max_examples=20, deadline=None)
+@given(sector_operators(st.just(64)), st.data())
+def test_oracle_matches_loop_at_64_modes(case, data):
+    h, _ = case
+    spec = SectorSpec(64, 1)
+    hopping = FermionOperator.from_terms(
+        FermionTerm.make(1.0 + 0.5j, [(p, True), (q, False)])
+        for p, q in data.draw(st.lists(st.tuples(st.integers(1, 64), st.integers(1, 64))))
+    )
+    h = h + hopping
+    assert np.array_equal(sector_oracle(h, spec), sector_oracle_loop(h, spec))
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_oracle_empty_and_full_sectors(n):
+    h = FermionOperator.number_operator(n) + FermionOperator.from_terms(
+        [FermionTerm.make(0.25, []), FermionTerm.make(2.0, [(1, False), (1, True)])]
+    )
+    for k in (0, n):
+        spec = SectorSpec(n, k)
+        oracle = sector_oracle(h, spec)
+        assert np.array_equal(oracle, sector_oracle_loop(h, spec))
+        assert oracle.shape == (1, 1)
+        assert oracle[0, 0] == k + 0.25 + (2.0 if k == 0 else 0.0)
+
+
+def test_oracle_rejects_more_than_64_modes():
+    with pytest.raises(DimensionError):
+        sector_oracle(FermionOperator.number_operator(65), SectorSpec(65, 1))
+
+
+def test_oracle_rejects_modes_outside_the_register():
+    h = FermionOperator.from_terms([FermionTerm.make(1.0, [(5, True), (1, False)])])
+    with pytest.raises(DimensionError):
+        sector_oracle(h, SectorSpec(4, 1))
+
+
+# --- sector block ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_dense_block_equals_dense_submatrix(n, seed):
+    """Exact: the block is read from the same transforms as to_dense."""
+    rng = np.random.default_rng(seed)
+    s = random_pauli_sum(n, int(rng.integers(0, 80)), rng)
+    labels = rng.permutation(1 << n)[: int(rng.integers(1, (1 << n) + 1))]
+    block = s._dense_block(labels)
+    assert np.array_equal(block, s.to_dense()[np.ix_(labels, labels)])
+
+
+def test_dense_block_rejects_bad_labels():
+    s = PauliSum.from_terms(3, [(1.0, "XYZ")])
+    with pytest.raises(ValueError):
+        s._dense_block([1, 2, 1])
+    with pytest.raises(DimensionError):
+        s._dense_block([0, 8])
+
+
+def test_dense_block_never_builds_the_full_matrix():
+    """924 labels at q=11: one 2^11 x 2^11 complex matrix is 64 MiB."""
+    rng = np.random.default_rng(5)
+    s = random_pauli_sum(11, 300, rng)
+    labels = rng.permutation(1 << 11)[:924]
+    tracemalloc.start()
+    try:
+        block = s._dense_block(labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+    for i, j in rng.integers(0, 924, size=(20, 2)):
+        expected = s.matrix_element(int(labels[i]), int(labels[j]))
+        assert abs(block[i, j] - expected) < 1e-12
 
 
 # --- pipeline --------------------------------------------------------------
