@@ -61,10 +61,25 @@ def parse_matrix_text(text: str) -> np.ndarray:
         digits = line.replace(" ", "")
         if not set(digits) <= {"0", "1"}:
             raise ValueError(f"line {line_no}: matrix rows must be 0/1 digits")
-        rows.append([int(ch) for ch in digits])
-    if not rows or any(len(r) != len(rows) for r in rows):
+        rows.append((line_no, [int(ch) for ch in digits]))
+    if not rows:
         raise ValueError("matrix must be square and non-empty")
-    return np.array(rows, dtype=np.uint8)
+    for line_no, row in rows:
+        if len(row) != len(rows):
+            raise ValueError(
+                f"line {line_no}: matrix must be square, but this row has "
+                f"{len(row)} digits and the matrix {len(rows)} rows"
+            )
+    return np.array([row for _, row in rows], dtype=np.uint8)
+
+
+def _load_matrix(args) -> np.ndarray:
+    """The ``--matrix`` file, checked against ``--modes``."""
+    with open(args.matrix) as fh:
+        m = parse_matrix_text(fh.read())
+    if m.shape[0] != args.modes:
+        raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]} but --modes is {args.modes}")
+    return m
 
 
 def _add_perm_selector(parser: argparse.ArgumentParser) -> None:
@@ -90,13 +105,9 @@ def _resolve_permutation(args) -> BasisPermutation:
 
         return permutation_from_circuit(gl_to_cnot_circuit(enc))
     if args.matrix:
-        with open(args.matrix) as fh:
-            m = parse_matrix_text(fh.read())
-        if m.shape[0] != n:
-            raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]} but --modes is {n}")
         from .encodings import gl_to_cnot_circuit
 
-        return permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2(m)))
+        return permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2(_load_matrix(args))))
     if args.cycles:
         return from_cycles(n, parse_cycles(args.cycles))
     if args.circuit:
@@ -120,6 +131,48 @@ def _emit(text: str, output: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
+def _json_text(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, fast on Pauli-sum terms.
+
+    Every non-empty list under a "terms" key of a (nested) dict must be as
+    ``PauliSum.to_json_dict`` writes it: dicts of "pauli" letters in
+    [IXYZ] and float "re"/"im" parts.  Those lists are rendered with one
+    format string per term; ``%r`` of a float is ``float.__repr__``, which
+    is what json writes for finite floats, and json's NaN/Infinity spelling
+    replaces the only lowercase "nan"/"inf" such a block can hold.
+    Everything else goes through json, whose encoder is pure Python once
+    ``indent`` is set.
+    """
+    # stands in for each terms list; the CLI's payloads hold no NUL character
+    marker = "\0terms"
+    blocks = []
+
+    def mark(obj, depth: int):
+        if not isinstance(obj, dict):
+            return obj
+        out = {}
+        for key, value in obj.items():
+            if key == "terms" and isinstance(value, list) and value:
+                out[key] = marker
+                blocks.append(_terms_text(value, "  " * (depth + 1)))
+            else:
+                out[key] = mark(value, depth + 1)
+        return out
+
+    head, *tails = json.dumps(mark(payload, 0), indent=2).split(json.dumps(marker))
+    return head + "".join(block + tail for block, tail in zip(blocks, tails))
+
+
+def _terms_text(terms: list, indent: str) -> str:
+    item = indent + "  "
+    fmt = (
+        f'{item}{{\n{item}  "pauli": "%s",\n{item}  "re": %r,\n{item}  "im": %r\n{item}}}'
+    )
+    body = ",\n".join([fmt % (t["pauli"], t["re"], t["im"]) for t in terms])
+    body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return f"[\n{body}\n{indent}]"
+
+
 def _load_hamiltonian(args) -> FermionOperator:
     with open(args.hamiltonian) as fh:
         return parse_hamiltonian(
@@ -132,15 +185,13 @@ def cmd_encode(args) -> int:
     if args.mapping == "parity":
         majoranas = parity_majoranas(args.modes)
     elif args.matrix:
-        with open(args.matrix) as fh:
-            m = parse_matrix_text(fh.read())
-        majoranas = linear_encoding_majoranas(LinearEncodingF2(m))
+        majoranas = linear_encoding_majoranas(LinearEncodingF2(_load_matrix(args)))
     else:
         majoranas = jw_majoranas(args.modes)
     encoded = encode_fermion_operator(h, majoranas)
     payload = encoded.to_json_dict()
     payload["stats"] = _sum_stats(encoded)
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
@@ -192,7 +243,7 @@ def cmd_reduce(args) -> int:
     }
     if overrides:
         payload["overrides"] = overrides
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_json_text(payload), args.output)
     return EXIT_OK if check.passed else EXIT_VERIFY_FAILED
 
 
@@ -233,7 +284,7 @@ def cmd_stats(args) -> int:
         data = json.load(fh)
     s = PauliSum.from_json_dict(data)
     payload = {"n_qubits": s.n_qubits, **_sum_stats(s)}
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 

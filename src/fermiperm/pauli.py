@@ -232,6 +232,15 @@ class PauliSum:
         return out
 
     @classmethod
+    def _from_arrays(
+        cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray
+    ) -> "PauliSum":
+        """Trusted constructor from parallel arrays with distinct (x, z) keys
+        and every coefficient above ``PRUNE_TOL``; the dict is built once."""
+        keys = zip(x.tolist(), z.tolist())
+        return cls._from_merged(n_qubits, dict(zip(keys, coeff.tolist())))
+
+    @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
         return cls(n_qubits)
 
@@ -259,14 +268,36 @@ class PauliSum:
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
         return iter(self._terms.items())
 
-    def items_sorted(self) -> list[tuple[str, complex]]:
-        """(letters, coefficient) pairs sorted lexicographically by letters."""
-        out = [(self._letters(key), c) for key, c in self._terms.items()]
-        out.sort(key=lambda t: t[0])
-        return out
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms as parallel ``x``, ``z`` and ``coeff`` arrays, in
+        insertion order.  Masks are ``uint64`` up to 64 qubits and Python
+        ints (``object``) beyond, so no key is ever truncated."""
+        count = len(self._terms)
+        dtype = np.uint64 if self.n_qubits <= 64 else object
+        keys = np.fromiter(chain.from_iterable(self._terms), dtype, 2 * count)
+        keys = keys.reshape(count, 2)
+        return keys[:, 0], keys[:, 1], np.fromiter(self._terms.values(), complex, count)
 
-    def _letters(self, key: tuple[int, int]) -> str:
-        return PauliString(self.n_qubits, key[0], key[1]).letters()
+    def items_sorted(self) -> list[tuple[str, complex]]:
+        """(letters, coefficient) pairs sorted lexicographically by letters.
+
+        The letters of all terms are built at once, one qubit column at a
+        time through an ``IXZY`` lookup, into a single ``S{n}`` array;
+        ``np.argsort`` orders its bytes as ``str`` orders these ASCII
+        letters.  Any register width works: past 64 qubits the masks are
+        Python ints.
+        """
+        n = self.n_qubits
+        x, z, coeff = self._arrays()
+        ascii_codes = np.frombuffer(b"IXZY", dtype=np.uint8)  # at index x + 2 z
+        codes = np.empty((len(coeff), n), dtype=np.uint8)
+        for column in range(n):
+            shift = n - 1 - column
+            pair = ((x >> shift) & 1) | (((z >> shift) & 1) << 1)
+            codes[:, column] = ascii_codes[pair.astype(np.intp)]
+        letters = codes.view(f"S{n}").ravel()
+        order = np.argsort(letters)
+        return list(zip(letters[order].astype(f"U{n}").tolist(), coeff[order].tolist()))
 
     def coefficient(self, letters: str) -> complex:
         p = PauliString.from_letters(letters)
@@ -358,13 +389,11 @@ class PauliSum:
         if np.count_nonzero(pos < size) != size:
             raise ValueError("block labels must be distinct")
         out = np.zeros((size + 1, size), dtype=complex)
-        count = len(self._terms)
-        keys = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * count)
-        keys = keys.reshape(count, 2)
-        amps = np.fromiter(self._terms.values(), complex, count)
-        amps *= _I_POWERS[_popcount_u64(keys[:, 0] & keys[:, 1]) % 4]
-        order = np.argsort(keys[:, 0], kind="stable")
-        (x, z), amps = keys[order].T, amps[order]
+        x, z, amps = self._arrays()
+        x, z = x.astype(np.int64), z.astype(np.int64)
+        amps *= _I_POWERS[_popcount_u64(x & z) % 4]
+        order = np.argsort(x, kind="stable")
+        x, z, amps = x[order], z[order], amps[order]
         masks, slot = np.unique(x, return_inverse=True)
         cols = np.arange(size)
         step = _block_rows(dim)

@@ -424,8 +424,18 @@ def conjugate_pauli_dense(p: BasisPermutation, s: PauliSum) -> PauliSum:
     Walsh-Hadamard transform over the rows of G then yields the Z
     coefficients of every displacement at once.  Cost O(T 2^n + n 4^n) for
     T input terms; G is the only 2^n x 2^n array, and the transform, phase
-    and threshold run on blocks of its rows.
+    and threshold run on blocks of its rows.  The surviving terms stay
+    parallel arrays until the result's dict is built, once, from them.
     """
+    return PauliSum._from_arrays(p.n_qubits, *_conjugate_dense_arrays(p, s))
+
+
+def _conjugate_dense_arrays(
+    p: BasisPermutation, s: PauliSum
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``conjugate_pauli_dense`` as parallel ``x``, ``z`` (``uint64``) and
+    ``coeff`` arrays: distinct keys, row-major in (x, z), every coefficient
+    above ``PRUNE_TOL``."""
     n = p.n_qubits
     if s.n_qubits != n:
         raise DimensionError("Pauli sum and permutation act on different registers")
@@ -439,16 +449,22 @@ def conjugate_pauli_dense(p: BasisPermutation, s: PauliSum) -> PauliSum:
         # p(u (+) x), u = p^-1(v): one entry per column, so a plain += suffices
         amp = coeff * 1j ** (_popcount(x & z) % 4)
         g[p.image[p_inv ^ x] ^ cols, cols] += amp * (1.0 - 2.0 * parity_u64(p_inv & z))
-    terms: dict[tuple[int, int], complex] = {}
+    xs, zs, coeffs = [], [], []
     step = _block_rows(dim)
     for start in range(0, dim, step):
         block = g[start : start + step]
         _walsh_hadamard_rows(block)
         # coefficient of (d, z) is (-i)^|d&z| / 2^n times the transform
         block *= _I_POWERS[-_popcount_u64(cols[start : start + step, None] & cols) % 4] / dim
-        rows, zs = np.nonzero(np.abs(block) > PRUNE_TOL)
-        terms.update(zip(zip((rows + start).tolist(), zs.tolist()), block[rows, zs].tolist()))
-    return PauliSum._from_merged(n, terms)
+        rows, z_masks = np.nonzero(np.abs(block) > PRUNE_TOL)
+        xs.append(rows + start)
+        zs.append(z_masks)
+        coeffs.append(block[rows, z_masks])
+    return (
+        np.concatenate(xs).astype(np.uint64),
+        np.concatenate(zs).astype(np.uint64),
+        np.concatenate(coeffs),
+    )
 
 
 def conjugate_pauli_matrix(p: BasisPermutation, s: PauliSum) -> PauliSum:

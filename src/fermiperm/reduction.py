@@ -22,12 +22,12 @@ import numpy as np
 from .encodings import FermionOperator, jw_majoranas, encode_fermion_operator
 from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, redundant_qubits, unrank_weightk
-from .pauli import PauliString, PauliSum, parity_u64
+from .pauli import PRUNE_TOL, PauliString, PauliSum, parity_u64
 from .permutations import (
     BasisPermutation,
+    _conjugate_dense_arrays,
     classify_affine,
     conjugate_pauli_affine,
-    conjugate_pauli_dense,
 )
 
 ORACLE_TOL = 1e-9
@@ -36,24 +36,46 @@ SPECTRUM_TOL = 1e-8
 
 def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     """<value| s |value> on one tensor factor: I keeps a term, Z scales it
-    by (-1)^value, X or Y drops it; the result lives on n-1 qubits."""
+    by (-1)^value, X or Y drops it; the result lives on n-1 qubits.
+
+    Runs on the term arrays: a mask drops X/Y on the qubit, its bit is
+    folded out of both masks, the (at most two) terms that now share a key
+    are summed and the sum is pruned at ``PRUNE_TOL``.  Terms keep the order
+    in which their keys first appear."""
     n = s.n_qubits
+    return PauliSum._from_arrays(n - 1, *_project_arrays(n, *s._arrays(), qubit, value))
+
+
+def _project_arrays(
+    n: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray, qubit: int, value: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``project_fixed_qubit`` on parallel arrays with distinct keys."""
     if not 1 <= qubit <= n:
         raise DimensionError(f"qubit {qubit} out of range 1..{n}")
     if n == 1:
         raise DimensionError("cannot project the last remaining qubit away")
-    bit = 1 << (n - qubit)
-    low = bit - 1
-    items = []
-    for (x, z), coeff in s.items():
-        if x & bit:
-            continue  # X or Y: off-diagonal on the fixed qubit
-        if z & bit and value:
-            coeff = -coeff
-        x_new = ((x >> 1) & ~low) | (x & low)
-        z_new = ((z >> 1) & ~low) | (z & low)
-        items.append(((x_new, z_new), coeff))
-    return PauliSum(n - 1, items)
+    word = x.dtype.type  # uint64, or Python ints past 64 qubits
+    bit = word(1 << (n - qubit))
+    low = word((1 << (n - qubit)) - 1)
+    keep = (x & bit) == 0  # X or Y is off-diagonal on the fixed qubit
+    x, z, coeff = x[keep], z[keep], coeff[keep]
+    if value:
+        coeff = np.where((z & bit) != 0, -coeff, coeff)
+    x = ((x >> 1) & ~low) | (x & low)
+    z = ((z >> 1) & ~low) | (z & low)
+    # The stable sort puts each key's first-seen term first.  Adding 0.0 to
+    # first + second gives, signed zeros included, PauliSum's own merge
+    # (0.0 + first) + second bit for bit.
+    order = np.lexsort((z, x))
+    x, z, coeff = x[order], z[order], coeff[order]
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    start = np.flatnonzero(new)
+    total = np.add.reduceat(coeff, start) + 0.0
+    seen = np.argsort(order[start])
+    x, z, total = x[start][seen], z[start][seen], total[seen]
+    keep = np.abs(total) > PRUNE_TOL
+    return x[keep], z[keep], total[keep]
 
 
 @dataclass(frozen=True)
@@ -90,9 +112,9 @@ def encode_and_reduce(
         for (x, z), coeff in encoded.items():
             q = conjugate_pauli_affine(affine, PauliString(n, x, z))
             items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
-        conjugated = PauliSum(n, items)
+        x, z, coeff = PauliSum(n, items)._arrays()
     else:
-        conjugated = conjugate_pauli_dense(p, encoded)
+        x, z, coeff = _conjugate_dense_arrays(p, encoded)
 
     report = redundant_qubits(p, spec)
     if not report.restricted_injective:
@@ -101,11 +123,13 @@ def encode_and_reduce(
         )
 
     if affine is not None:
-        _check_identity_on_fixed(conjugated, report)
+        _check_identity_on_fixed(x, n, report)
 
-    reduced = conjugated
+    width = n
     for qubit, value in sorted(report.fixed, reverse=True):
-        reduced = project_fixed_qubit(reduced, qubit, value)
+        x, z, coeff = _project_arrays(width, x, z, coeff, qubit, value)
+        width -= 1
+    reduced = PauliSum._from_arrays(width, x, z, coeff)
 
     surv_positions = [n - q for q in report.surviving]
     state_map = []
@@ -116,19 +140,17 @@ def encode_and_reduce(
     return ReducedHamiltonian(reduced, report, spec, tuple(state_map))
 
 
-def _check_identity_on_fixed(s: PauliSum, report: RedundancyReport) -> None:
+def _check_identity_on_fixed(x: np.ndarray, n: int, report: RedundancyReport) -> None:
     """For Clifford permutations every encoded number-conserving term must
-    carry only I or Z on the redundant qubits; X or Y there means the
-    permutation or the conjugation is wrong."""
-    n = s.n_qubits
+    carry only I or Z on the redundant qubits; X or Y there, a set bit of
+    an X mask, means the permutation or the conjugation is wrong."""
     fixed_mask = 0
     for q, _ in report.fixed:
         fixed_mask |= 1 << (n - q)
-    for (x, _z), _c in s.items():
-        if x & fixed_mask:
-            raise InvalidEncodingError(
-                "encoded term acts with X or Y on a redundant qubit"
-            )
+    if np.any(x & x.dtype.type(fixed_mask)):
+        raise InvalidEncodingError(
+            "encoded term acts with X or Y on a redundant qubit"
+        )
 
 
 def sector_oracle(h: FermionOperator, spec: SectorSpec) -> np.ndarray:

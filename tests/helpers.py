@@ -5,6 +5,7 @@ import numpy as np
 from fermiperm import (
     DimensionError,
     GateCircuit,
+    PauliString,
     PauliSum,
     permutation_from_circuit,
     rank_weightk,
@@ -101,4 +102,37 @@ def sector_oracle_loop(h, spec) -> np.ndarray:
                 continue
             if state.bit_count() == k:
                 out[rank_weightk(state, n, k), col] += amp
+    return out
+
+
+def project_fixed_qubit_loop(s: PauliSum, qubit: int, value: int) -> PauliSum:
+    """Reference for ``project_fixed_qubit``: one Python step per term.
+    <value| s |value> on one tensor factor: I keeps a term, Z scales it
+    by (-1)^value, X or Y drops it; the result lives on n-1 qubits."""
+    n = s.n_qubits
+    if not 1 <= qubit <= n:
+        raise DimensionError(f"qubit {qubit} out of range 1..{n}")
+    if n == 1:
+        raise DimensionError("cannot project the last remaining qubit away")
+    bit = 1 << (n - qubit)
+    low = bit - 1
+    items = []
+    for (x, z), coeff in s.items():
+        if x & bit:
+            continue  # X or Y: off-diagonal on the fixed qubit
+        if z & bit and value:
+            coeff = -coeff
+        x_new = ((x >> 1) & ~low) | (x & low)
+        z_new = ((z >> 1) & ~low) | (z & low)
+        items.append(((x_new, z_new), coeff))
+    return PauliSum(n - 1, items)
+
+
+def items_sorted_loop(s: PauliSum) -> list[tuple[str, complex]]:
+    """Reference for ``PauliSum.items_sorted``: one ``PauliString`` per term.
+    (letters, coefficient) pairs sorted lexicographically by letters."""
+    out = [
+        (PauliString(s.n_qubits, key[0], key[1]).letters(), c) for key, c in s.items()
+    ]
+    out.sort(key=lambda t: t[0])
     return out

@@ -1,10 +1,18 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import difflib
+import itertools
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermiperm.cli import main
+from fermiperm.cli import _json_text, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 HOPPING = "1 2 1 0\n2 1 1 0\n"
 ONE_MODE_NUMBER = "1 1 1 0\n"
@@ -293,3 +301,148 @@ def test_matrix_file_selector(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["stats"]["term_count"] == 2
+
+
+def test_encode_matrix_size_must_match_modes(tmp_path, capsys):
+    mat = tmp_path / "m.txt"
+    mat.write_text("10\n11\n")
+    ham = tmp_path / "h.txt"
+    ham.write_text(HOPPING)
+    code, out, err = run(
+        capsys, "encode", "--modes", "3", "--hamiltonian", str(ham), "--matrix", str(mat),
+    )
+    assert code == 2
+    assert out == ""
+    assert "matrix is 2x2 but --modes is 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, located",
+    [
+        ("10\n1\n", "line 2:"),  # ragged
+        ("# three rows of two\n10\n01\n\n11\n", "line 2:"),  # not square
+        ("100\n010\n01\n", "line 3:"),
+    ],
+)
+@pytest.mark.parametrize("command", ["encode", "reduce"])
+def test_matrix_shape_error_has_line_number(tmp_path, capsys, text, located, command):
+    mat = tmp_path / "m.txt"
+    mat.write_text(text)
+    ham = tmp_path / "h.txt"
+    ham.write_text(HOPPING)
+    extra = ["--fermions", "1"] if command == "reduce" else []
+    code, _, err = run(
+        capsys, command, "--modes", "2", *extra, "--hamiltonian", str(ham),
+        "--matrix", str(mat),
+    )
+    assert code == 2
+    assert located in err and "square" in err
+    assert "Traceback" not in err
+
+
+def test_empty_matrix_message_kept(tmp_path, capsys):
+    mat = tmp_path / "m.txt"
+    mat.write_text("# no rows\n")
+    ham = tmp_path / "h.txt"
+    ham.write_text(HOPPING)
+    code, _, err = run(
+        capsys, "encode", "--modes", "2", "--hamiltonian", str(ham), "--matrix", str(mat),
+    )
+    assert code == 2
+    assert "matrix must be square and non-empty" in err
+
+
+# Dyadic coefficients: every sum and product the reduction forms is exact in
+# binary, so the golden terms do not depend on numpy, BLAS or the platform.
+DYADIC_HAMILTONIAN = """\
+1 1 0.5 0
+2 2 -0.25 0
+3 3 0.75 0
+5 5 1 0
+6 6 -0.5 0
+1 2 0.5 0.25
+2 3 -0.125 0
+4 6 0.25 -0.5
+3 5 0 0.375
+1 2 3 4 0.0625 0
+2 5 4 6 -0.125 0.25
+"""
+
+
+@pytest.mark.parametrize(
+    "selector, golden",
+    [(["--index-embed"], "reduce_n6_k3_index-embed.json"),
+     (["--mapping", "parity"], "reduce_n6_k3_parity.json")],
+)
+def test_reduce_golden_bytes(tmp_path, capsys, selector, golden):
+    """Everything before the verify block (spec, fixed qubits, Hamiltonian
+    terms, state map) is byte for byte the recorded output."""
+    ham = tmp_path / "h.txt"
+    ham.write_text(DYADIC_HAMILTONIAN)
+    code, out, _ = run(
+        capsys, "reduce", "--modes", "6", "--fermions", "3", "--hermitize",
+        "--hamiltonian", str(ham), *selector,
+    )
+    assert code == 0
+    marker = '\n  "verify": {'
+    got = out.split(marker)[0].splitlines()
+    expected = (GOLDEN / golden).read_text().split(marker)[0].splitlines()
+    if got != expected:  # a line diff: pytest's own diff of 30 kB strings is very slow
+        diff = difflib.unified_diff(expected, got, "golden", "output", n=1, lineterm="")
+        pytest.fail("\n".join(itertools.islice(diff, 40)))
+    assert json.loads(out)["verify"]["passed"] is True
+
+
+_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+         math.inf, -math.inf, math.nan, 0.1, 1 / 3]
+    ),
+    st.floats(),
+)
+_TERMS = st.lists(
+    st.builds(
+        lambda p, r, i: {"pauli": p, "re": r, "im": i},
+        st.text("IXYZ", min_size=1, max_size=8), _FLOATS, _FLOATS,
+    ),
+    max_size=10,
+)
+_COUNT = st.integers(0, 10**6)
+_ENCODE_PAYLOADS = st.builds(
+    lambda n, terms, count, weight, mean: {
+        "n_qubits": n, "terms": terms,
+        "stats": {"term_count": count, "max_weight": weight, "mean_weight": mean},
+    },
+    _COUNT, _TERMS, _COUNT, _COUNT, _FLOATS,
+)
+_REDUCE_PAYLOADS = st.builds(
+    lambda spec, fixed, n, terms, bits, verify, overrides: {
+        "spec": dict(zip(("N", "K", "q_min"), spec)),
+        "fixed_qubits": [list(f) for f in fixed],
+        "hamiltonian": {"n_qubits": n, "terms": terms},
+        "state_map": [{"rank": r, "bits": b} for r, b in enumerate(bits)],
+        "verify": dict(zip(("max_deviation", "spectrum_deviation", "passed"), verify)),
+        **({"overrides": overrides} if overrides else {}),
+    },
+    st.tuples(_COUNT, _COUNT, _COUNT),
+    st.lists(st.tuples(_COUNT, st.integers(0, 1)), max_size=3),
+    _COUNT,
+    _TERMS,
+    st.lists(st.text("01", max_size=6), max_size=4),
+    st.tuples(_FLOATS, _FLOATS, st.booleans()),
+    st.dictionaries(st.sampled_from(["dense_cap", "tolerance"]), st.one_of(_COUNT, _FLOATS)),
+)
+_STATS_PAYLOADS = st.builds(
+    lambda n, count, weight, mean: {
+        "n_qubits": n, "term_count": count, "max_weight": weight, "mean_weight": mean,
+    },
+    _COUNT, _COUNT, _COUNT, _FLOATS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ENCODE_PAYLOADS, _REDUCE_PAYLOADS, _STATS_PAYLOADS))
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+

@@ -18,7 +18,13 @@ from fermiperm import (
     pauli_decompose,
 )
 from fermiperm.pauli import _block_rows, _popcount_u64, parity_u64
-from helpers import kron_dense, kron_dense_sum, random_pauli_letters, random_pauli_sum
+from helpers import (
+    items_sorted_loop,
+    kron_dense,
+    kron_dense_sum,
+    random_pauli_letters,
+    random_pauli_sum,
+)
 
 
 def test_multiply_single_qubit_identities():
@@ -229,7 +235,7 @@ def test_dense_cap_enforced():
     with pytest.raises(ResourceError):
         PauliSum.identity(13).to_dense()
     with pytest.raises((ResourceError, ValueError)):
-        pauli_decompose(np.eye(2**13))
+        pauli_decompose(np.broadcast_to(np.float64(1.0), (2**13, 2**13)))
 
 
 def test_decompose_cap_checked_before_copy():
@@ -318,3 +324,28 @@ def test_hermiticity_detection():
     assert herm.is_hermitian()
     assert not PauliSum.from_terms(2, [(1j, "XZ")]).is_hermitian()
     assert herm.dagger() == herm
+
+
+@st.composite
+def wide_sums(draw):
+    """A sum on 1, 63, 64, 65 or 130 qubits whose keys often differ only in
+    the first qubit, the last, or bit 64 (the first past a 64-bit word)."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    masks = st.integers(0, 2**n - 1)
+    flips = st.sampled_from(sorted({1, 1 << (n - 1), (1 << 64) % (1 << n) or 1}))
+    items = []
+    for i in range(draw(st.integers(0, 12))):
+        x, z = draw(masks), draw(masks)
+        items.append(((x, z), complex(i + 1, -i)))
+        items.append(((x ^ draw(flips), z ^ draw(flips)), complex(-i, 0.5)))
+    return PauliSum(n, items)
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_sums())
+def test_items_sorted_matches_loop(s):
+    assert s.items_sorted() == items_sorted_loop(s)
+    assert [t["pauli"] for t in s.to_json_dict()["terms"]] == [
+        letters for letters, _ in items_sorted_loop(s)
+    ]
+

@@ -32,6 +32,8 @@ from fermiperm import (
     random_one_body,
 )
 from fermiperm import f2
+from fermiperm.pauli import PRUNE_TOL
+from fermiperm.permutations import _conjugate_dense_arrays
 from helpers import (
     permutation_matrix,
     random_pauli_letters,
@@ -305,6 +307,22 @@ def test_dense_conjugation_against_matrix_oracle_hamiltonians(case):
     slow = dict(conjugate_pauli_matrix(p, encoded).items())
     for key in fast.keys() | slow.keys():
         assert abs(fast.get(key, 0.0) - slow.get(key, 0.0)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_affine_hamiltonian_cases())
+def test_dense_conjugation_array_core_matches_public(case):
+    """The array core holds exactly the public result's terms in its order:
+    uint64 masks, distinct keys in row-major (x, z) order, each coefficient
+    above PRUNE_TOL."""
+    p, encoded = case
+    x, z, coeff = _conjugate_dense_arrays(p, encoded)
+    assert x.dtype == z.dtype == np.uint64
+    out = conjugate_pauli_dense(p, encoded)
+    assert list(zip(zip(x.tolist(), z.tolist()), coeff.tolist())) == list(out.items())
+    keys = x.astype(np.int64) * p.dim + z.astype(np.int64)
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(np.abs(coeff) > PRUNE_TOL)
 
 
 def test_dense_conjugation_term_count_one_fermion():

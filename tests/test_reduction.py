@@ -13,19 +13,32 @@ from fermiperm import (
     FermionOperator,
     FermionTerm,
     InvalidEncodingError,
+    LinearEncodingF2,
     NumberConservationError,
     PauliSum,
     SectorSpec,
+    classify_affine,
+    conjugate_pauli_affine,
+    conjugate_pauli_dense,
     encode_and_reduce,
     encode_fermion_operator,
+    gl_to_cnot_circuit,
     jw_majoranas,
     minimal_permutation_index_embed,
+    permutation_from_circuit,
     project_fixed_qubit,
+    random_one_body,
     sector_oracle,
     unrank_weightk,
     verify_reduction,
 )
-from helpers import random_pauli_sum, sector_oracle_loop, three_cnot_permutation
+from fermiperm.pauli import PRUNE_TOL, PauliString
+from helpers import (
+    project_fixed_qubit_loop,
+    random_pauli_sum,
+    sector_oracle_loop,
+    three_cnot_permutation,
+)
 
 
 # --- projection ------------------------------------------------------------
@@ -67,6 +80,82 @@ def test_project_matches_dense_block_extraction():
         ]
         block = dense[np.ix_(keep, keep)]
         assert np.max(np.abs(proj.to_dense() - block)) < 1e-12
+
+
+def same_terms(a: PauliSum, b: PauliSum) -> bool:
+    """Equal sums with the same term order and the same signed zeros."""
+    return a.n_qubits == b.n_qubits and repr(list(a.items())) == repr(list(b.items()))
+
+
+# Coefficient parts at, one ulp around and twice the prune threshold, and
+# signed zeros.
+_EDGE_PARTS = [
+    0.0, -0.0, PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL, -2 * PRUNE_TOL,
+    float(np.nextafter(PRUNE_TOL, 1.0)), -float(np.nextafter(PRUNE_TOL, 1.0)),
+    float(np.nextafter(PRUNE_TOL, 0.0)), 0.5, -0.25, 1.0,
+]
+
+
+@st.composite
+def projection_cases(draw):
+    """A sum on 2..6 qubits whose terms often come in I/Z pairs on one qubit
+    (they merge when that qubit is projected), built without the
+    constructor's merge so signed zeros survive, and 1..3 projections."""
+    n = draw(st.integers(2, 6))
+    parts = st.one_of(st.sampled_from(_EDGE_PARTS), st.floats(-1, 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 24))):
+        x, z = draw(st.integers(0, 2**n - 1)), draw(st.integers(0, 2**n - 1))
+        terms[(x, z)] = complex(draw(parts), draw(parts))
+        if draw(st.booleans()):
+            bit = 1 << draw(st.integers(0, n - 1))
+            terms[(x & ~bit, z & ~bit)] = complex(draw(parts), draw(parts))
+            terms[(x & ~bit, z | bit)] = complex(draw(parts), draw(parts))
+    s = PauliSum._from_merged(n, {k: c for k, c in terms.items() if abs(c) > PRUNE_TOL})
+    steps = []
+    for width in range(n, max(n - 3, 1), -1):
+        steps.append((draw(st.integers(1, width)), draw(st.integers(0, 1))))
+    return s, steps[: draw(st.integers(1, len(steps)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(projection_cases())
+def test_project_matches_loop(case):
+    s, steps = case
+    for qubit, value in steps:
+        expected = project_fixed_qubit_loop(s, qubit, value)
+        got = project_fixed_qubit(s, qubit, value)
+        assert got == expected
+        assert same_terms(got, expected)
+        s = expected
+
+
+def test_project_merges_at_the_prune_threshold():
+    """I and Z partners, each above PRUNE_TOL, whose merged coefficient
+    lands exactly at PRUNE_TOL are dropped; one ulp above it they are kept."""
+    up = lambda v: float(np.nextafter(v, 1.0))  # noqa: E731
+    first = up(2 * PRUNE_TOL)
+    at, above = up(up(PRUNE_TOL)), up(PRUNE_TOL)  # first - at == PRUNE_TOL exactly
+    assert first - at == PRUNE_TOL and first - above > PRUNE_TOL
+    for value, z_coeff, kept in [
+        (0, -at, False),
+        (1, at, False),  # the Z term changes sign on |1>
+        (0, -above, True),
+        (1, above, True),
+    ]:
+        s = PauliSum.from_terms(2, [(first, "IX"), (z_coeff, "ZX")])
+        expected = project_fixed_qubit_loop(s, 1, value)
+        assert same_terms(project_fixed_qubit(s, 1, value), expected)
+        assert len(expected) == int(kept)
+
+
+def test_project_past_64_qubits():
+    """Masks wider than 64 bits are folded as Python ints, not truncated."""
+    n = 70
+    s = PauliSum(n, [((1 << 69 | 1, 1 << 68), 0.5), ((1, 1 << 68 | 1 << 3), -0.25j)])
+    for qubit, value in [(1, 0), (2, 1), (70, 1), (35, 0)]:
+        expected = project_fixed_qubit_loop(s, qubit, value)
+        assert same_terms(project_fixed_qubit(s, qubit, value), expected)
 
 
 def test_project_number_conserving_term_keeps_structure():
@@ -303,6 +392,67 @@ def test_reduce_two_body_term():
     )
     rh = encode_and_reduce(h, p, spec)
     assert verify_reduction(rh, sector_oracle(h, spec)).passed
+
+
+@st.composite
+def reduction_cases(draw):
+    """A random one-body Hamiltonian, with two-body terms on half the draws,
+    on N = 3..6 modes; a sector of dimension at least 2; and either the
+    affine parity permutation or an index-embed one with random completion."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_one_body(n, rng)
+    if draw(st.booleans()):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            c, d = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            terms.append(FermionTerm.make(coeff, [(a, True), (b, True), (c, False), (d, False)]))
+        h = h + FermionOperator.from_terms(terms).hermitized()
+    spec = SectorSpec(n, k)
+    if draw(st.booleans()):
+        p = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2.parity(n)))
+    else:
+        p = minimal_permutation_index_embed(spec, completion="random", rng=rng)
+    return h, p, spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduction_cases())
+def test_reduce_matches_public_calls_and_loop_projection(case):
+    """The array pipeline gives, term for term and in the same order, what
+    the public conjugation followed by the loop projection gives."""
+    h, p, spec = case
+    n = spec.n_modes
+    rh = encode_and_reduce(h, p, spec)
+    encoded = encode_fermion_operator(h, jw_majoranas(n))
+    affine = classify_affine(p)
+    if affine is None:
+        expected = conjugate_pauli_dense(p, encoded)
+    else:
+        items = []
+        for (x, z), coeff in encoded.items():
+            q = conjugate_pauli_affine(affine, PauliString(n, x, z))
+            items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
+        expected = PauliSum(n, items)
+    for qubit, value in sorted(rh.report.fixed, reverse=True):
+        expected = project_fixed_qubit_loop(expected, qubit, value)
+    assert rh.pauli_sum == expected
+    assert same_terms(rh.pauli_sum, expected)
+
+
+def test_identity_on_fixed_check_is_a_mask_test():
+    """X or Y on a redundant qubit is rejected; Z there and X elsewhere pass."""
+    from fermiperm.minimal import RedundancyReport
+    from fermiperm.reduction import _check_identity_on_fixed
+
+    report = RedundancyReport(fixed=((2, 0), (4, 1)), surviving=(1, 3), restricted_injective=True)
+    _check_identity_on_fixed(np.array([0b1010, 0b0000], dtype=np.uint64), 4, report)
+    for bad in (0b0100, 0b0001):
+        with pytest.raises(InvalidEncodingError):
+            _check_identity_on_fixed(np.array([0b1000, bad], dtype=np.uint64), 4, report)
 
 
 def test_reduce_rejects_nonconserving():
