@@ -52,7 +52,6 @@ from .permutations import (
     classify_affine,
     conjugate_pauli_affine,
     conjugate_pauli_dense,
-    conjugate_pauli_matrix,
     from_cycles,
     parse_cycles,
     permutation_from_circuit,

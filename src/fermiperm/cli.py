@@ -34,7 +34,7 @@ from .minimal import (
     redundant_qubits,
     synthesize_permutation,
 )
-from .pauli import PauliString, PauliSum, commutes
+from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
     BasisPermutation,
     GateCircuit,
@@ -132,45 +132,59 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``, fast on Pauli-sum terms.
+    """Exactly ``json.dumps(payload, indent=2)``, where a ``PauliSum`` value
+    (in the payload or a nested dict) stands for its sorted terms list, the
+    ``"terms"`` of ``PauliSum.to_json_dict``.
 
-    Every non-empty list under a "terms" key of a (nested) dict must be as
-    ``PauliSum.to_json_dict`` writes it: dicts of "pauli" letters in
-    [IXYZ] and float "re"/"im" parts.  Those lists are rendered with one
-    format string per term; ``%r`` of a float is ``float.__repr__``, which
-    is what json writes for finite floats, and json's NaN/Infinity spelling
-    replaces the only lowercase "nan"/"inf" such a block can hold.
-    Everything else goes through json, whose encoder is pure Python once
-    ``indent`` is set.
+    Sums are written straight from their term arrays, with no per-term dict:
+    each distinct float bit pattern is spelled once, by ``float.__repr__``
+    as json does (NaN and the infinities as json spells them), each term is
+    one format string, and the whole text is one join.  Everything else goes
+    through json, whose encoder is pure Python once ``indent`` is set.
     """
-    # stands in for each terms list; the CLI's payloads hold no NUL character
+    # stands in for each sum; the CLI's payloads hold no NUL character
     marker = "\0terms"
-    blocks = []
-
-    def mark(obj, depth: int):
-        if not isinstance(obj, dict):
-            return obj
-        out = {}
-        for key, value in obj.items():
-            if key == "terms" and isinstance(value, list) and value:
-                out[key] = marker
-                blocks.append(_terms_text(value, "  " * (depth + 1)))
-            else:
-                out[key] = mark(value, depth + 1)
-        return out
-
-    head, *tails = json.dumps(mark(payload, 0), indent=2).split(json.dumps(marker))
-    return head + "".join(block + tail for block, tail in zip(blocks, tails))
+    blocks: list[list[str]] = []
+    marked = _mark_sums(payload, marker, 0, blocks)
+    head, *tails = json.dumps(marked, indent=2).split(json.dumps(marker))
+    pieces = [head]
+    for block, tail in zip(blocks, tails):
+        pieces += block
+        pieces.append(tail)
+    return "".join(pieces)
 
 
-def _terms_text(terms: list, indent: str) -> str:
+def _mark_sums(obj, marker: str, depth: int, blocks: list):
+    """``obj`` with each ``PauliSum`` in it replaced by ``marker``, its text
+    pieces appended to ``blocks`` in the order json will write them.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle, which would keep ``blocks`` alive until the garbage collector
+    runs."""
+    if isinstance(obj, PauliSum):
+        blocks.append(_terms_pieces(obj, "  " * depth))
+        return marker
+    if not isinstance(obj, dict):
+        return obj
+    return {key: _mark_sums(value, marker, depth + 1, blocks) for key, value in obj.items()}
+
+
+def _terms_pieces(s: PauliSum, indent: str) -> list[str]:
+    """Pieces that join to ``json.dumps(s.to_json_dict()["terms"], indent=2)``
+    with every line after the first indented by ``indent``."""
+    letters, coeff = s._sorted_terms()
+    if not letters:
+        return ["[]"]
+    bits, where = np.unique(coeff.view(np.float64).view(np.uint64), return_inverse=True)
+    json_names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    spelled = [json_names.get(r, r) for r in map(repr, bits.view(np.float64).tolist())]
+    parts = np.array(spelled, dtype=object)[where].tolist()  # re, im per term
     item = indent + "  "
-    fmt = (
-        f'{item}{{\n{item}  "pauli": "%s",\n{item}  "re": %r,\n{item}  "im": %r\n{item}}}'
-    )
-    body = ",\n".join([fmt % (t["pauli"], t["re"], t["im"]) for t in terms])
-    body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return f"[\n{body}\n{indent}]"
+    fmt = f',\n{item}{{\n{item}  "pauli": "%s",\n{item}  "re": %s,\n{item}  "im": %s\n{item}}}'
+    pieces = [fmt % term for term in zip(letters, parts[0::2], parts[1::2])]
+    pieces[0] = "[" + pieces[0][1:]  # the list opens where later terms have a comma
+    pieces.append(f"\n{indent}]")
+    return pieces
 
 
 def _load_hamiltonian(args) -> FermionOperator:
@@ -189,8 +203,7 @@ def cmd_encode(args) -> int:
     else:
         majoranas = jw_majoranas(args.modes)
     encoded = encode_fermion_operator(h, majoranas)
-    payload = encoded.to_json_dict()
-    payload["stats"] = _sum_stats(encoded)
+    payload = {"n_qubits": encoded.n_qubits, "terms": encoded, "stats": _sum_stats(encoded)}
     _emit(_json_text(payload), args.output)
     return EXIT_OK
 
@@ -215,23 +228,15 @@ def cmd_reduce(args) -> int:
     if args.tolerance is not None:
         overrides["tolerance"] = args.tolerance
 
-    from . import pauli
-
-    saved_cap = pauli.DENSE_CAP
-    try:
-        if args.dense_cap is not None:
-            pauli.DENSE_CAP = args.dense_cap
-        rh = encode_and_reduce(h, p, spec)
-        oracle = sector_oracle(h, spec)
-        tol = args.tolerance if args.tolerance is not None else ORACLE_TOL
-        check = verify_reduction(rh, oracle, tol=tol)
-    finally:
-        pauli.DENSE_CAP = saved_cap
+    cap = args.dense_cap if args.dense_cap is not None else DENSE_CAP
+    tol = args.tolerance if args.tolerance is not None else ORACLE_TOL
+    rh = encode_and_reduce(h, p, spec, dense_cap=cap)
+    check = verify_reduction(rh, sector_oracle(h, spec, dense_cap=cap), tol=tol, dense_cap=cap)
 
     payload = {
         "spec": {"N": spec.n_modes, "K": spec.n_fermions, "q_min": spec.q_min},
         "fixed_qubits": [[q, v] for q, v in rh.report.fixed],
-        "hamiltonian": rh.pauli_sum.to_json_dict(),
+        "hamiltonian": {"n_qubits": rh.pauli_sum.n_qubits, "terms": rh.pauli_sum},
         "state_map": [
             {"rank": r, "bits": rh.state_map[r]} for r in range(spec.dimension)
         ],

@@ -39,11 +39,9 @@ def _popcount(v: int) -> int:
     return v.bit_count()
 
 
-def _check_dense_cap(n_qubits: int) -> None:
-    if n_qubits > DENSE_CAP:
-        raise ResourceError(
-            f"dense operations are capped at {DENSE_CAP} qubits, got {n_qubits}"
-        )
+def _check_dense_cap(n_qubits: int, cap: int = DENSE_CAP) -> None:
+    if n_qubits > cap:
+        raise ResourceError(f"dense operations are capped at {cap} qubits, got {n_qubits}")
 
 
 def parity_u64(values: np.ndarray) -> np.ndarray:
@@ -278,14 +276,14 @@ class PauliSum:
         keys = keys.reshape(count, 2)
         return keys[:, 0], keys[:, 1], np.fromiter(self._terms.values(), complex, count)
 
-    def items_sorted(self) -> list[tuple[str, complex]]:
-        """(letters, coefficient) pairs sorted lexicographically by letters.
+    def _sorted_terms(self) -> tuple[list[str], np.ndarray]:
+        """Every term's letters in lexicographic order, and the coefficient
+        array in that order.
 
-        The letters of all terms are built at once, one qubit column at a
-        time through an ``IXZY`` lookup, into a single ``S{n}`` array;
-        ``np.argsort`` orders its bytes as ``str`` orders these ASCII
-        letters.  Any register width works: past 64 qubits the masks are
-        Python ints.
+        The letters are built at once, one qubit column at a time through an
+        ``IXZY`` lookup, into one ``S{n}`` array; ``np.argsort`` orders its
+        bytes as ``str`` orders these ASCII letters.  Any register width
+        works: past 64 qubits the masks are Python ints.
         """
         n = self.n_qubits
         x, z, coeff = self._arrays()
@@ -297,7 +295,12 @@ class PauliSum:
             codes[:, column] = ascii_codes[pair.astype(np.intp)]
         letters = codes.view(f"S{n}").ravel()
         order = np.argsort(letters)
-        return list(zip(letters[order].astype(f"U{n}").tolist(), coeff[order].tolist()))
+        return letters[order].astype(f"U{n}").tolist(), coeff[order]
+
+    def items_sorted(self) -> list[tuple[str, complex]]:
+        """(letters, coefficient) pairs sorted lexicographically by letters."""
+        letters, coeff = self._sorted_terms()
+        return list(zip(letters, coeff.tolist()))
 
     def coefficient(self, letters: str) -> complex:
         p = PauliString.from_letters(letters)
@@ -368,7 +371,7 @@ class PauliSum:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
         return self._dense_block(np.arange(1 << self.n_qubits))
 
-    def _dense_block(self, labels: np.ndarray) -> np.ndarray:
+    def _dense_block(self, labels: np.ndarray, dense_cap: int = DENSE_CAP) -> np.ndarray:
         """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
         labels, without the 2^n x 2^n matrix unless every label is asked for.
 
@@ -378,7 +381,7 @@ class PauliSum:
         transform at v = labels[j] and keeps it when the row label v (+) x is
         one of ``labels``; the others land in a spare row that is cut off.
         """
-        _check_dense_cap(self.n_qubits)
+        _check_dense_cap(self.n_qubits, dense_cap)
         dim = 1 << self.n_qubits
         labels = np.asarray(labels, dtype=np.int64)
         size = labels.size
@@ -421,11 +424,11 @@ class PauliSum:
         return " + ".join(f"{_format_coeff(c)} {s}" for s, c in self.items_sorted())
 
     def to_json_dict(self) -> dict:
+        letters, coeff = self._sorted_terms()
+        terms = zip(letters, coeff.real.tolist(), coeff.imag.tolist())
         return {
             "n_qubits": self.n_qubits,
-            "terms": [
-                {"pauli": s, "re": c.real, "im": c.imag} for s, c in self.items_sorted()
-            ],
+            "terms": [{"pauli": s, "re": re, "im": im} for s, re, im in terms],
         }
 
     @classmethod

@@ -20,6 +20,7 @@ from . import f2
 from .errors import DimensionError, ResourceError
 from .pauli import (
     _I_POWERS,
+    DENSE_CAP,
     PRUNE_TOL,
     PauliString,
     PauliSum,
@@ -431,7 +432,7 @@ def conjugate_pauli_dense(p: BasisPermutation, s: PauliSum) -> PauliSum:
 
 
 def _conjugate_dense_arrays(
-    p: BasisPermutation, s: PauliSum
+    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``conjugate_pauli_dense`` as parallel ``x``, ``z`` (``uint64``) and
     ``coeff`` arrays: distinct keys, row-major in (x, z), every coefficient
@@ -439,7 +440,7 @@ def _conjugate_dense_arrays(
     n = p.n_qubits
     if s.n_qubits != n:
         raise DimensionError("Pauli sum and permutation act on different registers")
-    _check_dense_cap(n)
+    _check_dense_cap(n, dense_cap)
     dim = p.dim
     cols = np.arange(dim, dtype=np.int64)
     p_inv = p.inverse().image
@@ -466,10 +467,3 @@ def _conjugate_dense_arrays(
         np.concatenate(coeffs),
     )
 
-
-def conjugate_pauli_matrix(p: BasisPermutation, s: PauliSum) -> PauliSum:
-    """Reference oracle: build dense matrices and decompose U S U^dag."""
-    from .pauli import pauli_decompose
-
-    u = p.to_matrix()
-    return pauli_decompose(u @ s.to_dense() @ u.conj().T)

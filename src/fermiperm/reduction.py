@@ -22,7 +22,7 @@ import numpy as np
 from .encodings import FermionOperator, jw_majoranas, encode_fermion_operator
 from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, redundant_qubits, unrank_weightk
-from .pauli import PRUNE_TOL, PauliString, PauliSum, parity_u64
+from .pauli import DENSE_CAP, PRUNE_TOL, PauliString, PauliSum, _check_dense_cap, parity_u64
 from .permutations import (
     BasisPermutation,
     _conjugate_dense_arrays,
@@ -92,10 +92,12 @@ class ReducedHamiltonian:
 
 
 def encode_and_reduce(
-    h: FermionOperator, p: BasisPermutation, spec: SectorSpec
+    h: FermionOperator, p: BasisPermutation, spec: SectorSpec, dense_cap: int = DENSE_CAP
 ) -> ReducedHamiltonian:
     """Full pipeline; raises if ``h`` is not number conserving or if the
-    permutation does not separate the sector on its surviving qubits."""
+    permutation does not separate the sector on its surviving qubits.
+    A non-affine permutation is conjugated on the full 2^N register, which
+    ``dense_cap`` bounds in qubits."""
     h.require_number_conserving()
     n = spec.n_modes
     if p.n_qubits != n:
@@ -114,7 +116,7 @@ def encode_and_reduce(
             items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
         x, z, coeff = PauliSum(n, items)._arrays()
     else:
-        x, z, coeff = _conjugate_dense_arrays(p, encoded)
+        x, z, coeff = _conjugate_dense_arrays(p, encoded, dense_cap)
 
     report = redundant_qubits(p, spec)
     if not report.restricted_injective:
@@ -153,7 +155,9 @@ def _check_identity_on_fixed(x: np.ndarray, n: int, report: RedundancyReport) ->
         )
 
 
-def sector_oracle(h: FermionOperator, spec: SectorSpec) -> np.ndarray:
+def sector_oracle(
+    h: FermionOperator, spec: SectorSpec, dense_cap: int = DENSE_CAP
+) -> np.ndarray:
     """Brute-force sector matrix: H[r', r] = <unrank(r')| h |unrank(r)>,
     with no qubit encoding at all.
 
@@ -164,14 +168,14 @@ def sector_oracle(h: FermionOperator, spec: SectorSpec) -> np.ndarray:
     the acted mode), and has that mode flipped.  The results are ranked by
     binary search in the sorted sector; those outside it are dropped.  One
     term sends distinct columns to distinct rows, and every entry sums its
-    terms in their given order.
+    terms in their given order.  The d x d matrix is dense, so d may be at
+    most 2^dense_cap.
     """
     n = spec.n_modes
     if n > 64:
         raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
+    _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
     dim = spec.dimension
-    if dim > 1 << 12:
-        raise DimensionError("sector dimension exceeds the dense cap")
 
     states = np.array(spec.sector_states(), dtype=np.uint64)
     cols = np.arange(dim)
@@ -204,19 +208,22 @@ class ReductionCheck:
 
 
 def verify_reduction(
-    rh: ReducedHamiltonian, oracle: np.ndarray, tol: float = ORACLE_TOL
+    rh: ReducedHamiltonian,
+    oracle: np.ndarray,
+    tol: float = ORACLE_TOL,
+    dense_cap: int = DENSE_CAP,
 ) -> ReductionCheck:
     """Compare every sector matrix element of the reduced operator against
     the brute-force oracle, and the sector spectra as well.
 
     Only the d x d block on the sector labels is built, straight from the
     Pauli sum by the transform ``to_dense`` uses; the two d x d eigensolves
-    then dominate the cost."""
+    then dominate the cost.  ``dense_cap`` bounds the reduced register."""
     dim = rh.spec.dimension
     if oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
     labels = np.array([rh.state_index(r) for r in range(dim)], dtype=np.int64)
-    block = rh.pauli_sum._dense_block(labels)
+    block = rh.pauli_sum._dense_block(labels, dense_cap)
     max_dev = float(np.max(np.abs(block - oracle))) if dim else 0.0
 
     eig_block = np.sort(np.linalg.eigvalsh((block + block.conj().T) / 2))

@@ -7,6 +7,7 @@ from fermiperm import (
     GateCircuit,
     PauliString,
     PauliSum,
+    pauli_decompose,
     permutation_from_circuit,
     rank_weightk,
     unrank_weightk,
@@ -41,6 +42,13 @@ def permutation_matrix(perm) -> np.ndarray:
     for col in range(dim):
         u[perm.apply(col), col] = 1.0
     return u
+
+
+def conjugate_pauli_matrix(p, s: PauliSum) -> PauliSum:
+    """Reference for ``conjugate_pauli_dense``: build dense matrices and
+    decompose U S U^dag."""
+    u = p.to_matrix()
+    return pauli_decompose(u @ s.to_dense() @ u.conj().T)
 
 
 def random_pauli_sum(n_qubits: int, n_terms: int, rng: np.random.Generator) -> PauliSum:

@@ -1,16 +1,21 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import contextlib
 import difflib
+import io
 import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fermiperm import PauliSum
 from fermiperm.cli import _json_text, main
+from fermiperm.pauli import PRUNE_TOL
+from helpers import items_sorted_loop
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,6 +135,42 @@ def test_reduce_verify_reports_spectrum_deviation(tmp_path, capsys):
     rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
     check = verify_reduction(rh, sector_oracle(h, spec))
     assert verify["spectrum_deviation"] == check.spectrum_deviation
+
+
+def test_dense_cap_option_is_passed_not_set(tmp_path, capsys, monkeypatch):
+    """--dense-cap reaches the conjugation, the oracle and the verify as an
+    argument; the module default is never reassigned."""
+    import fermiperm.cli as cli
+    from fermiperm import pauli
+
+    seen = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, dense_cap, **kwargs):
+            seen.append((name, dense_cap, pauli.DENSE_CAP))
+            return real(*args, dense_cap=dense_cap, **kwargs)
+
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("encode_and_reduce", "sector_oracle", "verify_reduction"):
+        spy(name)
+    ham = tmp_path / "h.txt"
+    ham.write_text(HOPPING)
+    args = ["reduce", "--modes", "4", "--fermions", "2", "--index-embed",
+            "--hamiltonian", str(ham)]
+    code, out, _ = run(capsys, *args, "--dense-cap", "14")
+    assert code == 0
+    assert json.loads(out)["overrides"] == {"dense_cap": 14}
+    assert sorted(seen) == [
+        ("encode_and_reduce", 14, 12), ("sector_oracle", 14, 12), ("verify_reduction", 14, 12),
+    ]
+    seen.clear()
+    code, _, err = run(capsys, *args, "--dense-cap", "2")
+    assert code == 2
+    assert "capped at 2 qubits" in err
+    assert pauli.DENSE_CAP == 12
 
 
 def test_reduce_without_fermions_is_usage_error(tmp_path, capsys):
@@ -446,3 +487,205 @@ _STATS_PAYLOADS = st.builds(
 def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2)
 
+
+
+# A small pool, so that many coefficients repeat.  The trusted constructor
+# keeps -0.0 parts (PauliSum's own merge adds 0.0, which turns them into
+# 0.0), as array results can hold them; NaN is above PRUNE_TOL only beside
+# an infinite part.
+_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+          math.inf, -math.inf, math.nan, 0.5, -0.25, 0.1, 1 / 3]
+_SUMS = st.integers(1, 70).flatmap(
+    lambda n: st.builds(
+        lambda pairs: PauliSum._from_merged(
+            n, {key: c for key, c in pairs if abs(c) > PRUNE_TOL}
+        ),
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
+                st.builds(complex, st.sampled_from(_PARTS), st.sampled_from(_PARTS)),
+            ),
+            max_size=40,
+        ),
+    )
+)
+
+
+def _plain(obj):
+    """``obj`` with every PauliSum replaced by its to_json_dict terms list."""
+    if isinstance(obj, PauliSum):
+        return obj.to_json_dict()["terms"]
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SUMS, st.booleans(), _COUNT)
+@example(PauliSum(3), True, 0)
+@example(PauliSum(65), False, 0)
+def test_json_writer_on_pauli_sums(s, top_level, count):
+    """As encode writes a sum (top level) and as reduce does (nested)."""
+    if top_level:
+        payload = {"n_qubits": s.n_qubits, "terms": s, "stats": {"term_count": count}}
+    else:
+        payload = {
+            "spec": {"N": count},
+            "hamiltonian": {"n_qubits": s.n_qubits, "terms": s},
+            "state_map": [{"rank": 0, "bits": "01"}],
+        }
+    text = _json_text(payload)
+    assert text == json.dumps(_plain(payload), indent=2)
+    if not len(s):
+        assert '"terms": []' in text
+    # to_json_dict itself is unchanged: the loop reference's sorted items
+    expected = [{"pauli": p, "re": c.real, "im": c.imag} for p, c in items_sorted_loop(s)]
+    assert json.dumps(s.to_json_dict()["terms"]) == json.dumps(expected)
+
+
+# --- fuzzed parsers ---------------------------------------------------------
+# Each input is valid lines (with comments and blank lines between them) and
+# one malformed line; the error must name that line.  Three modes throughout.
+
+_FILLER = st.sampled_from(["", "   ", "# comment", "  # 1 2 x"])
+_WIRE = st.integers(1, 3).map(str)
+_NUMBER = st.sampled_from(["0", "1", "-0.5", "2.5e-3", "1e300", "nan", "-inf"])
+
+
+def _with_bad_line(good, bad):
+    """(text, line number of the bad line), good lines around the bad one."""
+    around = st.lists(st.one_of(good, _FILLER), max_size=4)
+    return st.tuples(around, bad, around).map(
+        lambda t: ("\n".join([*t[0], t[1], *t[2]]) + "\n", len(t[0]) + 1)
+    )
+
+
+_HAMILTONIAN_GOOD = st.one_of(
+    st.tuples(_WIRE, _WIRE, _NUMBER, _NUMBER),
+    st.tuples(_WIRE, _WIRE, _WIRE, _WIRE, _NUMBER, _NUMBER),
+).map(" ".join)
+_HAMILTONIAN_BAD = st.one_of(
+    st.lists(_WIRE, min_size=1, max_size=7).filter(lambda t: len(t) not in (4, 6)).map(" ".join),
+    st.tuples(st.sampled_from(["x", "1.5", "0x1", "--1"]), _WIRE, _NUMBER, _NUMBER).map(" ".join),
+    st.tuples(_WIRE, _WIRE, _NUMBER, st.sampled_from(["i", "1j", "e3"])).map(" ".join),
+    st.tuples(st.sampled_from(["0", "4", "-1"]), _WIRE, _NUMBER, _NUMBER).map(" ".join),
+)
+_CIRCUIT_GOOD = st.one_of(
+    _WIRE.map("X {}".format),
+    st.permutations(["1", "2", "3"]).map(lambda w: f"CNOT {w[0]} {w[1]}"),
+    st.permutations(["1", "2", "3"]).map(lambda w: "TOFFOLI " + " ".join(w)),
+)
+_CIRCUIT_BAD = st.sampled_from(
+    ["FOO 1", "X", "X 1 2", "CNOT 1", "TOFFOLI 1 2", "MCX 1 2", "X a", "CNOT 1 b",
+     "X 0", "X 4", "CNOT 2 2", "TOFFOLI 1 1 3"]
+)
+
+
+def _main_captured(argv):
+    """``main(argv)`` with its stdout and stderr captured per call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_located_usage_error(argv, located):
+    code, out, err = _main_captured(argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert located in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "h.txt").write_text(HOPPING)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(_with_bad_line(_HAMILTONIAN_GOOD, _HAMILTONIAN_BAD))
+def test_fuzz_hamiltonian_errors_name_the_line(fuzz_dir, case):
+    text, line = case
+    (fuzz_dir / "bad.txt").write_text(text)
+    _assert_located_usage_error(
+        ["encode", "--modes", "3", "--hamiltonian", str(fuzz_dir / "bad.txt")], f"line {line}:"
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_with_bad_line(_CIRCUIT_GOOD, _CIRCUIT_BAD))
+def test_fuzz_circuit_errors_name_the_line(fuzz_dir, case):
+    text, line = case
+    (fuzz_dir / "bad.txt").write_text(text)
+    _assert_located_usage_error(
+        ["perm", "--modes", "3", "--circuit", str(fuzz_dir / "bad.txt")], f"line {line}:"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["100", "010", "001", "1 1 0", "111"]), min_size=2, max_size=2),
+    st.integers(0, 2),
+    st.sampled_from(["102", "1a0", "10", "1000", "1", "01-"]),
+    st.lists(_FILLER, min_size=4, max_size=4),
+)
+def test_fuzz_matrix_errors_name_the_line(fuzz_dir, good, bad_at, bad, fillers):
+    """Three rows, one of them malformed: a bad digit or the wrong length."""
+    rows = [*good[:bad_at], bad, *good[bad_at:]]
+    lines = [fillers[0]]
+    for row, filler in zip(rows, fillers[1:]):
+        lines += [row, filler]
+    (fuzz_dir / "m.txt").write_text("\n".join(lines) + "\n")
+    _assert_located_usage_error(
+        ["encode", "--modes", "3", "--hamiltonian", str(fuzz_dir / "h.txt"),
+         "--matrix", str(fuzz_dir / "m.txt")],
+        f"line {lines.index(bad) + 1}:",
+    )
+
+
+_STATE = st.integers(0, 7).map(str)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_STATE, min_size=1, max_size=3), max_size=3),
+    st.lists(_STATE, max_size=3),
+    st.sampled_from(["x", "", " y ", "1.5", "(", "0x2"]),
+    st.sampled_from(["token", "open", "close"]),
+)
+def test_fuzz_cycles_errors_name_the_position(prefix, before, bad, kind):
+    """Well-formed cycles, then an error; the message names where it starts."""
+    head = "".join("(" + ",".join(c) + ")" for c in prefix)
+    if kind == "token":
+        text = head + "(" + ",".join([*before, bad]) + ",1)"
+        at = len(head) + 1 + sum(len(t) + 1 for t in before) + len(bad) - len(bad.lstrip())
+        located = f"position {at} "
+    elif kind == "open":
+        text, located = head + "1,2)", f"'(' at position {len(head)} "
+    else:
+        text, located = head + "(1,2", f"parenthesis at position {len(head)} "
+    _assert_located_usage_error(["perm", "--modes", "3", "--cycles", text], located)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["hamiltonian", "circuit", "matrix", "cycles"]),
+    st.text(" \n#()-+.,01234579aeinxCNOTXMF", max_size=40),
+)
+def test_fuzz_parsers_never_raise(fuzz_dir, parser, text):
+    """Arbitrary text: a result or a usage error, never a traceback."""
+    path = str(fuzz_dir / "any.txt")
+    (fuzz_dir / "any.txt").write_text(text)
+    ham = str(fuzz_dir / "h.txt")
+    argv = {
+        "hamiltonian": ["encode", "--modes", "3", "--hamiltonian", path],
+        "circuit": ["perm", "--modes", "3", "--circuit", path],
+        "matrix": ["encode", "--modes", "3", "--hamiltonian", ham, "--matrix", path],
+        "cycles": ["perm", "--modes", "3", f"--cycles={text}"],
+    }[parser]
+    code, _, err = _main_captured(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith("error: ")

@@ -21,7 +21,6 @@ from fermiperm import (
     commutator_type,
     conjugate_pauli_affine,
     conjugate_pauli_dense,
-    conjugate_pauli_matrix,
     encode_fermion_operator,
     from_cycles,
     jw_majorana,
@@ -35,6 +34,7 @@ from fermiperm import f2
 from fermiperm.pauli import PRUNE_TOL
 from fermiperm.permutations import _conjugate_dense_arrays
 from helpers import (
+    conjugate_pauli_matrix,
     permutation_matrix,
     random_pauli_letters,
     random_pauli_sum,

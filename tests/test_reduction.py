@@ -16,6 +16,7 @@ from fermiperm import (
     LinearEncodingF2,
     NumberConservationError,
     PauliSum,
+    ResourceError,
     SectorSpec,
     classify_affine,
     conjugate_pauli_affine,
@@ -297,6 +298,25 @@ def test_oracle_rejects_modes_outside_the_register():
     h = FermionOperator.from_terms([FermionTerm.make(1.0, [(5, True), (1, False)])])
     with pytest.raises(DimensionError):
         sector_oracle(h, SectorSpec(4, 1))
+
+
+def test_dense_cap_reaches_every_check():
+    """N=6, K=3: 20 sector states (q_min 5) on a 6-qubit register.  Each
+    dense step honours the cap it is given, whatever the module default."""
+    spec = SectorSpec(6, 3)
+    h = random_one_body(6, np.random.default_rng(8))
+    p = minimal_permutation_index_embed(spec)  # not affine: conjugated on 2^6
+    with pytest.raises(ResourceError):
+        sector_oracle(h, spec, dense_cap=4)  # 20 > 2^4
+    assert np.array_equal(sector_oracle(h, spec, dense_cap=5), sector_oracle(h, spec))
+    with pytest.raises(ResourceError):
+        encode_and_reduce(h, p, spec, dense_cap=5)
+    rh = encode_and_reduce(h, p, spec, dense_cap=6)
+    assert rh.pauli_sum == encode_and_reduce(h, p, spec).pauli_sum
+    oracle = sector_oracle(h, spec)
+    with pytest.raises(ResourceError):
+        verify_reduction(rh, oracle, dense_cap=4)
+    assert verify_reduction(rh, oracle, dense_cap=5) == verify_reduction(rh, oracle)
 
 
 # --- sector block ----------------------------------------------------------
