@@ -18,6 +18,7 @@ from . import f2
 from .encodings import (
     FermionOperator,
     LinearEncodingF2,
+    gl_to_cnot_circuit,
     jw_majoranas,
     linear_encoding_majoranas,
     parity_majoranas,
@@ -101,12 +102,8 @@ def _resolve_permutation(args) -> BasisPermutation:
         return BasisPermutation.identity(n)
     if args.mapping == "parity":
         enc = LinearEncodingF2.parity(n)
-        from .encodings import gl_to_cnot_circuit
-
         return permutation_from_circuit(gl_to_cnot_circuit(enc))
     if args.matrix:
-        from .encodings import gl_to_cnot_circuit
-
         return permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2(_load_matrix(args))))
     if args.cycles:
         return from_cycles(n, parse_cycles(args.cycles))
@@ -360,7 +357,7 @@ def random_minimal_majoranas(
 
 def cmd_verify(args) -> int:
     if args.suite == "appendix":
-        report = appendix_verify(args.n, allow_large=(args.n == 5))
+        report = appendix_verify(args.n)
         print(f"{report.matrix_count} matrices, max constant digits {report.max_constant_digits}")
         if report.max_constant_digits != 1:
             print(f"counterexample rows (bit masks): {report.witness}")

@@ -26,7 +26,13 @@ from .errors import (
     NumberConservationError,
 )
 from .pauli import PauliString, PauliSum
-from .permutations import AffineMapF2, GateCircuit, conjugate_pauli_affine
+from .permutations import (
+    AffineMapF2,
+    GateCircuit,
+    classify_affine,
+    conjugate_pauli_affine,
+    permutation_from_circuit,
+)
 
 
 @dataclass(frozen=True)
@@ -282,8 +288,6 @@ def encode_fermion_operator(
 def linear_encoding_majoranas(enc: LinearEncodingF2) -> list[tuple[PauliString, PauliString]]:
     """Majoranas of a linear encoding, obtained by conjugating the
     Jordan-Wigner Majoranas with the synthesized CNOT circuit's action."""
-    from .permutations import classify_affine, permutation_from_circuit
-
     perm = permutation_from_circuit(gl_to_cnot_circuit(enc))
     affine = classify_affine(perm)
     assert affine is not None  # CNOT circuits are always linear

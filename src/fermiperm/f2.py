@@ -105,7 +105,3 @@ def _rank_masks(masks) -> int:
                 r += 1
                 break
     return r
-
-
-def masks_invertible(masks) -> bool:
-    return _rank_masks(masks) == len(masks)

@@ -19,8 +19,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import f2
+from .encodings import LinearEncodingF2, gl_to_cnot_circuit
 from .errors import DimensionError, ResourceError
 from .permutations import (
+    PERMUTATION_CAP,
     AffineMapF2,
     BasisPermutation,
     Gate,
@@ -28,8 +30,6 @@ from .permutations import (
     classify_affine,
     permutation_from_circuit,
 )
-
-HARD_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def minimal_permutation_index_embed(
     * ``"random"``   - shuffle the unused targets with ``rng``.
     """
     n, k = spec.n_modes, spec.n_fermions
-    if n > HARD_CAP:
-        raise ResourceError(f"permutations are capped at {HARD_CAP} qubits, got {n}")
+    if n > PERMUTATION_CAP:
+        raise ResourceError(f"permutations are capped at {PERMUTATION_CAP} qubits, got {n}")
     dim = 1 << n
     shift = n - spec.q_min
     sources = spec.sector_states()
@@ -250,8 +250,6 @@ def _report(circuit: GateCircuit, transpositions: int) -> SynthesisReport:
 
 
 def _affine_netlist(a: AffineMapF2) -> GateCircuit:
-    from .encodings import LinearEncodingF2, gl_to_cnot_circuit
-
     circuit = gl_to_cnot_circuit(LinearEncodingF2(a.matrix))
     for q in range(1, a.n_qubits + 1):
         if a.offset[q - 1]:
@@ -335,32 +333,27 @@ class AppendixReport:
     per_weight_max: tuple[tuple[int, int], ...] = field(default=())
 
 
-def appendix_verify(n: int, allow_large: bool = False) -> AppendixReport:
+def appendix_verify(n: int) -> AppendixReport:
     """Enumerate every invertible n x n GF(2) matrix and, for each weight
     0 < k < n, count output digits constant across the images of all
     weight-k strings; report the maximum and a witness matrix reaching it.
 
     The prefix-parity matrix always pins exactly one digit, so a maximum of
-    1 means no invertible map can do better.  n <= 4 filters all 2^(n^2)
-    candidates by rank; n = 5 (about 9.9M invertible matrices) must be
-    enabled with ``allow_large``.
+    1 means no invertible map can do better.  Runs for n = 2..5: the scan
+    builds each matrix row by row, every row outside the span of the rows
+    before it, so it visits only the |GL(n, 2)| invertible matrices (about
+    9.9M for n = 5, in a few seconds).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > 5 or (n == 5 and not allow_large):
-        raise ResourceError(
-            "appendix enumeration is capped at n = 4 (n = 5 behind allow_large)"
-        )
+    if n > 5:
+        raise ResourceError(f"appendix enumeration is capped at n = 5, got {n}")
 
     weight_sets = {
         k: [s for s in range(1 << n) if s.bit_count() == k] for k in range(1, n)
     }
+    count, max_digits, per_k, argmax = _appendix_scan(n, weight_sets)
     expected = _gl2_order(n)
-
-    if n <= 4:
-        count, max_digits, per_k, argmax = _appendix_scan_filter(n, weight_sets)
-    else:
-        count, max_digits, per_k, argmax = _appendix_scan_large(n, weight_sets)
     if count != expected:
         raise AssertionError(
             f"enumerated {count} invertible matrices, expected {expected}"
@@ -397,76 +390,49 @@ def _constant_digits(rows: tuple[int, ...], n: int, states: list[int]) -> int:
     return constant
 
 
-def _appendix_scan_filter(n, weight_sets):
-    count = 0
-    max_digits = 0
-    argmax: tuple[int, ...] = ()
-    per_k = {k: 0 for k in weight_sets}
-    row_mask = (1 << n) - 1
-    for candidate in range(1 << (n * n)):
-        rows = tuple((candidate >> (n * i)) & row_mask for i in range(n))
-        if not f2.masks_invertible(rows):
-            continue
-        count += 1
-        for k, states in weight_sets.items():
-            digits = _constant_digits(rows, n, states)
-            if digits > per_k[k]:
-                per_k[k] = digits
-            if digits > max_digits:
-                max_digits = digits
-                argmax = rows
-    return count, max_digits, per_k, argmax
-
-
-def _appendix_scan_large(n, weight_sets):
-    """n = 5 path: enumerate matrices row by row, each new row outside the
-    span of the previous ones; the last two rows are handled as a
-    vectorized pair grid."""
-    assert n == 5
+def _appendix_scan(n, weight_sets):
+    """Every invertible matrix once, row by row, each row outside the span
+    of the rows before it; the last two rows run as one vectorised grid of
+    pairs.  Returns the matrix count, the maximum number of constant
+    digits, that maximum per weight, and a matrix reaching it."""
     dim = 1 << n
-    # lookup: for each candidate row and weight k, is row . x constant?
-    const_lut = {}
-    for k, states in weight_sets.items():
-        lut = np.zeros(dim, dtype=np.int64)
-        for row in range(dim):
-            first = (row & states[0]).bit_count() & 1
-            if all(((row & s).bit_count() & 1) == first for s in states[1:]):
-                lut[row] = 1
-        const_lut[k] = lut
-
+    labels = np.arange(dim)
+    weights = sorted(weight_sets)
+    # lut[i, row] is 1 when row . s is the same for every s of weight weights[i]
+    lut = np.array(
+        [[_constant_digits((row,), n, weight_sets[k]) for row in range(dim)] for k in weights]
+    )
+    per_k = np.zeros(len(weights), dtype=np.int64)
     count = 0
     max_digits = 0
     argmax: tuple[int, ...] = ()
-    per_k = {k: 0 for k in weight_sets}
-    for r0 in range(1, dim):
-        span0 = {0, r0}
-        for r1 in range(1, dim):
-            if r1 in span0:
-                continue
-            span1 = span0 | {v ^ r1 for v in span0}
-            for r2 in range(1, dim):
-                if r2 in span1:
-                    continue
-                span2 = span1 | {v ^ r2 for v in span1}
-                in_span2 = np.zeros(dim, dtype=bool)
-                in_span2[list(span2)] = True
-                r34 = np.nonzero(~in_span2)[0]
-                # rows r3, r4 must differ by something outside span2, i.e.
-                # (r3 ^ r4) not in span2; 0 is in span2 so r3 != r4 is implied
-                valid = ~in_span2[r34[:, None] ^ r34[None, :]]
-                count += int(valid.sum())
-                for k, lut in const_lut.items():
-                    partial = int(lut[r0] + lut[r1] + lut[r2])
-                    scores = partial + lut[r34][:, None] + lut[r34][None, :]
-                    masked = np.where(valid, scores, -1)
-                    top = int(masked.max())
-                    if top > per_k[k]:
-                        per_k[k] = top
-                    if top > max_digits:
-                        max_digits = top
-                        i3, i4 = np.unravel_index(int(masked.argmax()), masked.shape)
-                        argmax = (r0, r1, r2, int(r34[i3]), int(r34[i4]))
-    return count, max_digits, per_k, argmax
+
+    def extend(prefix: tuple[int, ...], in_span: np.ndarray) -> None:
+        nonlocal count, max_digits, argmax
+        free = np.flatnonzero(~in_span)
+        if len(prefix) < n - 2:
+            for row in free.tolist():
+                extend(prefix + (row,), in_span | in_span[labels ^ row])
+            return
+        # the last two rows must differ by a vector outside the span; 0 is in
+        # the span, so they are also distinct
+        valid = ~in_span[free[:, None] ^ free]
+        count += int(np.count_nonzero(valid))
+        partial = lut[:, list(prefix)].sum(axis=1)
+        scores = partial[:, None, None] + lut[:, free, None] + lut[:, None, free]
+        scores[:, ~valid] = -1
+        tops = scores.reshape(len(weights), -1).max(axis=1)
+        np.maximum(per_k, tops, out=per_k)
+        best = int(tops.argmax())
+        if tops[best] > max_digits:
+            max_digits = int(tops[best])
+            i, j = np.unravel_index(int(scores[best].argmax()), valid.shape)
+            argmax = prefix + (int(free[i]), int(free[j]))
+
+    in_span = np.zeros(dim, dtype=bool)
+    in_span[0] = True
+    extend((), in_span)
+    return count, max_digits, dict(zip(weights, per_k.tolist())), argmax
 
 
 @dataclass(frozen=True)

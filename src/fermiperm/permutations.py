@@ -19,16 +19,12 @@ import numpy as np
 from . import f2
 from .errors import DimensionError, ResourceError
 from .pauli import (
-    _I_POWERS,
     DENSE_CAP,
-    PRUNE_TOL,
     PauliString,
     PauliSum,
-    _block_rows,
     _check_dense_cap,
+    _decompose_displacements,
     _popcount,
-    _popcount_u64,
-    _walsh_hadamard_rows,
     parity_u64,
 )
 
@@ -336,20 +332,6 @@ class AffineMapF2:
         minv = f2.inverse(self.matrix)
         return tuple(f2.rows_to_masks(minv)), f2.vec_to_mask(f2.matvec(minv, self.offset))
 
-    def column_masks(self) -> list[int]:
-        return list(self._column_masks)
-
-    def offset_mask(self) -> int:
-        return self._offset_mask
-
-    def apply_mask(self, state: int) -> int:
-        out = self._offset_mask
-        n = self.n_qubits
-        for i, col in enumerate(self._column_masks):
-            if (state >> (n - 1 - i)) & 1:
-                out ^= col
-        return out
-
     def to_permutation(self) -> BasisPermutation:
         n = self.n_qubits
         if n > PERMUTATION_CAP:
@@ -423,10 +405,11 @@ def conjugate_pauli_dense(p: BasisPermutation, s: PauliSum) -> PauliSum:
     non-zero per column).  Every term's column values are scattered into one
     displacement-by-column array G[row (+) column, column]; one batched
     Walsh-Hadamard transform over the rows of G then yields the Z
-    coefficients of every displacement at once.  Cost O(T 2^n + n 4^n) for
-    T input terms; G is the only 2^n x 2^n array, and the transform, phase
-    and threshold run on blocks of its rows.  The surviving terms stay
-    parallel arrays until the result's dict is built, once, from them.
+    coefficients of every displacement at once (``_decompose_displacements``
+    in :mod:`fermiperm.pauli`).  Cost O(T 2^n + n 4^n) for T input terms;
+    the only 2^n x 2^n arrays are G and a ``bool`` mask of its survivors.
+    The surviving terms stay parallel arrays until the result's dict is
+    built, once, from them.
     """
     return PauliSum._from_arrays(p.n_qubits, *_conjugate_dense_arrays(p, s))
 
@@ -450,20 +433,4 @@ def _conjugate_dense_arrays(
         # p(u (+) x), u = p^-1(v): one entry per column, so a plain += suffices
         amp = coeff * 1j ** (_popcount(x & z) % 4)
         g[p.image[p_inv ^ x] ^ cols, cols] += amp * (1.0 - 2.0 * parity_u64(p_inv & z))
-    xs, zs, coeffs = [], [], []
-    step = _block_rows(dim)
-    for start in range(0, dim, step):
-        block = g[start : start + step]
-        _walsh_hadamard_rows(block)
-        # coefficient of (d, z) is (-i)^|d&z| / 2^n times the transform
-        block *= _I_POWERS[-_popcount_u64(cols[start : start + step, None] & cols) % 4] / dim
-        rows, z_masks = np.nonzero(np.abs(block) > PRUNE_TOL)
-        xs.append(rows + start)
-        zs.append(z_masks)
-        coeffs.append(block[rows, z_masks])
-    return (
-        np.concatenate(xs).astype(np.uint64),
-        np.concatenate(zs).astype(np.uint64),
-        np.concatenate(coeffs),
-    )
-
+    return _decompose_displacements(g)

@@ -311,16 +311,16 @@ def test_appendix_caps():
     from fermiperm import ResourceError
 
     with pytest.raises(ResourceError):
-        appendix_verify(5)
-    with pytest.raises(ResourceError):
-        appendix_verify(6, allow_large=True)
+        appendix_verify(6)
 
 
-@pytest.mark.slow
-def test_appendix_n5_optional():
-    report = appendix_verify(5, allow_large=True)
-    assert report.matrix_count == _gl_order(5)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_appendix_counts_and_witness(n):
+    report = appendix_verify(n)
+    assert report.matrix_count == {2: 6, 3: 168, 4: 20160, 5: 9999360}[n]
     assert report.max_constant_digits == 1
+    assert [v for _, v in report.per_weight_max] == [1] * (n - 1)
+    assert report.witness == tuple(f2.rows_to_masks(f2.parity_matrix(n)))
 
 
 # --- costs -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pauli string / Pauli sum algebra against the literal-matrix oracle."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,43 @@ def sums_sharing_x_masks(draw):
 def test_to_dense_against_kron_oracle_shared_x_masks(s):
     oracle = kron_dense_sum([(c, letters) for letters, c in s.items_sorted()])
     assert np.max(np.abs(s.to_dense() - oracle), initial=0.0) < 1e-12
+
+
+@st.composite
+def decomposition_cases(draw):
+    """(pairs, matrix) for a sum sharing X masks, a dense sum with a random
+    complex coefficient on every one of the 4^n strings, or a sum whose
+    matrix is real, passed as a float64 array."""
+    kind = draw(st.sampled_from(["shared_x", "dense", "real"]))
+    if kind == "shared_x":
+        pairs = [(c, letters) for letters, c in draw(sums_sharing_x_masks()).items_sorted()]
+        return pairs, kron_dense_sum(pairs)
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        pairs = [
+            (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), "".join(letters))
+            for letters in itertools.product("IXYZ", repeat=n)
+        ]
+        return pairs, kron_dense_sum(pairs)
+    pairs = []
+    for _ in range(draw(st.integers(1, 16))):
+        letters = random_pauli_letters(n, rng)
+        # a string with an odd number of Y letters is imaginary
+        pairs.append((rng.uniform(-1, 1) * 1j ** (letters.count("Y") % 2), letters))
+    dense = kron_dense_sum(pairs)
+    assert not dense.imag.any()
+    return pairs, dense.real
+
+
+@settings(max_examples=60, deadline=None)
+@given(decomposition_cases())
+def test_decompose_against_kron_oracle(case):
+    pairs, dense = case
+    expected = dict(PauliSum.from_terms(len(pairs[0][1]), pairs).items())
+    got = dict(pauli_decompose(dense).items())
+    assert got.keys() == expected.keys()
+    assert all(abs(got[key] - expected[key]) <= 1e-12 for key in got)
 
 
 def test_to_dense_round_trip_across_row_blocks():

@@ -17,6 +17,7 @@ from fermiperm import (
     PauliString,
     PauliSum,
     ResourceError,
+    SectorSpec,
     classify_affine,
     commutator_type,
     conjugate_pauli_affine,
@@ -25,6 +26,7 @@ from fermiperm import (
     from_cycles,
     jw_majorana,
     jw_majoranas,
+    minimal_permutation_index_embed,
     parse_cycles,
     pauli_decompose,
     permutation_from_circuit,
@@ -323,6 +325,23 @@ def test_dense_conjugation_array_core_matches_public(case):
     keys = x.astype(np.int64) * p.dim + z.astype(np.int64)
     assert np.all(np.diff(keys) > 0)
     assert np.all(np.abs(coeff) > PRUNE_TOL)
+
+
+def test_dense_conjugation_holds_survivors_once():
+    """N=8, K=4 index embed, random one-body Hamiltonian: 58,600 surviving
+    terms (1.8 MiB as x, z and coeff arrays) beside the 1 MiB displacement
+    array."""
+    p = minimal_permutation_index_embed(SectorSpec(8, 4))
+    h = random_one_body(8, np.random.default_rng(7))
+    encoded = encode_fermion_operator(h, jw_majoranas(8))
+    tracemalloc.start()
+    try:
+        _, _, coeff = _conjugate_dense_arrays(p, encoded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coeff.size == 58600
+    assert peak < 3.5 * 2**20
 
 
 def test_dense_conjugation_term_count_one_fermion():
