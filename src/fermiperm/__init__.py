@@ -47,7 +47,6 @@ from .encodings import (
 from .permutations import (
     AffineMapF2,
     BasisPermutation,
-    Gate,
     GateCircuit,
     classify_affine,
     conjugate_pauli_affine,
@@ -57,10 +56,8 @@ from .permutations import (
     permutation_from_circuit,
 )
 from .minimal import (
-    AppendixReport,
     RedundancyReport,
     SectorSpec,
-    SynthesisReport,
     appendix_verify,
     costs_csv,
     count_valid_permutations,
@@ -75,7 +72,6 @@ from .minimal import (
 )
 from .reduction import (
     ReducedHamiltonian,
-    ReductionCheck,
     encode_and_reduce,
     project_fixed_qubit,
     sector_oracle,

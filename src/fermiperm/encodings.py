@@ -58,9 +58,6 @@ class FockState:
     def occ(self, mode: int) -> int:
         return (self.occupancy >> (self.n_modes - mode)) & 1
 
-    def hamming_weight(self) -> int:
-        return self.occupancy.bit_count()
-
 
 @dataclass(frozen=True)
 class FermionTerm:

@@ -22,10 +22,6 @@ def parity_matrix(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=np.uint8))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint16) @ b.astype(np.uint16) % 2).astype(np.uint8)
-
-
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.astype(np.uint16) @ v.astype(np.uint16) % 2).astype(np.uint8)
 

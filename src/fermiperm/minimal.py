@@ -22,11 +22,11 @@ from . import f2
 from .encodings import LinearEncodingF2, gl_to_cnot_circuit
 from .errors import DimensionError, ResourceError
 from .permutations import (
-    PERMUTATION_CAP,
     AffineMapF2,
     BasisPermutation,
     Gate,
     GateCircuit,
+    _check_permutation_cap,
     classify_affine,
     permutation_from_circuit,
 )
@@ -111,8 +111,7 @@ def minimal_permutation_index_embed(
     * ``"random"``   - shuffle the unused targets with ``rng``.
     """
     n, k = spec.n_modes, spec.n_fermions
-    if n > PERMUTATION_CAP:
-        raise ResourceError(f"permutations are capped at {PERMUTATION_CAP} qubits, got {n}")
+    _check_permutation_cap(n)
     dim = 1 << n
     shift = n - spec.q_min
     sources = spec.sector_states()
@@ -166,31 +165,23 @@ class RedundancyReport:
 
 def redundant_qubits(p: BasisPermutation, spec: SectorSpec) -> RedundancyReport:
     """Scan the images of all weight-K states for constant bit positions and
-    check that the images restricted to the surviving qubits stay distinct."""
+    check that the images restricted to the surviving qubits stay distinct.
+
+    A bit is constant when the AND and the OR of the images agree on it; the
+    bits where they differ are the surviving ones."""
     n = p.n_qubits
     if n != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
-    images = [p.apply(s) for s in spec.sector_states()]
-    fixed = []
-    surviving = []
-    for q in range(1, n + 1):
-        bit = 1 << (n - q)
-        values = {(img & bit) != 0 for img in images}
-        if len(values) == 1:
-            fixed.append((q, int(values.pop())))
-        else:
-            surviving.append(q)
-    surv_masks = [_extract_bits(img, [n - q for q in surviving]) for img in images]
-    injective = len(set(surv_masks)) == len(surv_masks)
-    return RedundancyReport(tuple(fixed), tuple(surviving), injective)
-
-
-def _extract_bits(value: int, positions: list[int]) -> int:
-    """Pack the given bit positions (descending) into a compact integer."""
-    out = 0
-    for pos in positions:
-        out = (out << 1) | ((value >> pos) & 1)
-    return out
+    images = p.image[np.array(spec.sector_states(), dtype=np.int64)]
+    all_set = int(np.bitwise_and.reduce(images))
+    any_set = int(np.bitwise_or.reduce(images))
+    varying = all_set ^ any_set
+    fixed = tuple(
+        (q, (all_set >> (n - q)) & 1) for q in range(1, n + 1) if not (varying >> (n - q)) & 1
+    )
+    surviving = tuple(q for q in range(1, n + 1) if (varying >> (n - q)) & 1)
+    injective = np.unique(images & varying).size == images.size
+    return RedundancyReport(fixed, surviving, injective)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ Representation conventions, used consistently across the package:
   (x,z) = (0,0) -> I, (1,0) -> X, (0,1) -> Z, (1,1) -> Y.
 * A :class:`PauliSum` maps (x_bits, z_bits) keys to complex coefficients;
   like terms are always merged and coefficients with magnitude below
-  ``PRUNE_TOL`` are dropped by arithmetic.
+  ``PRUNE_TOL`` are dropped by arithmetic.  It keeps the form it was built
+  in, a dict (constructor, algebra) or read-only parallel ``x``/``z``/``coeff``
+  arrays (decomposition, conjugation, projection), and derives the other
+  once, on first use, in the same term order.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ class PauliSum:
     carried by the strings that produced the term.
     """
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "_dict", "_columns")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[tuple[int, int], complex]] = ()):
         if n_qubits < 1:
@@ -216,27 +219,30 @@ class PauliSum:
         merged: dict[tuple[int, int], complex] = {}
         for key, coeff in pairs:
             merged[key] = merged.get(key, 0.0) + complex(coeff)
-        self._terms = {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
-
-    @classmethod
-    def _from_merged(
-        cls, n_qubits: int, terms: dict[tuple[int, int], complex]
-    ) -> "PauliSum":
-        """Trusted constructor: ``terms`` already has merged keys and no
-        coefficient at or below ``PRUNE_TOL``; the dict is adopted, not copied."""
-        out = cls.__new__(cls)
-        out.n_qubits = n_qubits
-        out._terms = terms
-        return out
+        self._dict = {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
+        self._columns = None
 
     @classmethod
     def _from_arrays(
         cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray
     ) -> "PauliSum":
         """Trusted constructor from parallel arrays with distinct (x, z) keys
-        and every coefficient above ``PRUNE_TOL``; the dict is built once."""
-        keys = zip(x.tolist(), z.tolist())
-        return cls._from_merged(n_qubits, dict(zip(keys, coeff.tolist())))
+        and every coefficient above ``PRUNE_TOL``.  The arrays are adopted and
+        made read-only; the dict is built only if a scalar method asks."""
+        for a in (x, z, coeff):
+            a.setflags(write=False)
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out._dict = None
+        out._columns = (x, z, coeff)
+        return out
+
+    @property
+    def _terms(self) -> dict[tuple[int, int], complex]:
+        if self._dict is None:
+            x, z, coeff = self._columns
+            self._dict = dict(zip(zip(x.tolist(), z.tolist()), coeff.tolist()))
+        return self._dict
 
     @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
@@ -267,14 +273,19 @@ class PauliSum:
         return iter(self._terms.items())
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms as parallel ``x``, ``z`` and ``coeff`` arrays, in
-        insertion order.  Masks are ``uint64`` up to 64 qubits and Python
+        """The terms as read-only parallel ``x``, ``z`` and ``coeff`` arrays,
+        in ``items()`` order.  Masks are ``uint64`` up to 64 qubits and Python
         ints (``object``) beyond, so no key is ever truncated."""
-        count = len(self._terms)
-        dtype = np.uint64 if self.n_qubits <= 64 else object
-        keys = np.fromiter(chain.from_iterable(self._terms), dtype, 2 * count)
-        keys = keys.reshape(count, 2)
-        return keys[:, 0], keys[:, 1], np.fromiter(self._terms.values(), complex, count)
+        if self._columns is None:
+            count = len(self._dict)
+            dtype = np.uint64 if self.n_qubits <= 64 else object
+            keys = np.fromiter(chain.from_iterable(self._dict), dtype, 2 * count)
+            keys = keys.reshape(count, 2)
+            coeff = np.fromiter(self._dict.values(), complex, count)
+            for a in (keys, coeff):
+                a.setflags(write=False)
+            self._columns = (keys[:, 0], keys[:, 1], coeff)
+        return self._columns
 
     def _sorted_terms(self) -> tuple[list[str], np.ndarray]:
         """Every term's letters in lexicographic order, and the coefficient
@@ -309,7 +320,7 @@ class PauliSum:
         return self._terms.get((p.x_bits, p.z_bits), 0.0)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._columns[2]) if self._dict is None else len(self._dict)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):
@@ -394,7 +405,7 @@ class PauliSum:
         out = np.zeros((size + 1, size), dtype=complex)
         x, z, amps = self._arrays()
         x, z = x.astype(np.int64), z.astype(np.int64)
-        amps *= _I_POWERS[_popcount_u64(x & z) % 4]
+        amps = amps * _I_POWERS[_popcount_u64(x & z) % 4]
         order = np.argsort(x, kind="stable")
         x, z, amps = x[order], z[order], amps[order]
         masks, slot = np.unique(x, return_inverse=True)
@@ -419,7 +430,7 @@ class PauliSum:
         return val
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not len(self):
             return "0"
         return " + ".join(f"{_format_coeff(c)} {s}" for s, c in self.items_sorted())
 
@@ -433,10 +444,26 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PauliSum":
-        return cls.from_terms(
-            data["n_qubits"],
-            [(complex(t["re"], t["im"]), t["pauli"]) for t in data["terms"]],
-        )
+        """The inverse of :meth:`to_json_dict`; a malformed structure raises
+        ``ValueError``, naming the first bad term's index."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("n_qubits"), int)
+            and isinstance(data.get("terms"), list)
+        ):
+            raise ValueError('a Pauli sum must be {"n_qubits": integer, "terms": list}')
+        pairs = []
+        for index, t in enumerate(data["terms"]):
+            if not (
+                isinstance(t, dict)
+                and isinstance(t.get("pauli"), str)
+                and all(isinstance(t.get(part), (int, float)) for part in ("re", "im"))
+            ):
+                raise ValueError(
+                    f'term {index} must be {{"pauli": letters, "re": number, "im": number}}'
+                )
+            pairs.append((complex(t["re"], t["im"]), t["pauli"]))
+        return cls.from_terms(data["n_qubits"], pairs)
 
 
 def _format_coeff(c: complex) -> str:

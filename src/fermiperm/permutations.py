@@ -31,6 +31,14 @@ from .pauli import (
 PERMUTATION_CAP = 16
 
 
+def _check_permutation_cap(n_qubits: int) -> None:
+    """Raise before a 2^n image table is allocated for n past the cap."""
+    if n_qubits > PERMUTATION_CAP:
+        raise ResourceError(
+            f"permutation storage is capped at {PERMUTATION_CAP} qubits, got {n_qubits}"
+        )
+
+
 class BasisPermutation:
     """A bijection on {0, ..., 2^n - 1}; image[i] is where basis state i goes."""
 
@@ -42,10 +50,7 @@ class BasisPermutation:
         n = dim.bit_length() - 1
         if dim < 2 or dim != 1 << n:
             raise ValueError("image length must be a power of two, at least 2")
-        if n > PERMUTATION_CAP:
-            raise ResourceError(
-                f"permutation storage is capped at {PERMUTATION_CAP} qubits, got {n}"
-            )
+        _check_permutation_cap(n)
         if not np.array_equal(np.sort(arr), np.arange(dim)):
             raise ValueError("image is not a bijection on the basis indices")
         arr = arr.copy()
@@ -55,6 +60,7 @@ class BasisPermutation:
 
     @classmethod
     def identity(cls, n_qubits: int) -> "BasisPermutation":
+        _check_permutation_cap(n_qubits)
         return cls(np.arange(1 << n_qubits))
 
     def apply(self, index: int) -> int:
@@ -121,6 +127,7 @@ class BasisPermutation:
 def from_cycles(n_qubits: int, cycles: Iterable[Sequence[int]]) -> BasisPermutation:
     """Standard cycle notation on 0-based state values: within (a1,...,ak),
     a_i maps to a_{i+1} and a_k maps back to a1; unlisted states are fixed."""
+    _check_permutation_cap(n_qubits)
     dim = 1 << n_qubits
     image = np.arange(dim)
     touched: set[int] = set()
@@ -269,8 +276,7 @@ class GateCircuit:
 def permutation_from_circuit(circuit: GateCircuit) -> BasisPermutation:
     """Compose the gates' actions on basis indices, first gate acting first."""
     n = circuit.n_qubits
-    if n > PERMUTATION_CAP:
-        raise ResourceError(f"circuit register exceeds the {PERMUTATION_CAP}-qubit cap")
+    _check_permutation_cap(n)
     state = np.arange(1 << n, dtype=np.int64)
     for g in circuit.gates:
         tbit = 1 << (n - g.target)
@@ -334,8 +340,7 @@ class AffineMapF2:
 
     def to_permutation(self) -> BasisPermutation:
         n = self.n_qubits
-        if n > PERMUTATION_CAP:
-            raise ResourceError(f"register exceeds the {PERMUTATION_CAP}-qubit cap")
+        _check_permutation_cap(n)
         dim = 1 << n
         state = np.arange(dim, dtype=np.int64)
         image = np.full(dim, self._offset_mask, dtype=np.int64)
@@ -398,7 +403,9 @@ def conjugate_pauli_affine(a: AffineMapF2, p: PauliString) -> PauliString:
     return PauliString(n, x_new, z_new, phase)
 
 
-def conjugate_pauli_dense(p: BasisPermutation, s: PauliSum) -> PauliSum:
+def conjugate_pauli_dense(
+    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP
+) -> PauliSum:
     """Exact U S U^dag for an arbitrary basis permutation U.
 
     Each conjugated Pauli term is a generalized permutation matrix (one
@@ -407,19 +414,10 @@ def conjugate_pauli_dense(p: BasisPermutation, s: PauliSum) -> PauliSum:
     Walsh-Hadamard transform over the rows of G then yields the Z
     coefficients of every displacement at once (``_decompose_displacements``
     in :mod:`fermiperm.pauli`).  Cost O(T 2^n + n 4^n) for T input terms;
-    the only 2^n x 2^n arrays are G and a ``bool`` mask of its survivors.
-    The surviving terms stay parallel arrays until the result's dict is
-    built, once, from them.
+    the only 2^n x 2^n arrays are G and a ``bool`` mask of its survivors,
+    and ``dense_cap`` bounds n.  The result holds the surviving terms as
+    arrays: distinct keys, row-major in (x, z).
     """
-    return PauliSum._from_arrays(p.n_qubits, *_conjugate_dense_arrays(p, s))
-
-
-def _conjugate_dense_arrays(
-    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``conjugate_pauli_dense`` as parallel ``x``, ``z`` (``uint64``) and
-    ``coeff`` arrays: distinct keys, row-major in (x, z), every coefficient
-    above ``PRUNE_TOL``."""
     n = p.n_qubits
     if s.n_qubits != n:
         raise DimensionError("Pauli sum and permutation act on different registers")
@@ -433,4 +431,4 @@ def _conjugate_dense_arrays(
         # p(u (+) x), u = p^-1(v): one entry per column, so a plain += suffices
         amp = coeff * 1j ** (_popcount(x & z) % 4)
         g[p.image[p_inv ^ x] ^ cols, cols] += amp * (1.0 - 2.0 * parity_u64(p_inv & z))
-    return _decompose_displacements(g)
+    return PauliSum._from_arrays(n, *_decompose_displacements(g))

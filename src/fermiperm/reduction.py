@@ -21,13 +21,13 @@ import numpy as np
 
 from .encodings import FermionOperator, jw_majoranas, encode_fermion_operator
 from .errors import DimensionError, InvalidEncodingError
-from .minimal import RedundancyReport, SectorSpec, redundant_qubits, unrank_weightk
+from .minimal import RedundancyReport, SectorSpec, redundant_qubits
 from .pauli import DENSE_CAP, PRUNE_TOL, PauliString, PauliSum, _check_dense_cap, parity_u64
 from .permutations import (
     BasisPermutation,
-    _conjugate_dense_arrays,
     classify_affine,
     conjugate_pauli_affine,
+    conjugate_pauli_dense,
 )
 
 ORACLE_TOL = 1e-9
@@ -43,17 +43,11 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     are summed and the sum is pruned at ``PRUNE_TOL``.  Terms keep the order
     in which their keys first appear."""
     n = s.n_qubits
-    return PauliSum._from_arrays(n - 1, *_project_arrays(n, *s._arrays(), qubit, value))
-
-
-def _project_arrays(
-    n: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray, qubit: int, value: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``project_fixed_qubit`` on parallel arrays with distinct keys."""
     if not 1 <= qubit <= n:
         raise DimensionError(f"qubit {qubit} out of range 1..{n}")
     if n == 1:
         raise DimensionError("cannot project the last remaining qubit away")
+    x, z, coeff = s._arrays()
     word = x.dtype.type  # uint64, or Python ints past 64 qubits
     bit = word(1 << (n - qubit))
     low = word((1 << (n - qubit)) - 1)
@@ -75,7 +69,7 @@ def _project_arrays(
     seen = np.argsort(order[start])
     x, z, total = x[start][seen], z[start][seen], total[seen]
     keep = np.abs(total) > PRUNE_TOL
-    return x[keep], z[keep], total[keep]
+    return PauliSum._from_arrays(n - 1, x[keep], z[keep], total[keep])
 
 
 @dataclass(frozen=True)
@@ -114,9 +108,9 @@ def encode_and_reduce(
         for (x, z), coeff in encoded.items():
             q = conjugate_pauli_affine(affine, PauliString(n, x, z))
             items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
-        x, z, coeff = PauliSum(n, items)._arrays()
+        reduced = PauliSum(n, items)
     else:
-        x, z, coeff = _conjugate_dense_arrays(p, encoded, dense_cap)
+        reduced = conjugate_pauli_dense(p, encoded, dense_cap)
 
     report = redundant_qubits(p, spec)
     if not report.restricted_injective:
@@ -125,21 +119,16 @@ def encode_and_reduce(
         )
 
     if affine is not None:
-        _check_identity_on_fixed(x, n, report)
+        _check_identity_on_fixed(reduced._arrays()[0], n, report)
 
-    width = n
     for qubit, value in sorted(report.fixed, reverse=True):
-        x, z, coeff = _project_arrays(width, x, z, coeff, qubit, value)
-        width -= 1
-    reduced = PauliSum._from_arrays(width, x, z, coeff)
+        reduced = project_fixed_qubit(reduced, qubit, value)
 
-    surv_positions = [n - q for q in report.surviving]
-    state_map = []
-    for r in range(spec.dimension):
-        img = p.apply(unrank_weightk(r, n, spec.n_fermions))
-        bits = "".join(str((img >> pos) & 1) for pos in surv_positions)
-        state_map.append(bits)
-    return ReducedHamiltonian(reduced, report, spec, tuple(state_map))
+    images = p.image[np.array(spec.sector_states(), dtype=np.int64)]  # in rank order
+    positions = np.array([n - q for q in report.surviving], dtype=np.int64)
+    bits = (images[:, None] >> positions) & 1
+    state_map = tuple("".join(map(str, row)) for row in bits.tolist())
+    return ReducedHamiltonian(reduced, report, spec, state_map)
 
 
 def _check_identity_on_fixed(x: np.ndarray, n: int, report: RedundancyReport) -> None:

@@ -7,6 +7,7 @@ from fermiperm import (
     GateCircuit,
     PauliString,
     PauliSum,
+    RedundancyReport,
     pauli_decompose,
     permutation_from_circuit,
     rank_weightk,
@@ -59,6 +60,15 @@ def random_pauli_sum(n_qubits: int, n_terms: int, rng: np.random.Generator) -> P
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         items.append(((x, z), c))
     return PauliSum(n_qubits, items)
+
+
+def array_sum(n_qubits: int, terms: dict) -> PauliSum:
+    """A sum that adopts ``terms`` (distinct keys, every coefficient above
+    ``PRUNE_TOL``) as term arrays, with no merge, so signed zeros survive."""
+    dtype = np.uint64 if n_qubits <= 64 else object
+    x = np.array([x for x, _ in terms], dtype=dtype)
+    z = np.array([z for _, z in terms], dtype=dtype)
+    return PauliSum._from_arrays(n_qubits, x, z, np.array(list(terms.values()), dtype=complex))
 
 
 def random_pauli_letters(n_qubits: int, rng: np.random.Generator) -> str:
@@ -143,4 +153,34 @@ def items_sorted_loop(s: PauliSum) -> list[tuple[str, complex]]:
         (PauliString(s.n_qubits, key[0], key[1]).letters(), c) for key, c in s.items()
     ]
     out.sort(key=lambda t: t[0])
+    return out
+
+
+def redundant_qubits_loop(p, spec) -> RedundancyReport:
+    """Reference for ``redundant_qubits``: one Python set per qubit.
+    Scan the images of all weight-K states for constant bit positions and
+    check that the images restricted to the surviving qubits stay distinct."""
+    n = p.n_qubits
+    if n != spec.n_modes:
+        raise DimensionError("permutation and sector have different sizes")
+    images = [p.apply(s) for s in spec.sector_states()]
+    fixed = []
+    surviving = []
+    for q in range(1, n + 1):
+        bit = 1 << (n - q)
+        values = {(img & bit) != 0 for img in images}
+        if len(values) == 1:
+            fixed.append((q, int(values.pop())))
+        else:
+            surviving.append(q)
+    surv_masks = [_extract_bits(img, [n - q for q in surviving]) for img in images]
+    injective = len(set(surv_masks)) == len(surv_masks)
+    return RedundancyReport(tuple(fixed), tuple(surviving), injective)
+
+
+def _extract_bits(value: int, positions: list[int]) -> int:
+    """Pack the given bit positions (descending) into a compact integer."""
+    out = 0
+    for pos in positions:
+        out = (out << 1) | ((value >> pos) & 1)
     return out

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermiperm import PauliSum
+from fermiperm import PauliSum, cli, encode_and_reduce
 from fermiperm.cli import _json_text, main
 from fermiperm.pauli import PRUNE_TOL
-from helpers import items_sorted_loop
+from helpers import array_sum, items_sorted_loop
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -308,6 +308,48 @@ def test_stats_round_trip(tmp_path, capsys):
     assert data == {"n_qubits": 2, "term_count": 2, "max_weight": 2, "mean_weight": 2.0}
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n_qubits": 2}, '"n_qubits": integer'),
+        ([1, 2], '"n_qubits": integer'),
+        ({"n_qubits": "x", "terms": []}, '"n_qubits": integer'),
+        ({"n_qubits": 1, "terms": [{"pauli": 5, "re": 1.0, "im": 0.0}]}, "term 0 must"),
+        (
+            {"n_qubits": 1, "terms": [{"pauli": "X", "re": 1.0, "im": 0.0},
+                                      {"pauli": "Z", "re": "a", "im": 0.0}]},
+            "term 1 must",
+        ),
+    ],
+)
+def test_stats_rejects_malformed_structure(tmp_path, capsys, doc, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stats", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_reduce_keeps_the_reduced_sum_in_arrays(hop_file, tmp_path, capsys, monkeypatch):
+    """Conjugation, projection, verify and the writer all read the term
+    arrays, so the reduced sum's dict is never built."""
+    results = []
+
+    def capture(*args, **kwargs):
+        results.append(encode_and_reduce(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "encode_and_reduce", capture)
+    code, _, _ = run(
+        capsys, "reduce", "--modes", "4", "--fermions", "2", "--index-embed",
+        "--hamiltonian", hop_file, "--output", str(tmp_path / "r.json"),
+    )
+    assert code == 0
+    assert results[0].pauli_sum._dict is None
+
+
 def test_outputs_are_deterministic(hop_file, capsys):
     _, out1, _ = run(capsys, "encode", "--modes", "2", "--hamiltonian", hop_file)
     _, out2, _ = run(capsys, "encode", "--modes", "2", "--hamiltonian", hop_file)
@@ -497,9 +539,7 @@ _PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300
           math.inf, -math.inf, math.nan, 0.5, -0.25, 0.1, 1 / 3]
 _SUMS = st.integers(1, 70).flatmap(
     lambda n: st.builds(
-        lambda pairs: PauliSum._from_merged(
-            n, {key: c for key, c in pairs if abs(c) > PRUNE_TOL}
-        ),
+        lambda pairs: array_sum(n, {key: c for key, c in pairs if abs(c) > PRUNE_TOL}),
         st.lists(
             st.tuples(
                 st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fermiperm import (
     BasisPermutation,
     GateCircuit,
+    LinearEncodingF2,
     PauliSum,
     SectorSpec,
     appendix_verify,
@@ -18,6 +19,7 @@ from fermiperm import (
     costs_csv,
     count_valid_permutations,
     from_cycles,
+    gl_to_cnot_circuit,
     jw_majorana,
     lower_mcx,
     minimal_permutation_index_embed,
@@ -31,7 +33,7 @@ from fermiperm import (
 )
 from fermiperm import f2
 from fermiperm.permutations import AffineMapF2
-from helpers import three_cnot_permutation
+from helpers import redundant_qubits_loop, three_cnot_permutation
 
 
 # --- ranking ---------------------------------------------------------------
@@ -176,6 +178,27 @@ def test_redundancy_one_fermion_naive_permutation():
     p1 = from_cycles(4, [(0, 2), (1, 12)])
     report = redundant_qubits(p1, SectorSpec(4, 1))
     assert report.fixed == ((3, 0), (4, 0))
+
+
+def test_redundancy_scan_matches_loop():
+    """Every (N, K) with N <= 8: ordered and random index embeds and the
+    parity permutation; and the two circuit permutations on every K."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in range(1, 9):
+        parity = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2.parity(n)))
+        for k in range(n + 1):
+            spec = SectorSpec(n, k)
+            cases += [
+                (minimal_permutation_index_embed(spec), spec),
+                (minimal_permutation_index_embed(spec, completion="random", rng=rng), spec),
+                (parity, spec),
+            ]
+    for circuit in (three_cnot_permutation(),
+                    permutation_from_circuit(single_toffoli_one_fermion_circuit())):
+        cases += [(circuit, SectorSpec(4, k)) for k in range(5)]
+    for p, spec in cases:
+        assert redundant_qubits(p, spec) == redundant_qubits_loop(p, spec)
 
 
 def test_affine_permutations_fix_at_most_one_qubit():

@@ -1,6 +1,8 @@
 """Pauli string / Pauli sum algebra against the literal-matrix oracle."""
 
 import itertools
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from fermiperm import (
 )
 from fermiperm.pauli import _block_rows, _popcount_u64, parity_u64
 from helpers import (
+    array_sum,
     items_sorted_loop,
     kron_dense,
     kron_dense_sum,
@@ -289,6 +292,35 @@ def test_decompose_cap_checked_before_copy():
     assert peak < 1 << 20
 
 
+def test_decompose_holds_terms_as_arrays():
+    """A dense random complex q=8 matrix: the 1 MiB displacement array, its
+    mask and 65,536 terms as arrays (1 MiB of masks, 1 MiB of coefficients);
+    no dict of the terms is built."""
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    tracemalloc.start()
+    try:
+        s = pauli_decompose(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 4**8
+    assert peak < 4 * 2**20
+
+
+def test_decompose_q10_time():
+    """A dense random complex q=10 matrix (about 10^6 terms), best of three
+    calls, in under 0.5 s."""
+    rng = np.random.default_rng(10)
+    m = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        pauli_decompose(m)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5
+
+
 def test_decompose_identity_and_z():
     one = pauli_decompose(np.eye(4))
     assert one == PauliSum.from_terms(2, [(1.0, "II")])
@@ -387,3 +419,40 @@ def test_items_sorted_matches_loop(s):
         letters for letters, _ in items_sorted_loop(s)
     ]
 
+
+
+# --- the two forms: a dict-born and an array-born sum ------------------------
+
+
+def test_term_arrays_are_read_only():
+    rng = np.random.default_rng(12)
+    dict_born = random_pauli_sum(4, 30, rng)
+    for s in (dict_born, pauli_decompose(dict_born.to_dense())):
+        for a in s._arrays():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = a[:1]
+
+
+def test_to_dense_leaves_the_arrays_alone():
+    rng = np.random.default_rng(13)
+    s = pauli_decompose(random_pauli_sum(5, 40, rng).to_dense())
+    before = [a.copy() for a in s._arrays()]
+    first = s.to_dense()
+    assert np.array_equal(s.to_dense(), first)
+    for a, b in zip(s._arrays(), before):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_sums())
+def test_array_born_sum_agrees_with_dict_born(s):
+    """Array-born first asked through the array paths (``len``, JSON), then
+    through the scalar ones, which build its dict."""
+    born = array_sum(s.n_qubits, dict(s.items()))
+    assert len(born) == len(s)
+    assert born.to_json_dict() == s.to_json_dict()
+    assert born == s and s == born
+    assert list(born.items()) == list(s.items())
+    for letters, coeff in s.items_sorted():
+        assert born.coefficient(letters) == coeff

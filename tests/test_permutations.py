@@ -34,7 +34,6 @@ from fermiperm import (
 )
 from fermiperm import f2
 from fermiperm.pauli import PRUNE_TOL
-from fermiperm.permutations import _conjugate_dense_arrays
 from helpers import (
     conjugate_pauli_matrix,
     permutation_matrix,
@@ -318,9 +317,9 @@ def test_dense_conjugation_array_core_matches_public(case):
     uint64 masks, distinct keys in row-major (x, z) order, each coefficient
     above PRUNE_TOL."""
     p, encoded = case
-    x, z, coeff = _conjugate_dense_arrays(p, encoded)
-    assert x.dtype == z.dtype == np.uint64
     out = conjugate_pauli_dense(p, encoded)
+    x, z, coeff = out._arrays()
+    assert x.dtype == z.dtype == np.uint64
     assert list(zip(zip(x.tolist(), z.tolist()), coeff.tolist())) == list(out.items())
     keys = x.astype(np.int64) * p.dim + z.astype(np.int64)
     assert np.all(np.diff(keys) > 0)
@@ -336,7 +335,7 @@ def test_dense_conjugation_holds_survivors_once():
     encoded = encode_fermion_operator(h, jw_majoranas(8))
     tracemalloc.start()
     try:
-        _, _, coeff = _conjugate_dense_arrays(p, encoded)
+        _, _, coeff = conjugate_pauli_dense(p, encoded)._arrays()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -404,10 +403,17 @@ def test_affine_equals_dense_exhaustive_small():
 
 
 def test_permutation_cap():
-    from fermiperm import ResourceError
-
-    with pytest.raises(ResourceError):
-        BasisPermutation.identity(17)
+    """At 17 qubits the image table would be 1 MiB; the ResourceError comes
+    before anything near that is allocated."""
+    for build in (BasisPermutation.identity, lambda n: from_cycles(n, [(0, 1)])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                build(17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
 
 
 def test_affine_conjugation_signs_are_real():

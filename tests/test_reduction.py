@@ -35,6 +35,7 @@ from fermiperm import (
 )
 from fermiperm.pauli import PRUNE_TOL, PauliString
 from helpers import (
+    array_sum,
     project_fixed_qubit_loop,
     random_pauli_sum,
     sector_oracle_loop,
@@ -112,7 +113,7 @@ def projection_cases(draw):
             bit = 1 << draw(st.integers(0, n - 1))
             terms[(x & ~bit, z & ~bit)] = complex(draw(parts), draw(parts))
             terms[(x & ~bit, z | bit)] = complex(draw(parts), draw(parts))
-    s = PauliSum._from_merged(n, {k: c for k, c in terms.items() if abs(c) > PRUNE_TOL})
+    s = array_sum(n, {k: c for k, c in terms.items() if abs(c) > PRUNE_TOL})
     steps = []
     for width in range(n, max(n - 3, 1), -1):
         steps.append((draw(st.integers(1, width)), draw(st.integers(0, 1))))
