@@ -18,6 +18,7 @@ from . import f2
 from .encodings import (
     FermionOperator,
     LinearEncodingF2,
+    _coerce_majorana,
     gl_to_cnot_circuit,
     jw_majoranas,
     linear_encoding_majoranas,
@@ -26,7 +27,7 @@ from .encodings import (
     parse_hamiltonian,
     random_one_body,
 )
-from .errors import FermipermError, HamiltonianParseError
+from .errors import FermipermError
 from .minimal import (
     SectorSpec,
     appendix_verify,
@@ -320,7 +321,7 @@ def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
                 if commutes(a, b):
                     failures.append(f"{name_i} and {name_j} commute")
     else:
-        dense = [(name, _as_sum(op).to_dense()) for name, op in flat]
+        dense = [(name, _coerce_majorana(op).to_dense()) for name, op in flat]
         dim = dense[0][1].shape[0]
         eye = np.eye(dim)
         for i in range(len(dense)):
@@ -334,10 +335,6 @@ def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
                 if np.max(np.abs(a @ b + b @ a)) != 0.0:
                     failures.append(f"{{ {name_i}, {name_j} }} != 0")
     return checks, failures
-
-
-def _as_sum(op) -> PauliSum:
-    return PauliSum.from_pauli(op) if isinstance(op, PauliString) else op
 
 
 def random_minimal_majoranas(
@@ -490,9 +487,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except HamiltonianParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FermipermError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,7 +25,7 @@ from .errors import (
     InvalidEncodingError,
     NumberConservationError,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PRUNE_TOL, PauliString, PauliSum, _merge, _products
 from .permutations import (
     AffineMapF2,
     GateCircuit,
@@ -265,21 +265,27 @@ def encode_fermion_operator(
     majoranas: Sequence[tuple[PauliString, PauliString]],
 ) -> PauliSum:
     """Encode each term as the product of its encoded ladder operators, in
-    the order written, and return the simplified sum."""
+    the order written, and return the sum.  The products are added in place
+    into one dict, with ``PauliSum``'s merge and prune, so the result is the
+    left-to-right ``total + product`` bit for bit, in linear time."""
     n_modes = len(majoranas)
     if h.max_mode() > n_modes:
         raise DimensionError(
             f"operator touches mode {h.max_mode()} but only {n_modes} are encoded"
         )
-    first = _coerce_majorana(majoranas[0][0])
-    n_qubits = first.n_qubits
-    total = PauliSum.zero(n_qubits)
+    n_qubits = _coerce_majorana(majoranas[0][0]).n_qubits
+    ops = dict.fromkeys(op for term in h.terms for op in term.ops)
+    ladders = {op: list(encode_ladder(*op, majoranas).items()) for op in ops}
+    total: dict[tuple[int, int], complex] = {}
     for term in h.terms:
-        acc = PauliSum.identity(n_qubits, term.coefficient)
-        for mode, dag in term.ops:
-            acc = acc * encode_ladder(mode, dag, majoranas)
-        total = total + acc
-    return total.simplify()
+        acc = _merge([((0, 0), term.coefficient)])
+        for op in term.ops:
+            acc = _merge(_products(n_qubits, acc.items(), ladders[op]))
+        for key, c in acc.items():
+            total[key] = (0.0 + total[key]) + c if key in total else 0.0 + c
+            if not abs(total[key]) > PRUNE_TOL:  # not <=: NaN is pruned too
+                del total[key]
+    return PauliSum(n_qubits, total)
 
 
 def linear_encoding_majoranas(enc: LinearEncodingF2) -> list[tuple[PauliString, PauliString]]:

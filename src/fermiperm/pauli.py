@@ -12,10 +12,9 @@ Representation conventions, used consistently across the package:
   (x,z) = (0,0) -> I, (1,0) -> X, (0,1) -> Z, (1,1) -> Y.
 * A :class:`PauliSum` maps (x_bits, z_bits) keys to complex coefficients;
   like terms are always merged and coefficients with magnitude below
-  ``PRUNE_TOL`` are dropped by arithmetic.  It keeps the form it was built
-  in, a dict (constructor, algebra) or read-only parallel ``x``/``z``/``coeff``
-  arrays (decomposition, conjugation, projection), and derives the other
-  once, on first use, in the same term order.
+  ``PRUNE_TOL`` are dropped by arithmetic.  It stores its terms only as
+  read-only parallel ``x``/``z``/``coeff`` arrays, in the order the keys
+  were first merged; ``items()`` reads them in that order.
 """
 
 from __future__ import annotations
@@ -201,48 +200,62 @@ def commutator_type(a: PauliString, b: PauliString) -> str:
     return "commute" if commutes(a, b) else "anticommute"
 
 
+def _merge(pairs: Iterable[tuple[tuple[int, int], complex]]) -> dict[tuple[int, int], complex]:
+    """Sum the coefficients of like keys, in first-seen key order, and drop
+    every sum of magnitude at most ``PRUNE_TOL``."""
+    merged: dict[tuple[int, int], complex] = {}
+    for key, coeff in pairs:
+        merged[key] = merged.get(key, 0.0) + complex(coeff)
+    return {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
+
+
+def _products(n: int, a_items, b_items: list) -> list[tuple[tuple[int, int], complex]]:
+    """Unmerged (key, coefficient) pairs of a * b, a's terms in the outer loop."""
+    items = []
+    for (xa, za), ca in a_items:
+        pa = PauliString(n, xa, za)
+        for (xb, zb), cb in b_items:
+            prod = pa * PauliString(n, xb, zb)
+            items.append(((prod.x_bits, prod.z_bits), ca * cb * prod.coefficient))
+    return items
+
+
 class PauliSum:
     """A complex-weighted sum of Pauli strings on a fixed register.
 
     Instances are immutable: every operation returns a new sum.  Terms are
     keyed by (x_bits, z_bits); the stored coefficient includes any i**phase
-    carried by the strings that produced the term.
+    carried by the strings that produced the term.  ``_arrays`` holds the
+    terms as read-only parallel ``x``, ``z``, ``coeff`` arrays in ``items()``
+    order, masks as ``uint64`` up to 64 qubits and Python ints beyond.
     """
 
-    __slots__ = ("n_qubits", "_dict", "_columns")
+    __slots__ = ("n_qubits", "_arrays")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[tuple[int, int], complex]] = ()):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
-        pairs = terms.items() if isinstance(terms, dict) else terms
-        merged: dict[tuple[int, int], complex] = {}
-        for key, coeff in pairs:
-            merged[key] = merged.get(key, 0.0) + complex(coeff)
-        self._dict = {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
-        self._columns = None
+        merged = _merge(terms.items() if isinstance(terms, dict) else terms)
+        dtype = np.uint64 if n_qubits <= 64 else object
+        keys = np.fromiter(chain.from_iterable(merged), dtype, 2 * len(merged)).reshape(-1, 2)
+        coeff = np.fromiter(merged.values(), complex, len(merged))
+        for a in (keys, coeff):
+            a.setflags(write=False)
+        self._arrays = (keys[:, 0], keys[:, 1], coeff)
 
     @classmethod
     def _from_arrays(
         cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray
     ) -> "PauliSum":
-        """Trusted constructor from parallel arrays with distinct (x, z) keys
-        and every coefficient above ``PRUNE_TOL``.  The arrays are adopted and
-        made read-only; the dict is built only if a scalar method asks."""
+        """Trusted constructor from parallel arrays with distinct (x, z) keys and
+        every coefficient above ``PRUNE_TOL``; adopts them, made read-only."""
         for a in (x, z, coeff):
             a.setflags(write=False)
         out = cls.__new__(cls)
         out.n_qubits = n_qubits
-        out._dict = None
-        out._columns = (x, z, coeff)
+        out._arrays = (x, z, coeff)
         return out
-
-    @property
-    def _terms(self) -> dict[tuple[int, int], complex]:
-        if self._dict is None:
-            x, z, coeff = self._columns
-            self._dict = dict(zip(zip(x.tolist(), z.tolist()), coeff.tolist()))
-        return self._dict
 
     @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
@@ -260,32 +273,19 @@ class PauliSum:
     def from_terms(cls, n_qubits: int, pairs: Iterable[tuple[complex, str]]) -> "PauliSum":
         """Build from (coefficient, letters) pairs, e.g. ``(0.5, "XIZX")``."""
         items = []
-        for coeff, letters in pairs:
+        for index, (coeff, letters) in enumerate(pairs):
             if len(letters) != n_qubits:
-                raise DimensionError(
-                    f"term {letters!r} does not act on {n_qubits} qubits"
-                )
-            p = PauliString.from_letters(letters)
+                raise DimensionError(f"term {index} {letters!r} does not act on {n_qubits} qubits")
+            try:
+                p = PauliString.from_letters(letters)
+            except ValueError as exc:
+                raise ValueError(f"term {index}: {exc}") from None
             items.append(((p.x_bits, p.z_bits), complex(coeff)))
         return cls(n_qubits, items)
 
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        return iter(self._terms.items())
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms as read-only parallel ``x``, ``z`` and ``coeff`` arrays,
-        in ``items()`` order.  Masks are ``uint64`` up to 64 qubits and Python
-        ints (``object``) beyond, so no key is ever truncated."""
-        if self._columns is None:
-            count = len(self._dict)
-            dtype = np.uint64 if self.n_qubits <= 64 else object
-            keys = np.fromiter(chain.from_iterable(self._dict), dtype, 2 * count)
-            keys = keys.reshape(count, 2)
-            coeff = np.fromiter(self._dict.values(), complex, count)
-            for a in (keys, coeff):
-                a.setflags(write=False)
-            self._columns = (keys[:, 0], keys[:, 1], coeff)
-        return self._columns
+        x, z, coeff = self._arrays
+        return zip(zip(x.tolist(), z.tolist()), coeff.tolist())
 
     def _sorted_terms(self) -> tuple[list[str], np.ndarray]:
         """Every term's letters in lexicographic order, and the coefficient
@@ -297,7 +297,7 @@ class PauliSum:
         works: past 64 qubits the masks are Python ints.
         """
         n = self.n_qubits
-        x, z, coeff = self._arrays()
+        x, z, coeff = self._arrays
         ascii_codes = np.frombuffer(b"IXZY", dtype=np.uint8)  # at index x + 2 z
         codes = np.empty((len(coeff), n), dtype=np.uint8)
         for column in range(n):
@@ -317,27 +317,32 @@ class PauliSum:
         p = PauliString.from_letters(letters)
         if p.n_qubits != self.n_qubits:
             raise DimensionError("letter string length does not match register")
-        return self._terms.get((p.x_bits, p.z_bits), 0.0)
+        x, z, coeff = self._arrays
+        hit = np.flatnonzero((x == p.x_bits) & (z == p.z_bits))
+        return complex(coeff[hit[0]]) if hit.size else 0.0
 
     def __len__(self) -> int:
-        return len(self._columns[2]) if self._dict is None else len(self._dict)
+        return len(self._arrays[2])
 
     def __eq__(self, other) -> bool:
+        """Same register and the same terms, in any order."""
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n_qubits == other.n_qubits and self._terms == other._terms
+        (xa, za, ca), (xb, zb, cb) = self._arrays, other._arrays
+        a, b = np.lexsort((za, xa)), np.lexsort((zb, xb))
+        same = (np.array_equal(u[a], v[b]) for u, v in ((xa, xb), (za, zb), (ca, cb)))
+        return self.n_qubits == other.n_qubits and all(same)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise DimensionError("cannot add sums on different registers")
-        items = list(self._terms.items()) + list(other._terms.items())
-        return PauliSum(self.n_qubits, items)
+        return PauliSum(self.n_qubits, chain(self.items(), other.items()))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + other.scale(-1.0)
 
     def scale(self, factor: complex) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(k, c * factor) for k, c in self._terms.items()])
+        return PauliSum(self.n_qubits, [(k, c * factor) for k, c in self.items()])
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -346,37 +351,31 @@ class PauliSum:
             return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise DimensionError("cannot multiply sums on different registers")
-        items = []
-        for (xa, za), ca in self._terms.items():
-            pa = PauliString(self.n_qubits, xa, za)
-            for (xb, zb), cb in other._terms.items():
-                prod = pa * PauliString(self.n_qubits, xb, zb)
-                items.append(((prod.x_bits, prod.z_bits), ca * cb * prod.coefficient))
-        return PauliSum(self.n_qubits, items)
+        return PauliSum(self.n_qubits, _products(self.n_qubits, self.items(), list(other.items())))
 
     __rmul__ = __mul__
 
     def dagger(self) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(k, c.conjugate()) for k, c in self._terms.items()])
+        return PauliSum(self.n_qubits, [(k, c.conjugate()) for k, c in self.items()])
 
     def is_hermitian(self, tol: float = PRUNE_TOL) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return all(abs(c.imag) <= tol for c in self._arrays[2].tolist())
 
     def simplify(self, tol: float = PRUNE_TOL) -> "PauliSum":
         """Drop terms whose coefficient magnitude is at most ``tol``."""
-        return PauliSum(self.n_qubits, [(k, c) for k, c in self._terms.items() if abs(c) > tol])
+        return PauliSum(self.n_qubits, [(k, c) for k, c in self.items() if abs(c) > tol])
 
     def frobenius_sq(self) -> float:
         """Sum of squared coefficient magnitudes (Frobenius norm^2 / 2^n)."""
-        return float(sum(abs(c) ** 2 for c in self._terms.values()))
+        return float(sum(abs(c) ** 2 for c in self._arrays[2].tolist()))
 
     def max_weight(self) -> int:
-        return max((_popcount(x | z) for (x, z) in self._terms), default=0)
+        x, z, _ = self._arrays
+        return max(map(_popcount, (x | z).tolist()), default=0)
 
     def mean_weight(self) -> float:
-        if not self._terms:
-            return 0.0
-        return sum(_popcount(x | z) for (x, z) in self._terms) / len(self._terms)
+        x, z, _ = self._arrays
+        return sum(map(_popcount, (x | z).tolist())) / len(x) if len(x) else 0.0
 
     def to_dense(self) -> np.ndarray:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
@@ -403,7 +402,7 @@ class PauliSum:
         if np.count_nonzero(pos < size) != size:
             raise ValueError("block labels must be distinct")
         out = np.zeros((size + 1, size), dtype=complex)
-        x, z, amps = self._arrays()
+        x, z, amps = self._arrays
         x, z = x.astype(np.int64), z.astype(np.int64)
         amps = amps * _I_POWERS[_popcount_u64(x & z) % 4]
         order = np.argsort(x, kind="stable")
@@ -423,7 +422,7 @@ class PauliSum:
     def matrix_element(self, row: int, col: int) -> complex:
         """<row| sum |col> without building the dense matrix."""
         val = 0.0 + 0.0j
-        for (x, z), coeff in self._terms.items():
+        for (x, z), coeff in self.items():
             if col ^ x == row:
                 sign = -1.0 if _popcount(col & z) % 2 else 1.0
                 val += coeff * (1j ** (_popcount(x & z) % 4)) * sign
@@ -444,11 +443,11 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PauliSum":
-        """The inverse of :meth:`to_json_dict`; a malformed structure raises
-        ``ValueError``, naming the first bad term's index."""
+        """The inverse of :meth:`to_json_dict`; a malformed structure, ``true``
+        for a number included, raises ``ValueError`` naming the bad term's index."""
         if not (
             isinstance(data, dict)
-            and isinstance(data.get("n_qubits"), int)
+            and type(data.get("n_qubits")) is int
             and isinstance(data.get("terms"), list)
         ):
             raise ValueError('a Pauli sum must be {"n_qubits": integer, "terms": list}')
@@ -457,7 +456,7 @@ class PauliSum:
             if not (
                 isinstance(t, dict)
                 and isinstance(t.get("pauli"), str)
-                and all(isinstance(t.get(part), (int, float)) for part in ("re", "im"))
+                and all(type(t.get(part)) in (int, float) for part in ("re", "im"))
             ):
                 raise ValueError(
                     f'term {index} must be {{"pauli": letters, "re": number, "im": number}}'

@@ -47,7 +47,7 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
         raise DimensionError(f"qubit {qubit} out of range 1..{n}")
     if n == 1:
         raise DimensionError("cannot project the last remaining qubit away")
-    x, z, coeff = s._arrays()
+    x, z, coeff = s._arrays
     word = x.dtype.type  # uint64, or Python ints past 64 qubits
     bit = word(1 << (n - qubit))
     low = word((1 << (n - qubit)) - 1)
@@ -119,7 +119,7 @@ def encode_and_reduce(
         )
 
     if affine is not None:
-        _check_identity_on_fixed(reduced._arrays()[0], n, report)
+        _check_identity_on_fixed(reduced._arrays[0], n, report)
 
     for qubit, value in sorted(report.fixed, reverse=True):
         reduced = project_fixed_qubit(reduced, qubit, value)

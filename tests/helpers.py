@@ -13,6 +13,7 @@ from fermiperm import (
     rank_weightk,
     unrank_weightk,
 )
+from fermiperm.encodings import _coerce_majorana, encode_ladder
 from fermiperm.pauli import _popcount
 
 _SINGLE = {
@@ -184,3 +185,24 @@ def _extract_bits(value: int, positions: list[int]) -> int:
     for pos in positions:
         out = (out << 1) | ((value >> pos) & 1)
     return out
+
+
+def encode_fermion_operator_loop(h, majoranas) -> PauliSum:
+    """Reference for ``encode_fermion_operator``: one ``PauliSum`` product per
+    ladder operator and one ``total + acc`` per term.  Encode each term as the
+    product of its encoded ladder operators, in the order written, and return
+    the simplified sum."""
+    n_modes = len(majoranas)
+    if h.max_mode() > n_modes:
+        raise DimensionError(
+            f"operator touches mode {h.max_mode()} but only {n_modes} are encoded"
+        )
+    first = _coerce_majorana(majoranas[0][0])
+    n_qubits = first.n_qubits
+    total = PauliSum.zero(n_qubits)
+    for term in h.terms:
+        acc = PauliSum.identity(n_qubits, term.coefficient)
+        for mode, dag in term.ops:
+            acc = acc * encode_ladder(mode, dag, majoranas)
+        total = total + acc
+    return total.simplify()

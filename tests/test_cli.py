@@ -320,6 +320,17 @@ def test_stats_round_trip(tmp_path, capsys):
                                       {"pauli": "Z", "re": "a", "im": 0.0}]},
             "term 1 must",
         ),
+        ({"n_qubits": 1, "terms": [{"pauli": "Q", "re": 1, "im": 0}]}, "term 0: invalid Pauli"),
+        (
+            {"n_qubits": 2, "terms": [{"pauli": "XZ", "re": 1, "im": 0},
+                                      {"pauli": "X", "re": 1, "im": 0}]},
+            "term 1 'X' does not act on 2 qubits",
+        ),
+        (
+            {"n_qubits": True, "terms": [{"pauli": "X", "re": True, "im": False}]},
+            '"n_qubits": integer',
+        ),
+        ({"n_qubits": 1, "terms": [{"pauli": "X", "re": 1.0, "im": False}]}, "term 0 must"),
     ],
 )
 def test_stats_rejects_malformed_structure(tmp_path, capsys, doc, message):
@@ -330,24 +341,6 @@ def test_stats_rejects_malformed_structure(tmp_path, capsys, doc, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-
-
-def test_reduce_keeps_the_reduced_sum_in_arrays(hop_file, tmp_path, capsys, monkeypatch):
-    """Conjugation, projection, verify and the writer all read the term
-    arrays, so the reduced sum's dict is never built."""
-    results = []
-
-    def capture(*args, **kwargs):
-        results.append(encode_and_reduce(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(cli, "encode_and_reduce", capture)
-    code, _, _ = run(
-        capsys, "reduce", "--modes", "4", "--fermions", "2", "--index-embed",
-        "--hamiltonian", hop_file, "--output", str(tmp_path / "r.json"),
-    )
-    assert code == 0
-    assert results[0].pauli_sum._dict is None
 
 
 def test_outputs_are_deterministic(hop_file, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermiperm import (
     DimensionError,
@@ -25,8 +26,9 @@ from fermiperm import (
     parse_hamiltonian,
     permutation_from_circuit,
 )
-from fermiperm import f2
-from helpers import kron_dense
+from fermiperm import SectorSpec, f2
+from fermiperm.cli import random_minimal_majoranas
+from helpers import encode_fermion_operator_loop, kron_dense
 
 
 def test_jw_majorana_forms():
@@ -286,3 +288,60 @@ def test_encode_rejects_out_of_range_mode():
     op = FermionOperator.from_terms([FermionTerm.make(1.0, [(3, True), (3, False)])])
     with pytest.raises(DimensionError):
         encode_fermion_operator(op, jw_majoranas(2))
+
+
+# Dyadic values, exact zeros of either sign and values at the prune threshold
+# make cancellations exact and show signed zeros and the prune order.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.25, 1e-12, -3e-13]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def operators_and_majoranas(draw):
+    """A one-/two-body operator on n modes, with one term t appearing as
+    t, -t, later terms, t; and a Majorana table: JW or parity strings, or the
+    dense ``PauliSum`` images of a random index embedding (n <= 3, as their
+    two-body products have thousands of terms at n = 4)."""
+    kind = draw(st.sampled_from(["jw", "parity", "minimal"]))
+    n = draw(st.integers(2, 3 if kind == "minimal" else 4))
+    mode = st.integers(1, n)
+
+    def term():
+        coeff = complex(draw(_PARTS), draw(_PARTS))
+        if draw(st.booleans()):
+            return FermionTerm.make(coeff, [(draw(mode), True), (draw(mode), False)])
+        ops = [(draw(mode), True), (draw(mode), True), (draw(mode), False), (draw(mode), False)]
+        return FermionTerm.make(coeff, ops)
+
+    t = term()
+    negated = FermionTerm(-t.coefficient, t.ops)
+    terms = [term() for _ in range(draw(st.integers(0, 3)))] + [t, negated]
+    terms += [term() for _ in range(draw(st.integers(0, 3)))] + [t]
+    terms += [term() for _ in range(draw(st.integers(0, 2)))]
+    if kind == "jw":
+        majoranas = jw_majoranas(n)
+    elif kind == "parity":
+        majoranas = parity_majoranas(n)
+    else:
+        spec = SectorSpec(n, draw(st.integers(1, n - 1)))
+        majoranas = random_minimal_majoranas(spec, np.random.default_rng(draw(st.integers(0, 99))))
+    return FermionOperator.from_terms(terms), majoranas
+
+
+def _keys_and_bits(s: PauliSum):
+    items = list(s.items())
+    coeff = np.array([c for _, c in items], dtype=complex)
+    return [k for k, _ in items], coeff.view(np.uint64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators_and_majoranas())
+def test_encoder_matches_loop_bit_for_bit(case):
+    """Same terms in the same ``items()`` order, and the same bits of every
+    real and imaginary part, signed zeros included."""
+    h, majoranas = case
+    assert _keys_and_bits(encode_fermion_operator(h, majoranas)) == _keys_and_bits(
+        encode_fermion_operator_loop(h, majoranas)
+    )

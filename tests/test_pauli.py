@@ -421,14 +421,14 @@ def test_items_sorted_matches_loop(s):
 
 
 
-# --- the two forms: a dict-born and an array-born sum ------------------------
+# --- sums built by the constructor and sums adopted from term arrays --------
 
 
 def test_term_arrays_are_read_only():
     rng = np.random.default_rng(12)
     dict_born = random_pauli_sum(4, 30, rng)
     for s in (dict_born, pauli_decompose(dict_born.to_dense())):
-        for a in s._arrays():
+        for a in s._arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[:1] = a[:1]
@@ -437,18 +437,18 @@ def test_term_arrays_are_read_only():
 def test_to_dense_leaves_the_arrays_alone():
     rng = np.random.default_rng(13)
     s = pauli_decompose(random_pauli_sum(5, 40, rng).to_dense())
-    before = [a.copy() for a in s._arrays()]
+    before = [a.copy() for a in s._arrays]
     first = s.to_dense()
     assert np.array_equal(s.to_dense(), first)
-    for a, b in zip(s._arrays(), before):
+    for a, b in zip(s._arrays, before):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @settings(max_examples=80, deadline=None)
-@given(wide_sums())
-def test_array_born_sum_agrees_with_dict_born(s):
-    """Array-born first asked through the array paths (``len``, JSON), then
-    through the scalar ones, which build its dict."""
+@given(wide_sums(), st.randoms(use_true_random=False))
+def test_array_born_sum_agrees_with_dict_born(s, rnd):
+    """A sum adopted from arrays, with no merge, against the constructor's;
+    ``==`` ignores term order and sees one changed coefficient."""
     born = array_sum(s.n_qubits, dict(s.items()))
     assert len(born) == len(s)
     assert born.to_json_dict() == s.to_json_dict()
@@ -456,3 +456,10 @@ def test_array_born_sum_agrees_with_dict_born(s):
     assert list(born.items()) == list(s.items())
     for letters, coeff in s.items_sorted():
         assert born.coefficient(letters) == coeff
+    items = list(s.items())
+    rnd.shuffle(items)
+    assert array_sum(s.n_qubits, dict(items)) == s
+    if items:
+        (key, coeff), *rest = items
+        changed = array_sum(s.n_qubits, dict([(key, 2 * coeff), *rest]))
+        assert changed != s and s != changed

@@ -318,7 +318,7 @@ def test_dense_conjugation_array_core_matches_public(case):
     above PRUNE_TOL."""
     p, encoded = case
     out = conjugate_pauli_dense(p, encoded)
-    x, z, coeff = out._arrays()
+    x, z, coeff = out._arrays
     assert x.dtype == z.dtype == np.uint64
     assert list(zip(zip(x.tolist(), z.tolist()), coeff.tolist())) == list(out.items())
     keys = x.astype(np.int64) * p.dim + z.astype(np.int64)
@@ -335,7 +335,7 @@ def test_dense_conjugation_holds_survivors_once():
     encoded = encode_fermion_operator(h, jw_majoranas(8))
     tracemalloc.start()
     try:
-        _, _, coeff = conjugate_pauli_dense(p, encoded)._arrays()
+        _, _, coeff = conjugate_pauli_dense(p, encoded)._arrays
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
