@@ -280,7 +280,7 @@ def encode_fermion_operator(
     for term in h.terms:
         acc = _merge([((0, 0), term.coefficient)])
         for op in term.ops:
-            acc = _merge(_products(n_qubits, acc.items(), ladders[op]))
+            acc = _merge(_products(acc.items(), ladders[op]))
         for key, c in acc.items():
             total[key] = (0.0 + total[key]) + c if key in total else 0.0 + c
             if not abs(total[key]) > PRUNE_TOL:  # not <=: NaN is pruned too

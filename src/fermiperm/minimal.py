@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -53,11 +54,15 @@ class SectorSpec:
         return (self.dimension - 1).bit_length()
 
     def sector_states(self) -> list[int]:
-        """All weight-K basis integers in increasing (lexicographic) order."""
-        return [
-            unrank_weightk(r, self.n_modes, self.n_fermions)
-            for r in range(self.dimension)
-        ]
+        """All weight-K basis integers in increasing (lexicographic) order,
+        so index r holds ``unrank_weightk(r, N, K)``.
+
+        One pass over the K-subsets of the mode bits, highest first: their
+        lexicographic order is decreasing order of the integers."""
+        bits = [1 << b for b in range(self.n_modes - 1, -1, -1)]
+        states = [sum(c) for c in combinations(bits, self.n_fermions)]
+        states.reverse()
+        return states
 
 
 def rank_weightk(bits: int, n: int, k: int) -> int:

@@ -173,19 +173,24 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
         raise DimensionError(
             f"cannot multiply Pauli strings on {a.n_qubits} and {b.n_qubits} qubits"
         )
-    x = a.x_bits ^ b.x_bits
-    z = a.z_bits ^ b.z_bits
+    x, z, k = _mask_product(a.x_bits, a.z_bits, b.x_bits, b.z_bits)
+    return PauliString(a.n_qubits, x, z, (a.phase + b.phase + k) % 4)
+
+
+def _mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
+    """X mask, Z mask and power of i in {0,1,2,3} of the product of the
+    unit-phase strings with masks (xa, za) and (xb, zb)."""
+    x = xa ^ xb
+    z = za ^ zb
     # Fold each operand's Y letters into X*Z form, pick up the (-1) from
     # commuting Z past X, then normalize the product's Y letters back.
     k = (
-        a.phase
-        + b.phase
-        + _popcount(a.x_bits & a.z_bits)
-        + _popcount(b.x_bits & b.z_bits)
-        + 2 * _popcount(a.z_bits & b.x_bits)
-        - _popcount(x & z)
+        (xa & za).bit_count()
+        + (xb & zb).bit_count()
+        + 2 * (za & xb).bit_count()
+        - (x & z).bit_count()
     ) % 4
-    return PauliString(a.n_qubits, x, z, k)
+    return x, z, k
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -209,14 +214,13 @@ def _merge(pairs: Iterable[tuple[tuple[int, int], complex]]) -> dict[tuple[int, 
     return {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
 
 
-def _products(n: int, a_items, b_items: list) -> list[tuple[tuple[int, int], complex]]:
+def _products(a_items, b_items: list) -> list[tuple[tuple[int, int], complex]]:
     """Unmerged (key, coefficient) pairs of a * b, a's terms in the outer loop."""
     items = []
     for (xa, za), ca in a_items:
-        pa = PauliString(n, xa, za)
         for (xb, zb), cb in b_items:
-            prod = pa * PauliString(n, xb, zb)
-            items.append(((prod.x_bits, prod.z_bits), ca * cb * prod.coefficient))
+            x, z, k = _mask_product(xa, za, xb, zb)
+            items.append(((x, z), ca * cb * 1j**k))
     return items
 
 
@@ -351,7 +355,7 @@ class PauliSum:
             return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise DimensionError("cannot multiply sums on different registers")
-        return PauliSum(self.n_qubits, _products(self.n_qubits, self.items(), list(other.items())))
+        return PauliSum(self.n_qubits, _products(self.items(), list(other.items())))
 
     __rmul__ = __mul__
 

@@ -10,7 +10,10 @@ sector's columns, and is the ground truth that ``verify_reduction`` compares
 against.  Verification stays inside the sector: it builds only the d x d
 block of the reduced operator on the sector labels, never the 2^q x 2^q
 matrix, so for d = C(N,K) its cost is dominated by the two d x d
-eigensolves of the spectrum check.
+eigensolves of the spectrum check.  That block is the only d x d array it
+allocates, so with the oracle it holds 2 x 16 d^2 bytes (at most 512 MiB
+under the default dense cap, d <= 2^12); LAPACK's own working copy is not
+counted there.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ import numpy as np
 from .encodings import FermionOperator, jw_majoranas, encode_fermion_operator
 from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, redundant_qubits
-from .pauli import DENSE_CAP, PRUNE_TOL, PauliString, PauliSum, _check_dense_cap, parity_u64
+from .pauli import (
+    DENSE_CAP,
+    PRUNE_TOL,
+    PauliString,
+    PauliSum,
+    _block_rows,
+    _check_dense_cap,
+    parity_u64,
+)
 from .permutations import (
     BasisPermutation,
     classify_affine,
@@ -38,10 +49,12 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     """<value| s |value> on one tensor factor: I keeps a term, Z scales it
     by (-1)^value, X or Y drops it; the result lives on n-1 qubits.
 
-    Runs on the term arrays: a mask drops X/Y on the qubit, its bit is
-    folded out of both masks, the (at most two) terms that now share a key
-    are summed and the sum is pruned at ``PRUNE_TOL``.  Terms keep the order
-    in which their keys first appear."""
+    Runs on the term arrays: the terms without X or Y on the qubit are
+    sorted by key, the (at most two) terms that share a key once the qubit
+    is folded out are summed and the sum is pruned at ``PRUNE_TOL``.  Only
+    the index of those terms, their keys and their gathered coefficients
+    are held, so the input is never copied whole; only the surviving keys
+    are folded.  Terms keep the order in which their keys first appear."""
     n = s.n_qubits
     if not 1 <= qubit <= n:
         raise DimensionError(f"qubit {qubit} out of range 1..{n}")
@@ -51,25 +64,39 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     word = x.dtype.type  # uint64, or Python ints past 64 qubits
     bit = word(1 << (n - qubit))
     low = word((1 << (n - qubit)) - 1)
-    keep = (x & bit) == 0  # X or Y is off-diagonal on the fixed qubit
-    x, z, coeff = x[keep], z[keep], coeff[keep]
-    if value:
-        coeff = np.where((z & bit) != 0, -coeff, coeff)
-    x = ((x >> 1) & ~low) | (x & low)
-    z = ((z >> 1) & ~low) | (z & low)
+    kept = np.flatnonzero((x & bit) == 0)  # X or Y is off-diagonal on the fixed qubit
+    xs, zs = x[kept], z[kept]
+    flip = (zs & bit) != 0  # Z on the qubit: the sign (-1)^value
+    # The X bit is clear on every kept term and the Z bit is cleared here, so
+    # these keys sort and compare as the folded keys do.
+    zs &= ~bit
     # The stable sort puts each key's first-seen term first.  Adding 0.0 to
     # first + second gives, signed zeros included, PauliSum's own merge
     # (0.0 + first) + second bit for bit.
-    order = np.lexsort((z, x))
-    x, z, coeff = x[order], z[order], coeff[order]
-    new = np.ones(x.size, dtype=bool)
-    new[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    order = np.lexsort((zs, xs))
+    kept = kept[order]  # one at a time: each unsorted copy is freed at once
+    xs = xs[order]
+    zs = zs[order]
+    flip = flip[order]
+    del order
+    new = np.ones(kept.size, dtype=bool)
+    new[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
     start = np.flatnonzero(new)
-    total = np.add.reduceat(coeff, start) + 0.0
-    seen = np.argsort(order[start])
-    x, z, total = x[start][seen], z[start][seen], total[seen]
+    xs = xs[start]
+    zs = zs[start]
+    seen = np.argsort(kept[start])  # kept was increasing before the sort
+    terms = coeff[kept]
+    del kept
+    if value:
+        np.negative(terms, out=terms, where=flip)
+    total = np.add.reduceat(terms, start)
+    del terms
+    total = total[seen] + 0.0
     keep = np.abs(total) > PRUNE_TOL
-    return PauliSum._from_arrays(n - 1, x[keep], z[keep], total[keep])
+    xs, zs = xs[seen[keep]], zs[seen[keep]]
+    xs = ((xs >> 1) & ~low) | (xs & low)
+    zs = ((zs >> 1) & ~low) | (zs & low)
+    return PauliSum._from_arrays(n - 1, xs, zs, total[keep])
 
 
 @dataclass(frozen=True)
@@ -207,17 +234,45 @@ def verify_reduction(
 
     Only the d x d block on the sector labels is built, straight from the
     Pauli sum by the transform ``to_dense`` uses; the two d x d eigensolves
-    then dominate the cost.  ``dense_cap`` bounds the reduced register."""
+    then dominate the cost.  The block is the only d x d array allocated:
+    the deviation is taken a few rows at a time, and each eigensolve reads
+    the hermitized lower triangle, written in place into that block.  So
+    verify holds the oracle and one block, 2 x 16 d^2 bytes, which is at
+    most 512 MiB under the default ``dense_cap`` (d <= 2^12); LAPACK's own
+    working copy comes on top.  ``oracle`` is only read.  ``dense_cap``
+    bounds the reduced register."""
     dim = rh.spec.dimension
     if oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
     labels = np.array([rh.state_index(r) for r in range(dim)], dtype=np.int64)
     block = rh.pauli_sum._dense_block(labels, dense_cap)
-    max_dev = float(np.max(np.abs(block - oracle))) if dim else 0.0
+    step = _block_rows(dim)
+    max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does
+    for start in range(0, dim, step):
+        rows = slice(start, start + step)
+        max_dev = np.maximum(max_dev, np.max(np.abs(block[rows] - oracle[rows])))
+    max_dev = float(max_dev)
 
-    eig_block = np.sort(np.linalg.eigvalsh((block + block.conj().T) / 2))
-    eig_oracle = np.sort(np.linalg.eigvalsh((oracle + oracle.conj().T) / 2))
+    _hermitize_lower(block, block, step)
+    eig_block = np.sort(np.linalg.eigvalsh(block, UPLO="L"))
+    _hermitize_lower(oracle, block, step)
+    eig_oracle = np.sort(np.linalg.eigvalsh(block, UPLO="L"))
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle))) if dim else 0.0
 
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, spectrum_dev, passed, tol)
+
+
+def _hermitize_lower(a: np.ndarray, out: np.ndarray, step: int) -> None:
+    """Write (a + a^H) / 2 into the lower triangle of ``out``, ``step`` rows
+    at a time; the strict upper triangle of ``out`` is left unspecified.
+
+    ``out`` may be ``a`` itself: row block [s, t) writes out[s:t, :t] and
+    reads a[s:t, :t] and a[:t, s:t], columns no earlier block wrote.  The
+    add and the halving are the ufuncs of ``(a + a.conj().T) / 2``, so
+    every entry has the same bits."""
+    for start in range(0, a.shape[0], step):
+        stop = min(start + step, a.shape[0])
+        target = out[start:stop, :stop]
+        np.add(a[start:stop, :stop], a[:stop, start:stop].conj().T, out=target)
+        np.true_divide(target, 2, out=target)

@@ -14,7 +14,8 @@ from fermiperm import (
     unrank_weightk,
 )
 from fermiperm.encodings import _coerce_majorana, encode_ladder
-from fermiperm.pauli import _popcount
+from fermiperm.pauli import DENSE_CAP, _popcount
+from fermiperm.reduction import ORACLE_TOL, SPECTRUM_TOL, ReductionCheck
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -22,6 +23,41 @@ _SINGLE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def products_loop(n_qubits: int, a_items, b_items) -> list:
+    """Reference for ``pauli._products``: one validated ``PauliString`` per
+    operand and ``multiply`` per pair.  Unmerged (key, coefficient) pairs of
+    a * b, a's terms in the outer loop."""
+    items = []
+    for (xa, za), ca in a_items:
+        pa = PauliString(n_qubits, xa, za)
+        for (xb, zb), cb in b_items:
+            prod = pa * PauliString(n_qubits, xb, zb)
+            items.append(((prod.x_bits, prod.z_bits), ca * cb * prod.coefficient))
+    return items
+
+
+# Single-qubit products P * Q = i^k R of distinct non-identity letters.
+_LETTER_PRODUCTS = {
+    ("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
+    ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
+}
+
+
+def letter_product(a: str, b: str) -> tuple[str, int]:
+    """Reference for ``multiply`` on unit-phase strings, one qubit at a time:
+    the letters of a * b and its power of i."""
+    k = 0
+    out = []
+    for p, q in zip(a, b):
+        if p == "I" or q == "I" or p == q:
+            out.append(q if p == "I" else p if q == "I" else "I")
+        else:
+            dk, r = _LETTER_PRODUCTS[p, q]
+            k += dk
+            out.append(r)
+    return "".join(out), k % 4
 
 
 def kron_dense(letters: str, coeff: complex = 1.0) -> np.ndarray:
@@ -206,3 +242,22 @@ def encode_fermion_operator_loop(h, majoranas) -> PauliSum:
             acc = acc * encode_ladder(mode, dag, majoranas)
         total = total + acc
     return total.simplify()
+
+
+def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP) -> ReductionCheck:
+    """Reference for ``verify_reduction``: whole-matrix temporaries.
+    Compare every sector matrix element of the reduced operator against
+    the brute-force oracle, and the sector spectra as well."""
+    dim = rh.spec.dimension
+    if oracle.shape != (dim, dim):
+        raise DimensionError("oracle shape does not match the sector dimension")
+    labels = np.array([rh.state_index(r) for r in range(dim)], dtype=np.int64)
+    block = rh.pauli_sum._dense_block(labels, dense_cap)
+    max_dev = float(np.max(np.abs(block - oracle))) if dim else 0.0
+
+    eig_block = np.sort(np.linalg.eigvalsh((block + block.conj().T) / 2))
+    eig_oracle = np.sort(np.linalg.eigvalsh((oracle + oracle.conj().T) / 2))
+    spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle))) if dim else 0.0
+
+    passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
+    return ReductionCheck(max_dev, spectrum_dev, passed, tol)

@@ -68,6 +68,14 @@ def test_rank_unrank_exhaustive_enumeration_oracle():
                 assert unrank_weightk(r, n, k) == s
 
 
+def test_sector_states_match_unrank_loop():
+    for n in range(0, 11):
+        for k in range(0, n + 1):
+            spec = SectorSpec(n, k)
+            expected = [unrank_weightk(r, n, k) for r in range(spec.dimension)]
+            assert spec.sector_states() == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.data())
 def test_rank_round_trip_property(n, data):

@@ -20,12 +20,14 @@ from fermiperm import (
     multiply,
     pauli_decompose,
 )
-from fermiperm.pauli import _block_rows, _popcount_u64, parity_u64
+from fermiperm.pauli import _block_rows, _popcount_u64, _products, parity_u64
 from helpers import (
     array_sum,
     items_sorted_loop,
     kron_dense,
     kron_dense_sum,
+    letter_product,
+    products_loop,
     random_pauli_letters,
     random_pauli_sum,
 )
@@ -82,6 +84,34 @@ def test_multiply_associative_on_random_triples():
 def test_multiply_dimension_mismatch():
     with pytest.raises(DimensionError):
         multiply(PauliString.from_letters("X"), PauliString.from_letters("XX"))
+
+
+@st.composite
+def mask_products(draw):
+    """Two lists of (masks, coefficient) terms on 1..130 qubits, with
+    signed-zero coefficient parts, and one phase per operand."""
+    n = draw(st.integers(1, 130))
+    masks = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+    parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.25, 1e-300])
+    terms = st.lists(
+        st.tuples(masks, st.builds(complex, parts, parts)), min_size=1, max_size=4
+    )
+    return n, draw(terms), draw(terms), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_products())
+def test_mask_rule_matches_multiply_and_letter_table(case):
+    """``_products`` reads the phase off the masks: same keys, same order and
+    the same coefficient bits as one ``multiply`` per pair; ``multiply``
+    itself matches a per-qubit letter table."""
+    n, a_items, b_items, pa, pb = case
+    assert repr(_products(a_items, b_items)) == repr(products_loop(n, a_items, b_items))
+    for (xa, za), _ in a_items:
+        for (xb, zb), _ in b_items:
+            a, b = PauliString(n, xa, za, pa), PauliString(n, xb, zb, pb)
+            letters, k = letter_product(a.letters(), b.letters())
+            assert multiply(a, b) == PauliString.from_letters(letters, (pa + pb + k) % 4)
 
 
 def test_commutator_type_basics():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiperm import (
+    AffineMapF2,
     BasisPermutation,
     DimensionError,
     FermionOperator,
@@ -33,13 +34,16 @@ from fermiperm import (
     unrank_weightk,
     verify_reduction,
 )
+from fermiperm import f2
 from fermiperm.pauli import PRUNE_TOL, PauliString
+from fermiperm.reduction import _hermitize_lower
 from helpers import (
     array_sum,
     project_fixed_qubit_loop,
     random_pauli_sum,
     sector_oracle_loop,
     three_cnot_permutation,
+    verify_reduction_dense,
 )
 
 
@@ -158,6 +162,27 @@ def test_project_past_64_qubits():
     for qubit, value in [(1, 0), (2, 1), (70, 1), (35, 0)]:
         expected = project_fixed_qubit_loop(s, qubit, value)
         assert same_terms(project_fixed_qubit(s, qubit, value), expected)
+
+
+def test_project_holds_no_whole_copy():
+    """N=8, K=4 index embed: the conjugated sum has 58,600 terms (32 bytes
+    each) and about half have no X or Y on the fixed qubit.  Projecting it
+    holds the index, keys and coefficients of those, not a copy of every
+    term array (about 1.25 times the input's bytes before)."""
+    spec = SectorSpec(8, 4)
+    p = minimal_permutation_index_embed(spec)
+    h = random_one_body(8, np.random.default_rng(7))
+    s = conjugate_pauli_dense(p, encode_fermion_operator(h, jw_majoranas(8)))
+    (qubit, value), = encode_and_reduce(h, p, spec).report.fixed
+    expected = project_fixed_qubit(s, qubit, value)
+    tracemalloc.start()
+    try:
+        got = project_fixed_qubit(s, qubit, value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same_terms(got, expected)
+    assert peak < 0.8 * 32 * len(s)
 
 
 def test_project_number_conserving_term_keeps_structure():
@@ -539,6 +564,101 @@ def test_spectrum_containment():
     check = verify_reduction(rh, oracle)
     assert check.passed
     assert check.spectrum_deviation < 1e-8
+
+
+@st.composite
+def verify_cases(draw):
+    """A reduced operator and its sector oracle on N = 3..8 modes: one- and
+    two-body terms with complex coefficients, hermitized or not (then the
+    block is not Hermitian), reduced with a random affine permutation or a
+    random non-affine one; the oracle is sometimes perturbed, so that
+    ``passed`` goes both ways."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = st.integers(1, n)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        body = draw(st.integers(1, 2))
+        raised = draw(st.lists(modes, min_size=body, max_size=body))
+        lowered = draw(st.lists(modes, min_size=body, max_size=body))
+        ops = [(m, True) for m in raised] + [(m, False) for m in lowered]
+        terms.append(FermionTerm.make(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), ops))
+    h = FermionOperator.from_terms(terms)
+    if draw(st.booleans()):
+        h = h.hermitized()
+    spec = SectorSpec(n, k)
+    kind = draw(st.sampled_from(["affine", "index-embed", "random"]))
+    if kind == "affine":
+        offset = rng.integers(0, 2, size=n, dtype=np.uint8)
+        p = AffineMapF2(f2.random_invertible(n, rng), offset).to_permutation()
+    elif kind == "index-embed":
+        p = minimal_permutation_index_embed(spec, completion="random", rng=rng)
+    else:
+        p = BasisPermutation(rng.permutation(1 << n))
+    oracle = sector_oracle(h, spec)
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    d = spec.dimension
+    oracle = oracle + scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return encode_and_reduce(h, p, spec), oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(verify_cases())
+def test_verify_matches_dense_reference(case):
+    """Bit-equal fields against the whole-matrix reference; the oracle is
+    read-only, so a write to it would raise."""
+    rh, oracle = case
+    oracle.setflags(write=False)
+    got = verify_reduction(rh, oracle)
+    expected = verify_reduction_dense(rh, oracle)
+    assert got == expected
+    for field in ("max_deviation", "spectrum_deviation"):
+        assert np.float64(getattr(got, field)).tobytes() == np.float64(getattr(expected, field)).tobytes()
+
+
+def test_verify_holds_one_block():
+    """N=12, K=6 with the parity mapping (d = 924): besides the oracle,
+    verify allocates only the d x d block (16 d^2 bytes, 13 MiB); the
+    whole-matrix reference held three such arrays at once."""
+    n, spec = 12, SectorSpec(12, 6)
+    p = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2.parity(n)))
+    h = random_one_body(n, np.random.default_rng(7))
+    rh = encode_and_reduce(h, p, spec)
+    oracle = sector_oracle(h, spec)
+    d = spec.dimension
+    tracemalloc.start()
+    try:
+        check = verify_reduction(rh, oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 1.25 * 16 * d * d
+    assert check == verify_reduction_dense(rh, oracle)  # 55 row blocks of 17
+    spiked = oracle.copy()
+    spiked[16, 923] += 1e-3  # the last row of the first block
+    spiked.setflags(write=False)
+    assert verify_reduction(rh, spiked) == verify_reduction_dense(rh, spiked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 45), st.booleans(), st.integers(0, 2**32 - 1))
+def test_hermitize_lower_matches_whole_matrix(d, step, in_place, seed):
+    """Every row-block size, in place or into another buffer: the lower
+    triangle, diagonal included, has the bits of (a + a^H) / 2."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 0.2] = -0.0
+    expected = (a + a.conj().T) / 2
+    if in_place:
+        out = a
+    else:
+        a.setflags(write=False)
+        out = np.full((d, d), np.nan, dtype=complex)
+    _hermitize_lower(a, out, step)
+    lower = np.tril_indices(d)
+    assert out[lower].tobytes() == expected[lower].tobytes()
 
 
 def test_identity_permutation_reduction_has_no_fixed_qubits():
