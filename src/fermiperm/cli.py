@@ -19,7 +19,6 @@ from .encodings import (
     FermionOperator,
     LinearEncodingF2,
     _coerce_majorana,
-    gl_to_cnot_circuit,
     jw_majoranas,
     linear_encoding_majoranas,
     parity_majoranas,
@@ -38,6 +37,7 @@ from .minimal import (
 )
 from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
+    AffineMapF2,
     BasisPermutation,
     GateCircuit,
     classify_affine,
@@ -102,10 +102,9 @@ def _resolve_permutation(args) -> BasisPermutation:
     if args.mapping == "jw":
         return BasisPermutation.identity(n)
     if args.mapping == "parity":
-        enc = LinearEncodingF2.parity(n)
-        return permutation_from_circuit(gl_to_cnot_circuit(enc))
+        return AffineMapF2.linear(f2.parity_matrix(n)).to_permutation()
     if args.matrix:
-        return permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2(_load_matrix(args))))
+        return AffineMapF2.linear(LinearEncodingF2(_load_matrix(args)).matrix).to_permutation()
     if args.cycles:
         return from_cycles(n, parse_cycles(args.cycles))
     if args.circuit:

@@ -26,13 +26,7 @@ from .errors import (
     NumberConservationError,
 )
 from .pauli import PRUNE_TOL, PauliString, PauliSum, _merge, _products
-from .permutations import (
-    AffineMapF2,
-    GateCircuit,
-    classify_affine,
-    conjugate_pauli_affine,
-    permutation_from_circuit,
-)
+from .permutations import AffineMapF2, GateCircuit, conjugate_pauli_affine
 
 
 @dataclass(frozen=True)
@@ -289,11 +283,10 @@ def encode_fermion_operator(
 
 
 def linear_encoding_majoranas(enc: LinearEncodingF2) -> list[tuple[PauliString, PauliString]]:
-    """Majoranas of a linear encoding, obtained by conjugating the
-    Jordan-Wigner Majoranas with the synthesized CNOT circuit's action."""
-    perm = permutation_from_circuit(gl_to_cnot_circuit(enc))
-    affine = classify_affine(perm)
-    assert affine is not None  # CNOT circuits are always linear
+    """Majoranas of a linear encoding: the Jordan-Wigner Majoranas conjugated
+    in closed form by the basis permutation |n> -> |Mn>, straight from M.
+    No 2^N table is built, so any number of modes works."""
+    affine = AffineMapF2.linear(enc.matrix)
     return [
         (conjugate_pauli_affine(affine, g), conjugate_pauli_affine(affine, gp))
         for g, gp in jw_majoranas(enc.n_modes)

@@ -26,6 +26,19 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.astype(np.uint16) @ v.astype(np.uint16) % 2).astype(np.uint8)
 
 
+def _xor_columns(columns, v):
+    """XOR of ``columns[i]`` over the set bits i of ``v``, bit i being the
+    (i+1)-th most significant of ``len(columns)``: the product M v for the
+    column masks of M.  ``v`` is a Python int, of any width, or an integer
+    array, elementwise; Python-int operands keep an array's dtype under
+    numpy's legacy and NEP 50 casting alike."""
+    n = len(columns)
+    out = v & 0
+    for i, col in enumerate(columns):
+        out ^= ((v >> (n - 1 - i)) & 1) * col
+    return out
+
+
 def rank(m: np.ndarray) -> int:
     return _rank_masks(rows_to_masks(m))
 

@@ -115,38 +115,26 @@ def minimal_permutation_index_embed(
       permutation's support stays within 2 C(N,K) states;
     * ``"random"``   - shuffle the unused targets with ``rng``.
     """
-    n, k = spec.n_modes, spec.n_fermions
+    n = spec.n_modes
     _check_permutation_cap(n)
-    dim = 1 << n
-    shift = n - spec.q_min
-    sources = spec.sector_states()
-    targets = [r << shift for r in range(spec.dimension)]
-    image = np.full(dim, -1, dtype=np.int64)
-    for src, tgt in zip(sources, targets):
-        image[src] = tgt
-
-    src_set, tgt_set = set(sources), set(targets)
+    states = np.arange(1 << n, dtype=np.int64)
+    sources = np.array(spec.sector_states(), dtype=np.int64)
+    targets = np.arange(spec.dimension, dtype=np.int64) << (n - spec.q_min)
+    image = np.full(states.size, -1, dtype=np.int64)
+    image[sources] = targets
     if completion == "compact":
-        for state in range(dim):
-            if image[state] >= 0:
-                continue
-            if state not in tgt_set:
-                image[state] = state
-        leftovers = sorted(src_set - tgt_set)
-        for state, tgt in zip(sorted(tgt_set - src_set), leftovers):
-            image[state] = tgt
+        fixed = np.setdiff1d(states, np.union1d(sources, targets))
+        image[fixed] = fixed
+        image[np.setdiff1d(targets, sources)] = np.setdiff1d(sources, targets)
     else:
-        free_targets = [s for s in range(dim) if s not in tgt_set]
+        free_targets = np.setdiff1d(states, targets)
         if completion == "random":
             if rng is None:
                 raise ValueError("completion='random' requires an rng")
-            free_targets = list(rng.permutation(free_targets))
+            free_targets = rng.permutation(free_targets)
         elif completion != "ordered":
             raise ValueError(f"unknown completion rule {completion!r}")
-        free_iter = iter(free_targets)
-        for state in range(dim):
-            if image[state] < 0:
-                image[state] = next(free_iter)
+        image[image < 0] = free_targets  # the unset states, in increasing order
     return BasisPermutation(image)
 
 

@@ -138,11 +138,15 @@ class PauliString:
         """One non-identity letter on the given qubit (1-based)."""
         if not 1 <= qubit <= n_qubits:
             raise DimensionError(f"qubit {qubit} out of range 1..{n_qubits}")
+        if letter not in _LETTER_TO_XZ:
+            raise ValueError(f"invalid Pauli letter {letter!r}")
         xq, zq = _LETTER_TO_XZ[letter]
         bit = 1 << (n_qubits - qubit)
         return cls(n_qubits, xq * bit, zq * bit, 0)
 
     def letter(self, qubit: int) -> str:
+        if not 1 <= qubit <= self.n_qubits:
+            raise DimensionError(f"qubit {qubit} out of range 1..{self.n_qubits}")
         bit = 1 << (self.n_qubits - qubit)
         return _XZ_TO_LETTER[(int(bool(self.x_bits & bit)), int(bool(self.z_bits & bit)))]
 

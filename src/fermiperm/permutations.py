@@ -45,15 +45,17 @@ class BasisPermutation:
     __slots__ = ("n_qubits", "image")
 
     def __init__(self, image: Sequence[int]):
-        arr = np.asarray(image, dtype=np.int64)
+        arr = np.asarray(image)
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"image must hold integers, got dtype {arr.dtype}")
         dim = arr.size
         n = dim.bit_length() - 1
         if dim < 2 or dim != 1 << n:
             raise ValueError("image length must be a power of two, at least 2")
         _check_permutation_cap(n)
+        arr = arr.astype(np.int64)  # always a copy, so the caller's array stays writable
         if not np.array_equal(np.sort(arr), np.arange(dim)):
             raise ValueError("image is not a bijection on the basis indices")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.n_qubits = n
         self.image = arr
@@ -339,15 +341,9 @@ class AffineMapF2:
         return tuple(f2.rows_to_masks(minv)), f2.vec_to_mask(f2.matvec(minv, self.offset))
 
     def to_permutation(self) -> BasisPermutation:
-        n = self.n_qubits
-        _check_permutation_cap(n)
-        dim = 1 << n
-        state = np.arange(dim, dtype=np.int64)
-        image = np.full(dim, self._offset_mask, dtype=np.int64)
-        for i, col in enumerate(self._column_masks):
-            bit_set = (state >> (n - 1 - i)) & 1
-            image ^= bit_set * col
-        return BasisPermutation(image)
+        _check_permutation_cap(self.n_qubits)
+        state = np.arange(1 << self.n_qubits, dtype=np.int64)
+        return BasisPermutation(f2._xor_columns(self._column_masks, state) ^ self._offset_mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineMapF2):
@@ -366,10 +362,7 @@ def classify_affine(p: BasisPermutation) -> Optional[AffineMapF2]:
     n = p.n_qubits
     b_mask = int(p.image[0])
     col_masks = [int(p.image[1 << (n - 1 - i)]) ^ b_mask for i in range(n)]
-    state = np.arange(p.dim, dtype=np.int64)
-    predicted = np.full(p.dim, b_mask, dtype=np.int64)
-    for i, col in enumerate(col_masks):
-        predicted ^= ((state >> (n - 1 - i)) & 1) * col
+    predicted = f2._xor_columns(col_masks, np.arange(p.dim, dtype=np.int64)) ^ b_mask
     if not np.array_equal(predicted, p.image):
         return None
     matrix = f2.masks_to_matrix(col_masks, n).T
@@ -385,15 +378,9 @@ def conjugate_pauli_affine(a: AffineMapF2, p: PauliString) -> PauliString:
     n = a.n_qubits
     if p.n_qubits != n:
         raise DimensionError("Pauli string and affine map act on different registers")
-    x_new = 0
-    for i, col in enumerate(a._column_masks):
-        if (p.x_bits >> (n - 1 - i)) & 1:
-            x_new ^= col
-    inverse_rows, minv_b = a._inverse_masks
-    z_new = 0
-    for j, row in enumerate(inverse_rows):
-        if (p.z_bits >> (n - 1 - j)) & 1:
-            z_new ^= row
+    x_new = f2._xor_columns(a._column_masks, p.x_bits)
+    inverse_rows, minv_b = a._inverse_masks  # the rows of M^-1 are the columns of (M^-1)^T
+    z_new = f2._xor_columns(inverse_rows, p.z_bits)
     sign_flips = _popcount(p.z_bits & minv_b) % 2
 
     overlap_delta = _popcount(p.x_bits & p.z_bits) - _popcount(x_new & z_new)

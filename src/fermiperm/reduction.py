@@ -60,6 +60,8 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
         raise DimensionError(f"qubit {qubit} out of range 1..{n}")
     if n == 1:
         raise DimensionError("cannot project the last remaining qubit away")
+    if value not in (0, 1):
+        raise ValueError(f"qubit {qubit} can only be fixed to 0 or 1, got {value!r}")
     x, z, coeff = s._arrays
     word = x.dtype.type  # uint64, or Python ints past 64 qubits
     bit = word(1 << (n - qubit))

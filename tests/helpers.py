@@ -3,6 +3,7 @@
 import numpy as np
 
 from fermiperm import (
+    BasisPermutation,
     DimensionError,
     GateCircuit,
     PauliString,
@@ -15,6 +16,7 @@ from fermiperm import (
 )
 from fermiperm.encodings import _coerce_majorana, encode_ladder
 from fermiperm.pauli import DENSE_CAP, _popcount
+from fermiperm.permutations import _check_permutation_cap
 from fermiperm.reduction import ORACLE_TOL, SPECTRUM_TOL, ReductionCheck
 
 _SINGLE = {
@@ -181,6 +183,47 @@ def project_fixed_qubit_loop(s: PauliSum, qubit: int, value: int) -> PauliSum:
         z_new = ((z >> 1) & ~low) | (z & low)
         items.append(((x_new, z_new), coeff))
     return PauliSum(n - 1, items)
+
+
+def minimal_permutation_index_embed_loop(
+    spec, completion="ordered", rng=None
+) -> BasisPermutation:
+    """Reference for ``minimal_permutation_index_embed``: Python lists, sets
+    and loops over all 2^N states.  Sends the weight-K state of rank r to
+    r << (N - q_min) and completes the other states per ``completion``."""
+    n, k = spec.n_modes, spec.n_fermions
+    _check_permutation_cap(n)
+    dim = 1 << n
+    shift = n - spec.q_min
+    sources = spec.sector_states()
+    targets = [r << shift for r in range(spec.dimension)]
+    image = np.full(dim, -1, dtype=np.int64)
+    for src, tgt in zip(sources, targets):
+        image[src] = tgt
+
+    src_set, tgt_set = set(sources), set(targets)
+    if completion == "compact":
+        for state in range(dim):
+            if image[state] >= 0:
+                continue
+            if state not in tgt_set:
+                image[state] = state
+        leftovers = sorted(src_set - tgt_set)
+        for state, tgt in zip(sorted(tgt_set - src_set), leftovers):
+            image[state] = tgt
+    else:
+        free_targets = [s for s in range(dim) if s not in tgt_set]
+        if completion == "random":
+            if rng is None:
+                raise ValueError("completion='random' requires an rng")
+            free_targets = list(rng.permutation(free_targets))
+        elif completion != "ordered":
+            raise ValueError(f"unknown completion rule {completion!r}")
+        free_iter = iter(free_targets)
+        for state in range(dim):
+            if image[state] < 0:
+                image[state] = next(free_iter)
+    return BasisPermutation(image)
 
 
 def items_sorted_loop(s: PauliSum) -> list[tuple[str, complex]]:

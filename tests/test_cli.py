@@ -81,6 +81,25 @@ def test_encode_parity_mapping(hop_file, capsys):
     assert data["stats"]["term_count"] == 2
 
 
+def test_encode_matrix_past_the_permutation_cap(tmp_path, capsys):
+    """A 20-mode parity matrix file encodes to the same bytes as the named
+    parity mapping: the encode never builds a 2^20 permutation table."""
+    mat = tmp_path / "parity20.txt"
+    mat.write_text("".join("1" * (j + 1) + "0" * (19 - j) + "\n" for j in range(20)))
+    ham = tmp_path / "h.txt"
+    ham.write_text("1 2 0.5 0.25\n3 19 -1 0\n4 20 5 7 0.125 0.5\n")
+    outs = []
+    for selector in (["--matrix", str(mat)], ["--mapping", "parity"]):
+        code, out, err = run(
+            capsys, "encode", "--modes", "20", "--hermitize", "--hamiltonian", str(ham),
+            *selector,
+        )
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["n_qubits"] == 20
+
+
 def test_reduce_two_fermion_circuit(tmp_path, capsys):
     circuit = tmp_path / "circ.txt"
     circuit.write_text("CNOT 3 4\nCNOT 2 4\nCNOT 1 4\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiperm import (
+    AffineMapF2,
     DimensionError,
     FermionOperator,
     FermionTerm,
@@ -171,6 +172,15 @@ def test_gl_to_cnot_matches_matrix_action(n):
         for state in range(1 << n):
             vec = f2.mask_to_vec(state, n)
             assert p.apply(state) == f2.vec_to_mask(f2.matvec(m, vec))
+
+
+def test_linear_map_table_matches_circuit_table():
+    """The table built straight from M equals the synthesized circuit's."""
+    rng = np.random.default_rng(101)
+    for n in (1, 2, 5, 9):
+        enc = LinearEncodingF2(f2.random_invertible(n, rng))
+        p = permutation_from_circuit(gl_to_cnot_circuit(enc))
+        assert AffineMapF2.linear(enc.matrix).to_permutation() == p
 
 
 def test_gl_to_cnot_at_the_dense_cap():

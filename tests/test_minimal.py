@@ -33,7 +33,11 @@ from fermiperm import (
 )
 from fermiperm import f2
 from fermiperm.permutations import AffineMapF2
-from helpers import redundant_qubits_loop, three_cnot_permutation
+from helpers import (
+    minimal_permutation_index_embed_loop,
+    redundant_qubits_loop,
+    three_cnot_permutation,
+)
 
 
 # --- ranking ---------------------------------------------------------------
@@ -136,6 +140,25 @@ def test_index_embed_compact_support():
     targets = {r << (6 - spec.q_min) for r in range(spec.dimension)}
     moved = {s for s in range(64) if p.apply(s) != s}
     assert moved <= (sources | targets)
+
+
+@pytest.mark.parametrize("completion", ["ordered", "compact", "random"])
+def test_index_embed_matches_loop(completion):
+    """The array-built tables equal the per-state loop's, for every N <= 10
+    and K, with the same rng seed for the random completion."""
+    for n in range(1, 11):
+        for k in range(n + 1):
+            spec = SectorSpec(n, k)
+            got = minimal_permutation_index_embed(spec, completion, np.random.default_rng(n))
+            ref = minimal_permutation_index_embed_loop(spec, completion, np.random.default_rng(n))
+            assert np.array_equal(got.image, ref.image), (n, k)
+
+
+def test_index_embed_rejects_unknown_completion():
+    with pytest.raises(ValueError, match="unknown completion rule 'sorted'"):
+        minimal_permutation_index_embed(SectorSpec(4, 2), completion="sorted")
+    with pytest.raises(ValueError, match="requires an rng"):
+        minimal_permutation_index_embed(SectorSpec(4, 2), completion="random")
 
 
 def test_q_min_values():

@@ -405,6 +405,17 @@ def test_from_letters_validation():
         PauliSum.from_terms(3, [(1.0, "XX")])
 
 
+def test_single_qubit_accessors_validate():
+    p = PauliString.from_letters("XYZ")
+    assert [p.letter(q) for q in (1, 2, 3)] == ["X", "Y", "Z"]
+    for qubit in (0, 4):
+        with pytest.raises(DimensionError, match=f"qubit {qubit} out of range 1..3"):
+            p.letter(qubit)
+    assert PauliString.single(3, 2, "Y") == PauliString.from_letters("IYI")
+    with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
+        PauliString.single(3, 2, "Q")
+
+
 def test_string_rendering():
     p = PauliString.from_letters("XIZX")
     assert str(p) == "(1+0i) XIZX"

@@ -77,6 +77,13 @@ def test_from_cycles_rejects_bad_input():
         from_cycles(2, [(0, 1), (1, 2)])
 
 
+def test_image_must_be_integers():
+    for image in ([0.7, 1.2], [1.0, 0.0], [True, False]):
+        with pytest.raises(ValueError, match="image must hold integers"):
+            BasisPermutation(image)
+    assert BasisPermutation(np.array([1, 0], dtype=np.uint8)).apply(0) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(list(range(8))))
 def test_cycle_round_trip(image):
@@ -194,6 +201,23 @@ def test_classify_parity_chain():
 def test_classify_toffoli_not_affine():
     c = GateCircuit(3).toffoli(1, 2, 3)
     assert classify_affine(permutation_from_circuit(c)) is None
+
+
+def test_xor_columns_matches_matvec():
+    """The GF(2) column kernel on Python ints of any width and, elementwise,
+    on uint64 arrays up to the full 64 bits, against ``f2.matvec``."""
+    rng = np.random.default_rng(21)
+    for n in (1, 5, 16, 64, 70):
+        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        columns = f2.rows_to_masks(m.T)
+        vectors = [0, (1 << n) - 1]
+        vectors += [f2.vec_to_mask(rng.integers(0, 2, n)) for _ in range(20)]
+        expected = [f2.vec_to_mask(f2.matvec(m, f2.mask_to_vec(v, n))) for v in vectors]
+        assert [f2._xor_columns(columns, v) for v in vectors] == expected
+        if n <= 64:
+            got = f2._xor_columns(columns, np.array(vectors, dtype=np.uint64))
+            assert got.dtype == np.uint64
+            assert got.tolist() == expected
 
 
 def test_classify_round_trips_random_affine():

@@ -69,6 +69,13 @@ def test_project_out_of_range():
         project_fixed_qubit(s, 3, 0)
 
 
+@pytest.mark.parametrize("value", [2, -1])
+def test_project_rejects_values_other_than_0_and_1(value):
+    s = PauliSum.from_terms(2, [(1.0, "ZI")])
+    with pytest.raises(ValueError, match=f"qubit 1 .* 0 or 1, got {value}"):
+        project_fixed_qubit(s, 1, value)
+
+
 def test_project_matches_dense_block_extraction():
     """dense(project(s, q, v)) equals the <v| . |v> block of dense(s)."""
     rng = np.random.default_rng(3)
