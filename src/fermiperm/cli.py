@@ -8,9 +8,10 @@ Pauli terms are always emitted in lexicographic letter order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -118,70 +119,107 @@ def _resolve_permutation(args) -> BasisPermutation:
     raise ValueError("no permutation selector given")
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+# Terms per chunk of a streamed Pauli sum: about 25 kB of JSON text.  The
+# join of a chunk's 6 pieces per term holds an 80-byte buffer view per piece.
+_CHUNK_TERMS = 1 << 8
+
+
+def _emit(payload, output: Optional[str]) -> None:
+    """Write a JSON payload (a dict, as ``_json_chunks`` spells it) or a
+    text to the file ``output`` or, when it is not given, to stdout with a
+    newline added if the text lacks one.
+
+    The text is written a chunk at a time and never held whole.  The file
+    is opened only once the first chunk exists, so an error raised before
+    it leaves no file behind."""
+    chunks = _json_chunks(payload) if isinstance(payload, dict) else iter([payload.encode()])
+    chunks = itertools.chain([next(chunks)], chunks)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        with open(output, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    last = b""
+    for chunk in chunks:
+        sys.stdout.write(chunk.decode())
+        last = chunk[-1:] or last
+    if last != b"\n":
+        sys.stdout.write("\n")
 
 
-def _json_text(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``, where a ``PauliSum`` value
-    (in the payload or a nested dict) stands for its sorted terms list, the
-    ``"terms"`` of ``PauliSum.to_json_dict``.
+def _json_chunks(payload: dict) -> Iterator[bytes]:
+    """Exactly ``json.dumps(payload, indent=2)``, encoded, in chunks, where a
+    ``PauliSum`` value (in the payload or a nested dict) stands for its
+    sorted terms list, the ``"terms"`` of ``PauliSum.to_json_dict``.
 
-    Sums are written straight from their term arrays, with no per-term dict:
-    each distinct float bit pattern is spelled once, by ``float.__repr__``
-    as json does (NaN and the infinities as json spells them), each term is
-    one format string, and the whole text is one join.  Everything else goes
-    through json, whose encoder is pure Python once ``indent`` is set.
+    Sums are written straight from their term arrays, ``_CHUNK_TERMS`` terms
+    a chunk (see ``_terms_chunks``).  Everything else goes through json,
+    whose encoder is pure Python once ``indent`` is set.
     """
     # stands in for each sum; the CLI's payloads hold no NUL character
     marker = "\0terms"
-    blocks: list[list[str]] = []
-    marked = _mark_sums(payload, marker, 0, blocks)
+    sums: list[tuple[PauliSum, str]] = []
+    marked = _mark_sums(payload, marker, 0, sums)
     head, *tails = json.dumps(marked, indent=2).split(json.dumps(marker))
-    pieces = [head]
-    for block, tail in zip(blocks, tails):
-        pieces += block
-        pieces.append(tail)
-    return "".join(pieces)
+    yield head.encode()
+    for (s, indent), tail in zip(sums, tails):
+        yield from _terms_chunks(s, indent)
+        yield tail.encode()
 
 
-def _mark_sums(obj, marker: str, depth: int, blocks: list):
-    """``obj`` with each ``PauliSum`` in it replaced by ``marker``, its text
-    pieces appended to ``blocks`` in the order json will write them.
+def _mark_sums(obj, marker: str, depth: int, sums: list):
+    """``obj`` with each ``PauliSum`` in it replaced by ``marker``; the sum
+    and the indent of its lines are appended to ``sums`` in the order json
+    will write them.
 
     A module function, not a closure: a recursive closure is a reference
-    cycle, which would keep ``blocks`` alive until the garbage collector
+    cycle, which would keep ``sums`` alive until the garbage collector
     runs."""
     if isinstance(obj, PauliSum):
-        blocks.append(_terms_pieces(obj, "  " * depth))
+        sums.append((obj, "  " * depth))
         return marker
     if not isinstance(obj, dict):
         return obj
-    return {key: _mark_sums(value, marker, depth + 1, blocks) for key, value in obj.items()}
+    return {key: _mark_sums(value, marker, depth + 1, sums) for key, value in obj.items()}
 
 
-def _terms_pieces(s: PauliSum, indent: str) -> list[str]:
-    """Pieces that join to ``json.dumps(s.to_json_dict()["terms"], indent=2)``
-    with every line after the first indented by ``indent``."""
+def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
+    """Chunks that join to ``json.dumps(s.to_json_dict()["terms"], indent=2)``,
+    encoded, with every line after the first indented by ``indent``.
+
+    Each distinct float bit pattern is spelled once, by ``float.__repr__``
+    as json does (NaN and the infinities as json spells them).  A chunk is
+    one join of the constant separators, the sorted letters and the
+    spellings of the chunk's terms, interleaved."""
     letters, coeff = s._sorted_terms()
-    if not letters:
-        return ["[]"]
-    bits, where = np.unique(coeff.view(np.float64).view(np.uint64), return_inverse=True)
+    if not letters.size:
+        yield b"[]"
+        return
+    parts = coeff.view(np.float64).view(np.uint64)  # re, im per term
+    bits = np.unique(parts)
     json_names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-    spelled = [json_names.get(r, r) for r in map(repr, bits.view(np.float64).tolist())]
-    parts = np.array(spelled, dtype=object)[where].tolist()  # re, im per term
-    item = indent + "  "
-    fmt = f',\n{item}{{\n{item}  "pauli": "%s",\n{item}  "re": %s,\n{item}  "im": %s\n{item}}}'
-    pieces = [fmt % term for term in zip(letters, parts[0::2], parts[1::2])]
-    pieces[0] = "[" + pieces[0][1:]  # the list opens where later terms have a comma
-    pieces.append(f"\n{indent}]")
-    return pieces
+    spelled = np.fromiter(
+        (json_names.get(r, r).encode() for r in map(float.__repr__, bits.view(np.float64))),
+        dtype=object,
+        count=bits.size,
+    )
+    item = (indent + "  ").encode()
+    opening = b"\n" + item + b'{\n' + item + b'  "pauli": "'
+    closing = b"\n" + item + b"}"
+    term = [closing + b"," + opening, None, b'",\n' + item + b'  "re": ',
+            None, b",\n" + item + b'  "im": ', None]
+    for start in range(0, letters.size, _CHUNK_TERMS):
+        stop = min(start + _CHUNK_TERMS, letters.size)
+        spelling = spelled[np.searchsorted(bits, parts[2 * start : 2 * stop])].tolist()
+        pieces = term * (stop - start)
+        pieces[1::6] = letters[start:stop].tolist()
+        pieces[3::6] = spelling[0::2]
+        pieces[5::6] = spelling[1::2]
+        if start == 0:
+            pieces[0] = b"[" + opening  # the list opens where later terms close the last
+        if stop == letters.size:
+            pieces.append(closing + b"\n" + indent.encode() + b"]")
+        yield b"".join(pieces)
+        del pieces, spelling  # before the next chunk's lists are built
 
 
 def _load_hamiltonian(args) -> FermionOperator:
@@ -201,7 +239,7 @@ def cmd_encode(args) -> int:
         majoranas = jw_majoranas(args.modes)
     encoded = encode_fermion_operator(h, majoranas)
     payload = {"n_qubits": encoded.n_qubits, "terms": encoded, "stats": _sum_stats(encoded)}
-    _emit(_json_text(payload), args.output)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -245,7 +283,7 @@ def cmd_reduce(args) -> int:
     }
     if overrides:
         payload["overrides"] = overrides
-    _emit(_json_text(payload), args.output)
+    _emit(payload, args.output)
     return EXIT_OK if check.passed else EXIT_VERIFY_FAILED
 
 
@@ -286,7 +324,7 @@ def cmd_stats(args) -> int:
         data = json.load(fh)
     s = PauliSum.from_json_dict(data)
     payload = {"n_qubits": s.n_qubits, **_sum_stats(s)}
-    _emit(_json_text(payload), args.output)
+    _emit(payload, args.output)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ in :mod:`fermiperm.pauli`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -312,9 +313,10 @@ def parse_hamiltonian(
 
     Lines are either ``p q re im`` for (re+im*i) a+_p a_q or
     ``p q r s re im`` for (re+im*i) a+_p a+_q a_r a_s; '#' starts a comment
-    and modes are 1-based.  Hermiticity is the caller's responsibility
-    unless ``hermitize`` is set, which adds the conjugate transpose of
-    every parsed term.
+    and modes are 1-based.  Both parts must be finite: ``nan``, ``inf`` or
+    an overflowing ``1e400`` raises ``HamiltonianParseError``.  Hermiticity
+    is the caller's responsibility unless ``hermitize`` is set, which adds
+    the conjugate transpose of every parsed term.
     """
     terms = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -343,6 +345,11 @@ def parse_hamiltonian(
                 raise HamiltonianParseError(
                     f"line {line_no}: mode {m} out of range", line_no=line_no
                 )
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise HamiltonianParseError(
+                f"line {line_no}: coefficient {' '.join(tokens[n_ops:])} is not finite",
+                line_no=line_no,
+            )
         coeff = complex(re_part, im_part)
         if n_ops == 2:
             ops = [(modes[0], True), (modes[1], False)]

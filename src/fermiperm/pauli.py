@@ -295,14 +295,14 @@ class PauliSum:
         x, z, coeff = self._arrays
         return zip(zip(x.tolist(), z.tolist()), coeff.tolist())
 
-    def _sorted_terms(self) -> tuple[list[str], np.ndarray]:
-        """Every term's letters in lexicographic order, and the coefficient
-        array in that order.
+    def _sorted_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every term's letters in lexicographic order, as one ``S{n}``
+        array of ASCII bytes, and the coefficient array in that order.
 
         The letters are built at once, one qubit column at a time through an
-        ``IXZY`` lookup, into one ``S{n}`` array; ``np.argsort`` orders its
-        bytes as ``str`` orders these ASCII letters.  Any register width
-        works: past 64 qubits the masks are Python ints.
+        ``IXZY`` lookup; ``np.argsort`` orders their bytes as ``str`` orders
+        these ASCII letters.  Any register width works: past 64 qubits the
+        masks are Python ints.
         """
         n = self.n_qubits
         x, z, coeff = self._arrays
@@ -314,12 +314,12 @@ class PauliSum:
             codes[:, column] = ascii_codes[pair.astype(np.intp)]
         letters = codes.view(f"S{n}").ravel()
         order = np.argsort(letters)
-        return letters[order].astype(f"U{n}").tolist(), coeff[order]
+        return letters[order], coeff[order]
 
     def items_sorted(self) -> list[tuple[str, complex]]:
         """(letters, coefficient) pairs sorted lexicographically by letters."""
         letters, coeff = self._sorted_terms()
-        return list(zip(letters, coeff.tolist()))
+        return list(zip(letters.astype(f"U{self.n_qubits}").tolist(), coeff.tolist()))
 
     def coefficient(self, letters: str) -> complex:
         p = PauliString.from_letters(letters)
@@ -443,6 +443,7 @@ class PauliSum:
 
     def to_json_dict(self) -> dict:
         letters, coeff = self._sorted_terms()
+        letters = letters.astype(f"U{self.n_qubits}").tolist()
         terms = zip(letters, coeff.real.tolist(), coeff.imag.tolist())
         return {
             "n_qubits": self.n_qubits,
@@ -501,7 +502,7 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
 
 
 def _decompose_displacements(
-    g: np.ndarray,
+    g: np.ndarray, labels: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pauli terms of the 2^n x 2^n matrix M whose displacement-by-column
     array is ``g``, g[d, c] = M[c (+) d, c]; ``g`` is overwritten.
@@ -509,20 +510,27 @@ def _decompose_displacements(
     The Walsh-Hadamard transform of row d over c, at z, times
     (-i)^|d & z| / 2^n, is the coefficient of the term with X mask d and Z
     mask z (Georges, Berntson, Suenderhauf and Ivanov, "Pauli decomposition
-    via the fast Walsh-Hadamard transform").
+    via the fast Walsh-Hadamard transform").  Each row is transformed,
+    phased and pruned on its own, so ``g`` may hold only some rows: row i
+    is then displacement ``labels[i]`` (increasing), and the terms of the
+    other displacements are left out.
     Transform, phase and threshold run on blocks of rows into one ``bool``
     mask, so the survivors are gathered once.  Returns parallel ``x``,
     ``z`` (``uint64``) and ``coeff`` arrays: distinct keys, row-major in
     (x, z), every coefficient above ``PRUNE_TOL``.
     """
-    dim = g.shape[0]
+    rows, dim = g.shape
     cols = np.arange(dim, dtype=np.int64)
-    keep = np.empty((dim, dim), dtype=bool)
+    row_labels = cols if labels is None else labels
+    phases = _I_POWERS[-_popcount_u64(cols) % 4] / dim  # (-i)^|t| / 2^n at t = d & z
+    keep = np.empty((rows, dim), dtype=bool)
     step = _block_rows(dim)
-    for start in range(0, dim, step):
+    for start in range(0, rows, step):
         block = g[start : start + step]
         _walsh_hadamard_rows(block)
-        block *= _I_POWERS[-_popcount_u64(cols[start : start + step, None] & cols) % 4] / dim
+        block *= phases[row_labels[start : start + step, None] & cols]
         np.greater(np.abs(block), PRUNE_TOL, out=keep[start : start + step])
     x, z = np.nonzero(keep)
+    if labels is not None:
+        x = labels[x]
     return x.view(np.uint64), z.view(np.uint64), g[keep]

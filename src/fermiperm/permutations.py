@@ -19,12 +19,15 @@ import numpy as np
 from . import f2
 from .errors import DimensionError, ResourceError
 from .pauli import (
+    _I_POWERS,
     DENSE_CAP,
     PauliString,
     PauliSum,
+    _block_rows,
     _check_dense_cap,
     _decompose_displacements,
     _popcount,
+    _popcount_u64,
     parity_u64,
 )
 
@@ -391,18 +394,28 @@ def conjugate_pauli_affine(a: AffineMapF2, p: PauliString) -> PauliString:
 
 
 def conjugate_pauli_dense(
-    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP
+    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP, *, drop_x: int = 0
 ) -> PauliSum:
-    """Exact U S U^dag for an arbitrary basis permutation U.
+    """Exact U S U^dag for an arbitrary basis permutation U, without the
+    terms that carry X or Y on a qubit of the mask ``drop_x``.
 
     Each conjugated Pauli term is a generalized permutation matrix (one
-    non-zero per column).  Every term's column values are scattered into one
-    displacement-by-column array G[row (+) column, column]; one batched
-    Walsh-Hadamard transform over the rows of G then yields the Z
-    coefficients of every displacement at once (``_decompose_displacements``
-    in :mod:`fermiperm.pauli`).  Cost O(T 2^n + n 4^n) for T input terms;
-    the only 2^n x 2^n arrays are G and a ``bool`` mask of its survivors,
-    and ``dense_cap`` bounds n.  The result holds the surviving terms as
+    non-zero per column).  The terms' column values are scattered, a chunk
+    of terms at a time, into one displacement-by-column array
+    G[row (+) column, column]; one batched Walsh-Hadamard transform over the
+    rows of G then yields the Z coefficients of every displacement at once
+    (``_decompose_displacements`` in :mod:`fermiperm.pauli`).  G holds only
+    the displacements d with ``d & drop_x == 0``, the X masks that are
+    kept: each set bit of ``drop_x`` halves G and the transform.  The
+    default, 0, keeps every term.  The result is the full result's terms
+    without those X masks, in the same order.
+
+    A chunk is a (terms x 2^n) block of entries, ``pauli._BLOCK_ENTRIES``
+    in all, added into G with ``np.add.at`` in term-major order, so every
+    entry sums its terms in the given order, starting from zero.  Cost
+    O(T 2^n + n 4^n) for T input terms; the only 2^n-wide arrays of more
+    than a chunk are G and a ``bool`` mask of its survivors, and
+    ``dense_cap`` bounds n.  The result holds the surviving terms as
     arrays: distinct keys, row-major in (x, z).
     """
     n = p.n_qubits
@@ -410,12 +423,28 @@ def conjugate_pauli_dense(
         raise DimensionError("Pauli sum and permutation act on different registers")
     _check_dense_cap(n, dense_cap)
     dim = p.dim
+    if not 0 <= drop_x < dim:
+        raise ValueError(f"drop_x mask {drop_x!r} does not fit {n} qubits")
     cols = np.arange(dim, dtype=np.int64)
+    labels = cols[(cols & drop_x) == 0]  # the displacements G keeps, increasing
+    row_of = np.zeros(dim, dtype=np.int64)
+    row_of[labels] = np.arange(labels.size)
     p_inv = p.inverse().image
-    g = np.zeros((dim, dim), dtype=complex)
-    for (x, z), coeff in s.items():
-        # column v of U P U^dag holds coeff * i^|x&z| * (-1)^(z.u) at row
-        # p(u (+) x), u = p^-1(v): one entry per column, so a plain += suffices
-        amp = coeff * 1j ** (_popcount(x & z) % 4)
-        g[p.image[p_inv ^ x] ^ cols, cols] += amp * (1.0 - 2.0 * parity_u64(p_inv & z))
-    return PauliSum._from_arrays(n, *_decompose_displacements(g))
+    g = np.zeros((labels.size, dim), dtype=complex)
+    flat = g.reshape(-1)
+    x, z, coeff = s._arrays
+    x, z = x.astype(np.int64), z.astype(np.int64)
+    amps = coeff * _I_POWERS[_popcount_u64(x & z) % 4]
+    step = _block_rows(dim)
+    for start in range(0, amps.size, step):
+        chunk = slice(start, start + step)
+        # column v of U P U^dag holds amp * (-1)^(z.u) at row p(u (+) x),
+        # u = p^-1(v): one entry per column
+        disp = p.image[p_inv ^ x[chunk, None]] ^ cols
+        values = amps[chunk, None] * (1.0 - 2.0 * parity_u64(p_inv & z[chunk, None]))
+        where = row_of[disp] * dim + cols
+        if drop_x:
+            kept = (disp & drop_x) == 0
+            where, values = where[kept], values[kept]
+        np.add.at(flat, where.ravel(), values.ravel())
+    return PauliSum._from_arrays(n, *_decompose_displacements(g, labels if drop_x else None))

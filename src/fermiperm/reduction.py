@@ -1,13 +1,16 @@
 """End-to-end reduction: encode, conjugate, project out redundant qubits.
 
-``encode_and_reduce`` takes a number-conserving fermionic operator, encodes
-it with Jordan-Wigner, conjugates by a chosen basis permutation (closed-form
-fast path when the permutation is affine), removes every qubit whose value
-is constant across the sector images, and returns the reduced operator plus
-the map from sector ranks to surviving-qubit bitstrings.  ``sector_oracle``
-computes the same physics with no qubit encoding at all, vectorised over the
-sector's columns, and is the ground truth that ``verify_reduction`` compares
-against.  Verification stays inside the sector: it builds only the d x d
+``encode_and_reduce`` takes a number-conserving fermionic operator, finds
+the qubits whose value is constant across the sector images, encodes the
+operator with Jordan-Wigner, conjugates by a chosen basis permutation
+(closed-form fast path when the permutation is affine; otherwise the
+chunked dense path, told by ``drop_x`` to skip the terms with X or Y on a
+constant qubit), projects those qubits out, and returns the reduced
+operator plus the map from sector ranks to surviving-qubit bitstrings.
+``sector_oracle`` computes the same physics with no qubit encoding at all:
+one private kernel applies a chunk of terms' ladder strings to every
+sector state at once.  It is the ground truth that ``verify_reduction``
+compares against.  Verification stays inside the sector: it builds only the d x d
 block of the reduced operator on the sector labels, never the 2^q x 2^q
 matrix, so for d = C(N,K) its cost is dominated by the two d x d
 eigensolves of the spectrum check.  That block is the only d x d array it
@@ -119,8 +122,11 @@ def encode_and_reduce(
 ) -> ReducedHamiltonian:
     """Full pipeline; raises if ``h`` is not number conserving or if the
     permutation does not separate the sector on its surviving qubits.
-    A non-affine permutation is conjugated on the full 2^N register, which
-    ``dense_cap`` bounds in qubits."""
+    The redundancy scan runs first, so a permutation that does not separate
+    the sector fails before any 2^N work.  A non-affine permutation is
+    conjugated on the full 2^N register, which ``dense_cap`` bounds in
+    qubits, keeping only the terms with no X or Y on a fixed qubit: the
+    projection would drop the others."""
     h.require_number_conserving()
     n = spec.n_modes
     if p.n_qubits != n:
@@ -128,6 +134,11 @@ def encode_and_reduce(
     if spec.dimension < 2:
         raise InvalidEncodingError(
             "sector holds a single state; there is no operator left to reduce"
+        )
+    report = redundant_qubits(p, spec)
+    if not report.restricted_injective:
+        raise InvalidEncodingError(
+            "sector images collide once restricted to the surviving qubits"
         )
     encoded = encode_fermion_operator(h, jw_majoranas(n))
 
@@ -138,17 +149,9 @@ def encode_and_reduce(
             q = conjugate_pauli_affine(affine, PauliString(n, x, z))
             items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
         reduced = PauliSum(n, items)
-    else:
-        reduced = conjugate_pauli_dense(p, encoded, dense_cap)
-
-    report = redundant_qubits(p, spec)
-    if not report.restricted_injective:
-        raise InvalidEncodingError(
-            "sector images collide once restricted to the surviving qubits"
-        )
-
-    if affine is not None:
         _check_identity_on_fixed(reduced._arrays[0], n, report)
+    else:
+        reduced = conjugate_pauli_dense(p, encoded, dense_cap, drop_x=_fixed_mask(n, report))
 
     for qubit, value in sorted(report.fixed, reverse=True):
         reduced = project_fixed_qubit(reduced, qubit, value)
@@ -160,14 +163,19 @@ def encode_and_reduce(
     return ReducedHamiltonian(reduced, report, spec, state_map)
 
 
+def _fixed_mask(n: int, report: RedundancyReport) -> int:
+    """The register mask of the fixed qubits, qubit q at bit n - q."""
+    mask = 0
+    for q, _ in report.fixed:
+        mask |= 1 << (n - q)
+    return mask
+
+
 def _check_identity_on_fixed(x: np.ndarray, n: int, report: RedundancyReport) -> None:
     """For Clifford permutations every encoded number-conserving term must
     carry only I or Z on the redundant qubits; X or Y there, a set bit of
     an X mask, means the permutation or the conjugation is wrong."""
-    fixed_mask = 0
-    for q, _ in report.fixed:
-        fixed_mask |= 1 << (n - q)
-    if np.any(x & x.dtype.type(fixed_mask)):
+    if np.any(x & x.dtype.type(_fixed_mask(n, report))):
         raise InvalidEncodingError(
             "encoded term acts with X or Y on a redundant qubit"
         )
@@ -179,42 +187,89 @@ def sector_oracle(
     """Brute-force sector matrix: H[r', r] = <unrank(r')| h |unrank(r)>,
     with no qubit encoding at all.
 
-    Vectorised over the columns: each term's ladder operators act right to
-    left on every sector state at once, held as ``uint64`` occupancy strings
-    (so N <= 64).  A state dies when a raised mode is occupied or a lowered
-    one is empty, picks up the sign (-1)^(number of occupied modes left of
-    the acted mode), and has that mode flipped.  The results are ranked by
-    binary search in the sorted sector; those outside it are dropped.  One
-    term sends distinct columns to distinct rows, and every entry sums its
-    terms in their given order.  The d x d matrix is dense, so d may be at
-    most 2^dense_cap.
+    Each term's ladder operators act right to left on every sector state,
+    held as ``uint64`` occupancy strings (so N <= 64).  A state dies when a
+    raised mode is occupied or a lowered one is empty, picks up the sign
+    (-1)^(number of occupied modes left of the acted mode), and has that
+    mode flipped.  ``_apply_ladders`` does this for a chunk of terms and
+    every state at once, ``pauli._BLOCK_ENTRIES`` (term, state) pairs at a
+    time.  The surviving results are ranked by binary search in the sorted
+    sector; those outside it are dropped.  One term sends distinct columns
+    to distinct rows, and the results are added with ``np.add.at`` in
+    term-major order, so every entry sums its terms in their given order.
+    Every mode is checked before anything is allocated.  The d x d matrix is
+    dense, so d may be at most 2^dense_cap.
     """
     n = spec.n_modes
     if n > 64:
         raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
     _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
+    live, strings = _ladder_strings(h.terms, n)
     dim = spec.dimension
 
     states = np.array(spec.sector_states(), dtype=np.uint64)
-    cols = np.arange(dim)
-    register = (1 << n) - 1
     out = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        state = states.copy()
-        alive = np.ones(dim, dtype=bool)
-        odd = np.zeros(dim, dtype=np.int64)
-        for mode, dagger in reversed(term.ops):
-            if not 1 <= mode <= n:
-                raise DimensionError(f"mode {mode} out of range 1..{n}")
-            bit = 1 << (n - mode)
-            alive &= ((state & np.uint64(bit)) != 0) != dagger
-            odd ^= parity_u64(state & np.uint64(register ^ ((bit << 1) - 1)))
-            state ^= np.uint64(bit)
+    coeff = np.array([t.coefficient for t in h.terms], dtype=complex)[live]
+    step = _block_rows(dim)
+    for start in range(0, live.size, step):
+        chunk = slice(start, start + step)
+        term, col, state, odd = _apply_ladders(states, *(a[chunk] for a in strings))
         rows = np.minimum(np.searchsorted(states, state), dim - 1)
-        keep = alive & (states[rows] == state)
-        coeff = complex(term.coefficient)
-        out[rows[keep], cols[keep]] += np.where(odd[keep] == 1, -coeff, coeff)
+        hit = states[rows] == state
+        c = coeff[chunk][term[hit]]
+        np.add.at(out.reshape(-1), rows[hit] * dim + col[hit], np.where(odd[hit] == 1, -c, c))
     return out
+
+
+def _ladder_strings(terms, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The index of the terms that do not kill every state, in order, and
+    their ladder strings as ``need``, ``one``, ``flip``, ``sign``, ``odd``.
+
+    Ladder operators only flip mode bits, and the sign of each is the
+    parity of the occupied modes left of it, which is linear over GF(2).
+    So on an occupancy string s, with the operators applied right to left,
+    the term survives iff ``s & need == one``, ends at ``s ^ flip`` and
+    carries (-1)^(parity(s & sign) ^ odd), ``odd`` a 0/1 ``int64``.  A term
+    that asks one mode to be both occupied and empty is not in the index.
+    Raises ``DimensionError`` on a mode outside 1..n."""
+    ops = [op for t in terms for op in reversed(t.ops)]
+    modes = [m for m, _ in ops]
+    if modes and not 1 <= min(modes) <= max(modes) <= n:
+        mode = next(m for m in modes if not 1 <= m <= n)
+        raise DimensionError(f"mode {mode} out of range 1..{n}")
+    lengths = np.fromiter((len(t.ops) for t in terms), np.int64, len(terms))
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]  # terms x operators
+    grid = np.zeros(filled.shape, dtype=np.int64)  # mode 0 pads: no bit, nothing left
+    grid[filled] = modes
+    lowers = np.zeros(filled.shape, dtype=bool)
+    lowers[filled] = [not dagger for _, dagger in ops]
+    register = (1 << n) - 1
+    bit_of = np.array([0] + [1 << (n - m) for m in range(1, n + 1)], dtype=np.uint64)
+    left_of = np.array(
+        [0] + [register ^ ((1 << (n - m + 1)) - 1) for m in range(1, n + 1)], dtype=np.uint64
+    )
+    bits, lefts = bit_of[grid], left_of[grid]
+    before = np.bitwise_xor.accumulate(bits, axis=1) ^ bits  # flipped by earlier operators
+    # operator j needs its mode occupied (lowering) or empty in s ^ before[j],
+    # so in s itself occupied exactly where this is true
+    occupied = lowers ^ ((before & bits) != 0)
+    one = np.bitwise_or.reduce(np.where(occupied, bits, 0), axis=1)
+    zero = np.bitwise_or.reduce(np.where(occupied, 0, bits), axis=1)
+    odd = np.bitwise_xor.reduce(parity_u64(before & lefts), axis=1)
+    live = np.flatnonzero((one & zero) == 0)
+    masks = (one | zero, one, np.bitwise_xor.reduce(bits, axis=1),
+             np.bitwise_xor.reduce(lefts, axis=1), odd)
+    return live, tuple(a[live] for a in masks)
+
+
+def _apply_ladders(states, need, one, flip, sign, odd):
+    """Apply a chunk of ladder strings (``_ladder_strings`` masks) to every
+    occupancy string in ``states``.  Returns the surviving (term, column)
+    pairs in term-major order, and for each its resulting state and its
+    sign bit (1 for a minus sign)."""
+    term, col = np.nonzero((states & need[:, None]) == one[:, None])
+    start = states[col]
+    return term, col, start ^ flip[term], parity_u64(start & sign[term]) ^ odd[term]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,13 @@ from fermiperm import (
     unrank_weightk,
 )
 from fermiperm.encodings import _coerce_majorana, encode_ladder
-from fermiperm.pauli import DENSE_CAP, _popcount
+from fermiperm.pauli import (
+    DENSE_CAP,
+    _check_dense_cap,
+    _decompose_displacements,
+    _popcount,
+    parity_u64,
+)
 from fermiperm.permutations import _check_permutation_cap
 from fermiperm.reduction import ORACLE_TOL, SPECTRUM_TOL, ReductionCheck
 
@@ -91,6 +97,25 @@ def conjugate_pauli_matrix(p, s: PauliSum) -> PauliSum:
     return pauli_decompose(u @ s.to_dense() @ u.conj().T)
 
 
+def conjugate_pauli_dense_loop(p, s: PauliSum, dense_cap: int = DENSE_CAP) -> PauliSum:
+    """Reference for ``conjugate_pauli_dense``: one scatter into G per term.
+    Exact U S U^dag for an arbitrary basis permutation U, every term kept."""
+    n = p.n_qubits
+    if s.n_qubits != n:
+        raise DimensionError("Pauli sum and permutation act on different registers")
+    _check_dense_cap(n, dense_cap)
+    dim = p.dim
+    cols = np.arange(dim, dtype=np.int64)
+    p_inv = p.inverse().image
+    g = np.zeros((dim, dim), dtype=complex)
+    for (x, z), coeff in s.items():
+        # column v of U P U^dag holds coeff * i^|x&z| * (-1)^(z.u) at row
+        # p(u (+) x), u = p^-1(v): one entry per column, so a plain += suffices
+        amp = coeff * 1j ** (_popcount(x & z) % 4)
+        g[p.image[p_inv ^ x] ^ cols, cols] += amp * (1.0 - 2.0 * parity_u64(p_inv & z))
+    return PauliSum._from_arrays(n, *_decompose_displacements(g))
+
+
 def random_pauli_sum(n_qubits: int, n_terms: int, rng: np.random.Generator) -> PauliSum:
     items = []
     for _ in range(n_terms):
@@ -159,6 +184,38 @@ def sector_oracle_loop(h, spec) -> np.ndarray:
                 continue
             if state.bit_count() == k:
                 out[rank_weightk(state, n, k), col] += amp
+    return out
+
+
+def sector_oracle_term_loop(h, spec, dense_cap: int = DENSE_CAP) -> np.ndarray:
+    """Reference for ``sector_oracle``: one vectorised pass over the columns
+    per term and ladder operator, bit for bit the oracle's sums.
+    H[r', r] = <unrank(r')| h |unrank(r)> on ``uint64`` occupancy strings."""
+    n = spec.n_modes
+    if n > 64:
+        raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
+    _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
+    dim = spec.dimension
+
+    states = np.array(spec.sector_states(), dtype=np.uint64)
+    cols = np.arange(dim)
+    register = (1 << n) - 1
+    out = np.zeros((dim, dim), dtype=complex)
+    for term in h.terms:
+        state = states.copy()
+        alive = np.ones(dim, dtype=bool)
+        odd = np.zeros(dim, dtype=np.int64)
+        for mode, dagger in reversed(term.ops):
+            if not 1 <= mode <= n:
+                raise DimensionError(f"mode {mode} out of range 1..{n}")
+            bit = 1 << (n - mode)
+            alive &= ((state & np.uint64(bit)) != 0) != dagger
+            odd ^= parity_u64(state & np.uint64(register ^ ((bit << 1) - 1)))
+            state ^= np.uint64(bit)
+        rows = np.minimum(np.searchsorted(states, state), dim - 1)
+        keep = alive & (states[rows] == state)
+        coeff = complex(term.coefficient)
+        out[rows[keep], cols[keep]] += np.where(odd[keep] == 1, -coeff, coeff)
     return out
 
 

@@ -6,14 +6,24 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermiperm import PauliSum, cli, encode_and_reduce
-from fermiperm.cli import _json_text, main
+import numpy as np
+
+from fermiperm import (
+    PauliSum,
+    SectorSpec,
+    cli,
+    encode_and_reduce,
+    minimal_permutation_index_embed,
+    random_one_body,
+)
+from fermiperm.cli import _CHUNK_TERMS, _json_chunks, main
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop
 
@@ -539,7 +549,12 @@ _STATS_PAYLOADS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_ENCODE_PAYLOADS, _REDUCE_PAYLOADS, _STATS_PAYLOADS))
 def test_json_writer_matches_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
+    assert _joined(payload) == json.dumps(payload, indent=2)
+
+
+def _joined(payload) -> str:
+    """The writer's chunks for ``payload``, joined and decoded."""
+    return b"".join(_json_chunks(payload)).decode()
 
 
 
@@ -586,7 +601,7 @@ def test_json_writer_on_pauli_sums(s, top_level, count):
             "hamiltonian": {"n_qubits": s.n_qubits, "terms": s},
             "state_map": [{"rank": 0, "bits": "01"}],
         }
-    text = _json_text(payload)
+    text = _joined(payload)
     assert text == json.dumps(_plain(payload), indent=2)
     if not len(s):
         assert '"terms": []' in text
@@ -595,13 +610,97 @@ def test_json_writer_on_pauli_sums(s, top_level, count):
     assert json.dumps(s.to_json_dict()["terms"]) == json.dumps(expected)
 
 
+def _numbered_sum(n_terms: int, seed: int) -> PauliSum:
+    """``n_terms`` distinct random 6-qubit terms; coefficients repeat, and
+    some imaginary parts are -0.0."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(4**6, n_terms, replace=False).tolist()
+    re = rng.choice([0.5, -0.25, 0.1, 1 / 3, -3.0], n_terms) * rng.uniform(1, 2, n_terms)
+    im = rng.choice([0.0, -0.0, 0.75, 1e-300], n_terms)
+    return array_sum(6, {(k >> 6, k & 63): complex(r, i) for k, r, i in zip(keys, re, im)})
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(0, _CHUNK_TERMS), (_CHUNK_TERMS, 2 * _CHUNK_TERMS + 1), (2 * _CHUNK_TERMS + 1, 0)],
+)
+def test_json_writer_chunk_boundaries(sizes):
+    """Two sums in one payload, with no terms, exactly one chunk of terms
+    and two chunks and one term: every chunk holds at most _CHUNK_TERMS
+    terms, and the chunks join to json's text."""
+    a, b = (_numbered_sum(size, seed) for seed, size in enumerate(sizes))
+    payload = {
+        "hamiltonian": {"n_qubits": 6, "terms": a},
+        "twin": {"n_qubits": 6, "terms": b},
+        "stats": {"term_count": len(a) + len(b)},
+    }
+    chunks = list(_json_chunks(payload))
+    assert b"".join(chunks).decode() == json.dumps(_plain(payload), indent=2)
+    assert max(chunk.count(b'"pauli"') for chunk in chunks) <= _CHUNK_TERMS
+    # the text around the sums is three chunks: before, between and after them
+    assert len(chunks) == 3 + sum(max(1, math.ceil(t / _CHUNK_TERMS)) for t in sizes)
+
+
+@pytest.mark.parametrize("command", ["reduce", "encode", "stats"])
+def test_stdout_is_the_output_file_and_a_newline(tmp_path, capsys, command):
+    ham = tmp_path / "h.txt"
+    ham.write_text(DYADIC_HAMILTONIAN)
+    encoded = tmp_path / "encoded.json"
+    argv = {
+        "reduce": ["reduce", "--modes", "6", "--fermions", "3", "--hermitize",
+                   "--hamiltonian", str(ham), "--index-embed"],
+        "encode": ["encode", "--modes", "6", "--hamiltonian", str(ham)],
+        "stats": ["stats", "--input", str(encoded)],
+    }[command]
+    assert main(["encode", "--modes", "6", "--hamiltonian", str(ham), "--output", str(encoded)]) == 0
+    out = tmp_path / "out.json"
+    code, stdout, _ = run(capsys, *argv, "--output", str(out))
+    assert (code, stdout) == (0, "")
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert stdout.encode() == out.read_bytes() + b"\n"
+
+
+def test_json_writer_peak_below_the_text(tmp_path):
+    """N=8, K=4 index embed: 11,872 terms, about 1 MB of text, written with
+    less memory at its peak than the text takes."""
+    spec = SectorSpec(8, 4)
+    h = random_one_body(8, np.random.default_rng(7))
+    s = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec).pauli_sum
+    assert len(s) == 11872
+    path = tmp_path / "sum.json"
+    tracemalloc.start()
+    try:
+        cli._emit({"n_qubits": s.n_qubits, "terms": s}, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == json.dumps(s.to_json_dict(), indent=2).encode()
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("command", ["reduce", "encode"])
+@pytest.mark.parametrize("coeff", ["nan 0", "0.5 inf", "-inf 0", "1e400 0", "0 -1e999"])
+def test_nonfinite_coefficients_name_their_line(tmp_path, command, coeff):
+    ham = tmp_path / "h.txt"
+    ham.write_text(f"# hopping\n1 2 0.5 0\n\n2 1 {coeff}\n1 1 1 0\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "reduce": ["reduce", "--modes", "2", "--fermions", "1", "--index-embed"],
+        "encode": ["encode", "--modes", "2"],
+    }[command]
+    _assert_located_usage_error([*argv, "--hamiltonian", str(ham), "--output", str(out)], "line 4:")
+    assert not out.exists()
+
+
 # --- fuzzed parsers ---------------------------------------------------------
 # Each input is valid lines (with comments and blank lines between them) and
 # one malformed line; the error must name that line.  Three modes throughout.
 
 _FILLER = st.sampled_from(["", "   ", "# comment", "  # 1 2 x"])
 _WIRE = st.integers(1, 3).map(str)
-_NUMBER = st.sampled_from(["0", "1", "-0.5", "2.5e-3", "1e300", "nan", "-inf"])
+_NUMBER = st.sampled_from(["0", "1", "-0.5", "2.5e-3", "1e300", "-1e-320"])
+_NONFINITE = st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e999"])
 
 
 def _with_bad_line(good, bad):
@@ -621,6 +720,8 @@ _HAMILTONIAN_BAD = st.one_of(
     st.tuples(st.sampled_from(["x", "1.5", "0x1", "--1"]), _WIRE, _NUMBER, _NUMBER).map(" ".join),
     st.tuples(_WIRE, _WIRE, _NUMBER, st.sampled_from(["i", "1j", "e3"])).map(" ".join),
     st.tuples(st.sampled_from(["0", "4", "-1"]), _WIRE, _NUMBER, _NUMBER).map(" ".join),
+    st.tuples(_WIRE, _WIRE, _NONFINITE, _NUMBER).map(" ".join),
+    st.tuples(_WIRE, _WIRE, _WIRE, _WIRE, _NUMBER, _NONFINITE).map(" ".join),
 )
 _CIRCUIT_GOOD = st.one_of(
     _WIRE.map("X {}".format),

@@ -35,6 +35,8 @@ from fermiperm import (
 from fermiperm import f2
 from fermiperm.pauli import PRUNE_TOL
 from helpers import (
+    array_sum,
+    conjugate_pauli_dense_loop,
     conjugate_pauli_matrix,
     permutation_matrix,
     random_pauli_letters,
@@ -348,6 +350,47 @@ def test_dense_conjugation_array_core_matches_public(case):
     keys = x.astype(np.int64) * p.dim + z.astype(np.int64)
     assert np.all(np.diff(keys) > 0)
     assert np.all(np.abs(coeff) > PRUNE_TOL)
+
+
+@st.composite
+def dense_conjugation_cases(draw):
+    """A random or an index-embed permutation on N <= 8 qubits, a sum of
+    unmerged terms whose parts include -0.0, and a mask of qubits to drop."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        p = BasisPermutation(draw(st.permutations(range(1 << n))))
+    else:
+        p = minimal_permutation_index_embed(SectorSpec(n, draw(st.integers(0, n))))
+    masks = st.integers(0, 2**n - 1)
+    parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3, -2.5e-3])
+    terms = draw(st.dictionaries(st.tuples(masks, masks), st.builds(complex, parts, parts),
+                                 max_size=40))
+    s = array_sum(n, {key: c for key, c in terms.items() if abs(c) > PRUNE_TOL})
+    return p, s, draw(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_conjugation_cases())
+def test_dense_conjugation_bit_identical_to_term_loop(case):
+    """The chunked scatter adds every entry's terms in their given order,
+    from zero, as the per-term loop does; ``drop_x`` keeps exactly the full
+    result's terms with no X on the dropped qubits, in the same order."""
+    p, s, drop_x = case
+    full = conjugate_pauli_dense(p, s)
+    for got, want in zip(full._arrays, conjugate_pauli_dense_loop(p, s)._arrays):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x, z, coeff = full._arrays
+    kept = (x & np.uint64(drop_x)) == 0
+    dropped = conjugate_pauli_dense(p, s, drop_x=drop_x)
+    for got, want in zip(dropped._arrays, (x[kept], z[kept], coeff[kept])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_dense_conjugation_rejects_masks_outside_the_register():
+    p = BasisPermutation.identity(3)
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="does not fit 3 qubits"):
+            conjugate_pauli_dense(p, PauliSum.identity(3), drop_x=bad)
 
 
 def test_dense_conjugation_holds_survivors_once():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermiperm import (
@@ -42,6 +42,7 @@ from helpers import (
     project_fixed_qubit_loop,
     random_pauli_sum,
     sector_oracle_loop,
+    sector_oracle_term_loop,
     three_cnot_permutation,
     verify_reduction_dense,
 )
@@ -331,6 +332,62 @@ def test_oracle_rejects_modes_outside_the_register():
     h = FermionOperator.from_terms([FermionTerm.make(1.0, [(5, True), (1, False)])])
     with pytest.raises(DimensionError):
         sector_oracle(h, SectorSpec(4, 1))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(operator, sector), N = 3..10: constant, one-body, two-body and
+    arbitrary ladder terms with complex coefficients (signed zeros among
+    the parts), some of them repeated."""
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(0, n))
+    modes = st.integers(1, n)
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1, 1))
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["constant", "one-body", "two-body", "any"]))
+        if kind == "any":
+            ops = draw(st.lists(st.tuples(modes, st.booleans()), max_size=5))
+        else:
+            body = {"constant": 0, "one-body": 1, "two-body": 2}[kind]
+            raised = draw(st.lists(modes, min_size=body, max_size=body))
+            lowered = draw(st.lists(modes, min_size=body, max_size=body))
+            ops = [(m, True) for m in raised] + [(m, False) for m in lowered]
+        terms.append(FermionTerm.make(complex(draw(parts), draw(parts)), ops))
+    if terms:
+        terms += [terms[i] for i in draw(st.lists(st.integers(0, len(terms) - 1), max_size=4))]
+    return FermionOperator.from_terms(terms), SectorSpec(n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+@example((FermionOperator(), SectorSpec(5, 2)))
+@example((FermionOperator.from_terms([FermionTerm.make(-0.0 - 0.5j, [])] * 2), SectorSpec(4, 2)))
+def test_oracle_bit_identical_to_term_loop(case):
+    """The chunked ladder kernel sums every entry's terms in their given
+    order, as the per-term loop does: the same bits, signed zeros included."""
+    h, spec = case
+    assert sector_oracle(h, spec).tobytes() == sector_oracle_term_loop(h, spec).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, 13])
+def test_oracle_checks_every_mode_before_allocating(bad):
+    """An out-of-range mode in the last term raises the term loop's error
+    before the 924 x 924 matrix (13 MiB) exists."""
+    spec = SectorSpec(12, 6)
+    h = random_one_body(12, np.random.default_rng(3)) + FermionOperator.from_terms(
+        [FermionTerm.make(1.0, [(1, True), (bad, False)])]
+    )
+    with pytest.raises(DimensionError, match=f"mode {bad} out of range 1..12"):
+        sector_oracle_term_loop(h, spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match=f"mode {bad} out of range 1..12"):
+            sector_oracle(h, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dense_cap_reaches_every_check():
