@@ -149,7 +149,6 @@ class RedundancyReport:
 
     fixed: tuple[tuple[int, int], ...]  # (qubit index 1-based, fixed bit value)
     surviving: tuple[int, ...]
-    restricted_injective: bool
 
     @property
     def fixed_qubits(self) -> tuple[int, ...]:
@@ -157,11 +156,11 @@ class RedundancyReport:
 
 
 def redundant_qubits(p: BasisPermutation, spec: SectorSpec) -> RedundancyReport:
-    """Scan the images of all weight-K states for constant bit positions and
-    check that the images restricted to the surviving qubits stay distinct.
+    """Scan the images of all weight-K states for constant bit positions.
 
     A bit is constant when the AND and the OR of the images agree on it; the
-    bits where they differ are the surviving ones."""
+    bits where they differ are the surviving ones.  Restricted to those, the
+    images stay distinct: they are distinct and agree on every fixed bit."""
     n = p.n_qubits
     if n != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
@@ -173,8 +172,7 @@ def redundant_qubits(p: BasisPermutation, spec: SectorSpec) -> RedundancyReport:
         (q, (all_set >> (n - q)) & 1) for q in range(1, n + 1) if not (varying >> (n - q)) & 1
     )
     surviving = tuple(q for q in range(1, n + 1) if (varying >> (n - q)) & 1)
-    injective = np.unique(images & varying).size == images.size
-    return RedundancyReport(fixed, surviving, injective)
+    return RedundancyReport(fixed, surviving)
 
 
 @dataclass(frozen=True)

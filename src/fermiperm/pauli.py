@@ -389,9 +389,13 @@ class PauliSum:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
         return self._dense_block(np.arange(1 << self.n_qubits))
 
-    def _dense_block(self, labels: np.ndarray, dense_cap: int = DENSE_CAP) -> np.ndarray:
+    def _dense_block(
+        self, labels: np.ndarray, dense_cap: int = DENSE_CAP, spare_row: bool = False
+    ) -> np.ndarray:
         """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
         labels, without the 2^n x 2^n matrix unless every label is asked for.
+        With ``spare_row`` the whole (d + 1) x d buffer is returned, B in its
+        first d rows and scratch values in its last.
 
         Terms sharing an X mask x fill the entries (v (+) x, v); their values
         are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
@@ -425,7 +429,7 @@ class PauliSum:
             block[slot[lo:hi] - start, z[lo:hi]] = amps[lo:hi]
             _walsh_hadamard_rows(block)
             out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
-        return out[:size]
+        return out if spare_row else out[:size]
 
     def matrix_element(self, row: int, col: int) -> complex:
         """<row| sum |col> without building the dense matrix."""

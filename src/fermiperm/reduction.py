@@ -13,14 +13,19 @@ sector state at once.  It is the ground truth that ``verify_reduction``
 compares against.  Verification stays inside the sector: it builds only the d x d
 block of the reduced operator on the sector labels, never the 2^q x 2^q
 matrix, so for d = C(N,K) its cost is dominated by the two d x d
-eigensolves of the spectrum check.  That block is the only d x d array it
-allocates, so with the oracle it holds 2 x 16 d^2 bytes (at most 512 MiB
-under the default dense cap, d <= 2^12); LAPACK's own working copy is not
-counted there.
+eigensolves of the spectrum check.  Both solves read hermitized triangles
+packed into the one (d + 1) x d buffer the block comes in, so for a large
+sector and a BLAS pinned to one thread they run side by side on two
+threads.  That buffer is the only d x d array verify allocates, so with
+the oracle it holds 2 x 16 d^2 bytes (at most 512 MiB under the default
+dense cap, d <= 2^12); LAPACK's own working copy of each matrix, 16 d^2
+bytes, two at once when the solves run side by side, is not counted there.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,9 @@ from .permutations import (
 
 ORACLE_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
+SIDE_BY_SIDE_DIM = 512  # sector size from which verify's two eigensolves may run at once
+# the thread counts numpy's BLAS reads when it loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
@@ -120,13 +128,15 @@ class ReducedHamiltonian:
 def encode_and_reduce(
     h: FermionOperator, p: BasisPermutation, spec: SectorSpec, dense_cap: int = DENSE_CAP
 ) -> ReducedHamiltonian:
-    """Full pipeline; raises if ``h`` is not number conserving or if the
-    permutation does not separate the sector on its surviving qubits.
-    The redundancy scan runs first, so a permutation that does not separate
-    the sector fails before any 2^N work.  A non-affine permutation is
-    conjugated on the full 2^N register, which ``dense_cap`` bounds in
-    qubits, keeping only the terms with no X or Y on a fixed qubit: the
-    projection would drop the others."""
+    """Full pipeline; raises if ``h`` is not number conserving.
+
+    The sector images stay distinct on the surviving qubits, since a
+    permutation's images are distinct and agree on every fixed qubit, so
+    the reduction never merges two sector states.  The redundancy scan runs
+    first, and a non-affine permutation is conjugated on the full 2^N
+    register, which ``dense_cap`` bounds in qubits, keeping only the terms
+    with no X or Y on a fixed qubit: the projection would drop the
+    others."""
     h.require_number_conserving()
     n = spec.n_modes
     if p.n_qubits != n:
@@ -136,10 +146,6 @@ def encode_and_reduce(
             "sector holds a single state; there is no operator left to reduce"
         )
     report = redundant_qubits(p, spec)
-    if not report.restricted_injective:
-        raise InvalidEncodingError(
-            "sector images collide once restricted to the surviving qubits"
-        )
     encoded = encode_fermion_operator(h, jw_majoranas(n))
 
     affine = classify_affine(p)
@@ -292,17 +298,40 @@ def verify_reduction(
     Only the d x d block on the sector labels is built, straight from the
     Pauli sum by the transform ``to_dense`` uses; the two d x d eigensolves
     then dominate the cost.  The block is the only d x d array allocated:
-    the deviation is taken a few rows at a time, and each eigensolve reads
-    the hermitized lower triangle, written in place into that block.  So
-    verify holds the oracle and one block, 2 x 16 d^2 bytes, which is at
-    most 512 MiB under the default ``dense_cap`` (d <= 2^12); LAPACK's own
-    working copy comes on top.  ``oracle`` is only read.  ``dense_cap``
-    bounds the reduced register."""
+    the deviation is taken a few rows at a time, and both eigensolves read
+    hermitized lower triangles written in place into the (d + 1) x d buffer
+    the block comes in.  The block's goes, transposed, into the upper
+    triangle of rows 0..d-1, read as ``buf[:d].T``; the oracle's goes into
+    the strict lower triangle of the buffer, read as ``buf[1:]``.  The two
+    never overlap, and LAPACK sees the same lower triangles whichever way
+    the solves run, so the result does not depend on it.  So verify holds
+    the oracle and one buffer, 2 x 16 d^2 bytes, which is at most 512 MiB
+    under the default ``dense_cap`` (d <= 2^12); LAPACK's own working copy,
+    16 d^2 bytes, comes on top, twice at once when the solves run side by
+    side.  ``oracle`` is only read.  ``dense_cap`` bounds the reduced
+    register.
+
+    The oracle's solve runs on a worker thread while the calling thread
+    runs the block's (numpy releases the GIL inside ``eigvalsh``) only
+    when all three of these hold, and otherwise after it:
+
+    * d >= ``SIDE_BY_SIDE_DIM``: on a 2-vCPU machine whose CPUs share one
+      core, two small solves at once were no faster than in turn (d = 256:
+      slower), while two at d = 924 took about half the time;
+    * at least two CPUs are usable by this process: on one, the two
+      threads would only take turns;
+    * at least one of ``BLAS_THREAD_VARS`` is set and every one that is set
+      reads 1: a BLAS at its default threading already uses every core,
+      and two solves side by side would only contend for them.
+
+    A solve that raises raises from the calling thread, after the worker
+    has been joined, as it would in turn."""
     dim = rh.spec.dimension
     if oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
     labels = np.array([rh.state_index(r) for r in range(dim)], dtype=np.int64)
-    block = rh.pauli_sum._dense_block(labels, dense_cap)
+    buf = rh.pauli_sum._dense_block(labels, dense_cap, spare_row=True)
+    block = buf[:dim]
     step = _block_rows(dim)
     max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does
     for start in range(0, dim, step):
@@ -310,26 +339,70 @@ def verify_reduction(
         max_dev = np.maximum(max_dev, np.max(np.abs(block[rows] - oracle[rows])))
     max_dev = float(max_dev)
 
-    _hermitize_lower(block, block, step)
-    eig_block = np.sort(np.linalg.eigvalsh(block, UPLO="L"))
-    _hermitize_lower(oracle, block, step)
-    eig_oracle = np.sort(np.linalg.eigvalsh(block, UPLO="L"))
+    _hermitize_lower(block, block.T, step)
+    _hermitize_lower(oracle, buf[1:], step)  # over the block's spent strict lower triangle
+    eig_block, eig_oracle = _eigvalsh_pair(block.T, buf[1:], _solve_side_by_side(dim))
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle))) if dim else 0.0
 
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, spectrum_dev, passed, tol)
 
 
-def _hermitize_lower(a: np.ndarray, out: np.ndarray, step: int) -> None:
-    """Write (a + a^H) / 2 into the lower triangle of ``out``, ``step`` rows
-    at a time; the strict upper triangle of ``out`` is left unspecified.
+def _solve_side_by_side(dim: int) -> bool:
+    """Whether ``verify_reduction`` runs its two d x d eigensolves on two
+    threads at once; its docstring gives the rule and the reasons."""
+    if dim < SIDE_BY_SIDE_DIM:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    pins = [os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ]
+    return cpus >= 2 and bool(pins) and all(pin == "1" for pin in pins)
 
-    ``out`` may be ``a`` itself: row block [s, t) writes out[s:t, :t] and
-    reads a[s:t, :t] and a[:t, s:t], columns no earlier block wrote.  The
-    add and the halving are the ufuncs of ``(a + a.conj().T) / 2``, so
-    every entry has the same bits."""
+
+def _eigvalsh_pair(a: np.ndarray, b: np.ndarray, side_by_side: bool):
+    """The sorted eigenvalues of the Hermitian matrices whose lower
+    triangles are those of ``a`` and ``b``; with ``side_by_side``, ``b`` is
+    solved on a worker thread while this one solves ``a``.  Either way an
+    exception from ``a``'s solve wins over one from ``b``'s."""
+    if not side_by_side:
+        eig_a = np.linalg.eigvalsh(a, UPLO="L")
+        return np.sort(eig_a), np.sort(np.linalg.eigvalsh(b, UPLO="L"))
+    outcome = {}
+
+    def solve_b():
+        try:
+            outcome["eig"] = np.linalg.eigvalsh(b, UPLO="L")
+        except Exception as exc:  # raised again below, from the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=solve_b, name="fermiperm-eigvalsh")
+    worker.start()
+    try:
+        eig_a = np.linalg.eigvalsh(a, UPLO="L")
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return np.sort(eig_a), np.sort(outcome["eig"])
+
+
+def _hermitize_lower(a: np.ndarray, out: np.ndarray, step: int) -> None:
+    """Write (a + a^H) / 2 into the lower triangle of ``out``, diagonal
+    included, ``step`` rows at a time; no other entry of ``out`` is written.
+
+    ``out`` may be ``a`` itself or ``a.T``: row block [s, t) reads a[s:t, :t]
+    and a[:t, s:t], and writes out[s:t, :t] on or below the diagonal, which
+    is a[s:t, :t] or a[:t, s:t] on its side of the diagonal; no later block
+    reads those entries.  The add and the halving are the ufuncs of
+    ``(a + a.conj().T) / 2``, so every entry has the same bits."""
     for start in range(0, a.shape[0], step):
         stop = min(start + step, a.shape[0])
-        target = out[start:stop, :stop]
-        np.add(a[start:stop, :stop], a[:stop, start:stop].conj().T, out=target)
+        rows = slice(start, stop)
+        target = out[rows, :start]
+        np.add(a[rows, :start], a[:start, rows].conj().T, out=target)
         np.true_divide(target, 2, out=target)
+        square = a[rows, rows]
+        lower = np.tri(stop - start, dtype=bool)
+        np.copyto(out[rows, rows], (square + square.conj().T) / 2, where=lower)

@@ -295,8 +295,7 @@ def items_sorted_loop(s: PauliSum) -> list[tuple[str, complex]]:
 
 def redundant_qubits_loop(p, spec) -> RedundancyReport:
     """Reference for ``redundant_qubits``: one Python set per qubit.
-    Scan the images of all weight-K states for constant bit positions and
-    check that the images restricted to the surviving qubits stay distinct."""
+    Scan the images of all weight-K states for constant bit positions."""
     n = p.n_qubits
     if n != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
@@ -310,17 +309,7 @@ def redundant_qubits_loop(p, spec) -> RedundancyReport:
             fixed.append((q, int(values.pop())))
         else:
             surviving.append(q)
-    surv_masks = [_extract_bits(img, [n - q for q in surviving]) for img in images]
-    injective = len(set(surv_masks)) == len(surv_masks)
-    return RedundancyReport(tuple(fixed), tuple(surviving), injective)
-
-
-def _extract_bits(value: int, positions: list[int]) -> int:
-    """Pack the given bit positions (descending) into a compact integer."""
-    out = 0
-    for pos in positions:
-        out = (out << 1) | ((value >> pos) & 1)
-    return out
+    return RedundancyReport(tuple(fixed), tuple(surviving))
 
 
 def encode_fermion_operator_loop(h, majoranas) -> PauliSum:

@@ -1,5 +1,7 @@
 """Reduction pipeline against the brute-force sector oracle."""
 
+import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from fermiperm import (
     LinearEncodingF2,
     NumberConservationError,
     PauliSum,
+    ReducedHamiltonian,
     ResourceError,
     SectorSpec,
     classify_affine,
@@ -34,7 +37,7 @@ from fermiperm import (
     unrank_weightk,
     verify_reduction,
 )
-from fermiperm import f2
+from fermiperm import f2, reduction
 from fermiperm.pauli import PRUNE_TOL, PauliString
 from fermiperm.reduction import _hermitize_lower
 from helpers import (
@@ -558,7 +561,7 @@ def test_identity_on_fixed_check_is_a_mask_test():
     from fermiperm.minimal import RedundancyReport
     from fermiperm.reduction import _check_identity_on_fixed
 
-    report = RedundancyReport(fixed=((2, 0), (4, 1)), surviving=(1, 3), restricted_injective=True)
+    report = RedundancyReport(fixed=((2, 0), (4, 1)), surviving=(1, 3))
     _check_identity_on_fixed(np.array([0b1010, 0b0000], dtype=np.uint64), 4, report)
     for bad in (0b0100, 0b0001):
         with pytest.raises(InvalidEncodingError):
@@ -670,15 +673,73 @@ def verify_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(verify_cases())
 def test_verify_matches_dense_reference(case):
-    """Bit-equal fields against the whole-matrix reference; the oracle is
-    read-only, so a write to it would raise."""
+    """Bit-equal fields against the whole-matrix reference, with the two
+    eigensolves in turn and side by side; the oracle is read-only, so a
+    write to it would raise."""
     rh, oracle = case
     oracle.setflags(write=False)
-    got = verify_reduction(rh, oracle)
     expected = verify_reduction_dense(rh, oracle)
-    assert got == expected
-    for field in ("max_deviation", "spectrum_deviation"):
-        assert np.float64(getattr(got, field)).tobytes() == np.float64(getattr(expected, field)).tobytes()
+    for side_by_side in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_solve_side_by_side", lambda dim: side_by_side)
+            got = verify_reduction(rh, oracle)
+        assert got == expected
+        for field in ("max_deviation", "spectrum_deviation"):
+            assert (np.float64(getattr(got, field)).tobytes()
+                    == np.float64(getattr(expected, field)).tobytes())
+
+
+@pytest.mark.parametrize("side_by_side", [False, True])
+@pytest.mark.parametrize("broken", ["oracle", "block", "both"])
+def test_verify_raises_a_failed_solve_from_the_calling_thread(monkeypatch, broken, side_by_side):
+    """An inf on the oracle's last diagonal entry makes its eigensolve raise
+    (N=8, K=4, d = 70), and so does an inf identity term in the reduced
+    operator for the block's.  Whichever solve fails, on the worker thread
+    or on this one, verify raises what the reference raises, leaves the
+    oracle alone and leaves no thread behind."""
+    spec = SectorSpec(8, 4)
+    h = random_one_body(8, np.random.default_rng(7))
+    rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
+    oracle = sector_oracle(h, spec)
+    if broken != "block":
+        oracle[-1, -1] = np.inf
+    if broken != "oracle":
+        q = rh.pauli_sum.n_qubits
+        spike = PauliSum.from_terms(q, [(np.inf, "I" * q)])
+        rh = ReducedHamiltonian(rh.pauli_sum + spike, rh.report, rh.spec, rh.state_map)
+    oracle.setflags(write=False)
+    before = oracle.tobytes()
+    monkeypatch.setattr(reduction, "_solve_side_by_side", lambda dim: side_by_side)
+    threads = threading.active_count()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError) as reference:
+            verify_reduction_dense(rh, oracle)
+        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+            verify_reduction(rh, oracle)
+    assert threading.active_count() == threads
+    assert oracle.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "dim, cpus, env, expected",
+    [
+        (512, 2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (512, 2, {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        (511, 2, {"OPENBLAS_NUM_THREADS": "1"}, False),  # below the sector-size constant
+        (512, 1, {"OPENBLAS_NUM_THREADS": "1"}, False),  # one usable CPU
+        (512, 2, {}, False),  # the BLAS at its default threading
+        (512, 2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+        (512, 2, {"MKL_NUM_THREADS": ""}, False),
+    ],
+)
+def test_side_by_side_selection(monkeypatch, dim, cpus, env, expected):
+    for var in reduction.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(reduction.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert reduction._solve_side_by_side(dim) is expected
 
 
 def test_verify_holds_one_block():
@@ -707,22 +768,36 @@ def test_verify_holds_one_block():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 45), st.booleans(), st.integers(0, 2**32 - 1))
-def test_hermitize_lower_matches_whole_matrix(d, step, in_place, seed):
-    """Every row-block size, in place or into another buffer: the lower
-    triangle, diagonal included, has the bits of (a + a^H) / 2."""
+@given(st.integers(1, 40), st.integers(1, 45),
+       st.sampled_from(["copy", "in place", "transposed", "shifted"]), st.integers(0, 2**32 - 1))
+def test_hermitize_lower_matches_whole_matrix(d, step, layout, seed):
+    """Every row-block size and the layouts verify uses: into another
+    buffer, in place, in place into the transpose (the block's upper
+    triangle) and into the rows below the first of a (d + 1) x d buffer.
+    The lower triangle, diagonal included, has the bits of (a + a^H) / 2,
+    and every other byte of the buffer is unchanged."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    a[rng.random((d, d)) < 0.2] = -0.0
-    expected = (a + a.conj().T) / 2
-    if in_place:
-        out = a
+    buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
+    buf[rng.random((d + 1, d)) < 0.2] = -0.0
+    view = {
+        "copy": lambda b: b[:d],
+        "in place": lambda b: b[:d],
+        "transposed": lambda b: b[:d].T,
+        "shifted": lambda b: b[1:],
+    }[layout]
+    if layout in ("in place", "transposed"):
+        a = buf[:d]
     else:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         a.setflags(write=False)
-        out = np.full((d, d), np.nan, dtype=complex)
-    _hermitize_lower(a, out, step)
+    expected = (a + a.conj().T) / 2
+    before = buf.copy()
+    _hermitize_lower(a, view(buf), step)
     lower = np.tril_indices(d)
-    assert out[lower].tobytes() == expected[lower].tobytes()
+    assert view(buf)[lower].tobytes() == expected[lower].tobytes()
+    outside = np.ones(buf.shape, dtype=bool)
+    view(outside)[lower] = False
+    assert buf[outside].tobytes() == before[outside].tobytes()
 
 
 def test_identity_permutation_reduction_has_no_fixed_qubits():
