@@ -85,6 +85,17 @@ def _load_matrix(args) -> np.ndarray:
     return m
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--modes`` and ``--trials``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_perm_selector(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--mapping", choices=["jw", "parity"], help="named linear encoding")
@@ -456,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="encode a fermionic Hamiltonian file")
-    enc.add_argument("--modes", type=int, required=True)
+    enc.add_argument("--modes", type=_positive_int, required=True)
     enc.add_argument("--hamiltonian", required=True, metavar="FILE")
     enc.add_argument("--hermitize", action="store_true")
     enc.add_argument("--output", metavar="FILE")
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.set_defaults(func=cmd_encode)
 
     red = sub.add_parser("reduce", help="encode, conjugate, and project a sector")
-    red.add_argument("--modes", type=int, required=True)
+    red.add_argument("--modes", type=_positive_int, required=True)
     red.add_argument("--fermions", type=int, required=True)
     red.add_argument("--hamiltonian", required=True, metavar="FILE")
     red.add_argument("--hermitize", action="store_true")
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.set_defaults(func=cmd_reduce)
 
     perm = sub.add_parser("perm", help="inspect or synthesize a basis permutation")
-    perm.add_argument("--modes", type=int, required=True)
+    perm.add_argument("--modes", type=_positive_int, required=True)
     perm.add_argument("--fermions", type=int)
     perm.add_argument("--synthesize", action="store_true")
     perm.add_argument("--output", metavar="FILE")
@@ -487,24 +498,24 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver_sub = ver.add_subparsers(dest="suite", required=True)
     v_anti = ver_sub.add_parser("anticommutation")
-    v_anti.add_argument("--modes", type=int, required=True)
+    v_anti.add_argument("--modes", type=_positive_int, required=True)
     v_anti.add_argument("--mapping", choices=["jw", "parity", "random-minimal"])
-    v_anti.add_argument("--trials", type=int, default=2)
+    v_anti.add_argument("--trials", type=_positive_int, default=2)
     v_anti.add_argument("--seed", type=int, default=0)
     v_anti.set_defaults(func=cmd_verify)
     v_app = ver_sub.add_parser("appendix")
     v_app.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
     v_app.set_defaults(func=cmd_verify)
     v_orc = ver_sub.add_parser("oracle")
-    v_orc.add_argument("--modes", type=int, required=True)
+    v_orc.add_argument("--modes", type=_positive_int, required=True)
     v_orc.add_argument("--fermions", type=int, required=True)
-    v_orc.add_argument("--trials", type=int, default=20)
+    v_orc.add_argument("--trials", type=_positive_int, default=20)
     v_orc.add_argument("--seed", type=int, default=0)
     v_orc.add_argument("--tolerance", type=float)
     v_orc.set_defaults(func=cmd_verify)
 
     costs = sub.add_parser("costs", help="qubit-cost table as CSV")
-    costs.add_argument("--modes", type=int, required=True)
+    costs.add_argument("--modes", type=_positive_int, required=True)
     costs.add_argument("--output", metavar="FILE")
     costs.set_defaults(func=cmd_costs)
 

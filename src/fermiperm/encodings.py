@@ -264,6 +264,8 @@ def encode_fermion_operator(
     into one dict, with ``PauliSum``'s merge and prune, so the result is the
     left-to-right ``total + product`` bit for bit, in linear time."""
     n_modes = len(majoranas)
+    if not n_modes:
+        raise DimensionError("no Majorana pairs: need at least one mode to encode")
     if h.max_mode() > n_modes:
         raise DimensionError(
             f"operator touches mode {h.max_mode()} but only {n_modes} are encoded"
@@ -287,10 +289,15 @@ def linear_encoding_majoranas(enc: LinearEncodingF2) -> list[tuple[PauliString, 
     """Majoranas of a linear encoding: the Jordan-Wigner Majoranas conjugated
     in closed form by the basis permutation |n> -> |Mn>, straight from M.
     No 2^N table is built, so any number of modes works."""
-    affine = AffineMapF2.linear(enc.matrix)
+    return _affine_majoranas(AffineMapF2.linear(enc.matrix))
+
+
+def _affine_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliString]]:
+    """The Jordan-Wigner Majoranas conjugated in closed form by the basis
+    permutation |x> -> |Mx (+) b>, one signed Pauli string each."""
     return [
-        (conjugate_pauli_affine(affine, g), conjugate_pauli_affine(affine, gp))
-        for g, gp in jw_majoranas(enc.n_modes)
+        (conjugate_pauli_affine(a, g), conjugate_pauli_affine(a, gp))
+        for g, gp in jw_majoranas(a.n_qubits)
     ]
 
 

@@ -37,10 +37,6 @@ _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
 
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
-
-
 def _check_dense_cap(n_qubits: int, cap: int = DENSE_CAP) -> None:
     if n_qubits > cap:
         raise ResourceError(f"dense operations are capped at {cap} qubits, got {n_qubits}")
@@ -159,7 +155,7 @@ class PauliString:
 
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
-        return _popcount(self.x_bits | self.z_bits)
+        return (self.x_bits | self.z_bits).bit_count()
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -201,7 +197,7 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     """Symplectic-form test: True iff a and b commute."""
     if a.n_qubits != b.n_qubits:
         raise DimensionError("commutator of Pauli strings on different registers")
-    return (_popcount(a.x_bits & b.z_bits) + _popcount(a.z_bits & b.x_bits)) % 2 == 0
+    return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
 
 
 def commutator_type(a: PauliString, b: PauliString) -> str:
@@ -379,11 +375,11 @@ class PauliSum:
 
     def max_weight(self) -> int:
         x, z, _ = self._arrays
-        return max(map(_popcount, (x | z).tolist()), default=0)
+        return max(map(int.bit_count, (x | z).tolist()), default=0)
 
     def mean_weight(self) -> float:
         x, z, _ = self._arrays
-        return sum(map(_popcount, (x | z).tolist())) / len(x) if len(x) else 0.0
+        return sum(map(int.bit_count, (x | z).tolist())) / len(x) if len(x) else 0.0
 
     def to_dense(self) -> np.ndarray:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
@@ -436,8 +432,8 @@ class PauliSum:
         val = 0.0 + 0.0j
         for (x, z), coeff in self.items():
             if col ^ x == row:
-                sign = -1.0 if _popcount(col & z) % 2 else 1.0
-                val += coeff * (1j ** (_popcount(x & z) % 4)) * sign
+                sign = -1.0 if (col & z).bit_count() % 2 else 1.0
+                val += coeff * (1j ** ((x & z).bit_count() % 4)) * sign
         return val
 
     def __str__(self) -> str:

@@ -26,7 +26,6 @@ from .pauli import (
     _block_rows,
     _check_dense_cap,
     _decompose_displacements,
-    _popcount,
     _popcount_u64,
     parity_u64,
 )
@@ -120,13 +119,6 @@ class BasisPermutation:
         if not cycles:
             return "()"
         return "".join("(" + ",".join(str(i) for i in c) + ")" for c in cycles)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense permutation matrix U with U|i> = |image[i]>."""
-        _check_dense_cap(self.n_qubits)
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.image, np.arange(self.dim)] = 1.0
-        return m
 
 
 def from_cycles(n_qubits: int, cycles: Iterable[Sequence[int]]) -> BasisPermutation:
@@ -384,9 +376,9 @@ def conjugate_pauli_affine(a: AffineMapF2, p: PauliString) -> PauliString:
     x_new = f2._xor_columns(a._column_masks, p.x_bits)
     inverse_rows, minv_b = a._inverse_masks  # the rows of M^-1 are the columns of (M^-1)^T
     z_new = f2._xor_columns(inverse_rows, p.z_bits)
-    sign_flips = _popcount(p.z_bits & minv_b) % 2
+    sign_flips = (p.z_bits & minv_b).bit_count() % 2
 
-    overlap_delta = _popcount(p.x_bits & p.z_bits) - _popcount(x_new & z_new)
+    overlap_delta = (p.x_bits & p.z_bits).bit_count() - (x_new & z_new).bit_count()
     if overlap_delta % 2 != 0:
         raise AssertionError("affine conjugation produced a complex phase")
     phase = (p.phase + overlap_delta + 2 * sign_flips) % 4

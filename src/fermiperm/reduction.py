@@ -1,12 +1,13 @@
-"""End-to-end reduction: encode, conjugate, project out redundant qubits.
+"""End-to-end reduction: encode in the permuted basis, project out redundant qubits.
 
 ``encode_and_reduce`` takes a number-conserving fermionic operator, finds
-the qubits whose value is constant across the sector images, encodes the
-operator with Jordan-Wigner, conjugates by a chosen basis permutation
-(closed-form fast path when the permutation is affine; otherwise the
-chunked dense path, told by ``drop_x`` to skip the terms with X or Y on a
-constant qubit), projects those qubits out, and returns the reduced
-operator plus the map from sector ranks to surviving-qubit bitstrings.
+the qubits whose value is constant across the sector images, and encodes
+the operator in the basis of the chosen permutation U: with U's conjugated
+Majoranas, one signed Pauli string each, when U is affine (a Clifford);
+otherwise with Jordan-Wigner, conjugated by the chunked dense path told by
+``drop_x`` to skip the terms with X or Y on a constant qubit.  It projects
+those qubits out and returns the reduced operator plus the map from sector
+ranks to surviving-qubit bitstrings.
 ``sector_oracle`` computes the same physics with no qubit encoding at all:
 one private kernel applies a chunk of terms' ladder strings to every
 sector state at once.  It is the ground truth that ``verify_reduction``
@@ -30,24 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import FermionOperator, jw_majoranas, encode_fermion_operator
+from .encodings import FermionOperator, _affine_majoranas, encode_fermion_operator, jw_majoranas
 from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, redundant_qubits
 from .pauli import (
     DENSE_CAP,
     PRUNE_TOL,
-    PauliString,
     PauliSum,
     _block_rows,
     _check_dense_cap,
     parity_u64,
 )
-from .permutations import (
-    BasisPermutation,
-    classify_affine,
-    conjugate_pauli_affine,
-    conjugate_pauli_dense,
-)
+from .permutations import BasisPermutation, classify_affine, conjugate_pauli_dense
 
 ORACLE_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
@@ -133,10 +128,11 @@ def encode_and_reduce(
     The sector images stay distinct on the surviving qubits, since a
     permutation's images are distinct and agree on every fixed qubit, so
     the reduction never merges two sector states.  The redundancy scan runs
-    first, and a non-affine permutation is conjugated on the full 2^N
-    register, which ``dense_cap`` bounds in qubits, keeping only the terms
-    with no X or Y on a fixed qubit: the projection would drop the
-    others."""
+    first.  An affine U encodes ``h`` with its conjugated Majoranas, which
+    gives the Jordan-Wigner encoding conjugated term by term, bit for bit.
+    Any other permutation is conjugated on the full 2^N register, which
+    ``dense_cap`` bounds in qubits, keeping only the terms with no X or Y
+    on a fixed qubit: the projection would drop the others."""
     h.require_number_conserving()
     n = spec.n_modes
     if p.n_qubits != n:
@@ -146,17 +142,13 @@ def encode_and_reduce(
             "sector holds a single state; there is no operator left to reduce"
         )
     report = redundant_qubits(p, spec)
-    encoded = encode_fermion_operator(h, jw_majoranas(n))
 
     affine = classify_affine(p)
     if affine is not None:
-        items = []
-        for (x, z), coeff in encoded.items():
-            q = conjugate_pauli_affine(affine, PauliString(n, x, z))
-            items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
-        reduced = PauliSum(n, items)
+        reduced = encode_fermion_operator(h, _affine_majoranas(affine))
         _check_identity_on_fixed(reduced._arrays[0], n, report)
     else:
+        encoded = encode_fermion_operator(h, jw_majoranas(n))
         reduced = conjugate_pauli_dense(p, encoded, dense_cap, drop_x=_fixed_mask(n, report))
 
     for qubit, value in sorted(report.fixed, reverse=True):

@@ -9,6 +9,7 @@ from fermiperm import (
     PauliString,
     PauliSum,
     RedundancyReport,
+    conjugate_pauli_affine,
     pauli_decompose,
     permutation_from_circuit,
     rank_weightk,
@@ -19,7 +20,6 @@ from fermiperm.pauli import (
     DENSE_CAP,
     _check_dense_cap,
     _decompose_displacements,
-    _popcount,
     parity_u64,
 )
 from fermiperm.permutations import _check_permutation_cap
@@ -93,8 +93,20 @@ def permutation_matrix(perm) -> np.ndarray:
 def conjugate_pauli_matrix(p, s: PauliSum) -> PauliSum:
     """Reference for ``conjugate_pauli_dense``: build dense matrices and
     decompose U S U^dag."""
-    u = p.to_matrix()
+    u = permutation_matrix(p)
     return pauli_decompose(u @ s.to_dense() @ u.conj().T)
+
+
+def conjugate_affine_loop(affine, encoded: PauliSum) -> PauliSum:
+    """Reference for ``encode_and_reduce``'s affine branch: one
+    ``PauliString`` and one ``conjugate_pauli_affine`` call per term of the
+    Jordan-Wigner encoded sum, in its order, then one merge."""
+    n = encoded.n_qubits
+    items = []
+    for (x, z), coeff in encoded.items():
+        q = conjugate_pauli_affine(affine, PauliString(n, x, z))
+        items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
+    return PauliSum(n, items)
 
 
 def conjugate_pauli_dense_loop(p, s: PauliSum, dense_cap: int = DENSE_CAP) -> PauliSum:
@@ -111,7 +123,7 @@ def conjugate_pauli_dense_loop(p, s: PauliSum, dense_cap: int = DENSE_CAP) -> Pa
     for (x, z), coeff in s.items():
         # column v of U P U^dag holds coeff * i^|x&z| * (-1)^(z.u) at row
         # p(u (+) x), u = p^-1(v): one entry per column, so a plain += suffices
-        amp = coeff * 1j ** (_popcount(x & z) % 4)
+        amp = coeff * 1j ** ((x & z).bit_count() % 4)
         g[p.image[p_inv ^ x] ^ cols, cols] += amp * (1.0 - 2.0 * parity_u64(p_inv & z))
     return PauliSum._from_arrays(n, *_decompose_displacements(g))
 
@@ -177,7 +189,7 @@ def sector_oracle_loop(h, spec) -> np.ndarray:
                     dead = True
                     break
                 left_mask = ~((bit << 1) - 1)
-                if _popcount(state & left_mask) % 2:
+                if (state & left_mask).bit_count() % 2:
                     amp = -amp
                 state ^= bit
             if dead:

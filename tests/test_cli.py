@@ -386,6 +386,39 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+# Every subcommand that takes --modes, with the other arguments it needs;
+# "HAM" stands for a Hamiltonian file.
+_MODES_COMMANDS = {
+    "encode": ["encode", "--hamiltonian", "HAM"],
+    "reduce": ["reduce", "--fermions", "1", "--hamiltonian", "HAM", "--index-embed"],
+    "perm": ["perm", "--cycles", "()"],
+    "anticommutation": ["verify", "anticommutation"],
+    "oracle": ["verify", "oracle", "--fermions", "1"],
+    "costs": ["costs"],
+}
+_COUNTS_BELOW_ONE = [
+    pytest.param([*argv, "--modes", modes], "--modes", id=f"{name}-modes{modes}")
+    for name, argv in _MODES_COMMANDS.items()
+    for modes in ("0", "-1")
+] + [
+    pytest.param(
+        [*_MODES_COMMANDS[name], "--modes", "3", "--trials", "0"], "--trials", id=f"{name}-trials0"
+    )
+    for name in ("anticommutation", "oracle")
+]
+
+
+@pytest.mark.parametrize("argv, option", _COUNTS_BELOW_ONE)
+def test_counts_below_one_are_usage_errors(hop_file, capsys, argv, option):
+    """--modes and --trials take positive integers: anything else is an
+    argparse error (exit 2), not a traceback or a vacuous pass."""
+    code, out, err = run(capsys, *(hop_file if arg == "HAM" else arg for arg in argv))
+    assert code == 2
+    assert "error" in err and option in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(
         capsys, "encode", "--modes", "2", "--hamiltonian", "/does/not/exist.txt"
@@ -478,11 +511,14 @@ DYADIC_HAMILTONIAN = """\
 @pytest.mark.parametrize(
     "selector, golden",
     [(["--index-embed"], "reduce_n6_k3_index-embed.json"),
-     (["--mapping", "parity"], "reduce_n6_k3_parity.json")],
+     (["--mapping", "parity"], "reduce_n6_k3_parity.json"),
+     (["--matrix", str(GOLDEN / "parity_n6.txt")], "reduce_n6_k3_parity.json")],
 )
 def test_reduce_golden_bytes(tmp_path, capsys, selector, golden):
     """Everything before the verify block (spec, fixed qubits, Hamiltonian
-    terms, state map) is byte for byte the recorded output."""
+    terms, state map) is byte for byte the recorded output.  The 6-mode
+    parity matrix given as a ``--matrix`` file reduces to the bytes of
+    ``--mapping parity``."""
     ham = tmp_path / "h.txt"
     ham.write_text(DYADIC_HAMILTONIAN)
     code, out, _ = run(

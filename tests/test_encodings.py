@@ -214,11 +214,12 @@ def test_linear_encoding_majoranas_satisfy_relations():
 
 
 def test_linear_majoranas_match_parity_formulas():
-    majos = linear_encoding_majoranas(LinearEncodingF2.parity(4))
-    for j in range(1, 5):
-        g, gp = majos[j - 1]
-        assert g == parity_majorana(j, False, 4)
-        assert gp == parity_majorana(j, True, 4)
+    for n in range(1, 25):
+        majos = linear_encoding_majoranas(LinearEncodingF2.parity(n))
+        for j in range(1, n + 1):
+            g, gp = majos[j - 1]
+            assert g == parity_majorana(j, False, n)
+            assert gp == parity_majorana(j, True, n)
 
 
 def test_conjugated_majoranas_match_ladder_semantics():
@@ -298,6 +299,12 @@ def test_encode_rejects_out_of_range_mode():
     op = FermionOperator.from_terms([FermionTerm.make(1.0, [(3, True), (3, False)])])
     with pytest.raises(DimensionError):
         encode_fermion_operator(op, jw_majoranas(2))
+
+
+@pytest.mark.parametrize("terms", [[], [FermionTerm.make(1.0, [(1, True), (1, False)])]])
+def test_encode_without_majoranas_is_a_dimension_error(terms):
+    with pytest.raises(DimensionError, match="at least one mode"):
+        encode_fermion_operator(FermionOperator.from_terms(terms), [])
 
 
 # Dyadic values, exact zeros of either sign and values at the prune threshold

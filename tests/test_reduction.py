@@ -23,7 +23,6 @@ from fermiperm import (
     ResourceError,
     SectorSpec,
     classify_affine,
-    conjugate_pauli_affine,
     conjugate_pauli_dense,
     encode_and_reduce,
     encode_fermion_operator,
@@ -38,10 +37,12 @@ from fermiperm import (
     verify_reduction,
 )
 from fermiperm import f2, reduction
-from fermiperm.pauli import PRUNE_TOL, PauliString
+from fermiperm.encodings import _affine_majoranas
+from fermiperm.pauli import PRUNE_TOL
 from fermiperm.reduction import _hermitize_lower
 from helpers import (
     array_sum,
+    conjugate_affine_loop,
     project_fixed_qubit_loop,
     random_pauli_sum,
     sector_oracle_loop,
@@ -525,11 +526,28 @@ def reduction_cases(draw):
             terms.append(FermionTerm.make(coeff, [(a, True), (b, True), (c, False), (d, False)]))
         h = h + FermionOperator.from_terms(terms).hermitized()
     spec = SectorSpec(n, k)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["parity", "affine", "index-embed"]))
+    if kind == "parity":
         p = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2.parity(n)))
+    elif kind == "affine":
+        p = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, n)).to_permutation()
     else:
         p = minimal_permutation_index_embed(spec, completion="random", rng=rng)
     return h, p, spec
+
+
+def reduce_by_public_calls_and_loops(h, p, report) -> PauliSum:
+    """The Jordan-Wigner encoding, conjugated by the public dense path or,
+    for an affine ``p``, term by term, then projected by the loop."""
+    encoded = encode_fermion_operator(h, jw_majoranas(p.n_qubits))
+    affine = classify_affine(p)
+    if affine is None:
+        expected = conjugate_pauli_dense(p, encoded)
+    else:
+        expected = conjugate_affine_loop(affine, encoded)
+    for qubit, value in sorted(report.fixed, reverse=True):
+        expected = project_fixed_qubit_loop(expected, qubit, value)
+    return expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,22 +556,52 @@ def test_reduce_matches_public_calls_and_loop_projection(case):
     """The array pipeline gives, term for term and in the same order, what
     the public conjugation followed by the loop projection gives."""
     h, p, spec = case
-    n = spec.n_modes
     rh = encode_and_reduce(h, p, spec)
-    encoded = encode_fermion_operator(h, jw_majoranas(n))
-    affine = classify_affine(p)
-    if affine is None:
-        expected = conjugate_pauli_dense(p, encoded)
-    else:
-        items = []
-        for (x, z), coeff in encoded.items():
-            q = conjugate_pauli_affine(affine, PauliString(n, x, z))
-            items.append(((q.x_bits, q.z_bits), coeff * q.coefficient))
-        expected = PauliSum(n, items)
-    for qubit, value in sorted(rh.report.fixed, reverse=True):
-        expected = project_fixed_qubit_loop(expected, qubit, value)
+    expected = reduce_by_public_calls_and_loops(h, p, rh.report)
     assert rh.pauli_sum == expected
     assert same_terms(rh.pauli_sum, expected)
+
+
+@st.composite
+def affine_reduction_cases(draw):
+    """N = 2..8 modes, a random invertible affine map with a random offset,
+    and one- and two-body terms, hermitized on half the draws, whose
+    coefficient parts include signed zeros and values at and one ulp around
+    ``PRUNE_TOL``.  Modes may repeat, so some terms vanish."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    affine = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, n))
+    parts = st.one_of(st.sampled_from(_EDGE_PARTS), st.floats(-1, 1))
+    modes = st.integers(1, n)
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        body = 2 if draw(st.booleans()) else 1
+        ops = [(draw(modes), True) for _ in range(body)] + [
+            (draw(modes), False) for _ in range(body)
+        ]
+        terms.append(FermionTerm.make(complex(draw(parts), draw(parts)), ops))
+    h = FermionOperator.from_terms(terms)
+    if draw(st.booleans()):
+        h = h.hermitized()
+    return h, affine, SectorSpec(n, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_reduction_cases())
+def test_affine_majoranas_encode_the_conjugated_sum(case):
+    """Encoding with the conjugated Majoranas gives the Jordan-Wigner
+    encoding conjugated term by term, and ``encode_and_reduce`` its loop
+    projection: the same terms, in the same order, with the same bits."""
+    h, affine, spec = case
+    p = affine.to_permutation()
+    encoded = encode_fermion_operator(h, jw_majoranas(spec.n_modes))
+    assert same_terms(
+        encode_fermion_operator(h, _affine_majoranas(affine)),
+        conjugate_affine_loop(affine, encoded),
+    )
+    rh = encode_and_reduce(h, p, spec)
+    assert same_terms(rh.pauli_sum, reduce_by_public_calls_and_loops(h, p, rh.report))
 
 
 def test_identity_on_fixed_check_is_a_mask_test():
