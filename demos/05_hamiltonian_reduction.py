@@ -35,7 +35,9 @@ h = FermionOperator.one_body((raw + raw.T) / 2)
 rh = encode_and_reduce(h, p, spec)
 print(f"(N,K) = (4,2): {spec.dimension} sector states on {rh.pauli_sum.n_qubits} qubits")
 print("fixed qubits:", rh.report.fixed)
-print("rank -> surviving bits:", dict(enumerate(rh.state_map)))
+q = rh.pauli_sum.n_qubits
+bits = {r: format(label, f"0{q}b") for r, label in enumerate(rh.labels)}
+print("rank -> surviving bits:", bits)
 
 check = verify_reduction(rh, sector_oracle(h, spec))
 print(f"verified against the occupancy-string oracle: passed={check.passed}, "
@@ -61,8 +63,7 @@ print(f"oracle comparison: passed={check6.passed}, "
 
 oracle = sector_oracle(h6, spec6)
 sector_energies = np.sort(np.linalg.eigvalsh(oracle))
-indices = [rh6.state_index(r) for r in range(spec6.dimension)]
-block = rh6.pauli_sum.to_dense()[np.ix_(indices, indices)]
+block = rh6.pauli_sum.to_dense()[np.ix_(rh6.labels, rh6.labels)]
 reduced_energies = np.sort(np.linalg.eigvalsh(block))
 print("largest spectral difference:",
       float(np.max(np.abs(sector_energies - reduced_energies))))

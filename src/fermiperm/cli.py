@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -93,6 +94,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--tolerance``: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -279,12 +291,13 @@ def cmd_reduce(args) -> int:
     rh = encode_and_reduce(h, p, spec, dense_cap=cap)
     check = verify_reduction(rh, sector_oracle(h, spec, dense_cap=cap), tol=tol, dense_cap=cap)
 
+    width = rh.pauli_sum.n_qubits
     payload = {
         "spec": {"N": spec.n_modes, "K": spec.n_fermions, "q_min": spec.q_min},
         "fixed_qubits": [[q, v] for q, v in rh.report.fixed],
-        "hamiltonian": {"n_qubits": rh.pauli_sum.n_qubits, "terms": rh.pauli_sum},
+        "hamiltonian": {"n_qubits": width, "terms": rh.pauli_sum},
         "state_map": [
-            {"rank": r, "bits": rh.state_map[r]} for r in range(spec.dimension)
+            {"rank": r, "bits": format(label, f"0{width}b")} for r, label in enumerate(rh.labels)
         ],
         "verify": {
             "max_deviation": check.max_deviation,
@@ -481,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--fermions", type=int, required=True)
     red.add_argument("--hamiltonian", required=True, metavar="FILE")
     red.add_argument("--hermitize", action="store_true")
-    red.add_argument("--tolerance", type=float, help="oracle comparison tolerance")
+    red.add_argument("--tolerance", type=_positive_float, help="oracle comparison tolerance")
     red.add_argument("--dense-cap", type=int, help="override the dense-matrix qubit cap")
     red.add_argument("--output", metavar="FILE")
     _add_perm_selector(red)
@@ -511,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_orc.add_argument("--fermions", type=int, required=True)
     v_orc.add_argument("--trials", type=_positive_int, default=20)
     v_orc.add_argument("--seed", type=int, default=0)
-    v_orc.add_argument("--tolerance", type=float)
+    v_orc.add_argument("--tolerance", type=_positive_float)
     v_orc.set_defaults(func=cmd_verify)
 
     costs = sub.add_parser("costs", help="qubit-cost table as CSV")

@@ -161,10 +161,14 @@ def redundant_qubits(p: BasisPermutation, spec: SectorSpec) -> RedundancyReport:
     A bit is constant when the AND and the OR of the images agree on it; the
     bits where they differ are the surviving ones.  Restricted to those, the
     images stay distinct: they are distinct and agree on every fixed bit."""
-    n = p.n_qubits
-    if n != spec.n_modes:
+    if p.n_qubits != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
     images = p.image[np.array(spec.sector_states(), dtype=np.int64)]
+    return _redundancy_of_images(images, p.n_qubits)
+
+
+def _redundancy_of_images(images: np.ndarray, n: int) -> RedundancyReport:
+    """The :func:`redundant_qubits` scan of the sector ``images`` on n qubits."""
     all_set = int(np.bitwise_and.reduce(images))
     any_set = int(np.bitwise_or.reduce(images))
     varying = all_set ^ any_set

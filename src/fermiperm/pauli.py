@@ -262,10 +262,6 @@ class PauliSum:
         return out
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, [((0, 0), coeff)])
 
@@ -317,14 +313,6 @@ class PauliSum:
         letters, coeff = self._sorted_terms()
         return list(zip(letters.astype(f"U{self.n_qubits}").tolist(), coeff.tolist()))
 
-    def coefficient(self, letters: str) -> complex:
-        p = PauliString.from_letters(letters)
-        if p.n_qubits != self.n_qubits:
-            raise DimensionError("letter string length does not match register")
-        x, z, coeff = self._arrays
-        hit = np.flatnonzero((x == p.x_bits) & (z == p.z_bits))
-        return complex(coeff[hit[0]]) if hit.size else 0.0
-
     def __len__(self) -> int:
         return len(self._arrays[2])
 
@@ -362,13 +350,6 @@ class PauliSum:
     def dagger(self) -> "PauliSum":
         return PauliSum(self.n_qubits, [(k, c.conjugate()) for k, c in self.items()])
 
-    def is_hermitian(self, tol: float = PRUNE_TOL) -> bool:
-        return all(abs(c.imag) <= tol for c in self._arrays[2].tolist())
-
-    def simplify(self, tol: float = PRUNE_TOL) -> "PauliSum":
-        """Drop terms whose coefficient magnitude is at most ``tol``."""
-        return PauliSum(self.n_qubits, [(k, c) for k, c in self.items() if abs(c) > tol])
-
     def frobenius_sq(self) -> float:
         """Sum of squared coefficient magnitudes (Frobenius norm^2 / 2^n)."""
         return float(sum(abs(c) ** 2 for c in self._arrays[2].tolist()))
@@ -383,6 +364,7 @@ class PauliSum:
 
     def to_dense(self) -> np.ndarray:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant index bit."""
+        _check_dense_cap(self.n_qubits)  # before the 2^n labels are built
         return self._dense_block(np.arange(1 << self.n_qubits))
 
     def _dense_block(
@@ -426,15 +408,6 @@ class PauliSum:
             _walsh_hadamard_rows(block)
             out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
         return out if spare_row else out[:size]
-
-    def matrix_element(self, row: int, col: int) -> complex:
-        """<row| sum |col> without building the dense matrix."""
-        val = 0.0 + 0.0j
-        for (x, z), coeff in self.items():
-            if col ^ x == row:
-                sign = -1.0 if (col & z).bit_count() % 2 else 1.0
-                val += coeff * (1j ** ((x & z).bit_count() % 4)) * sign
-        return val
 
     def __str__(self) -> str:
         if not len(self):

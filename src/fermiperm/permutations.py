@@ -70,17 +70,9 @@ class BasisPermutation:
     def apply(self, index: int) -> int:
         return int(self.image[index])
 
-    __call__ = apply
-
     @property
     def dim(self) -> int:
         return self.image.size
-
-    def compose(self, other: "BasisPermutation") -> "BasisPermutation":
-        """Operator-style composition: (self . other)(x) = self(other(x))."""
-        if self.n_qubits != other.n_qubits:
-            raise DimensionError("cannot compose permutations on different registers")
-        return BasisPermutation(self.image[other.image])
 
     def inverse(self) -> "BasisPermutation":
         inv = np.empty_like(self.image)
@@ -91,9 +83,6 @@ class BasisPermutation:
         if not isinstance(other, BasisPermutation):
             return NotImplemented
         return np.array_equal(self.image, other.image)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.image, np.arange(self.dim)))
 
     def to_cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points omitted; each cycle starts at its

@@ -6,8 +6,8 @@ the operator in the basis of the chosen permutation U: with U's conjugated
 Majoranas, one signed Pauli string each, when U is affine (a Clifford);
 otherwise with Jordan-Wigner, conjugated by the chunked dense path told by
 ``drop_x`` to skip the terms with X or Y on a constant qubit.  It projects
-those qubits out and returns the reduced operator plus the map from sector
-ranks to surviving-qubit bitstrings.
+those qubits out and returns the reduced operator plus each sector rank's
+label, its basis index on the surviving qubits.
 ``sector_oracle`` computes the same physics with no qubit encoding at all:
 one private kernel applies a chunk of terms' ladder strings to every
 sector state at once.  It is the ground truth that ``verify_reduction``
@@ -33,7 +33,7 @@ import numpy as np
 
 from .encodings import FermionOperator, _affine_majoranas, encode_fermion_operator, jw_majoranas
 from .errors import DimensionError, InvalidEncodingError
-from .minimal import RedundancyReport, SectorSpec, redundant_qubits
+from .minimal import RedundancyReport, SectorSpec, _redundancy_of_images
 from .pauli import (
     DENSE_CAP,
     PRUNE_TOL,
@@ -114,10 +114,7 @@ class ReducedHamiltonian:
     pauli_sum: PauliSum
     report: RedundancyReport
     spec: SectorSpec
-    state_map: tuple[str, ...]  # rank -> surviving-qubit bitstring
-
-    def state_index(self, rank: int) -> int:
-        return int(self.state_map[rank], 2)
+    labels: tuple[int, ...]  # rank -> basis index on the surviving qubits
 
 
 def encode_and_reduce(
@@ -127,9 +124,11 @@ def encode_and_reduce(
 
     The sector images stay distinct on the surviving qubits, since a
     permutation's images are distinct and agree on every fixed qubit, so
-    the reduction never merges two sector states.  The redundancy scan runs
-    first.  An affine U encodes ``h`` with its conjugated Majoranas, which
-    gives the Jordan-Wigner encoding conjugated term by term, bit for bit.
+    the reduction never merges two sector states.  The sector images are
+    gathered once, in rank order: the redundancy scan runs on them first,
+    and each rank's label is its image's surviving bits.  An affine U
+    encodes ``h`` with its conjugated Majoranas, which gives the
+    Jordan-Wigner encoding conjugated term by term, bit for bit.
     Any other permutation is conjugated on the full 2^N register, which
     ``dense_cap`` bounds in qubits, keeping only the terms with no X or Y
     on a fixed qubit: the projection would drop the others."""
@@ -141,7 +140,8 @@ def encode_and_reduce(
         raise InvalidEncodingError(
             "sector holds a single state; there is no operator left to reduce"
         )
-    report = redundant_qubits(p, spec)
+    images = p.image[np.array(spec.sector_states(), dtype=np.int64)]  # in rank order
+    report = _redundancy_of_images(images, n)
 
     affine = classify_affine(p)
     if affine is not None:
@@ -154,11 +154,10 @@ def encode_and_reduce(
     for qubit, value in sorted(report.fixed, reverse=True):
         reduced = project_fixed_qubit(reduced, qubit, value)
 
-    images = p.image[np.array(spec.sector_states(), dtype=np.int64)]  # in rank order
-    positions = np.array([n - q for q in report.surviving], dtype=np.int64)
-    bits = (images[:, None] >> positions) & 1
-    state_map = tuple("".join(map(str, row)) for row in bits.tolist())
-    return ReducedHamiltonian(reduced, report, spec, state_map)
+    labels = np.zeros_like(images)
+    for q in report.surviving:
+        labels = (labels << 1) | ((images >> (n - q)) & 1)
+    return ReducedHamiltonian(reduced, report, spec, tuple(labels.tolist()))
 
 
 def _fixed_mask(n: int, report: RedundancyReport) -> int:
@@ -321,8 +320,7 @@ def verify_reduction(
     dim = rh.spec.dimension
     if oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
-    labels = np.array([rh.state_index(r) for r in range(dim)], dtype=np.int64)
-    buf = rh.pauli_sum._dense_block(labels, dense_cap, spare_row=True)
+    buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
     block = buf[:dim]
     step = _block_rows(dim)
     max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does

@@ -328,7 +328,7 @@ def encode_fermion_operator_loop(h, majoranas) -> PauliSum:
     """Reference for ``encode_fermion_operator``: one ``PauliSum`` product per
     ladder operator and one ``total + acc`` per term.  Encode each term as the
     product of its encoded ladder operators, in the order written, and return
-    the simplified sum."""
+    the sum."""
     n_modes = len(majoranas)
     if h.max_mode() > n_modes:
         raise DimensionError(
@@ -336,13 +336,13 @@ def encode_fermion_operator_loop(h, majoranas) -> PauliSum:
         )
     first = _coerce_majorana(majoranas[0][0])
     n_qubits = first.n_qubits
-    total = PauliSum.zero(n_qubits)
+    total = PauliSum(n_qubits)
     for term in h.terms:
         acc = PauliSum.identity(n_qubits, term.coefficient)
         for mode, dag in term.ops:
             acc = acc * encode_ladder(mode, dag, majoranas)
         total = total + acc
-    return total.simplify()
+    return total
 
 
 def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP) -> ReductionCheck:
@@ -352,8 +352,7 @@ def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP) -> R
     dim = rh.spec.dimension
     if oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
-    labels = np.array([rh.state_index(r) for r in range(dim)], dtype=np.int64)
-    block = rh.pauli_sum._dense_block(labels, dense_cap)
+    block = rh.pauli_sum._dense_block(rh.labels, dense_cap)
     max_dev = float(np.max(np.abs(block - oracle))) if dim else 0.0
 
     eig_block = np.sort(np.linalg.eigvalsh((block + block.conj().T) / 2))

@@ -419,6 +419,23 @@ def test_counts_below_one_are_usage_errors(hop_file, capsys, argv, option):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["reduce", "oracle"])
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-0.5", "inf", "x"])
+def test_tolerance_must_be_finite_and_positive(hop_file, tmp_path, capsys, command, tolerance):
+    """NaN would be written as non-strict JSON, 0 or less fails every check
+    and inf passes any finite deviation: each is an argparse error (exit 2)
+    that writes no file."""
+    argv = [*_MODES_COMMANDS[command], "--modes", "4", "--tolerance", tolerance]
+    if command == "reduce":
+        argv += ["--output", str(tmp_path / "out.json")]
+    code, out, err = run(capsys, *(hop_file if arg == "HAM" else arg for arg in argv))
+    assert code == 2
+    assert "error: argument --tolerance" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(
         capsys, "encode", "--modes", "2", "--hamiltonian", "/does/not/exist.txt"

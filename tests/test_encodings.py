@@ -138,7 +138,7 @@ def test_encode_hermitian_input_gives_hermitian_sum():
     h = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
     op = FermionOperator.one_body((h + h.conj().T) / 2)
     enc = encode_fermion_operator(op, jw_majoranas(3))
-    assert enc.is_hermitian(tol=1e-12)
+    assert all(abs(c.imag) <= 1e-12 for _, c in enc.items())
 
 
 def test_gl_to_cnot_identity_is_empty():

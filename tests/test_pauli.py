@@ -181,7 +181,7 @@ def test_four_term_majorana_image_stays_four_terms():
         4,
         [(0.5, "XIXI"), (0.5, "XIXX"), (0.5, "XZXI"), (-0.5, "XZXX")],
     )
-    assert len(s.simplify()) == 4
+    assert len(s) == 4
     coeffs = [c for _, c in s.items_sorted()]
     assert all(c.imag == 0 for c in coeffs)
     assert sorted(c.real for c in coeffs) == [-0.5, 0.5, 0.5, 0.5]
@@ -214,7 +214,7 @@ def test_to_dense_matches_kron_oracle():
 
 
 def test_to_dense_of_zero_sum_is_zero():
-    dense = PauliSum.zero(3).to_dense()
+    dense = PauliSum(3).to_dense()
     assert dense.shape == (8, 8)
     assert not dense.any()
 
@@ -286,7 +286,7 @@ def test_to_dense_round_trip_across_row_blocks():
     rng = np.random.default_rng(23)
     s = random_pauli_sum(9, 400, rng)
     assert len({x for (x, _), _ in s.items()}) > _block_rows(1 << 9)
-    assert pauli_decompose(s.to_dense()) - s == PauliSum.zero(9)
+    assert pauli_decompose(s.to_dense()) - s == PauliSum(9)
 
 
 def test_parity_u64_beyond_16_bits():
@@ -307,6 +307,19 @@ def test_dense_cap_enforced():
         PauliSum.identity(13).to_dense()
     with pytest.raises((ResourceError, ValueError)):
         pauli_decompose(np.broadcast_to(np.float64(1.0), (2**13, 2**13)))
+
+
+@pytest.mark.parametrize("op", [PauliSum.identity(20), PauliString.identity(20)], ids=type)
+def test_to_dense_cap_checked_before_allocation(op):
+    """At 20 qubits the 2^20 basis labels alone would be 8 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            op.to_dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_decompose_cap_checked_before_copy():
@@ -386,16 +399,6 @@ def test_decompose_rejects_bad_shapes():
         pauli_decompose(np.zeros((2, 4)))
 
 
-def test_matrix_element_agrees_with_dense():
-    rng = np.random.default_rng(41)
-    s = random_pauli_sum(4, 6, rng)
-    dense = s.to_dense()
-    for _ in range(30):
-        r = int(rng.integers(0, 16))
-        c = int(rng.integers(0, 16))
-        assert abs(s.matrix_element(r, c) - dense[r, c]) < 1e-12
-
-
 def test_from_letters_validation():
     with pytest.raises(ValueError):
         PauliString.from_letters("XQZ")
@@ -432,9 +435,9 @@ def test_json_round_trip_and_sorted_terms():
 
 def test_hermiticity_detection():
     herm = PauliSum.from_terms(2, [(1.0, "XZ"), (-0.25, "YY")])
-    assert herm.is_hermitian()
-    assert not PauliSum.from_terms(2, [(1j, "XZ")]).is_hermitian()
     assert herm.dagger() == herm
+    anti = PauliSum.from_terms(2, [(1j, "XZ")])
+    assert anti.dagger() != anti
 
 
 @st.composite
@@ -495,8 +498,7 @@ def test_array_born_sum_agrees_with_dict_born(s, rnd):
     assert born.to_json_dict() == s.to_json_dict()
     assert born == s and s == born
     assert list(born.items()) == list(s.items())
-    for letters, coeff in s.items_sorted():
-        assert born.coefficient(letters) == coeff
+    assert born.items_sorted() == s.items_sorted()
     items = list(s.items())
     rnd.shuffle(items)
     assert array_sum(s.n_qubits, dict(items)) == s

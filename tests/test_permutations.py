@@ -60,7 +60,7 @@ def random_permutation(n, rng):
 
 
 def test_from_cycles_empty_is_identity():
-    assert from_cycles(3, []).is_identity()
+    assert from_cycles(3, []) == BasisPermutation.identity(3)
 
 
 def test_from_cycles_one_fermion_ket_table():
@@ -148,11 +148,12 @@ def test_circuit_text_round_trip():
 # --- group operations ------------------------------------------------------
 
 
-def test_compose_inverse_identity():
+def test_inverse_undoes_the_permutation():
     rng = np.random.default_rng(0)
     p = random_permutation(4, rng)
-    assert p.compose(p.inverse()).is_identity()
-    assert p.inverse().compose(p).is_identity()
+    q = p.inverse()
+    assert np.array_equal(p.image[q.image], np.arange(16))
+    assert np.array_equal(q.image[p.image], np.arange(16))
 
 
 def test_parity_chain_inverse_recovers_occupancies():
@@ -163,20 +164,6 @@ def test_parity_chain_inverse_recovers_occupancies():
     p = permutation_from_circuit(chain)
     assert p.apply(int("10011", 2)) == int("11101", 2)
     assert p.inverse().apply(int("11101", 2)) == int("10011", 2)
-
-
-def test_compose_associativity_random():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b, c = (random_permutation(3, rng) for _ in range(3))
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
-
-
-def test_compose_applies_right_factor_first():
-    rng = np.random.default_rng(2)
-    a, b = random_permutation(3, rng), random_permutation(3, rng)
-    for s in range(8):
-        assert a.compose(b).apply(s) == a.apply(b.apply(s))
 
 
 # --- affine classification -------------------------------------------------
@@ -279,7 +266,7 @@ def test_dense_conjugation_identity():
 def test_dense_conjugation_of_zero_sum_is_zero():
     rng = np.random.default_rng(9)
     p = random_permutation(4, rng)
-    assert conjugate_pauli_dense(p, PauliSum.zero(4)) == PauliSum.zero(4)
+    assert conjugate_pauli_dense(p, PauliSum(4)) == PauliSum(4)
 
 
 def test_dense_conjugation_cap_checked_before_allocation():
@@ -583,4 +570,4 @@ def test_conjugate_matrix_helper_agrees():
     rng = np.random.default_rng(15)
     p = random_permutation(3, rng)
     s = random_pauli_sum(3, 4, rng)
-    assert conjugate_pauli_matrix(p, s) == conjugate_pauli_dense(p, s).simplify()
+    assert conjugate_pauli_matrix(p, s) == conjugate_pauli_dense(p, s)
