@@ -7,8 +7,6 @@ multi-controlled flips.  The one-fermion example shows why non-Clifford
 gates are unavoidable, and that a single Toffoli suffices there.
 """
 
-import numpy as np
-
 from fermiperm import (
     PauliSum,
     SectorSpec,

@@ -16,7 +16,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import f2
 from .encodings import (
     FermionOperator,
     LinearEncodingF2,
@@ -42,6 +41,7 @@ from .permutations import (
     AffineMapF2,
     BasisPermutation,
     GateCircuit,
+    _check_permutation_cap,
     classify_affine,
     conjugate_pauli_dense,
     from_cycles,
@@ -87,7 +87,8 @@ def _load_matrix(args) -> np.ndarray:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--modes`` and ``--trials``: an integer of at least 1."""
+    """argparse type of ``--modes``, ``--trials`` and ``--dense-cap``: an
+    integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -121,14 +122,22 @@ def _add_perm_selector(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _linear_encoding(args) -> LinearEncodingF2:
+    """The encoding ``--matrix`` or ``--mapping`` selects.  ``--matrix`` is
+    read first: ``encode`` gives ``--mapping`` the default ``jw``."""
+    if args.matrix:
+        return LinearEncodingF2(_load_matrix(args))
+    if args.mapping == "parity":
+        return LinearEncodingF2.parity(args.modes)
+    return LinearEncodingF2.jordan_wigner(args.modes)
+
+
 def _resolve_permutation(args) -> BasisPermutation:
     n = args.modes
-    if args.mapping == "jw":
-        return BasisPermutation.identity(n)
-    if args.mapping == "parity":
-        return AffineMapF2.linear(f2.parity_matrix(n)).to_permutation()
-    if args.matrix:
-        return AffineMapF2.linear(LinearEncodingF2(_load_matrix(args)).matrix).to_permutation()
+    if args.mapping:
+        _check_permutation_cap(n)  # before the n x n matrix is built
+    if args.matrix or args.mapping:
+        return AffineMapF2.linear(_linear_encoding(args).matrix).to_permutation()
     if args.cycles:
         return from_cycles(n, parse_cycles(args.cycles))
     if args.circuit:
@@ -254,13 +263,7 @@ def _load_hamiltonian(args) -> FermionOperator:
 
 def cmd_encode(args) -> int:
     h = _load_hamiltonian(args)
-    if args.mapping == "parity":
-        majoranas = parity_majoranas(args.modes)
-    elif args.matrix:
-        majoranas = linear_encoding_majoranas(LinearEncodingF2(_load_matrix(args)))
-    else:
-        majoranas = jw_majoranas(args.modes)
-    encoded = encode_fermion_operator(h, majoranas)
+    encoded = encode_fermion_operator(h, linear_encoding_majoranas(_linear_encoding(args)))
     payload = {"n_qubits": encoded.n_qubits, "terms": encoded, "stats": _sum_stats(encoded)}
     _emit(payload, args.output)
     return EXIT_OK
@@ -495,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--hamiltonian", required=True, metavar="FILE")
     red.add_argument("--hermitize", action="store_true")
     red.add_argument("--tolerance", type=_positive_float, help="oracle comparison tolerance")
-    red.add_argument("--dense-cap", type=int, help="override the dense-matrix qubit cap")
+    red.add_argument(
+        "--dense-cap", type=_positive_int, help="override the dense-matrix qubit cap"
+    )
     red.add_argument("--output", metavar="FILE")
     _add_perm_selector(red)
     red.set_defaults(func=cmd_reduce)

@@ -198,39 +198,18 @@ def encode_state(enc: LinearEncodingF2, state: FockState) -> FockState:
     """Apply the encoding matrix to an occupancy vector over GF(2)."""
     if enc.n_modes != state.n_modes:
         raise DimensionError("encoding and state have different mode counts")
-    vec = f2.mask_to_vec(state.occupancy, state.n_modes)
-    return FockState(state.n_modes, f2.vec_to_mask(f2.matvec(enc.matrix, vec)))
+    columns = f2.rows_to_masks(enc.matrix.T)
+    return FockState(state.n_modes, f2._xor_columns(columns, state.occupancy))
 
 
 def gl_to_cnot_circuit(enc: LinearEncodingF2) -> GateCircuit:
     """Synthesize a CNOT circuit whose basis action maps |x> to |Mx>.
 
-    Gaussian elimination, column-major: clear below the diagonal, then above
-    it.  Each row operation row_t += row_c is a CNOT with control c+1 and
-    target t+1; the recorded operations, reversed, reproduce M.
+    The row additions row_t += row_c of ``f2._row_ops``, which reduce M to
+    the identity, reversed: each is a CNOT with control c+1 and target t+1.
     """
-    n = enc.n_modes
-    work = enc.matrix.astype(np.uint8).copy()
-    ops: list[tuple[int, int]] = []  # (control row, target row), 0-based
-
-    def add_row(src: int, dst: int) -> None:
-        work[dst] ^= work[src]
-        ops.append((src, dst))
-
-    for col in range(n):
-        if work[col, col] == 0:
-            below = [r for r in range(col + 1, n) if work[r, col]]
-            add_row(below[0], col)
-        for r in range(col + 1, n):
-            if work[r, col]:
-                add_row(col, r)
-    for col in range(n - 1, 0, -1):
-        for r in range(col - 1, -1, -1):
-            if work[r, col]:
-                add_row(col, r)
-
-    circuit = GateCircuit(n)
-    for src, dst in reversed(ops):
+    circuit = GateCircuit(enc.n_modes)
+    for src, dst in reversed(f2._row_ops(enc.matrix)):
         circuit.cnot(src + 1, dst + 1)
     return circuit
 

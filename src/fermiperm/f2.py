@@ -1,16 +1,18 @@
-"""Dense linear algebra over GF(2).
+"""Linear algebra over GF(2).
 
 Matrices are small numpy arrays with 0/1 entries (dtype uint8), rows indexed
 by output coordinate and columns by input coordinate; index 0 corresponds to
 qubit/mode 1.  Bit-mask helpers use the register convention shared by the
 whole package: qubit 1 is the most significant bit of a state integer.
+
+Two kernels serve the package: ``_xor_columns``, the product M v, and
+``_row_ops``, the one Gaussian elimination.  Its row additions decide
+invertibility, replay to M^-1 and, reversed, are the CNOTs of M.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import InvalidEncodingError
 
 
 def identity(n: int) -> np.ndarray:
@@ -20,10 +22,6 @@ def identity(n: int) -> np.ndarray:
 def parity_matrix(n: int) -> np.ndarray:
     """Lower-triangular all-ones matrix: output j is the prefix XOR of inputs 1..j."""
     return np.tril(np.ones((n, n), dtype=np.uint8))
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (m.astype(np.uint16) @ v.astype(np.uint16) % 2).astype(np.uint8)
 
 
 def _xor_columns(columns, v):
@@ -39,34 +37,46 @@ def _xor_columns(columns, v):
     return out
 
 
-def rank(m: np.ndarray) -> int:
-    return _rank_masks(rows_to_masks(m))
+def _row_ops(m: np.ndarray) -> list[tuple[int, int]] | None:
+    """The row additions that reduce the square matrix M to the identity, or
+    None when M is singular.
+
+    Column by column: when the diagonal entry is 0, the first row below with
+    a 1 in the column is added to it, then the pivot row clears the column
+    below; last, from the last column back, each pivot row clears its column
+    above.  Each addition row[dst] ^= row[src] is a ``(src, dst)`` pair,
+    0-based, in the order made.  Replayed on the rows of the identity they
+    give M^-1; reversed, they are CNOTs whose basis action is x -> Mx.
+    """
+    rows = rows_to_masks(m)
+    n = len(rows)
+    ops: list[tuple[int, int]] = []
+
+    def add_row(src: int, dst: int) -> None:
+        rows[dst] ^= rows[src]
+        ops.append((src, dst))
+
+    for col in range(n):
+        bit = 1 << (n - 1 - col)
+        if not rows[col] & bit:
+            below = [r for r in range(col + 1, n) if rows[r] & bit]
+            if not below:
+                return None
+            add_row(below[0], col)
+        for r in range(col + 1, n):
+            if rows[r] & bit:
+                add_row(col, r)
+    for col in range(n - 1, 0, -1):
+        bit = 1 << (n - 1 - col)
+        for r in range(col - 1, -1, -1):
+            if rows[r] & bit:
+                add_row(col, r)
+    return ops
 
 
 def is_invertible(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and rank(m) == m.shape[0]
-
-
-def inverse(m: np.ndarray) -> np.ndarray:
-    """Invert over GF(2) by Gauss-Jordan elimination; raises if singular."""
-    m = np.array(m, dtype=np.uint8) % 2
-    n = m.shape[0]
-    aug = np.concatenate([m, identity(n)], axis=1)
-    row = 0
-    for col in range(n):
-        pivots = np.nonzero(aug[row:, col])[0]
-        if pivots.size == 0:
-            raise InvalidEncodingError("matrix is singular over GF(2)")
-        p = row + pivots[0]
-        if p != row:
-            aug[[row, p]] = aug[[p, row]]
-        others = np.nonzero(aug[:, col])[0]
-        for r in others:
-            if r != row:
-                aug[r] ^= aug[row]
-        row += 1
-    return aug[:, n:].copy()
+    return m.shape[0] == m.shape[1] and _row_ops(m) is not None
 
 
 def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,18 +109,3 @@ def mask_to_vec(mask: int, n: int) -> np.ndarray:
 def vec_to_mask(v: np.ndarray) -> int:
     n = len(v)
     return int(sum(int(v[i]) << (n - 1 - i) for i in range(n)))
-
-
-def _rank_masks(masks) -> int:
-    pivots: dict[int, int] = {}
-    r = 0
-    for row in masks:
-        while row:
-            h = row.bit_length() - 1
-            if h in pivots:
-                row ^= pivots[h]
-            else:
-                pivots[h] = row
-                r += 1
-                break
-    return r

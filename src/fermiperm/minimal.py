@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -149,10 +149,6 @@ class RedundancyReport:
 
     fixed: tuple[tuple[int, int], ...]  # (qubit index 1-based, fixed bit value)
     surviving: tuple[int, ...]
-
-    @property
-    def fixed_qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.fixed)
 
 
 def redundant_qubits(p: BasisPermutation, spec: SectorSpec) -> RedundancyReport:

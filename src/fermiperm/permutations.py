@@ -320,9 +320,15 @@ class AffineMapF2:
 
     @cached_property
     def _inverse_masks(self) -> tuple[tuple[int, ...], int]:
-        """Row masks of M^-1, and the mask of M^-1 b."""
-        minv = f2.inverse(self.matrix)
-        return tuple(f2.rows_to_masks(minv)), f2.vec_to_mask(f2.matvec(minv, self.offset))
+        """Row masks of M^-1, and the mask of M^-1 b: the row additions that
+        reduce M to the identity, replayed on the identity's rows and on b."""
+        n = self.n_qubits
+        rows = [1 << (n - 1 - i) for i in range(n)]
+        b = [int(v) for v in self.offset]
+        for src, dst in f2._row_ops(self.matrix):
+            rows[dst] ^= rows[src]
+            b[dst] ^= b[src]
+        return tuple(rows), f2.vec_to_mask(b)
 
     def to_permutation(self) -> BasisPermutation:
         _check_permutation_cap(self.n_qubits)

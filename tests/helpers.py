@@ -6,6 +6,7 @@ from fermiperm import (
     BasisPermutation,
     DimensionError,
     GateCircuit,
+    InvalidEncodingError,
     PauliString,
     PauliSum,
     RedundancyReport,
@@ -15,6 +16,7 @@ from fermiperm import (
     rank_weightk,
     unrank_weightk,
 )
+from fermiperm import f2
 from fermiperm.encodings import _coerce_majorana, encode_ladder
 from fermiperm.pauli import (
     DENSE_CAP,
@@ -361,3 +363,81 @@ def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP) -> R
 
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, spectrum_dev, passed, tol)
+
+
+# GF(2) references: three eliminations independent of ``f2._row_ops``, and
+# the matrix-vector product behind ``f2._xor_columns``.
+
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (m.astype(np.uint16) @ v.astype(np.uint16) % 2).astype(np.uint8)
+
+
+def rank_masks(masks) -> int:
+    """GF(2) rank of the row masks, by elimination on the highest set bit."""
+    pivots: dict[int, int] = {}
+    r = 0
+    for row in masks:
+        while row:
+            h = row.bit_length() - 1
+            if h in pivots:
+                row ^= pivots[h]
+            else:
+                pivots[h] = row
+                r += 1
+                break
+    return r
+
+
+def gauss_jordan_inverse(m: np.ndarray) -> np.ndarray:
+    """Invert over GF(2) by Gauss-Jordan elimination; raises if singular."""
+    m = np.array(m, dtype=np.uint8) % 2
+    n = m.shape[0]
+    aug = np.concatenate([m, f2.identity(n)], axis=1)
+    row = 0
+    for col in range(n):
+        pivots = np.nonzero(aug[row:, col])[0]
+        if pivots.size == 0:
+            raise InvalidEncodingError("matrix is singular over GF(2)")
+        p = row + pivots[0]
+        if p != row:
+            aug[[row, p]] = aug[[p, row]]
+        others = np.nonzero(aug[:, col])[0]
+        for r in others:
+            if r != row:
+                aug[r] ^= aug[row]
+        row += 1
+    return aug[:, n:].copy()
+
+
+def gl_to_cnot_circuit_loop(m: np.ndarray) -> GateCircuit:
+    """Reference for ``gl_to_cnot_circuit``: the elimination on uint8 rows.
+
+    Gaussian elimination, column-major: clear below the diagonal, then above
+    it.  Each row operation row_t += row_c is a CNOT with control c+1 and
+    target t+1; the recorded operations, reversed, reproduce M.
+    """
+    n = m.shape[0]
+    work = m.astype(np.uint8).copy()
+    ops: list[tuple[int, int]] = []  # (control row, target row), 0-based
+
+    def add_row(src: int, dst: int) -> None:
+        work[dst] ^= work[src]
+        ops.append((src, dst))
+
+    for col in range(n):
+        if work[col, col] == 0:
+            below = [r for r in range(col + 1, n) if work[r, col]]
+            add_row(below[0], col)
+        for r in range(col + 1, n):
+            if work[r, col]:
+                add_row(col, r)
+    for col in range(n - 1, 0, -1):
+        for r in range(col - 1, -1, -1):
+            if work[r, col]:
+                add_row(col, r)
+
+    circuit = GateCircuit(n)
+    for src, dst in reversed(ops):
+        circuit.cnot(src + 1, dst + 1)
+    return circuit

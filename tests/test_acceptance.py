@@ -13,7 +13,6 @@ import numpy as np
 from fermiperm import (
     AffineMapF2,
     BasisPermutation,
-    FermionOperator,
     PauliString,
     PauliSum,
     SectorSpec,

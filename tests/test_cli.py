@@ -295,6 +295,12 @@ def test_verify_anticommutation_parity(capsys):
     assert "parity: 36 checks pass" in out
 
 
+def test_verify_anticommutation_jw(capsys):
+    code, out, _ = run(capsys, "verify", "anticommutation", "--modes", "4", "--mapping", "jw")
+    assert code == 0
+    assert out == "jw: 36 checks pass\n"
+
+
 def test_verify_anticommutation_random_minimal(capsys):
     code, out, _ = run(
         capsys, "verify", "anticommutation", "--modes", "3",
@@ -405,18 +411,29 @@ _COUNTS_BELOW_ONE = [
         [*_MODES_COMMANDS[name], "--modes", "3", "--trials", "0"], "--trials", id=f"{name}-trials0"
     )
     for name in ("anticommutation", "oracle")
+] + [
+    pytest.param(
+        [*_MODES_COMMANDS["reduce"], "--modes", "4", "--dense-cap", cap, "--output", "OUT"],
+        "--dense-cap",
+        id=f"reduce-dense-cap{cap}",
+    )
+    for cap in ("0", "-3")
 ]
 
 
 @pytest.mark.parametrize("argv, option", _COUNTS_BELOW_ONE)
-def test_counts_below_one_are_usage_errors(hop_file, capsys, argv, option):
-    """--modes and --trials take positive integers: anything else is an
-    argparse error (exit 2), not a traceback or a vacuous pass."""
-    code, out, err = run(capsys, *(hop_file if arg == "HAM" else arg for arg in argv))
+def test_counts_below_one_are_usage_errors(hop_file, tmp_path, capsys, argv, option):
+    """--modes, --trials and --dense-cap take positive integers: anything
+    else is an argparse error (exit 2) that writes no file, not a traceback
+    or a vacuous pass."""
+    out_file = tmp_path / "out.json"
+    fill = {"HAM": hop_file, "OUT": str(out_file)}
+    code, out, err = run(capsys, *(fill.get(arg, arg) for arg in argv))
     assert code == 2
-    assert "error" in err and option in err
+    assert f"error: argument {option}" in err
     assert "Traceback" not in err
     assert out == ""
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("command", ["reduce", "oracle"])
@@ -434,6 +451,39 @@ def test_tolerance_must_be_finite_and_positive(hop_file, tmp_path, capsys, comma
     assert "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "out.json").exists()
+
+
+# The arguments of each command that takes a linear encoding ("HAM" stands for
+# the Hamiltonian file, "EYE" for a 6-mode identity matrix file) and the
+# selectors that must give the same bytes.
+_JW_SELECTORS = [["--mapping", "jw"], ["--matrix", "EYE"]]
+_LINEAR_SELECTOR_COMMANDS = {
+    "encode": (["encode", "--hermitize", "--hamiltonian", "HAM"], [*_JW_SELECTORS, []]),
+    "reduce": (["reduce", "--fermions", "3", "--hamiltonian", "HAM"], _JW_SELECTORS),
+    "perm": (["perm", "--fermions", "3", "--synthesize"], _JW_SELECTORS),
+}
+
+
+@pytest.mark.parametrize("command", list(_LINEAR_SELECTOR_COMMANDS))
+def test_mapping_jw_is_the_identity_matrix(tmp_path, capsys, command):
+    """``--mapping jw``, an identity ``--matrix`` file and, for ``encode``,
+    no selector at all write the same bytes."""
+    eye = tmp_path / "eye.txt"
+    eye.write_text("".join("0" * j + "1" + "0" * (5 - j) + "\n" for j in range(6)))
+    ham = tmp_path / "h.txt"
+    ham.write_text(DYADIC_HAMILTONIAN)
+    fill = {"HAM": str(ham), "EYE": str(eye)}
+    base, selectors = _LINEAR_SELECTOR_COMMANDS[command]
+    outs = []
+    for k, selector in enumerate(selectors):
+        out_file = tmp_path / f"out{k}"
+        argv = [*base, "--modes", "6", *selector, "--output", str(out_file)]
+        code, _, err = run(capsys, *(fill.get(arg, arg) for arg in argv))
+        assert (code, err) == (0, "")
+        outs.append(out_file.read_bytes())
+    assert outs[1:] == outs[:-1]
+    if command == "reduce":
+        assert json.loads(outs[0])["verify"]["passed"]
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -29,7 +29,7 @@ from fermiperm import (
 )
 from fermiperm import SectorSpec, f2
 from fermiperm.cli import random_minimal_majoranas
-from helpers import encode_fermion_operator_loop, kron_dense
+from helpers import encode_fermion_operator_loop, kron_dense, matvec
 
 
 def test_jw_majorana_forms():
@@ -171,7 +171,7 @@ def test_gl_to_cnot_matches_matrix_action(n):
         p = permutation_from_circuit(gl_to_cnot_circuit(enc))
         for state in range(1 << n):
             vec = f2.mask_to_vec(state, n)
-            assert p.apply(state) == f2.vec_to_mask(f2.matvec(m, vec))
+            assert p.apply(state) == f2.vec_to_mask(matvec(m, vec))
 
 
 def test_linear_map_table_matches_circuit_table():
@@ -188,7 +188,7 @@ def test_gl_to_cnot_at_the_dense_cap():
     rng = np.random.default_rng(200)
     m = f2.random_invertible(12, rng)
     p = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2(m)))
-    cols = [f2.vec_to_mask(f2.matvec(m, f2.mask_to_vec(1 << (11 - i), 12))) for i in range(12)]
+    cols = [f2.vec_to_mask(matvec(m, f2.mask_to_vec(1 << (11 - i), 12))) for i in range(12)]
     for state in range(1 << 12):
         expect = 0
         for i in range(12):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fermiperm import (
@@ -14,6 +14,7 @@ from fermiperm import (
     FermionOperator,
     FermionTerm,
     GateCircuit,
+    LinearEncodingF2,
     PauliString,
     PauliSum,
     ResourceError,
@@ -24,6 +25,7 @@ from fermiperm import (
     conjugate_pauli_dense,
     encode_fermion_operator,
     from_cycles,
+    gl_to_cnot_circuit,
     jw_majorana,
     jw_majoranas,
     minimal_permutation_index_embed,
@@ -38,10 +40,13 @@ from helpers import (
     array_sum,
     conjugate_pauli_dense_loop,
     conjugate_pauli_matrix,
+    gauss_jordan_inverse,
+    gl_to_cnot_circuit_loop,
+    matvec,
     permutation_matrix,
     random_pauli_letters,
     random_pauli_sum,
-    three_cnot_circuit,
+    rank_masks,
     three_cnot_permutation,
 )
 
@@ -194,19 +199,73 @@ def test_classify_toffoli_not_affine():
 
 def test_xor_columns_matches_matvec():
     """The GF(2) column kernel on Python ints of any width and, elementwise,
-    on uint64 arrays up to the full 64 bits, against ``f2.matvec``."""
+    on uint64 arrays up to the full 64 bits, against ``matvec``."""
     rng = np.random.default_rng(21)
     for n in (1, 5, 16, 64, 70):
         m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         columns = f2.rows_to_masks(m.T)
         vectors = [0, (1 << n) - 1]
         vectors += [f2.vec_to_mask(rng.integers(0, 2, n)) for _ in range(20)]
-        expected = [f2.vec_to_mask(f2.matvec(m, f2.mask_to_vec(v, n))) for v in vectors]
+        expected = [f2.vec_to_mask(matvec(m, f2.mask_to_vec(v, n))) for v in vectors]
         assert [f2._xor_columns(columns, v) for v in vectors] == expected
         if n <= 64:
             got = f2._xor_columns(columns, np.array(vectors, dtype=np.uint64))
             assert got.dtype == np.uint64
             assert got.tolist() == expected
+
+
+@st.composite
+def f2_square_matrices(draw):
+    """A 0/1 square matrix, n = 1..16, 64 or 70, and an offset.  Half are
+    uniform, so singular ones come up; half are invertible by construction:
+    unit lower times unit upper triangular, rows permuted."""
+    n = draw(st.sampled_from([*range(1, 17), 64, 70]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+    if draw(st.booleans()):
+        eye = np.eye(n, dtype=np.int64)
+        lower = np.tril(m, -1) + eye
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1) + eye
+        m = (lower @ upper % 2)[rng.permutation(n)].astype(np.uint8)
+    return m, rng.integers(0, 2, size=n, dtype=np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_square_matrices())
+@example((np.zeros((3, 3), dtype=np.uint8), np.ones(3, dtype=np.uint8)))
+@example((f2.identity(70), np.ones(70, dtype=np.uint8)))
+@example((f2.parity_matrix(70), np.arange(70, dtype=np.uint8) % 2))
+def test_row_ops_match_the_reference_eliminations(case):
+    """``f2._row_ops`` is the one elimination: invertibility against the
+    rank by highest bit, the replayed inverse against Gauss-Jordan (and
+    M^-1 M = I), the CNOT netlist against the elimination on uint8 rows."""
+    m, b = case
+    n = m.shape[0]
+    invertible = f2.is_invertible(m)
+    assert invertible == (rank_masks(f2.rows_to_masks(m)) == n)
+    if not invertible:
+        assert f2._row_ops(m) is None
+        return
+    minv = gauss_jordan_inverse(m)
+    rows, minv_b = AffineMapF2(m, b)._inverse_masks
+    assert (rows, minv_b) == (tuple(f2.rows_to_masks(minv)), f2.vec_to_mask(matvec(minv, b)))
+    assert np.array_equal(f2.masks_to_matrix(rows, n).astype(np.int64) @ m % 2, np.eye(n))
+    circuit = gl_to_cnot_circuit(LinearEncodingF2(m))
+    assert circuit.to_text() == gl_to_cnot_circuit_loop(m).to_text()
+
+
+@pytest.mark.parametrize(
+    "matrix, offset, message",
+    [
+        ([[1, 1], [1, 1]], [0, 1], "invertible"),
+        ([[1, 0, 0], [0, 1, 0]], [0, 0], "square"),
+        ([[1, 0], [1, 1]], [0, 1, 1], "matching vector"),
+    ],
+    ids=["singular", "not-square", "offset-length"],
+)
+def test_affine_map_rejects_bad_input(matrix, offset, message):
+    with pytest.raises(ValueError, match=message):
+        AffineMapF2(np.array(matrix), np.array(offset))
 
 
 def test_classify_round_trips_random_affine():
