@@ -263,7 +263,15 @@ def _load_hamiltonian(args) -> FermionOperator:
 
 def cmd_encode(args) -> int:
     h = _load_hamiltonian(args)
-    encoded = encode_fermion_operator(h, linear_encoding_majoranas(_linear_encoding(args)))
+    # A named mapping takes its closed-form Majoranas: the same strings as
+    # its matrix gives, without the O(N^2) elimination that checks a matrix.
+    if args.matrix:
+        majoranas = linear_encoding_majoranas(_linear_encoding(args))
+    elif args.mapping == "parity":
+        majoranas = parity_majoranas(args.modes)
+    else:
+        majoranas = jw_majoranas(args.modes)
+    encoded = encode_fermion_operator(h, majoranas)
     payload = {"n_qubits": encoded.n_qubits, "terms": encoded, "stats": _sum_stats(encoded)}
     _emit(payload, args.output)
     return EXIT_OK

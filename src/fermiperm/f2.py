@@ -51,26 +51,24 @@ def _row_ops(m: np.ndarray) -> list[tuple[int, int]] | None:
     rows = rows_to_masks(m)
     n = len(rows)
     ops: list[tuple[int, int]] = []
-
-    def add_row(src: int, dst: int) -> None:
-        rows[dst] ^= rows[src]
-        ops.append((src, dst))
-
     for col in range(n):
         bit = 1 << (n - 1 - col)
         if not rows[col] & bit:
-            below = [r for r in range(col + 1, n) if rows[r] & bit]
-            if not below:
+            src = next((r for r in range(col + 1, n) if rows[r] & bit), None)
+            if src is None:
                 return None
-            add_row(below[0], col)
+            rows[col] ^= rows[src]
+            ops.append((src, col))
         for r in range(col + 1, n):
             if rows[r] & bit:
-                add_row(col, r)
+                rows[r] ^= rows[col]
+                ops.append((col, r))
     for col in range(n - 1, 0, -1):
         bit = 1 << (n - 1 - col)
         for r in range(col - 1, -1, -1):
             if rows[r] & bit:
-                add_row(col, r)
+                rows[r] ^= rows[col]
+                ops.append((col, r))
     return ops
 
 
@@ -88,10 +86,11 @@ def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def rows_to_masks(m: np.ndarray) -> list[int]:
-    """Row bit masks with column 0 as the most significant bit."""
+    """Row bit masks of a 0/1 matrix with column 0 as the most significant
+    bit: each row packed to bytes in C, then read as one big-endian int."""
     m = np.asarray(m)
-    n = m.shape[1]
-    return [int(sum(int(row[i]) << (n - 1 - i) for i in range(n))) for row in m]
+    pad = -m.shape[1] % 8
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in np.packbits(m, axis=1)]
 
 
 def masks_to_matrix(masks, n: int) -> np.ndarray:

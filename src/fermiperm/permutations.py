@@ -289,12 +289,22 @@ class AffineMapF2:
         b = np.ascontiguousarray(self.offset, dtype=np.uint8) % 2
         if m.ndim != 2 or m.shape[0] != m.shape[1] or b.shape != (m.shape[0],):
             raise ValueError("matrix must be square and offset a matching vector")
-        if not f2.is_invertible(m):
+        ops = f2._row_ops(m)
+        if ops is None:
             raise ValueError("affine map matrix must be invertible over GF(2)")
         m.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", b)
+        # Row masks of M^-1 and the mask of M^-1 b: the row additions that
+        # reduce M to the identity, replayed on the identity's rows and on b.
+        n = m.shape[0]
+        rows = [1 << (n - 1 - i) for i in range(n)]
+        bits = b.tolist()
+        for src, dst in ops:
+            rows[dst] ^= rows[src]
+            bits[dst] ^= bits[src]
+        object.__setattr__(self, "_inverse_masks", (tuple(rows), f2.vec_to_mask(bits)))
 
     @property
     def n_qubits(self) -> int:
@@ -317,18 +327,6 @@ class AffineMapF2:
     @cached_property
     def _offset_mask(self) -> int:
         return f2.vec_to_mask(self.offset)
-
-    @cached_property
-    def _inverse_masks(self) -> tuple[tuple[int, ...], int]:
-        """Row masks of M^-1, and the mask of M^-1 b: the row additions that
-        reduce M to the identity, replayed on the identity's rows and on b."""
-        n = self.n_qubits
-        rows = [1 << (n - 1 - i) for i in range(n)]
-        b = [int(v) for v in self.offset]
-        for src, dst in f2._row_ops(self.matrix):
-            rows[dst] ^= rows[src]
-            b[dst] ^= b[src]
-        return tuple(rows), f2.vec_to_mask(b)
 
     def to_permutation(self) -> BasisPermutation:
         _check_permutation_cap(self.n_qubits)

@@ -23,6 +23,7 @@ from fermiperm import (
     minimal_permutation_index_embed,
     random_one_body,
 )
+from fermiperm import f2
 from fermiperm.cli import _CHUNK_TERMS, _json_chunks, main
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop
@@ -484,6 +485,27 @@ def test_mapping_jw_is_the_identity_matrix(tmp_path, capsys, command):
     assert outs[1:] == outs[:-1]
     if command == "reduce":
         assert json.loads(outs[0])["verify"]["passed"]
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_encode_named_mapping_runs_no_elimination(tmp_path, capsys, monkeypatch, mapping):
+    """``encode --mapping jw|parity`` writes the bytes of its ``--matrix``
+    file with the closed-form Majoranas: no N x N matrix is eliminated."""
+    n = 40
+    matrix = f2.parity_matrix(n) if mapping == "parity" else f2.identity(n)
+    mat = tmp_path / "m.txt"
+    mat.write_text("".join("".join(map(str, row)) + "\n" for row in matrix))
+    ham = tmp_path / "h.txt"
+    ham.write_text(f"1 {n} 0.5 0.25\n{n} 1 0.5 -0.25\n3 7 12 20 1 0\n")
+    base = ["encode", "--modes", str(n), "--hamiltonian", str(ham)]
+    code, expected, err = run(capsys, *base, "--matrix", str(mat))
+    assert (code, err) == (0, "")
+
+    def no_elimination(m):
+        raise AssertionError("a named mapping eliminated a matrix")
+
+    monkeypatch.setattr(f2, "_row_ops", no_elimination)
+    assert run(capsys, *base, "--mapping", mapping) == (0, expected, "")
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -214,6 +214,19 @@ def test_xor_columns_matches_matvec():
             assert got.tolist() == expected
 
 
+def test_rows_to_masks_matches_the_entrywise_sum():
+    """The packed-bytes row masks equal the sum of entry << (n - 1 - column)
+    for widths on and off a byte boundary, and for a transposed view."""
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 7, 8, 9, 16, 63, 64, 70, 130):
+        m = rng.integers(0, 2, size=(5, n), dtype=np.uint8)
+        expected = [sum(int(v) << (n - 1 - i) for i, v in enumerate(row)) for row in m]
+        assert f2.rows_to_masks(m) == expected
+        assert f2.rows_to_masks(m.astype(np.int64)) == expected
+        assert np.array_equal(f2.masks_to_matrix(expected, n), m)
+        assert f2.rows_to_masks(m.T) == f2.rows_to_masks(np.ascontiguousarray(m.T))
+
+
 @st.composite
 def f2_square_matrices(draw):
     """A 0/1 square matrix, n = 1..16, 64 or 70, and an offset.  Half are
