@@ -38,7 +38,6 @@ from .minimal import (
 )
 from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
-    AffineMapF2,
     BasisPermutation,
     GateCircuit,
     _check_permutation_cap,
@@ -132,12 +131,12 @@ def _linear_encoding(args) -> LinearEncodingF2:
     return LinearEncodingF2.jordan_wigner(args.modes)
 
 
-def _resolve_permutation(args) -> BasisPermutation:
+def _resolve_permutation(args) -> BasisPermutation | LinearEncodingF2:
+    """A linear encoding as its map, with no 2^N table; any other as its table."""
     n = args.modes
-    if args.mapping:
-        _check_permutation_cap(n)  # before the n x n matrix is built
     if args.matrix or args.mapping:
-        return AffineMapF2.linear(_linear_encoding(args).matrix).to_permutation()
+        _check_permutation_cap(n)  # before the n x n matrix is built or read
+        return _linear_encoding(args)
     if args.cycles:
         return from_cycles(n, parse_cycles(args.cycles))
     if args.circuit:
@@ -324,6 +323,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_perm(args) -> int:
     p = _resolve_permutation(args)
+    if isinstance(p, LinearEncodingF2):
+        p = p.to_permutation()  # its cycles and synthesis read the table
     lines = [f"cycles: {p.cycle_string()}"]
     affine = classify_affine(p)
     lines.append(f"affine: {'yes' if affine is not None else 'no'}")

@@ -20,12 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import f2
-from .errors import (
-    DimensionError,
-    HamiltonianParseError,
-    InvalidEncodingError,
-    NumberConservationError,
-)
+from .errors import DimensionError, HamiltonianParseError, NumberConservationError
 from .pauli import PRUNE_TOL, PauliString, PauliSum, _merge, _products
 from .permutations import AffineMapF2, GateCircuit, conjugate_pauli_affine
 
@@ -132,24 +127,16 @@ class FermionOperator:
                 )
 
 
-@dataclass(frozen=True)
-class LinearEncodingF2:
-    """An invertible GF(2) matrix M encoding occupancies as x = M n."""
+class LinearEncodingF2(AffineMapF2):
+    """An invertible GF(2) matrix M encoding occupancies as x = M n: the
+    affine map x -> Mx (+) b with b = 0, checked by its one elimination."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.uint8) % 2
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("encoding matrix must be square")
-        if not f2.is_invertible(m):
-            raise InvalidEncodingError("encoding matrix is singular over GF(2)")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(matrix, np.zeros(np.shape(matrix)[:1], dtype=np.uint8))
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0]
+        return self.n_qubits
 
     @classmethod
     def jordan_wigner(cls, n_modes: int) -> "LinearEncodingF2":
@@ -194,22 +181,23 @@ def parity_majoranas(n_modes: int) -> list[tuple[PauliString, PauliString]]:
     ]
 
 
-def encode_state(enc: LinearEncodingF2, state: FockState) -> FockState:
+def encode_state(enc: AffineMapF2, state: FockState) -> FockState:
     """Apply the encoding matrix to an occupancy vector over GF(2)."""
-    if enc.n_modes != state.n_modes:
+    if enc.n_qubits != state.n_modes:
         raise DimensionError("encoding and state have different mode counts")
-    columns = f2.rows_to_masks(enc.matrix.T)
-    return FockState(state.n_modes, f2._xor_columns(columns, state.occupancy))
+    return FockState(state.n_modes, f2._xor_columns(enc._column_masks, state.occupancy))
 
 
-def gl_to_cnot_circuit(enc: LinearEncodingF2) -> GateCircuit:
-    """Synthesize a CNOT circuit whose basis action maps |x> to |Mx>.
+def gl_to_cnot_circuit(enc: AffineMapF2) -> GateCircuit:
+    """Synthesize a CNOT circuit whose basis action maps |x> to |Mx>, for
+    the linear part M of the map (its offset is not read).
 
     The row additions row_t += row_c of ``f2._row_ops``, which reduce M to
     the identity, reversed: each is a CNOT with control c+1 and target t+1.
     """
-    circuit = GateCircuit(enc.n_modes)
-    for src, dst in reversed(f2._row_ops(enc.matrix)):
+    circuit = GateCircuit(enc.n_qubits)
+    ops = f2._row_ops(enc.matrix)
+    for src, dst in zip(ops[-2::-2], ops[::-2]):
         circuit.cnot(src + 1, dst + 1)
     return circuit
 
@@ -264,16 +252,11 @@ def encode_fermion_operator(
     return PauliSum(n_qubits, total)
 
 
-def linear_encoding_majoranas(enc: LinearEncodingF2) -> list[tuple[PauliString, PauliString]]:
-    """Majoranas of a linear encoding: the Jordan-Wigner Majoranas conjugated
-    in closed form by the basis permutation |n> -> |Mn>, straight from M.
-    No 2^N table is built, so any number of modes works."""
-    return _affine_majoranas(AffineMapF2.linear(enc.matrix))
-
-
-def _affine_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliString]]:
-    """The Jordan-Wigner Majoranas conjugated in closed form by the basis
-    permutation |x> -> |Mx (+) b>, one signed Pauli string each."""
+def linear_encoding_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliString]]:
+    """Majoranas of the encoding |x> -> |Mx (+) b>: the Jordan-Wigner
+    Majoranas conjugated in closed form by that basis permutation, one
+    signed Pauli string each, straight from M and b.  No 2^N table is
+    built, so any number of modes works."""
     return [
         (conjugate_pauli_affine(a, g), conjugate_pauli_affine(a, gp))
         for g, gp in jw_majoranas(a.n_qubits)

@@ -12,6 +12,8 @@ invertibility, replay to M^-1 and, reversed, are the CNOTs of M.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 
@@ -37,20 +39,22 @@ def _xor_columns(columns, v):
     return out
 
 
-def _row_ops(m: np.ndarray) -> list[tuple[int, int]] | None:
+def _row_ops(m: np.ndarray) -> array | None:
     """The row additions that reduce the square matrix M to the identity, or
     None when M is singular.
 
     Column by column: when the diagonal entry is 0, the first row below with
     a 1 in the column is added to it, then the pivot row clears the column
     below; last, from the last column back, each pivot row clears its column
-    above.  Each addition row[dst] ^= row[src] is a ``(src, dst)`` pair,
-    0-based, in the order made.  Replayed on the rows of the identity they
-    give M^-1; reversed, they are CNOTs whose basis action is x -> Mx.
+    above.  Each addition row[dst] ^= row[src] is a 0-based (src, dst) pair,
+    in the order made, flat in one ``array("i")``: ``ops[0::2]`` are the
+    sources and ``ops[1::2]`` the targets, 8 bytes an addition.  Replayed on
+    the rows of the identity they give M^-1; reversed, they are CNOTs whose
+    basis action is x -> Mx.
     """
     rows = rows_to_masks(m)
     n = len(rows)
-    ops: list[tuple[int, int]] = []
+    ops = array("i")
     for col in range(n):
         bit = 1 << (n - 1 - col)
         if not rows[col] & bit:
@@ -58,17 +62,17 @@ def _row_ops(m: np.ndarray) -> list[tuple[int, int]] | None:
             if src is None:
                 return None
             rows[col] ^= rows[src]
-            ops.append((src, col))
+            ops.extend((src, col))
         for r in range(col + 1, n):
             if rows[r] & bit:
                 rows[r] ^= rows[col]
-                ops.append((col, r))
+                ops.extend((col, r))
     for col in range(n - 1, 0, -1):
         bit = 1 << (n - 1 - col)
         for r in range(col - 1, -1, -1):
             if rows[r] & bit:
                 rows[r] ^= rows[col]
-                ops.append((col, r))
+                ops.extend((col, r))
     return ops
 
 

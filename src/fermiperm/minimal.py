@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import f2
-from .encodings import LinearEncodingF2, gl_to_cnot_circuit
+from .encodings import gl_to_cnot_circuit
 from .errors import DimensionError, ResourceError
 from .permutations import (
     AffineMapF2,
@@ -232,7 +232,7 @@ def _report(circuit: GateCircuit, transpositions: int) -> SynthesisReport:
 
 
 def _affine_netlist(a: AffineMapF2) -> GateCircuit:
-    circuit = gl_to_cnot_circuit(LinearEncodingF2(a.matrix))
+    circuit = gl_to_cnot_circuit(a)
     for q in range(1, a.n_qubits + 1):
         if a.offset[q - 1]:
             circuit.x(q)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import f2
-from .errors import DimensionError, ResourceError
+from .errors import DimensionError, InvalidEncodingError, ResourceError
 from .pauli import (
     _I_POWERS,
     DENSE_CAP,
@@ -279,7 +279,8 @@ def permutation_from_circuit(circuit: GateCircuit) -> BasisPermutation:
 
 @dataclass(frozen=True)
 class AffineMapF2:
-    """The invertible affine map x -> Mx (+) b over GF(2)."""
+    """The invertible affine map x -> Mx (+) b over GF(2).  A linear
+    encoding is the map with b = 0 (``encodings.LinearEncodingF2``)."""
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -291,7 +292,7 @@ class AffineMapF2:
             raise ValueError("matrix must be square and offset a matching vector")
         ops = f2._row_ops(m)
         if ops is None:
-            raise ValueError("affine map matrix must be invertible over GF(2)")
+            raise InvalidEncodingError("encoding matrix is singular over GF(2), not invertible")
         m.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -301,7 +302,7 @@ class AffineMapF2:
         n = m.shape[0]
         rows = [1 << (n - 1 - i) for i in range(n)]
         bits = b.tolist()
-        for src, dst in ops:
+        for src, dst in zip(ops[0::2], ops[1::2]):
             rows[dst] ^= rows[src]
             bits[dst] ^= bits[src]
         object.__setattr__(self, "_inverse_masks", (tuple(rows), f2.vec_to_mask(bits)))
@@ -309,15 +310,6 @@ class AffineMapF2:
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "AffineMapF2":
-        return cls(f2.identity(n_qubits), np.zeros(n_qubits, dtype=np.uint8))
-
-    @classmethod
-    def linear(cls, matrix: np.ndarray) -> "AffineMapF2":
-        matrix = np.asarray(matrix, dtype=np.uint8)
-        return cls(matrix, np.zeros(matrix.shape[0], dtype=np.uint8))
 
     # Conjugation tables, computed once per instance: the matrix is read-only.
     @cached_property
@@ -346,6 +338,8 @@ def classify_affine(p: BasisPermutation) -> Optional[AffineMapF2]:
 
     Candidate: b = p(0) and column i = p(e_i) (+) b; the candidate is then
     verified against every one of the 2^n states, so the answer is exact.
+    Only a table needs this scan: ``encode_and_reduce`` takes a permutation
+    known as its map, an ``AffineMapF2``, as it is.
     """
     n = p.n_qubits
     b_mask = int(p.image[0])

@@ -3,11 +3,12 @@
 ``encode_and_reduce`` takes a number-conserving fermionic operator, finds
 the qubits whose value is constant across the sector images, and encodes
 the operator in the basis of the chosen permutation U: with U's conjugated
-Majoranas, one signed Pauli string each, when U is affine (a Clifford);
-otherwise with Jordan-Wigner, conjugated by the chunked dense path told by
-``drop_x`` to skip the terms with X or Y on a constant qubit.  It projects
-those qubits out and returns the reduced operator plus each sector rank's
-label, its basis index on the surviving qubits.
+Majoranas, one signed Pauli string each, when U is affine (a Clifford),
+given as its map or as a table that scans as one; otherwise with
+Jordan-Wigner, conjugated by the chunked dense path told by ``drop_x`` to
+skip the terms with X or Y on a constant qubit.  It projects those qubits
+out and returns the reduced operator plus each sector rank's label, its
+basis index on the surviving qubits.
 ``sector_oracle`` computes the same physics with no qubit encoding at all:
 one private kernel applies a chunk of terms' ladder strings to every
 sector state at once.  It is the ground truth that ``verify_reduction``
@@ -31,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import FermionOperator, _affine_majoranas, encode_fermion_operator, jw_majoranas
+from . import f2
+from .encodings import (
+    FermionOperator,
+    encode_fermion_operator,
+    jw_majoranas,
+    linear_encoding_majoranas,
+)
 from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, _redundancy_of_images
 from .pauli import (
@@ -42,7 +49,7 @@ from .pauli import (
     _check_dense_cap,
     parity_u64,
 )
-from .permutations import BasisPermutation, classify_affine, conjugate_pauli_dense
+from .permutations import AffineMapF2, BasisPermutation, classify_affine, conjugate_pauli_dense
 
 ORACLE_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
@@ -118,9 +125,16 @@ class ReducedHamiltonian:
 
 
 def encode_and_reduce(
-    h: FermionOperator, p: BasisPermutation, spec: SectorSpec, dense_cap: int = DENSE_CAP
+    h: FermionOperator,
+    p: BasisPermutation | AffineMapF2,
+    spec: SectorSpec,
+    dense_cap: int = DENSE_CAP,
 ) -> ReducedHamiltonian:
     """Full pipeline; raises if ``h`` is not number conserving.
+
+    ``p`` is U as a table, which ``classify_affine`` scans, or as its affine
+    map x -> Mx (+) b (a ``LinearEncodingF2`` has b = 0), which is its own
+    classification: no 2^N table is built or scanned.
 
     The sector images stay distinct on the surviving qubits, since a
     permutation's images are distinct and agree on every fixed qubit, so
@@ -140,12 +154,15 @@ def encode_and_reduce(
         raise InvalidEncodingError(
             "sector holds a single state; there is no operator left to reduce"
         )
-    images = p.image[np.array(spec.sector_states(), dtype=np.int64)]  # in rank order
+    states = np.array(spec.sector_states(), dtype=np.int64)  # in rank order
+    if isinstance(p, AffineMapF2):
+        affine, images = p, f2._xor_columns(p._column_masks, states) ^ p._offset_mask
+    else:
+        affine, images = classify_affine(p), p.image[states]
     report = _redundancy_of_images(images, n)
 
-    affine = classify_affine(p)
     if affine is not None:
-        reduced = encode_fermion_operator(h, _affine_majoranas(affine))
+        reduced = encode_fermion_operator(h, linear_encoding_majoranas(affine))
         _check_identity_on_fixed(reduced._arrays[0], n, report)
     else:
         encoded = encode_fermion_operator(h, jw_majoranas(n))

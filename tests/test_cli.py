@@ -23,7 +23,7 @@ from fermiperm import (
     minimal_permutation_index_embed,
     random_one_body,
 )
-from fermiperm import f2
+from fermiperm import f2, minimal, permutations, reduction
 from fermiperm.cli import _CHUNK_TERMS, _json_chunks, main
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop
@@ -506,6 +506,76 @@ def test_encode_named_mapping_runs_no_elimination(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(f2, "_row_ops", no_elimination)
     assert run(capsys, *base, "--mapping", mapping) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["encode"], ["reduce", "--fermions", "1"], ["perm", "--fermions", "1", "--synthesize"]],
+    ids=["encode", "reduce", "perm"],
+)
+def test_singular_matrix_is_a_usage_error(hop_file, tmp_path, capsys, command):
+    """A singular ``--matrix`` exits 2 with one error line naming it, and
+    writes no ``--output`` file."""
+    mat = tmp_path / "m.txt"
+    mat.write_text("110\n011\n101\n")  # row 3 is the sum of rows 1 and 2
+    out_file = tmp_path / "out"
+    argv = [*command, "--modes", "3", "--matrix", str(mat), "--output", str(out_file)]
+    if command[0] != "perm":
+        argv += ["--hamiltonian", hop_file]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "singular over GF(2)" in err
+    assert not out_file.exists()
+
+
+def test_reduce_mapping_parity_eliminates_once_and_scans_no_table(tmp_path, capsys, monkeypatch):
+    """``reduce --mapping parity`` hands its map to ``encode_and_reduce``:
+    one elimination, in the map's constructor, and no ``classify_affine``
+    scan of a 2^N table."""
+    ham = tmp_path / "h.txt"
+    ham.write_text(DYADIC_HAMILTONIAN)
+    calls = {"_row_ops": 0, "classify_affine": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(f2, "_row_ops")
+    for module in (cli, reduction, minimal, permutations):
+        counted(module, "classify_affine")
+    code, _, err = run(
+        capsys, "reduce", "--modes", "6", "--fermions", "3", "--hermitize",
+        "--hamiltonian", str(ham), "--mapping", "parity", "--output", str(tmp_path / "out"),
+    )
+    assert (code, err) == (0, "")
+    assert calls == {"_row_ops": 1, "classify_affine": 0}
+
+
+def test_reduce_cycles_of_the_parity_table_match_the_parity_map(tmp_path, capsys):
+    """The cycle string ``perm --mapping parity`` prints, reduced through
+    ``--cycles`` (a table that ``classify_affine`` scans), writes the bytes
+    of ``reduce --mapping parity`` (the map itself)."""
+    code, out, _ = run(capsys, "perm", "--modes", "6", "--mapping", "parity")
+    assert code == 0
+    (cycles,) = [line[len("cycles: "):] for line in out.splitlines() if line.startswith("cycles: ")]
+    ham = tmp_path / "h.txt"
+    ham.write_text(DYADIC_HAMILTONIAN)
+    outs = []
+    for selector in (["--cycles", cycles], ["--mapping", "parity"]):
+        out_file = tmp_path / f"out{len(outs)}"
+        code, _, err = run(
+            capsys, "reduce", "--modes", "6", "--fermions", "3", "--hermitize",
+            "--hamiltonian", str(ham), *selector, "--output", str(out_file),
+        )
+        assert (code, err) == (0, "")
+        outs.append(out_file.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_missing_file_is_usage_error(capsys):

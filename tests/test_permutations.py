@@ -14,6 +14,7 @@ from fermiperm import (
     FermionOperator,
     FermionTerm,
     GateCircuit,
+    InvalidEncodingError,
     LinearEncodingF2,
     PauliString,
     PauliSum,
@@ -281,6 +282,34 @@ def test_affine_map_rejects_bad_input(matrix, offset, message):
         AffineMapF2(np.array(matrix), np.array(offset))
 
 
+def test_linear_encoding_is_the_affine_map_with_zero_offset():
+    """One map type: a linear encoding is an ``AffineMapF2`` with b = 0,
+    equal to one built with a zero offset, and checked by its elimination
+    alone, with the encoding error for a singular M."""
+    assert not {"__post_init__", "__eq__"} & set(LinearEncodingF2.__dict__)
+    parity = LinearEncodingF2.parity(4)
+    assert isinstance(parity, AffineMapF2)
+    assert parity == AffineMapF2(f2.parity_matrix(4), np.zeros(4, dtype=np.uint8))
+    assert parity != LinearEncodingF2.jordan_wigner(4)
+    assert not parity.offset.any() and parity.n_modes == 4
+    with pytest.raises(InvalidEncodingError, match="singular over GF\\(2\\)"):
+        LinearEncodingF2(np.array([[1, 1], [1, 1]]))
+
+
+def test_row_ops_keep_eight_bytes_an_addition():
+    """The 79,800 additions of a 400-mode parity matrix are held as flat
+    32-bit pairs, about 0.6 MiB; a list of tuples holds 6.7 MB."""
+    m = f2.parity_matrix(400)
+    tracemalloc.start()
+    try:
+        ops = f2._row_ops(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ops) == 2 * 400 * 399 // 2
+    assert peak < 1 << 20
+
+
 def test_classify_round_trips_random_affine():
     rng = np.random.default_rng(5)
     for n in (2, 3, 5):
@@ -317,7 +346,7 @@ def test_classify_affine_iff_single_term_conjugation():
 
 def test_affine_conjugation_identity_map():
     p = PauliString.from_letters("XYZI", phase=1)
-    assert conjugate_pauli_affine(AffineMapF2.identity(4), p) == p
+    assert conjugate_pauli_affine(LinearEncodingF2.jordan_wigner(4), p) == p
 
 
 def test_affine_conjugation_golden_table():
@@ -512,11 +541,11 @@ def test_affine_equals_dense_exhaustive_small():
     rng = np.random.default_rng(19)
     for n in (2, 3):
         letters_all = ["".join(t) for t in itertools.product("IXYZ", repeat=n)]
-        maps = [AffineMapF2.identity(n)]
+        maps = [LinearEncodingF2.jordan_wigner(n)]
         for _ in range(3):
             m = f2.random_invertible(n, rng)
             b = rng.integers(0, 2, size=n, dtype=np.uint8)
-            maps.append(AffineMapF2.linear(m))
+            maps.append(LinearEncodingF2(m))
             maps.append(AffineMapF2(f2.identity(n), b))
             maps.append(AffineMapF2(m, b))
         for a in maps:

@@ -28,6 +28,7 @@ from fermiperm import (
     encode_fermion_operator,
     gl_to_cnot_circuit,
     jw_majoranas,
+    linear_encoding_majoranas,
     minimal_permutation_index_embed,
     permutation_from_circuit,
     project_fixed_qubit,
@@ -37,7 +38,6 @@ from fermiperm import (
     verify_reduction,
 )
 from fermiperm import f2, reduction
-from fermiperm.encodings import _affine_majoranas
 from fermiperm.pauli import PRUNE_TOL
 from fermiperm.reduction import _hermitize_lower
 from helpers import (
@@ -602,11 +602,36 @@ def test_affine_majoranas_encode_the_conjugated_sum(case):
     p = affine.to_permutation()
     encoded = encode_fermion_operator(h, jw_majoranas(spec.n_modes))
     assert same_terms(
-        encode_fermion_operator(h, _affine_majoranas(affine)),
+        encode_fermion_operator(h, linear_encoding_majoranas(affine)),
         conjugate_affine_loop(affine, encoded),
     )
     rh = encode_and_reduce(h, p, spec)
     assert same_terms(rh.pauli_sum, reduce_by_public_calls_and_loops(h, p, rh.report))
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_reduction_cases())
+@example((random_one_body(6, np.random.default_rng(4)), LinearEncodingF2.parity(6),
+          SectorSpec(6, 3)))
+def test_reduce_by_the_map_equals_reduce_by_its_table(case):
+    """An ``AffineMapF2`` reduces, with no 2^N table and no classify scan,
+    to what its table reduces to: the same terms in the same order with the
+    same signed zeros, the same report and the same labels."""
+    h, affine, spec = case
+    by_map = encode_and_reduce(h, affine, spec)
+    by_table = encode_and_reduce(h, affine.to_permutation(), spec)
+    assert same_terms(by_map.pauli_sum, by_table.pauli_sum)
+    assert by_map.report == by_table.report
+    assert by_map.labels == by_table.labels
+
+
+@pytest.mark.parametrize(
+    "p", [LinearEncodingF2.parity(5), BasisPermutation.identity(5)], ids=["map", "table"]
+)
+def test_reduce_rejects_a_permutation_of_the_wrong_size(p):
+    h = random_one_body(6, np.random.default_rng(0))
+    with pytest.raises(DimensionError, match="does not match the mode count"):
+        encode_and_reduce(h, p, SectorSpec(6, 3))
 
 
 def test_identity_on_fixed_check_is_a_mask_test():
