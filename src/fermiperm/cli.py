@@ -38,6 +38,7 @@ from .minimal import (
 )
 from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
+    AffineMapF2,
     BasisPermutation,
     GateCircuit,
     _check_permutation_cap,
@@ -124,7 +125,7 @@ def _add_perm_selector(parser: argparse.ArgumentParser) -> None:
 def _linear_encoding(args) -> LinearEncodingF2:
     """The encoding ``--matrix`` or ``--mapping`` selects.  ``--matrix`` is
     read first: ``encode`` gives ``--mapping`` the default ``jw``."""
-    if args.matrix:
+    if args.matrix is not None:
         return LinearEncodingF2(_load_matrix(args))
     if args.mapping == "parity":
         return LinearEncodingF2.parity(args.modes)
@@ -134,20 +135,18 @@ def _linear_encoding(args) -> LinearEncodingF2:
 def _resolve_permutation(args) -> BasisPermutation | LinearEncodingF2:
     """A linear encoding as its map, with no 2^N table; any other as its table."""
     n = args.modes
-    if args.matrix or args.mapping:
+    if args.matrix is not None or args.mapping is not None:
         _check_permutation_cap(n)  # before the n x n matrix is built or read
         return _linear_encoding(args)
-    if args.cycles:
+    if args.cycles is not None:
         return from_cycles(n, parse_cycles(args.cycles))
-    if args.circuit:
+    if args.circuit is not None:
         with open(args.circuit) as fh:
             circuit = GateCircuit.from_text(n, fh.read())
         return permutation_from_circuit(circuit)
-    if args.index_embed:
-        if args.fermions is None:
-            raise ValueError("--index-embed needs --fermions")
-        return minimal_permutation_index_embed(SectorSpec(n, args.fermions))
-    raise ValueError("no permutation selector given")
+    if args.fermions is None:
+        raise ValueError("--index-embed needs --fermions")
+    return minimal_permutation_index_embed(SectorSpec(n, args.fermions))
 
 
 # Terms per chunk of a streamed Pauli sum: about 25 kB of JSON text.  The
@@ -264,7 +263,7 @@ def cmd_encode(args) -> int:
     h = _load_hamiltonian(args)
     # A named mapping takes its closed-form Majoranas: the same strings as
     # its matrix gives, without the O(N^2) elimination that checks a matrix.
-    if args.matrix:
+    if args.matrix is not None:
         majoranas = linear_encoding_majoranas(_linear_encoding(args))
     elif args.mapping == "parity":
         majoranas = parity_majoranas(args.modes)
@@ -285,8 +284,6 @@ def _sum_stats(s: PauliSum) -> dict:
 
 
 def cmd_reduce(args) -> int:
-    if args.fermions is None:
-        raise ValueError("reduce needs --fermions")
     spec = SectorSpec(args.modes, args.fermions)
     h = _load_hamiltonian(args)
     p = _resolve_permutation(args)
@@ -323,10 +320,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_perm(args) -> int:
     p = _resolve_permutation(args)
-    if isinstance(p, LinearEncodingF2):
-        p = p.to_permutation()  # its cycles and synthesis read the table
-    lines = [f"cycles: {p.cycle_string()}"]
-    affine = classify_affine(p)
+    # A map is its own classification and a table is classified once, here;
+    # synthesis gets the map when there is one.  Only `cycles:` reads a table.
+    affine = p if isinstance(p, AffineMapF2) else classify_affine(p)
+    table = p if isinstance(p, BasisPermutation) else p.to_permutation()
+    lines = [f"cycles: {table.cycle_string()}"]
     lines.append(f"affine: {'yes' if affine is not None else 'no'}")
     if args.fermions is not None:
         spec = SectorSpec(args.modes, args.fermions)
@@ -338,7 +336,7 @@ def cmd_perm(args) -> int:
         lines.append(f"redundant: {desc}")
     if args.synthesize:
         sector = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
-        rep = synthesize_permutation(p, sector=sector)
+        rep = synthesize_permutation(affine if affine is not None else p, sector=sector)
         lines.append(
             "synthesis: "
             f"gates={rep.total_gates} cnot={rep.cnot_count} x={rep.x_count} "
@@ -459,26 +457,22 @@ def cmd_verify(args) -> int:
             bad += len(failures)
         return EXIT_OK if bad == 0 else EXIT_VERIFY_FAILED
 
-    if args.suite == "oracle":
-        if args.fermions is None:
-            raise ValueError("verify oracle needs --fermions")
-        spec = SectorSpec(args.modes, args.fermions)
-        rng = np.random.default_rng(args.seed)
-        tol = args.tolerance if args.tolerance is not None else ORACLE_TOL
-        p = minimal_permutation_index_embed(spec)
-        worst = 0.0
-        for _ in range(args.trials):
-            h = random_one_body(spec.n_modes, rng)
-            rh = encode_and_reduce(h, p, spec)
-            check = verify_reduction(rh, sector_oracle(h, spec), tol=tol)
-            worst = max(worst, check.max_deviation)
-            if not check.passed:
-                print(f"FAIL: deviation {check.max_deviation:g} exceeds {tol:g}")
-                return EXIT_VERIFY_FAILED
-        print(f"{args.trials} trials pass, max deviation {worst:.3g}")
-        return EXIT_OK
-
-    raise ValueError(f"unknown verify suite {args.suite!r}")
+    # the oracle suite, the last of the three the required subparsers allow
+    spec = SectorSpec(args.modes, args.fermions)
+    rng = np.random.default_rng(args.seed)
+    tol = args.tolerance if args.tolerance is not None else ORACLE_TOL
+    p = minimal_permutation_index_embed(spec)
+    worst = 0.0
+    for _ in range(args.trials):
+        h = random_one_body(spec.n_modes, rng)
+        rh = encode_and_reduce(h, p, spec)
+        check = verify_reduction(rh, sector_oracle(h, spec), tol=tol)
+        worst = max(worst, check.max_deviation)
+        if not check.passed:
+            print(f"FAIL: deviation {check.max_deviation:g} exceeds {tol:g}")
+            return EXIT_VERIFY_FAILED
+    print(f"{args.trials} trials pass, max deviation {worst:.3g}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

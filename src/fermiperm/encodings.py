@@ -45,9 +45,6 @@ class FockState:
     def to_string(self) -> str:
         return format(self.occupancy, f"0{self.n_modes}b")
 
-    def occ(self, mode: int) -> int:
-        return (self.occupancy >> (self.n_modes - mode)) & 1
-
 
 @dataclass(frozen=True)
 class FermionTerm:
@@ -182,21 +179,22 @@ def parity_majoranas(n_modes: int) -> list[tuple[PauliString, PauliString]]:
 
 
 def encode_state(enc: AffineMapF2, state: FockState) -> FockState:
-    """Apply the encoding matrix to an occupancy vector over GF(2)."""
+    """The encoded basis state M n (+) b of the occupancy vector n over
+    GF(2), offset included: ``enc.apply`` on the occupancy integer."""
     if enc.n_qubits != state.n_modes:
         raise DimensionError("encoding and state have different mode counts")
-    return FockState(state.n_modes, f2._xor_columns(enc._column_masks, state.occupancy))
+    return FockState(state.n_modes, enc.apply(state.occupancy))
 
 
 def gl_to_cnot_circuit(enc: AffineMapF2) -> GateCircuit:
     """Synthesize a CNOT circuit whose basis action maps |x> to |Mx>, for
     the linear part M of the map (its offset is not read).
 
-    The row additions row_t += row_c of ``f2._row_ops``, which reduce M to
-    the identity, reversed: each is a CNOT with control c+1 and target t+1.
+    The row additions row_t += row_c of the map's one elimination, kept as
+    ``enc.row_ops``, reversed: each is a CNOT with control c+1, target t+1.
     """
     circuit = GateCircuit(enc.n_qubits)
-    ops = f2._row_ops(enc.matrix)
+    ops = enc.row_ops
     for src, dst in zip(ops[-2::-2], ops[::-2]):
         circuit.cnot(src + 1, dst + 1)
     return circuit
@@ -263,16 +261,13 @@ def linear_encoding_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliSt
     ]
 
 
-def random_one_body(
-    n_modes: int, rng: np.random.Generator, hermitian: bool = True
-) -> FermionOperator:
-    """Random one-body number-conserving operator with entries in [-1, 1]."""
+def random_one_body(n_modes: int, rng: np.random.Generator) -> FermionOperator:
+    """Random Hermitian one-body number-conserving operator: the Hermitian
+    part of a matrix with real and imaginary parts uniform in [-1, 1]."""
     h = rng.uniform(-1.0, 1.0, size=(n_modes, n_modes)) + 1j * rng.uniform(
         -1.0, 1.0, size=(n_modes, n_modes)
     )
-    if hermitian:
-        h = (h + h.conj().T) / 2
-    return FermionOperator.one_body(h)
+    return FermionOperator.one_body((h + h.conj().T) / 2)
 
 
 def parse_hamiltonian(

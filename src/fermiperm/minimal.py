@@ -151,15 +151,16 @@ class RedundancyReport:
     surviving: tuple[int, ...]
 
 
-def redundant_qubits(p: BasisPermutation, spec: SectorSpec) -> RedundancyReport:
+def redundant_qubits(p: BasisPermutation | AffineMapF2, spec: SectorSpec) -> RedundancyReport:
     """Scan the images of all weight-K states for constant bit positions.
 
-    A bit is constant when the AND and the OR of the images agree on it; the
-    bits where they differ are the surviving ones.  Restricted to those, the
+    ``p.apply`` gives the images, so a map needs no 2^N table.  A bit is
+    constant when the AND and the OR of the images agree on it; the bits
+    where they differ are the surviving ones.  Restricted to those, the
     images stay distinct: they are distinct and agree on every fixed bit."""
     if p.n_qubits != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
-    images = p.image[np.array(spec.sector_states(), dtype=np.int64)]
+    images = p.apply(np.array(spec.sector_states(), dtype=np.int64))
     return _redundancy_of_images(images, p.n_qubits)
 
 
@@ -186,20 +187,21 @@ class SynthesisReport:
 
 
 def synthesize_permutation(
-    p: BasisPermutation, sector: Optional[SectorSpec] = None
+    p: BasisPermutation | AffineMapF2, sector: Optional[SectorSpec] = None
 ) -> SynthesisReport:
     """Decompose a basis permutation into a reversible circuit.
 
     Affine permutations take a fast path: a CNOT netlist for the linear part
-    followed by X gates for the offset, with no non-Clifford gates.  General
-    permutations are split cycle by cycle into transpositions (cycles that
-    touch sector states first, when a sector is given); each transposition
-    of basis states a, b is routed along a Gray-code path of single-bit
-    flips, every flip being an (X-conjugated) multi-controlled X that swaps
-    exactly two states.
+    followed by X gates for the offset, with no non-Clifford gates; an
+    ``AffineMapF2`` is its own classification, a table is ``classify_affine``'s
+    scan.  General permutations are split cycle by cycle into transpositions
+    (cycles that touch sector states first, when a sector is given); each
+    transposition of basis states a, b is routed along a Gray-code path of
+    single-bit flips, every flip being an (X-conjugated) multi-controlled X
+    that swaps exactly two states.
     """
     n = p.n_qubits
-    affine = classify_affine(p)
+    affine = p if isinstance(p, AffineMapF2) else classify_affine(p)
     if affine is not None:
         circuit = _affine_netlist(affine)
         return _report(circuit, transpositions=0)

@@ -67,8 +67,10 @@ class BasisPermutation:
         _check_permutation_cap(n_qubits)
         return cls(np.arange(1 << n_qubits))
 
-    def apply(self, index: int) -> int:
-        return int(self.image[index])
+    def apply(self, states):
+        """Lookup: an ``int`` for an int state, elementwise for an integer array."""
+        images = self.image[states]
+        return images if isinstance(images, np.ndarray) else int(images)
 
     @property
     def dim(self) -> int:
@@ -185,13 +187,11 @@ class GateCircuit:
 
     __slots__ = ("n_qubits", "gates")
 
-    def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one wire")
         self.n_qubits = n_qubits
-        self.gates = list(gates)
-        for g in self.gates:
-            self._validate(g)
+        self.gates: list[Gate] = []
 
     def _validate(self, g: Gate) -> None:
         wires = (*g.controls, g.target)
@@ -297,8 +297,12 @@ class AffineMapF2:
         b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", b)
-        # Row masks of M^-1 and the mask of M^-1 b: the row additions that
-        # reduce M to the identity, replayed on the identity's rows and on b.
+        object.__setattr__(self, "_offset_mask", f2.vec_to_mask(b))
+        # M's one elimination, kept: reversed, its row additions are the
+        # CNOTs of M (``encodings.gl_to_cnot_circuit``).
+        object.__setattr__(self, "row_ops", ops)
+        # Row masks of M^-1 and the mask of M^-1 b: those additions replayed
+        # on the identity's rows and on b.
         n = m.shape[0]
         rows = [1 << (n - 1 - i) for i in range(n)]
         bits = b.tolist()
@@ -316,14 +320,13 @@ class AffineMapF2:
     def _column_masks(self) -> tuple[int, ...]:
         return tuple(f2.rows_to_masks(self.matrix.T))
 
-    @cached_property
-    def _offset_mask(self) -> int:
-        return f2.vec_to_mask(self.offset)
+    def apply(self, states):
+        """Mx (+) b: for a Python int of any width, or elementwise for an array."""
+        return f2._xor_columns(self._column_masks, states) ^ self._offset_mask
 
     def to_permutation(self) -> BasisPermutation:
         _check_permutation_cap(self.n_qubits)
-        state = np.arange(1 << self.n_qubits, dtype=np.int64)
-        return BasisPermutation(f2._xor_columns(self._column_masks, state) ^ self._offset_mask)
+        return BasisPermutation(self.apply(np.arange(1 << self.n_qubits, dtype=np.int64)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineMapF2):
@@ -338,8 +341,9 @@ def classify_affine(p: BasisPermutation) -> Optional[AffineMapF2]:
 
     Candidate: b = p(0) and column i = p(e_i) (+) b; the candidate is then
     verified against every one of the 2^n states, so the answer is exact.
-    Only a table needs this scan: ``encode_and_reduce`` takes a permutation
-    known as its map, an ``AffineMapF2``, as it is.
+    Only a table needs this scan: ``encode_and_reduce``,
+    ``redundant_qubits``, ``synthesize_permutation`` and ``fermiperm perm``
+    take a permutation known as its map, an ``AffineMapF2``, as it is.
     """
     n = p.n_qubits
     b_mask = int(p.image[0])

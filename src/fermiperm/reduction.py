@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import f2
 from .encodings import (
     FermionOperator,
     encode_fermion_operator,
@@ -134,7 +133,8 @@ def encode_and_reduce(
 
     ``p`` is U as a table, which ``classify_affine`` scans, or as its affine
     map x -> Mx (+) b (a ``LinearEncodingF2`` has b = 0), which is its own
-    classification: no 2^N table is built or scanned.
+    classification: no 2^N table is built or scanned.  Either type's
+    ``apply`` gives the sector images.
 
     The sector images stay distinct on the surviving qubits, since a
     permutation's images are distinct and agree on every fixed qubit, so
@@ -155,10 +155,8 @@ def encode_and_reduce(
             "sector holds a single state; there is no operator left to reduce"
         )
     states = np.array(spec.sector_states(), dtype=np.int64)  # in rank order
-    if isinstance(p, AffineMapF2):
-        affine, images = p, f2._xor_columns(p._column_masks, states) ^ p._offset_mask
-    else:
-        affine, images = classify_affine(p), p.image[states]
+    affine = p if isinstance(p, AffineMapF2) else classify_affine(p)
+    images = p.apply(states)
     report = _redundancy_of_images(images, n)
 
     if affine is not None:

@@ -204,12 +204,17 @@ def test_dense_cap_option_is_passed_not_set(tmp_path, capsys, monkeypatch):
 
 
 def test_reduce_without_fermions_is_usage_error(tmp_path, capsys):
+    """``reduce`` and ``verify oracle`` require ``--fermions``: argparse
+    rejects the command before it runs."""
     ham = tmp_path / "h.txt"
     ham.write_text(ONE_MODE_NUMBER)
-    code, _, _ = run(
-        capsys, "reduce", "--modes", "4", "--index-embed", "--hamiltonian", str(ham)
-    )
-    assert code == 2
+    for argv in (
+        ["reduce", "--modes", "4", "--index-embed", "--hamiltonian", str(ham)],
+        ["verify", "oracle", "--modes", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --fermions" in err
 
 
 def test_perm_two_fermion_circuit(tmp_path, capsys):
@@ -530,12 +535,14 @@ def test_singular_matrix_is_a_usage_error(hop_file, tmp_path, capsys, command):
 
 
 def test_reduce_mapping_parity_eliminates_once_and_scans_no_table(tmp_path, capsys, monkeypatch):
-    """``reduce --mapping parity`` hands its map to ``encode_and_reduce``:
-    one elimination, in the map's constructor, and no ``classify_affine``
-    scan of a 2^N table."""
+    """``reduce --mapping parity`` hands its map to ``encode_and_reduce``,
+    and ``perm --synthesize`` with ``--mapping parity`` or the parity
+    ``--matrix`` hands it to the redundancy scan and to synthesis: one
+    elimination, in the map's constructor, and no ``classify_affine`` scan
+    of a 2^N table."""
     ham = tmp_path / "h.txt"
     ham.write_text(DYADIC_HAMILTONIAN)
-    calls = {"_row_ops": 0, "classify_affine": 0}
+    calls = {}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -549,18 +556,25 @@ def test_reduce_mapping_parity_eliminates_once_and_scans_no_table(tmp_path, caps
     counted(f2, "_row_ops")
     for module in (cli, reduction, minimal, permutations):
         counted(module, "classify_affine")
-    code, _, err = run(
-        capsys, "reduce", "--modes", "6", "--fermions", "3", "--hermitize",
-        "--hamiltonian", str(ham), "--mapping", "parity", "--output", str(tmp_path / "out"),
-    )
-    assert (code, err) == (0, "")
-    assert calls == {"_row_ops": 1, "classify_affine": 0}
+    perm = ["perm", "--modes", "6", "--fermions", "3", "--synthesize"]
+    for argv in (
+        ["reduce", "--modes", "6", "--fermions", "3", "--hermitize", "--hamiltonian", str(ham),
+         "--mapping", "parity"],
+        [*perm, "--mapping", "parity"],
+        [*perm, "--matrix", str(GOLDEN / "parity_n6.txt")],
+    ):
+        calls.update(_row_ops=0, classify_affine=0)
+        code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        assert calls == {"_row_ops": 1, "classify_affine": 0}, argv
 
 
 def test_reduce_cycles_of_the_parity_table_match_the_parity_map(tmp_path, capsys):
     """The cycle string ``perm --mapping parity`` prints, reduced through
     ``--cycles`` (a table that ``classify_affine`` scans), writes the bytes
-    of ``reduce --mapping parity`` (the map itself)."""
+    of ``reduce --mapping parity`` (the map itself).  ``perm --synthesize``
+    prints the same lines for that table as for the map and for the parity
+    ``--matrix``."""
     code, out, _ = run(capsys, "perm", "--modes", "6", "--mapping", "parity")
     assert code == 0
     (cycles,) = [line[len("cycles: "):] for line in out.splitlines() if line.startswith("cycles: ")]
@@ -576,6 +590,63 @@ def test_reduce_cycles_of_the_parity_table_match_the_parity_map(tmp_path, capsys
         assert (code, err) == (0, "")
         outs.append(out_file.read_bytes())
     assert outs[0] == outs[1]
+    synthesized = []
+    for selector in (["--cycles", cycles], ["--mapping", "parity"],
+                     ["--matrix", str(GOLDEN / "parity_n6.txt")]):
+        code, out, err = run(
+            capsys, "perm", "--modes", "6", "--fermions", "3", "--synthesize", *selector
+        )
+        assert (code, err) == (0, "")
+        synthesized.append(out)
+    assert "affine: yes" in synthesized[0] and "\nCNOT " in synthesized[0]
+    assert synthesized[0] == synthesized[1] == synthesized[2]
+
+
+@pytest.mark.parametrize(
+    "command, selector",
+    [("encode", "--matrix"), ("reduce", "--matrix"), ("reduce", "--circuit"),
+     ("reduce", "--cycles"), ("perm", "--cycles")],
+)
+def test_empty_selector_value_is_taken_as_given(tmp_path, capsys, hop_file, command, selector):
+    """An empty ``--matrix`` or ``--circuit`` names no file: exit 2, one
+    error line, no ``--output`` file.  An empty ``--cycles`` lists no cycle,
+    so it gives the bytes of ``--cycles "()"``."""
+    argv = [command, "--modes", "4"]
+    if command != "perm":
+        argv += ["--hamiltonian", hop_file]
+    if command != "encode":
+        argv += ["--fermions", "2"]
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, *argv, selector, "", "--output", str(out_file))
+    if selector != "--cycles":
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+        return
+    assert (code, out, err) == (0, "", "")
+    empty = out_file.read_bytes()
+    code, _, _ = run(capsys, *argv, selector, "()", "--output", str(out_file))
+    assert code == 0
+    assert empty == out_file.read_bytes()
+
+
+def test_reduce_tolerance_override(tmp_path, capsys):
+    """A valid ``--tolerance`` reaches verify and the ``overrides`` block.
+    The non-dyadic input leaves rounding in the index-embed reduction, so
+    1e-300 fails verify (exit 1) and a loose tolerance passes it."""
+    ham = tmp_path / "h.txt"
+    ham.write_text("1 2 0.1 0.3\n2 3 0.7 0\n3 3 0.2 0\n1 4 0.3 0.1\n")
+    argv = ["reduce", "--modes", "4", "--fermions", "2", "--hermitize", "--index-embed",
+            "--hamiltonian", str(ham)]
+    code, out, err = run(capsys, *argv, "--tolerance", "1e-300")
+    data = json.loads(out)
+    assert (code, err) == (1, "")
+    assert data["verify"]["passed"] is False
+    assert data["verify"]["max_deviation"] > 1e-300
+    assert data["overrides"] == {"tolerance": 1e-300}
+    code, out, _ = run(capsys, *argv, "--tolerance", "1e-6")
+    assert code == 0
+    assert json.loads(out)["overrides"] == {"tolerance": 1e-6}
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiperm import (
+    AffineMapF2,
     DimensionError,
     FermionOperator,
     FermionTerm,
@@ -59,6 +60,9 @@ def test_majorana_relations_exhaustive(family, n):
 
 
 def test_encode_state_identity_and_parity():
+    """Identity and parity maps, and maps with an offset: ``encode_state``
+    is the map's basis action M n (+) b, offset included, the lookup
+    ``to_permutation().apply`` on every state."""
     s = FockState.from_string("10011")
     jw = LinearEncodingF2.jordan_wigner(5)
     assert encode_state(jw, s).to_string() == "10011"
@@ -66,6 +70,14 @@ def test_encode_state_identity_and_parity():
     assert encode_state(par, s).to_string() == "11101"
     zero = FockState.from_string("00000")
     assert encode_state(par, zero).to_string() == "00000"
+    shifted = AffineMapF2(f2.identity(3), np.array([1, 0, 1]))
+    assert encode_state(shifted, FockState.from_string("000")).to_string() == "101"
+    rng = np.random.default_rng(12)
+    for n in (2, 4, 6):
+        a = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, size=n))
+        table = a.to_permutation()
+        for occupancy in range(1 << n):
+            assert encode_state(a, FockState(n, occupancy)).occupancy == table.apply(occupancy)
 
 
 def test_encode_state_equals_prefix_xor():

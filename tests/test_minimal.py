@@ -1,6 +1,7 @@
 """Ranking, index-embed permutations, redundancy, synthesis, enumeration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,9 +254,10 @@ def test_sector_images_stay_distinct_on_surviving_qubits(data):
 
 def test_affine_permutations_fix_at_most_one_qubit():
     """Sampled Clifford permutations never make two or more qubits redundant
-    in any proper sector."""
+    in any proper sector.  The map and its table give the same redundancy
+    report and the same synthesized circuit, N = 2..8."""
     rng = np.random.default_rng(21)
-    for n in (3, 4, 5, 6):
+    for n in range(2, 9):
         for _ in range(30):
             a = AffineMapF2(
                 f2.random_invertible(n, rng),
@@ -265,6 +267,11 @@ def test_affine_permutations_fix_at_most_one_qubit():
             for k in range(1, n):
                 report = redundant_qubits(p, SectorSpec(n, k))
                 assert len(report.fixed) <= 1
+                assert redundant_qubits(a, SectorSpec(n, k)) == report
+            from_map, from_table = synthesize_permutation(a), synthesize_permutation(p)
+            assert from_map.circuit.to_text() == from_table.circuit.to_text()
+            assert replace(from_map, circuit=None) == replace(from_table, circuit=None)
+            assert permutation_from_circuit(from_map.circuit) == p
 
 
 # --- synthesis -------------------------------------------------------------

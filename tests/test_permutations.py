@@ -86,8 +86,15 @@ def test_from_cycles_rejects_bad_input():
 
 
 def test_image_must_be_integers():
-    for image in ([0.7, 1.2], [1.0, 0.0], [True, False]):
-        with pytest.raises(ValueError, match="image must hold integers"):
+    for image, message in (
+        ([0.7, 1.2], "image must hold integers"),
+        ([1.0, 0.0], "image must hold integers"),
+        ([True, False], "image must hold integers"),
+        ([0, 0, 1, 2], "not a bijection"),
+        ([0, 1, 2], "power of two"),
+        ([0], "power of two"),
+    ):
+        with pytest.raises(ValueError, match=message):
             BasisPermutation(image)
     assert BasisPermutation(np.array([1, 0], dtype=np.uint8)).apply(0) == 1
 
@@ -311,12 +318,22 @@ def test_row_ops_keep_eight_bytes_an_addition():
 
 
 def test_classify_round_trips_random_affine():
+    """Random maps with offsets, N = 2..8: the table classifies back to the
+    map, and the map's vectorised ``apply`` is the table's lookup, for an
+    array (elementwise) and for a Python int (an int)."""
     rng = np.random.default_rng(5)
-    for n in (2, 3, 5):
+    for n in range(2, 9):
         for _ in range(10):
             a = random_affine(n, rng)
-            back = classify_affine(a.to_permutation())
-            assert back == a
+            table = a.to_permutation()
+            assert classify_affine(table) == a
+            images = a.apply(np.arange(1 << n))
+            assert images.dtype == table.image.dtype
+            assert np.array_equal(images, table.image)
+            assert np.array_equal(table.apply(np.arange(1 << n)), table.image)
+            state = int(rng.integers(1 << n))
+            assert type(a.apply(state)) is type(table.apply(state)) is int
+            assert a.apply(state) == table.apply(state)
 
 
 def test_classify_affine_iff_single_term_conjugation():
