@@ -123,8 +123,8 @@ def _add_perm_selector(parser: argparse.ArgumentParser) -> None:
 
 
 def _linear_encoding(args) -> LinearEncodingF2:
-    """The encoding ``--matrix`` or ``--mapping`` selects.  ``--matrix`` is
-    read first: ``encode`` gives ``--mapping`` the default ``jw``."""
+    """The encoding ``--matrix`` or ``--mapping`` selects: Jordan-Wigner
+    when neither is given."""
     if args.matrix is not None:
         return LinearEncodingF2(_load_matrix(args))
     if args.mapping == "parity":
@@ -164,7 +164,7 @@ def _emit(payload, output: Optional[str]) -> None:
     it leaves no file behind."""
     chunks = _json_chunks(payload) if isinstance(payload, dict) else iter([payload.encode()])
     chunks = itertools.chain([next(chunks)], chunks)
-    if output:
+    if output is not None:
         with open(output, "wb") as fh:
             fh.writelines(chunks)
         return
@@ -287,14 +287,10 @@ def cmd_reduce(args) -> int:
     spec = SectorSpec(args.modes, args.fermions)
     h = _load_hamiltonian(args)
     p = _resolve_permutation(args)
-    overrides = {}
-    if args.dense_cap is not None:
-        overrides["dense_cap"] = args.dense_cap
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-
-    cap = args.dense_cap if args.dense_cap is not None else DENSE_CAP
-    tol = args.tolerance if args.tolerance is not None else ORACLE_TOL
+    given = (("dense_cap", args.dense_cap), ("tolerance", args.tolerance))
+    overrides = {name: value for name, value in given if value is not None}
+    cap = overrides.get("dense_cap", DENSE_CAP)
+    tol = overrides.get("tolerance", ORACLE_TOL)
     rh = encode_and_reduce(h, p, spec, dense_cap=cap)
     check = verify_reduction(rh, sector_oracle(h, spec, dense_cap=cap), tol=tol, dense_cap=cap)
 
@@ -326,17 +322,13 @@ def cmd_perm(args) -> int:
     table = p if isinstance(p, BasisPermutation) else p.to_permutation()
     lines = [f"cycles: {table.cycle_string()}"]
     lines.append(f"affine: {'yes' if affine is not None else 'no'}")
-    if args.fermions is not None:
-        spec = SectorSpec(args.modes, args.fermions)
+    spec = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
+    if spec is not None:
         report = redundant_qubits(p, spec)
-        if report.fixed:
-            desc = "; ".join(f"qubit {q} = {v}" for q, v in report.fixed)
-        else:
-            desc = "none"
+        desc = "; ".join(f"qubit {q} = {v}" for q, v in report.fixed) or "none"
         lines.append(f"redundant: {desc}")
     if args.synthesize:
-        sector = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
-        rep = synthesize_permutation(affine if affine is not None else p, sector=sector)
+        rep = synthesize_permutation(affine if affine is not None else p, sector=spec)
         lines.append(
             "synthesis: "
             f"gates={rep.total_gates} cnot={rep.cnot_count} x={rep.x_count} "
@@ -367,45 +359,41 @@ def cmd_stats(args) -> int:
 
 
 def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
-    """Check every Majorana pair anticommutes and every square is identity.
+    """Check that every Majorana squares to the identity and that every
+    pair anticommutes.
 
     ``majoranas`` is a list of (plain, primed) pairs of PauliString or
-    PauliSum.  Returns (number of checks, failure descriptions).
+    PauliSum.  A family of strings is checked on its masks and phases; any
+    other family is made dense once.  Returns (number of checks, failure
+    descriptions).
     """
-    flat: list[tuple[str, object]] = []
-    for j, (g, gp) in enumerate(majoranas, start=1):
-        flat.append((f"g{j}", g))
-        flat.append((f"g'{j}", gp))
-    failures = []
-    checks = 0
-    all_single = all(isinstance(op, PauliString) for _, op in flat)
-    if all_single:
-        for i in range(len(flat)):
-            name_i, a = flat[i]
+    names = [f"{g}{j}" for j in range(1, len(majoranas) + 1) for g in ("g", "g'")]
+    ops = [op for pair in majoranas for op in pair]
+    if all(isinstance(op, PauliString) for op in ops):
+        def bad_square(a) -> bool:
             sq = a * a
-            checks += 1
-            if (sq.x_bits, sq.z_bits, sq.phase) != (0, 0, 0):
-                failures.append(f"{name_i}^2 != I")
-            for j in range(i + 1, len(flat)):
-                name_j, b = flat[j]
-                checks += 1
-                if commutes(a, b):
-                    failures.append(f"{name_i} and {name_j} commute")
+            return (sq.x_bits, sq.z_bits, sq.phase) != (0, 0, 0)
+
+        bad_pair, pair_failure = commutes, "{} and {} commute"
     else:
-        dense = [(name, _coerce_majorana(op).to_dense()) for name, op in flat]
-        dim = dense[0][1].shape[0]
-        eye = np.eye(dim)
-        for i in range(len(dense)):
-            name_i, a = dense[i]
-            checks += 1
-            if not np.array_equal(a @ a, eye):
-                failures.append(f"{name_i}^2 != I")
-            for j in range(i + 1, len(dense)):
-                name_j, b = dense[j]
-                checks += 1
-                if np.max(np.abs(a @ b + b @ a)) != 0.0:
-                    failures.append(f"{{ {name_i}, {name_j} }} != 0")
-    return checks, failures
+        ops = [_coerce_majorana(op).to_dense() for op in ops]
+        eye = np.eye(ops[0].shape[0])
+
+        def bad_square(a) -> bool:
+            return not np.array_equal(a @ a, eye)
+
+        def bad_pair(a, b) -> bool:
+            return np.max(np.abs(a @ b + b @ a)) != 0.0
+
+        pair_failure = "{{ {}, {} }} != 0"
+    failures = []
+    for i, a in enumerate(ops):
+        if bad_square(a):
+            failures.append(f"{names[i]}^2 != I")
+        for j in range(i + 1, len(ops)):
+            if bad_pair(a, ops[j]):
+                failures.append(pair_failure.format(names[i], names[j]))
+    return len(ops) * (len(ops) + 1) // 2, failures
 
 
 def random_minimal_majoranas(
@@ -423,41 +411,39 @@ def random_minimal_majoranas(
     ]
 
 
-def cmd_verify(args) -> int:
-    if args.suite == "appendix":
-        report = appendix_verify(args.n)
-        print(f"{report.matrix_count} matrices, max constant digits {report.max_constant_digits}")
-        if report.max_constant_digits != 1:
-            print(f"counterexample rows (bit masks): {report.witness}")
-            return EXIT_VERIFY_FAILED
-        return EXIT_OK
+def cmd_verify_appendix(args) -> int:
+    report = appendix_verify(args.n)
+    print(f"{report.matrix_count} matrices, max constant digits {report.max_constant_digits}")
+    if report.max_constant_digits != 1:
+        print(f"counterexample rows (bit masks): {report.witness}")
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
-    if args.suite == "anticommutation":
-        n = args.modes
-        rng = np.random.default_rng(args.seed)
-        suites = []
-        if args.mapping in (None, "jw"):
-            suites.append(("jw", jw_majoranas(n)))
-        if args.mapping in (None, "parity"):
-            suites.append(("parity", parity_majoranas(n)))
-        if args.mapping in (None, "random-minimal"):
-            for k in range(1, n):
-                spec = SectorSpec(n, k)
-                for t in range(args.trials):
-                    suites.append(
-                        (f"minimal(K={k},#{t})", random_minimal_majoranas(spec, rng))
-                    )
-        bad = 0
-        for name, majos in suites:
-            checks, failures = anticommutation_suite(majos)
-            status = "pass" if not failures else "FAIL"
-            print(f"{name}: {checks} checks {status}")
-            for f in failures[:1]:
-                print(f"  counterexample: {f}")
-            bad += len(failures)
-        return EXIT_OK if bad == 0 else EXIT_VERIFY_FAILED
 
-    # the oracle suite, the last of the three the required subparsers allow
+def cmd_verify_anticommutation(args) -> int:
+    n = args.modes
+    rng = np.random.default_rng(args.seed)
+    suites = []
+    if args.mapping in (None, "jw"):
+        suites.append(("jw", jw_majoranas(n)))
+    if args.mapping in (None, "parity"):
+        suites.append(("parity", parity_majoranas(n)))
+    if args.mapping in (None, "random-minimal"):
+        for k in range(1, n):
+            spec = SectorSpec(n, k)
+            for t in range(args.trials):
+                suites.append((f"minimal(K={k},#{t})", random_minimal_majoranas(spec, rng)))
+    bad = 0
+    for name, majos in suites:
+        checks, failures = anticommutation_suite(majos)
+        print(f"{name}: {checks} checks {'FAIL' if failures else 'pass'}")
+        for f in failures[:1]:
+            print(f"  counterexample: {f}")
+        bad += len(failures)
+    return EXIT_OK if bad == 0 else EXIT_VERIFY_FAILED
+
+
+def cmd_verify_oracle(args) -> int:
     spec = SectorSpec(args.modes, args.fermions)
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance if args.tolerance is not None else ORACLE_TOL
@@ -491,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--hermitize", action="store_true")
     enc.add_argument("--output", metavar="FILE")
     group = enc.add_mutually_exclusive_group()
-    group.add_argument("--mapping", choices=["jw", "parity"], default="jw")
+    group.add_argument("--mapping", choices=["jw", "parity"])
     group.add_argument("--matrix", metavar="FILE")
     enc.set_defaults(func=cmd_encode)
 
@@ -523,17 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
     v_anti.add_argument("--mapping", choices=["jw", "parity", "random-minimal"])
     v_anti.add_argument("--trials", type=_positive_int, default=2)
     v_anti.add_argument("--seed", type=int, default=0)
-    v_anti.set_defaults(func=cmd_verify)
+    v_anti.set_defaults(func=cmd_verify_anticommutation)
     v_app = ver_sub.add_parser("appendix")
     v_app.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
-    v_app.set_defaults(func=cmd_verify)
+    v_app.set_defaults(func=cmd_verify_appendix)
     v_orc = ver_sub.add_parser("oracle")
     v_orc.add_argument("--modes", type=_positive_int, required=True)
     v_orc.add_argument("--fermions", type=int, required=True)
     v_orc.add_argument("--trials", type=_positive_int, default=20)
     v_orc.add_argument("--seed", type=int, default=0)
     v_orc.add_argument("--tolerance", type=_positive_float)
-    v_orc.set_defaults(func=cmd_verify)
+    v_orc.set_defaults(func=cmd_verify_oracle)
 
     costs = sub.add_parser("costs", help="qubit-cost table as CSV")
     costs.add_argument("--modes", type=_positive_int, required=True)

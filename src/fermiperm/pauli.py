@@ -241,8 +241,10 @@ class PauliSum:
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
         merged = _merge(terms.items() if isinstance(terms, dict) else terms)
-        dtype = np.uint64 if n_qubits <= 64 else object
-        keys = np.fromiter(chain.from_iterable(merged), dtype, 2 * len(merged)).reshape(-1, 2)
+        masks = list(chain.from_iterable(merged))
+        if masks and (min(masks) < 0 or int(max(masks)) >> n_qubits):
+            raise DimensionError(f"a term's x or z mask lies outside the {n_qubits}-qubit register")
+        keys = np.array(masks, np.uint64 if n_qubits <= 64 else object).reshape(-1, 2)
         coeff = np.fromiter(merged.values(), complex, len(merged))
         for a in (keys, coeff):
             a.setflags(write=False)

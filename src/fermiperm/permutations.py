@@ -41,6 +41,13 @@ def _check_permutation_cap(n_qubits: int) -> None:
         )
 
 
+def _check_states(states, n_qubits: int) -> None:
+    """Raise unless ``states``, an int or an integer array, lie in 0..2^n - 1."""
+    s = np.asarray(states)
+    if s.size and (int(np.min(s)) < 0 or int(np.max(s)) >= 1 << n_qubits):
+        raise DimensionError(f"a basis state lies outside 0..2^{n_qubits} - 1")
+
+
 class BasisPermutation:
     """A bijection on {0, ..., 2^n - 1}; image[i] is where basis state i goes."""
 
@@ -68,7 +75,9 @@ class BasisPermutation:
         return cls(np.arange(1 << n_qubits))
 
     def apply(self, states):
-        """Lookup: an ``int`` for an int state, elementwise for an integer array."""
+        """Lookup: an ``int`` for an int state, elementwise for an integer
+        array.  Raises ``DimensionError`` on a state outside 0..2^n - 1."""
+        _check_states(states, self.n_qubits)
         images = self.image[states]
         return images if isinstance(images, np.ndarray) else int(images)
 
@@ -321,7 +330,9 @@ class AffineMapF2:
         return tuple(f2.rows_to_masks(self.matrix.T))
 
     def apply(self, states):
-        """Mx (+) b: for a Python int of any width, or elementwise for an array."""
+        """Mx (+) b: for a Python int of any width, or elementwise for an
+        array.  Raises ``DimensionError`` on a state outside 0..2^n - 1."""
+        _check_states(states, self.n_qubits)
         return f2._xor_columns(self._column_masks, states) ^ self._offset_mask
 
     def to_permutation(self) -> BasisPermutation:

@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 import numpy as np
 
 from fermiperm import (
+    PauliString,
     PauliSum,
     SectorSpec,
     cli,
     encode_and_reduce,
+    jw_majoranas,
     minimal_permutation_index_embed,
     random_one_body,
 )
 from fermiperm import f2, minimal, permutations, reduction
-from fermiperm.cli import _CHUNK_TERMS, _json_chunks, main
+from fermiperm.cli import _CHUNK_TERMS, _json_chunks, anticommutation_suite, main
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop
 
@@ -315,6 +317,31 @@ def test_verify_anticommutation_random_minimal(capsys):
     assert code == 0
     assert "pass" in out and "FAIL" not in out
 
+
+
+def test_anticommutation_suite_reports_failures():
+    """Broken 3-mode families: each failure is named, in pair order, and the
+    check count stays 2N(2N + 1)/2.  Strings are checked on their masks and
+    phases, sums and mixed families on dense matrices."""
+    g = jw_majoranas(3)
+    g1 = g[0][0]
+    # g2 repeats g1 and g3 is i g1: three commuting pairs and g3^2 = -I
+    strings = [g[0], (g1, g[1][1]), (PauliString(3, g1.x_bits, g1.z_bits, 1), g[2][1])]
+    assert anticommutation_suite(strings) == (
+        21, ["g1 and g2 commute", "g1 and g3 commute", "g2 and g3 commute", "g3^2 != I"]
+    )
+    # g2 repeats g1 and g'2, g'3 are doubled
+    sums = [tuple(PauliSum.from_pauli(op) for op in pair) for pair in g]
+    sums[1] = (sums[0][0], 2 * sums[1][1])
+    sums[2] = (sums[2][0], 2 * sums[2][1])
+    assert anticommutation_suite(sums) == (
+        21, ["{ g1, g2 } != 0", "g'2^2 != I", "g'3^2 != I"]
+    )
+    # one sum among the strings sends the whole family through dense matrices
+    mixed = [(strings[0][0], PauliSum.from_pauli(strings[0][1])), *strings[1:]]
+    assert anticommutation_suite(mixed) == (
+        21, ["{ g1, g2 } != 0", "{ g1, g3 } != 0", "{ g2, g3 } != 0", "g3^2 != I"]
+    )
 
 def test_verify_oracle(capsys):
     code, out, _ = run(
@@ -926,6 +953,25 @@ def test_stdout_is_the_output_file_and_a_newline(tmp_path, capsys, command):
     assert code == 0
     assert stdout.encode() == out.read_bytes() + b"\n"
 
+
+
+@pytest.mark.parametrize("command", ["encode", "reduce", "perm", "costs", "stats"])
+def test_empty_output_name_is_a_usage_error(tmp_path, capsys, hop_file, command):
+    """``--output ""`` names no file: exit 2, one error line, nothing on
+    stdout, as for any other file that cannot be opened."""
+    encoded = tmp_path / "encoded.json"
+    assert main(["encode", "--modes", "2", "--hamiltonian", hop_file, "--output", str(encoded)]) == 0
+    argv = {
+        "encode": ["encode", "--modes", "2", "--hamiltonian", hop_file],
+        "reduce": ["reduce", "--modes", "4", "--fermions", "2", "--hamiltonian", hop_file,
+                   "--index-embed"],
+        "perm": ["perm", "--modes", "4", "--mapping", "parity"],
+        "costs": ["costs", "--modes", "4"],
+        "stats": ["stats", "--input", str(encoded)],
+    }[command]
+    code, out, err = run(capsys, *argv, "--output", "")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 def test_json_writer_peak_below_the_text(tmp_path):
     """N=8, K=4 index embed: 11,872 terms, about 1 MB of text, written with

@@ -406,6 +406,12 @@ def test_from_letters_validation():
         PauliString(2, 0, 0, 5)
     with pytest.raises(DimensionError):
         PauliSum.from_terms(3, [(1.0, "XX")])
+    # a key's masks must lie on the register, compared as Python ints at any width
+    for n, key in [(2, (4, 0)), (2, (0, -1)), (64, (1 << 64, 0)), (70, (1 << 70, 0))]:
+        with pytest.raises(DimensionError, match=f"outside the {n}-qubit register"):
+            PauliSum(n, [(key, 1.0)])
+    assert PauliSum(64, [((2**64 - 1, 0), 1.0)]).to_json_dict()["terms"][0]["pauli"] == "X" * 64
+    assert PauliSum(70, [((1 << 69, 0), 1.0)]).to_json_dict()["terms"][0]["pauli"] == "X" + "I" * 69
 
 
 def test_single_qubit_accessors_validate():

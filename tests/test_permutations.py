@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fermiperm import (
     AffineMapF2,
     BasisPermutation,
+    DimensionError,
     FermionOperator,
     FermionTerm,
     GateCircuit,
@@ -335,6 +336,23 @@ def test_classify_round_trips_random_affine():
             assert type(a.apply(state)) is type(table.apply(state)) is int
             assert a.apply(state) == table.apply(state)
 
+
+
+def test_apply_rejects_states_outside_the_register():
+    """A table and a map take states in 0..2^n - 1 only, as ints or arrays;
+    in range they give the lookup and Mx (+) b."""
+    table = BasisPermutation([1, 0, 3, 2])
+    swap = LinearEncodingF2(np.array([[0, 1], [1, 0]]))
+    wide = LinearEncodingF2.jordan_wigner(70)
+    for p, images in ((table, [1, 0, 3, 2]), (swap, [0, 2, 1, 3])):
+        for bad in (-1, 4, np.array([0, 4]), np.array([-1, 1])):
+            with pytest.raises(DimensionError, match=r"outside 0\.\.2\^2 - 1"):
+                p.apply(bad)
+        assert [p.apply(s) for s in range(4)] == images
+        assert p.apply(np.arange(4)).tolist() == images
+    with pytest.raises(DimensionError):
+        wide.apply(1 << 70)
+    assert wide.apply((1 << 70) - 1) == (1 << 70) - 1
 
 def test_classify_affine_iff_single_term_conjugation():
     """Gottesman-Knill consistency: affine exactly when every single-qubit
