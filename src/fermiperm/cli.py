@@ -38,11 +38,9 @@ from .minimal import (
 )
 from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
-    AffineMapF2,
     BasisPermutation,
     GateCircuit,
     _check_permutation_cap,
-    classify_affine,
     conjugate_pauli_dense,
     from_cycles,
     parse_cycles,
@@ -316,19 +314,16 @@ def cmd_reduce(args) -> int:
 
 def cmd_perm(args) -> int:
     p = _resolve_permutation(args)
-    # A map is its own classification and a table is classified once, here;
-    # synthesis gets the map when there is one.  Only `cycles:` reads a table.
-    affine = p if isinstance(p, AffineMapF2) else classify_affine(p)
-    table = p if isinstance(p, BasisPermutation) else p.to_permutation()
+    table = p if isinstance(p, BasisPermutation) else p.to_permutation()  # for `cycles:`
     lines = [f"cycles: {table.cycle_string()}"]
-    lines.append(f"affine: {'yes' if affine is not None else 'no'}")
+    lines.append(f"affine: {'yes' if p.affine is not None else 'no'}")
     spec = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
     if spec is not None:
         report = redundant_qubits(p, spec)
         desc = "; ".join(f"qubit {q} = {v}" for q, v in report.fixed) or "none"
         lines.append(f"redundant: {desc}")
     if args.synthesize:
-        rep = synthesize_permutation(affine if affine is not None else p, sector=spec)
+        rep = synthesize_permutation(p, sector=spec)
         lines.append(
             "synthesis: "
             f"gates={rep.total_gates} cnot={rep.cnot_count} x={rep.x_count} "
@@ -433,6 +428,8 @@ def cmd_verify_anticommutation(args) -> int:
             spec = SectorSpec(n, k)
             for t in range(args.trials):
                 suites.append((f"minimal(K={k},#{t})", random_minimal_majoranas(spec, rng)))
+    if not suites:
+        raise ValueError(f"--mapping random-minimal needs at least 2 modes, got {n}")
     bad = 0
     for name, majos in suites:
         checks, failures = anticommutation_suite(majos)

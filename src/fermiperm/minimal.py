@@ -28,7 +28,6 @@ from .permutations import (
     Gate,
     GateCircuit,
     _check_permutation_cap,
-    classify_affine,
     permutation_from_circuit,
 )
 
@@ -192,16 +191,15 @@ def synthesize_permutation(
     """Decompose a basis permutation into a reversible circuit.
 
     Affine permutations take a fast path: a CNOT netlist for the linear part
-    followed by X gates for the offset, with no non-Clifford gates; an
-    ``AffineMapF2`` is its own classification, a table is ``classify_affine``'s
-    scan.  General permutations are split cycle by cycle into transpositions
-    (cycles that touch sector states first, when a sector is given); each
-    transposition of basis states a, b is routed along a Gray-code path of
-    single-bit flips, every flip being an (X-conjugated) multi-controlled X
-    that swaps exactly two states.
+    followed by X gates for the offset, with no non-Clifford gates;
+    ``p.affine`` tells them apart.  General permutations are split cycle by
+    cycle into transpositions (cycles that touch sector states first, when a
+    sector is given); each transposition of basis states a, b is routed along
+    a Gray-code path of single-bit flips, every flip being an (X-conjugated)
+    multi-controlled X that swaps exactly two states.
     """
     n = p.n_qubits
-    affine = p if isinstance(p, AffineMapF2) else classify_affine(p)
+    affine = p.affine
     if affine is not None:
         circuit = _affine_netlist(affine)
         return _report(circuit, transpositions=0)

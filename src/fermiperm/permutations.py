@@ -51,7 +51,7 @@ def _check_states(states, n_qubits: int) -> None:
 class BasisPermutation:
     """A bijection on {0, ..., 2^n - 1}; image[i] is where basis state i goes."""
 
-    __slots__ = ("n_qubits", "image")
+    __slots__ = ("n_qubits", "image", "_affine")
 
     def __init__(self, image: Sequence[int]):
         arr = np.asarray(image)
@@ -68,6 +68,7 @@ class BasisPermutation:
         arr.setflags(write=False)
         self.n_qubits = n
         self.image = arr
+        self._affine = ...  # not yet classified
 
     @classmethod
     def identity(cls, n_qubits: int) -> "BasisPermutation":
@@ -80,6 +81,15 @@ class BasisPermutation:
         _check_states(states, self.n_qubits)
         images = self.image[states]
         return images if isinstance(images, np.ndarray) else int(images)
+
+    @property
+    def affine(self) -> Optional["AffineMapF2"]:
+        """The ``AffineMapF2`` that realizes this table, or None.  A map is
+        its own classification; a table is scanned by ``classify_affine``
+        once, on first use, and the answer is kept: the image is read-only."""
+        if self._affine is ...:
+            self._affine = classify_affine(self)
+        return self._affine
 
     @property
     def dim(self) -> int:
@@ -335,6 +345,11 @@ class AffineMapF2:
         _check_states(states, self.n_qubits)
         return f2._xor_columns(self._column_masks, states) ^ self._offset_mask
 
+    @property
+    def affine(self) -> "AffineMapF2":
+        """This map: see ``BasisPermutation.affine``."""
+        return self
+
     def to_permutation(self) -> BasisPermutation:
         _check_permutation_cap(self.n_qubits)
         return BasisPermutation(self.apply(np.arange(1 << self.n_qubits, dtype=np.int64)))
@@ -352,9 +367,6 @@ def classify_affine(p: BasisPermutation) -> Optional[AffineMapF2]:
 
     Candidate: b = p(0) and column i = p(e_i) (+) b; the candidate is then
     verified against every one of the 2^n states, so the answer is exact.
-    Only a table needs this scan: ``encode_and_reduce``,
-    ``redundant_qubits``, ``synthesize_permutation`` and ``fermiperm perm``
-    take a permutation known as its map, an ``AffineMapF2``, as it is.
     """
     n = p.n_qubits
     b_mask = int(p.image[0])

@@ -27,7 +27,6 @@ bytes, two at once when the solves run side by side, is not counted there.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ from .pauli import (
     _check_dense_cap,
     parity_u64,
 )
-from .permutations import AffineMapF2, BasisPermutation, classify_affine, conjugate_pauli_dense
+from .permutations import AffineMapF2, BasisPermutation, conjugate_pauli_dense
 
 ORACLE_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
@@ -131,10 +130,9 @@ def encode_and_reduce(
 ) -> ReducedHamiltonian:
     """Full pipeline; raises if ``h`` is not number conserving.
 
-    ``p`` is U as a table, which ``classify_affine`` scans, or as its affine
-    map x -> Mx (+) b (a ``LinearEncodingF2`` has b = 0), which is its own
-    classification: no 2^N table is built or scanned.  Either type's
-    ``apply`` gives the sector images.
+    ``p`` is U as a table or as its affine map x -> Mx (+) b (a
+    ``LinearEncodingF2`` has b = 0); ``p.affine`` tells the two paths apart
+    and either type's ``apply`` gives the sector images.
 
     The sector images stay distinct on the surviving qubits, since a
     permutation's images are distinct and agree on every fixed qubit, so
@@ -155,7 +153,7 @@ def encode_and_reduce(
             "sector holds a single state; there is no operator left to reduce"
         )
     states = np.array(spec.sector_states(), dtype=np.int64)  # in rank order
-    affine = p if isinstance(p, AffineMapF2) else classify_affine(p)
+    affine = p.affine
     images = p.apply(states)
     report = _redundancy_of_images(images, n)
 
@@ -374,23 +372,13 @@ def _eigvalsh_pair(a: np.ndarray, b: np.ndarray, side_by_side: bool):
     if not side_by_side:
         eig_a = np.linalg.eigvalsh(a, UPLO="L")
         return np.sort(eig_a), np.sort(np.linalg.eigvalsh(b, UPLO="L"))
-    outcome = {}
+    # imported here: at module level it would slow every `import fermiperm.cli`
+    from concurrent.futures import ThreadPoolExecutor
 
-    def solve_b():
-        try:
-            outcome["eig"] = np.linalg.eigvalsh(b, UPLO="L")
-        except Exception as exc:  # raised again below, from the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=solve_b, name="fermiperm-eigvalsh")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:  # leaving the block joins the worker
+        eig_b = pool.submit(np.linalg.eigvalsh, b, UPLO="L")
         eig_a = np.linalg.eigvalsh(a, UPLO="L")
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome.pop("error")
-    return np.sort(eig_a), np.sort(outcome["eig"])
+    return np.sort(eig_a), np.sort(eig_b.result())
 
 
 def _hermitize_lower(a: np.ndarray, out: np.ndarray, step: int) -> None:

@@ -25,7 +25,7 @@ from fermiperm import (
     minimal_permutation_index_embed,
     random_one_body,
 )
-from fermiperm import f2, minimal, permutations, reduction
+from fermiperm import f2, permutations
 from fermiperm.cli import _CHUNK_TERMS, _json_chunks, anticommutation_suite, main
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop
@@ -318,6 +318,20 @@ def test_verify_anticommutation_random_minimal(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+def test_verify_anticommutation_random_minimal_needs_two_modes(capsys):
+    """At one mode ``random-minimal`` has no sector to build a family for,
+    so it is a usage error, not a pass of zero checks; the jw and parity
+    suites still run there."""
+    code, out, err = run(
+        capsys, "verify", "anticommutation", "--modes", "1", "--mapping", "random-minimal"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --mapping random-minimal needs at least 2 modes, got 1\n"
+    code, out, err = run(capsys, "verify", "anticommutation", "--modes", "1")
+    assert (code, err) == (0, "")
+    assert out == "jw: 3 checks pass\nparity: 3 checks pass\n"
+
+
 
 def test_anticommutation_suite_reports_failures():
     """Broken 3-mode families: each failure is named, in pair order, and the
@@ -581,8 +595,7 @@ def test_reduce_mapping_parity_eliminates_once_and_scans_no_table(tmp_path, caps
         monkeypatch.setattr(module, name, wrapper)
 
     counted(f2, "_row_ops")
-    for module in (cli, reduction, minimal, permutations):
-        counted(module, "classify_affine")
+    counted(permutations, "classify_affine")
     perm = ["perm", "--modes", "6", "--fermions", "3", "--synthesize"]
     for argv in (
         ["reduce", "--modes", "6", "--fermions", "3", "--hermitize", "--hamiltonian", str(ham),
@@ -594,6 +607,30 @@ def test_reduce_mapping_parity_eliminates_once_and_scans_no_table(tmp_path, caps
         code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
         assert (code, err) == (0, "")
         assert calls == {"_row_ops": 1, "classify_affine": 0}, argv
+
+
+def test_each_table_is_scanned_once_per_command(capsys, monkeypatch):
+    """``perm --synthesize`` on a non-affine table reads the one
+    ``classify_affine`` scan for its ``affine:`` line and for synthesis, and
+    ``verify oracle`` scans its one table once for all its trials."""
+    scans = []
+    inner = permutations.classify_affine
+
+    def counted(p):
+        scans.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(permutations, "classify_affine", counted)
+    perm = ["perm", "--modes", "6", "--fermions", "3", "--synthesize"]
+    for argv in (
+        [*perm, "--index-embed"],
+        [*perm, "--cycles", "(0,3)(5,9)"],
+        ["verify", "oracle", "--modes", "6", "--fermions", "3", "--trials", "3"],
+    ):
+        scans.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert len(scans) == 1, argv
 
 
 def test_reduce_cycles_of_the_parity_table_match_the_parity_map(tmp_path, capsys):

@@ -36,7 +36,7 @@ from fermiperm import (
     permutation_from_circuit,
     random_one_body,
 )
-from fermiperm import f2
+from fermiperm import f2, permutations
 from fermiperm.pauli import PRUNE_TOL
 from helpers import (
     array_sum,
@@ -204,6 +204,30 @@ def test_classify_parity_chain():
 def test_classify_toffoli_not_affine():
     c = GateCircuit(3).toffoli(1, 2, 3)
     assert classify_affine(permutation_from_circuit(c)) is None
+
+
+def test_affine_is_classified_once_per_table(monkeypatch):
+    """A table's ``.affine`` is ``classify_affine``'s answer, scanned on the
+    first read only; a map is its own classification."""
+    chain = GateCircuit(4)
+    for j in range(1, 4):
+        chain.cnot(j, j + 1)
+    tables = [
+        permutation_from_circuit(chain.x(2)),
+        permutation_from_circuit(GateCircuit(3).toffoli(1, 2, 3)),
+    ]
+    expected = [classify_affine(p) for p in tables]
+    assert expected[0] is not None and expected[1] is None
+    scans = []
+    inner = permutations.classify_affine
+    monkeypatch.setattr(permutations, "classify_affine", lambda p: scans.append(p) or inner(p))
+    for p, a in zip(tables, expected):
+        scans.clear()
+        assert p.affine == a and scans == [p]
+        assert p.affine == a and scans == [p]
+    a = expected[0]
+    linear = LinearEncodingF2(np.eye(3, dtype=np.uint8))
+    assert a.affine is a and linear.affine is linear and scans == [tables[1]]
 
 
 def test_xor_columns_matches_matvec():
