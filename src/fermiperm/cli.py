@@ -150,6 +150,8 @@ def _resolve_permutation(args) -> BasisPermutation | LinearEncodingF2:
 # Terms per chunk of a streamed Pauli sum: about 25 kB of JSON text.  The
 # join of a chunk's 6 pieces per term holds an 80-byte buffer view per piece.
 _CHUNK_TERMS = 1 << 8
+# Distinct floats per repr of a list: about 100 kB of text at a time.
+_SPELL_BATCH = 1 << 12
 
 
 def _emit(payload, output: Optional[str]) -> None:
@@ -214,22 +216,27 @@ def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
     """Chunks that join to ``json.dumps(s.to_json_dict()["terms"], indent=2)``,
     encoded, with every line after the first indented by ``indent``.
 
-    Each distinct float bit pattern is spelled once, by ``float.__repr__``
-    as json does (NaN and the infinities as json spells them).  A chunk is
-    one join of the constant separators, the sorted letters and the
-    spellings of the chunk's terms, interleaved."""
+    Each distinct float bit pattern is spelled once, as json does: the
+    sorted distinct values go through one ``repr`` of their list a batch of
+    ``_SPELL_BATCH`` at a time, split at its separators, and NaN and the
+    infinities are renamed as json spells them.  A chunk looks its parts
+    up in that table; it is one join of the constant separators, the
+    sorted letters and the spellings of the chunk's terms, interleaved."""
     letters, coeff = s._sorted_terms()
     if not letters.size:
         yield b"[]"
         return
     parts = coeff.view(np.float64).view(np.uint64)  # re, im per term
-    bits = np.unique(parts)
-    json_names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-    spelled = np.fromiter(
-        (json_names.get(r, r).encode() for r in map(float.__repr__, bits.view(np.float64))),
-        dtype=object,
-        count=bits.size,
-    )
+    bits = np.sort(parts)  # np.unique(parts) gives the same, ten times slower
+    bits = bits[np.append(True, bits[1:] != bits[:-1])]
+    values = bits.view(np.float64)
+    spelled = np.empty(bits.size, dtype=object)
+    for start in range(0, bits.size, _SPELL_BATCH):
+        batch = slice(start, start + _SPELL_BATCH)
+        spelled[batch] = repr(values[batch].tolist()).encode()[1:-1].split(b", ")
+    json_names = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
+    for index in np.flatnonzero(~np.isfinite(values)).tolist():
+        spelled[index] = json_names[spelled[index]]
     item = (indent + "  ").encode()
     opening = b"\n" + item + b'{\n' + item + b'  "pauli": "'
     closing = b"\n" + item + b"}"

@@ -227,7 +227,12 @@ def encode_fermion_operator(
     """Encode each term as the product of its encoded ladder operators, in
     the order written, and return the sum.  The products are added in place
     into one dict, with ``PauliSum``'s merge and prune, so the result is the
-    left-to-right ``total + product`` bit for bit, in linear time."""
+    left-to-right ``total + product`` bit for bit, in linear time.
+
+    Finite coefficients can still overflow once they are added up; a sum
+    with a coefficient that is not finite raises ``ValueError``.  Every
+    product is finite and a sum of finite values never reaches NaN, so one
+    check of the result is enough."""
     n_modes = len(majoranas)
     if not n_modes:
         raise DimensionError("no Majorana pairs: need at least one mode to encode")
@@ -247,7 +252,13 @@ def encode_fermion_operator(
             total[key] = (0.0 + total[key]) + c if key in total else 0.0 + c
             if not abs(total[key]) > PRUNE_TOL:  # not <=: NaN is pruned too
                 del total[key]
-    return PauliSum(n_qubits, total)
+    out = PauliSum(n_qubits, total)
+    overflowed = np.count_nonzero(~np.isfinite(out._arrays[2]))
+    if overflowed:
+        raise ValueError(
+            f"the encoded sum overflows: {overflowed} of its {len(out)} coefficients are not finite"
+        )
+    return out
 
 
 def linear_encoding_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliString]]:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from fermiperm import (
     random_one_body,
 )
 from fermiperm import f2, permutations
-from fermiperm.cli import _CHUNK_TERMS, _json_chunks, anticommutation_suite, main
+from fermiperm.cli import _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, anticommutation_suite, main
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop
 
@@ -971,6 +972,41 @@ def test_json_writer_chunk_boundaries(sizes):
     assert len(chunks) == 3 + sum(max(1, math.ceil(t / _CHUNK_TERMS)) for t in sizes)
 
 
+def _significant_digits(v: float) -> int:
+    return len(repr(abs(v)).split("e")[0].replace(".", "").strip("0"))
+
+
+def test_json_writer_spells_distinct_doubles_across_chunks():
+    """More than two chunks of terms whose parts are random doubles that
+    need 17 significant digits, with a _PARTS value in every fourth term
+    (NaN beside an infinite part): more distinct parts than one batch of the
+    spelling table holds, so each batch serves several chunks, and special
+    values sit between ordinary ones."""
+    rng = np.random.default_rng(29)
+    n_terms = _SPELL_BATCH // 2 + 2 * _CHUNK_TERMS + 1
+    doubles = (
+        v for v in rng.integers(0, 2**64, 8 * n_terms, dtype=np.uint64).view(np.float64).tolist()
+        if _significant_digits(v) == 17 and math.isfinite(v)
+    )
+    coeffs = []
+    while len(coeffs) < n_terms:
+        c = complex(next(doubles), next(doubles))
+        if len(coeffs) % 4 == 0:
+            special = _PARTS[len(coeffs) // 4 % len(_PARTS)]
+            c = complex(special, math.inf if math.isnan(special) else c.imag)
+        if abs(c) > PRUNE_TOL:
+            coeffs.append(c)
+    keys = rng.choice(4**6, n_terms, replace=False).tolist()
+    s = array_sum(6, {(k >> 6, k & 63): c for k, c in zip(keys, coeffs)})
+    parts = np.array(coeffs).view(np.float64)
+    assert np.unique(parts.view(np.uint64)).size > _SPELL_BATCH
+    assert sum(_significant_digits(v) == 17 for v in parts.tolist()) > 0.8 * parts.size
+    payload = {"hamiltonian": {"n_qubits": 6, "terms": s}, "stats": {"term_count": n_terms}}
+    chunks = list(_json_chunks(payload))
+    assert len(chunks) == 2 + math.ceil(n_terms / _CHUNK_TERMS)
+    assert b"".join(chunks).decode() == json.dumps(_plain(payload), indent=2)
+
+
 @pytest.mark.parametrize("command", ["reduce", "encode", "stats"])
 def test_stdout_is_the_output_file_and_a_newline(tmp_path, capsys, command):
     ham = tmp_path / "h.txt"
@@ -1039,6 +1075,29 @@ def test_nonfinite_coefficients_name_their_line(tmp_path, command, coeff):
         "encode": ["encode", "--modes", "2"],
     }[command]
     _assert_located_usage_error([*argv, "--hamiltonian", str(ham), "--output", str(out)], "line 4:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--modes", "4"],
+        ["reduce", "--modes", "4", "--fermions", "2", "--index-embed"],
+        ["reduce", "--modes", "4", "--fermions", "2", "--mapping", "parity"],
+    ],
+)
+def test_coefficients_that_overflow_when_added_are_a_usage_error(tmp_path, capsys, argv):
+    """Four finite number operators of 1e308 add up to an infinite identity
+    coefficient: exit 2 with one error line, before any numpy warning, with
+    nothing on stdout and no file written."""
+    ham = tmp_path / "h.txt"
+    ham.write_text("".join(f"{p} {p} 1e308 0\n" for p in range(1, 5)))
+    out = tmp_path / "out.json"
+    error = "error: the encoded sum overflows: 1 of its 5 coefficients are not finite\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for output in (["--output", str(out)], []):
+            assert run(capsys, *argv, "--hamiltonian", str(ham), *output) == (2, "", error)
     assert not out.exists()
 
 

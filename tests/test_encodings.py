@@ -318,6 +318,16 @@ def test_encode_without_majoranas_is_a_dimension_error(terms):
         encode_fermion_operator(FermionOperator.from_terms(terms), [])
 
 
+def test_encode_rejects_coefficients_that_overflow_when_added():
+    """Each number operator 1e308 n_p = 5e307 (I - Z_p) is finite, but four
+    identity parts add up past the largest float; two do not."""
+    numbers = [FermionTerm.make(1e308, [(p, True), (p, False)]) for p in (1, 2, 3, 4)]
+    with pytest.raises(ValueError, match="overflows: 1 of its 5 coefficients are not finite"):
+        encode_fermion_operator(FermionOperator.from_terms(numbers), jw_majoranas(4))
+    two = encode_fermion_operator(FermionOperator.from_terms(numbers[:2]), jw_majoranas(4))
+    assert dict(two.items_sorted()) == {"IIII": 1e308, "ZIII": -5e307, "IZII": -5e307}
+
+
 # Dyadic values, exact zeros of either sign and values at the prune threshold
 # make cancellations exact and show signed zeros and the prune order.
 _PARTS = st.one_of(

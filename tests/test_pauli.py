@@ -448,11 +448,14 @@ def test_hermiticity_detection():
 
 @st.composite
 def wide_sums(draw):
-    """A sum on 1, 63, 64, 65 or 130 qubits whose keys often differ only in
-    the first qubit, the last, or bit 64 (the first past a 64-bit word)."""
-    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    """A sum on 1, 31, 32, 33, 63, 64, 65 or 130 qubits whose keys often
+    differ only in the first qubit, the last, bit 31 or 32 (either side of
+    the 32 qubits in a word of the sort key) or bit 64 (the first past a
+    64-bit mask)."""
+    n = draw(st.sampled_from([1, 31, 32, 33, 63, 64, 65, 130]))
     masks = st.integers(0, 2**n - 1)
-    flips = st.sampled_from(sorted({1, 1 << (n - 1), (1 << 64) % (1 << n) or 1}))
+    bits = (1, 1 << (n - 1), *((1 << b) % (1 << n) for b in (31, 32, 64)))
+    flips = st.sampled_from(sorted({b or 1 for b in bits}))
     items = []
     for i in range(draw(st.integers(0, 12))):
         x, z = draw(masks), draw(masks)
