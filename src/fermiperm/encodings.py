@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import f2
 from .errors import DimensionError, HamiltonianParseError, NumberConservationError
-from .pauli import PRUNE_TOL, PauliString, PauliSum, _merge, _products
+from .pauli import PRUNE_TOL, PauliString, PauliSum, _I_POWERS, _popcount_u64
 from .permutations import AffineMapF2, GateCircuit, conjugate_pauli_affine
 
 
@@ -78,9 +79,32 @@ class FermionTerm:
 
 @dataclass(frozen=True)
 class FermionOperator:
-    """A finite sum of :class:`FermionTerm`."""
+    """A finite sum of :class:`FermionTerm`.
+
+    Its array form, built once when the operator is made, is what every
+    stage reads: ``_arrays`` holds the ops as ``modes`` (``int64``) and
+    ``daggers`` (``bool``), one row a term, padded after the term's own ops
+    to the longest term (mode 0, not raised), each term's op count as
+    ``lengths`` and the coefficients as ``coeff`` (``complex``), in term
+    order.  ``terms`` stays the operator's value; the form is not compared.
+    """
 
     terms: tuple[FermionTerm, ...] = field(default_factory=tuple)
+    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = self.terms
+        lengths = np.array([len(t.ops) for t in terms], dtype=np.int64)
+        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        ops = chain.from_iterable(chain.from_iterable(t.ops for t in terms))
+        ops = np.fromiter(ops, np.int64, 2 * int(lengths.sum())).reshape(-1, 2)
+        modes = np.zeros(filled.shape, dtype=np.int64)
+        daggers = np.zeros(filled.shape, dtype=bool)
+        modes[filled], daggers[filled] = ops[:, 0], ops[:, 1]
+        coeff = np.array([t.coefficient for t in terms], dtype=complex)
+        for a in (modes, daggers, lengths, coeff):
+            a.setflags(write=False)
+        object.__setattr__(self, "_arrays", (modes, daggers, lengths, coeff))
 
     @classmethod
     def from_terms(cls, terms: Iterable[FermionTerm]) -> "FermionOperator":
@@ -108,20 +132,26 @@ class FermionOperator:
         return FermionOperator(tuple(t.dagger() for t in self.terms))
 
     def hermitized(self) -> "FermionOperator":
-        return self + self.dagger()
+        return FermionOperator(self.terms + tuple(t.dagger() for t in self.terms))
 
     def max_mode(self) -> int:
-        return max((m for t in self.terms for m, _ in t.ops), default=0)
+        return int(self._arrays[0].max(initial=0))
+
+    def _conserving(self) -> np.ndarray:
+        """Per term: as many raising as lowering operators."""
+        _, daggers, lengths, _ = self._arrays
+        return 2 * np.count_nonzero(daggers, axis=1) == lengths
 
     def is_number_conserving(self) -> bool:
-        return all(t.is_number_conserving() for t in self.terms)
+        return bool(self._conserving().all())
 
     def require_number_conserving(self) -> None:
-        for t in self.terms:
-            if not t.is_number_conserving():
-                raise NumberConservationError(
-                    f"term does not conserve particle number: {t.describe()}", term=t
-                )
+        broken = np.flatnonzero(~self._conserving())
+        if broken.size:
+            t = self.terms[broken[0]]
+            raise NumberConservationError(
+                f"term does not conserve particle number: {t.describe()}", term=t
+            )
 
 
 class LinearEncodingF2(AffineMapF2):
@@ -225,9 +255,22 @@ def encode_fermion_operator(
     majoranas: Sequence[tuple[PauliString, PauliString]],
 ) -> PauliSum:
     """Encode each term as the product of its encoded ladder operators, in
-    the order written, and return the sum.  The products are added in place
-    into one dict, with ``PauliSum``'s merge and prune, so the result is the
-    left-to-right ``total + product`` bit for bit, in linear time.
+    the order written, and return the sum.
+
+    The result is the dict route's, bit for bit: per term, ``_merge`` of
+    ``_products`` of the coefficient and each ladder in turn, then each
+    term's keys added in order into one dict as ``(0.0 + total) + c``,
+    a key whose sum is at most ``PRUNE_TOL`` (or NaN) deleted and put back
+    at the end when it comes again.  So the keys, their ``items()`` order
+    and every bit of every part, signed zeros included, are that route's.
+
+    It runs on the operator's array form, one group of terms of equal
+    length at a time.  The ladder table comes straight from the Majorana
+    masks (``_ladder_table``).  Each op multiplies every term's current
+    strings by its ladder's at once, component-wise as CPython multiplies
+    complex numbers, with ``_mask_product``'s phase; ``_fold`` then
+    merges each term's products.  The terms' strings, in term order,
+    are added by ``_fold`` after one stable sort by key.
 
     Finite coefficients can still overflow once they are added up; a sum
     with a coefficient that is not finite raises ``ValueError``.  Every
@@ -236,29 +279,210 @@ def encode_fermion_operator(
     n_modes = len(majoranas)
     if not n_modes:
         raise DimensionError("no Majorana pairs: need at least one mode to encode")
+    modes, daggers, lengths, coeff = h._arrays
     if h.max_mode() > n_modes:
         raise DimensionError(
             f"operator touches mode {h.max_mode()} but only {n_modes} are encoded"
         )
-    n_qubits = _coerce_majorana(majoranas[0][0]).n_qubits
-    ops = dict.fromkeys(op for term in h.terms for op in term.ops)
-    ladders = {op: list(encode_ladder(*op, majoranas).items()) for op in ops}
-    total: dict[tuple[int, int], complex] = {}
-    for term in h.terms:
-        acc = _merge([((0, 0), term.coefficient)])
-        for op in term.ops:
-            acc = _merge(_products(acc.items(), ladders[op]))
-        for key, c in acc.items():
-            total[key] = (0.0 + total[key]) + c if key in total else 0.0 + c
-            if not abs(total[key]) > PRUNE_TOL:  # not <=: NaN is pruned too
-                del total[key]
-    out = PauliSum(n_qubits, total)
-    overflowed = np.count_nonzero(~np.isfinite(out._arrays[2]))
+    used = modes[np.arange(modes.shape[1]) < lengths[:, None]]
+    if np.any(used < 1):
+        raise DimensionError(f"no Majorana pair for mode {used[used < 1][0]}")
+    n_qubits = majoranas[0][0].n_qubits
+    table = _ladder_table(majoranas, n_qubits)
+    rows = 2 * (modes - 1) + daggers  # each op's ladder row; padding is never read
+    masks = np.zeros(0, dtype=table[0].dtype)
+    pieces = [(np.zeros(0, dtype=np.int64), masks, masks, np.zeros(0, dtype=complex))]
+    with np.errstate(over="ignore", invalid="ignore"):  # the result's check speaks for both
+        for length in np.unique(lengths).tolist():
+            terms = np.flatnonzero(lengths == length)
+            term, *strings = _encode_equal_length(
+                n_qubits, table, rows[terms, :length], coeff[terms]
+            )
+            pieces.append((terms[term], *strings))
+        term, x, z, c = (np.concatenate(a) for a in zip(*pieces))
+        if len(pieces) > 2:  # back in term order
+            order = np.argsort(term, kind="stable")
+            x, z, c = x[order], z[order], c[order]
+        pos, out = _fold(c, *_key_groups(n_qubits, x, z), prune_each=True)
+    overflowed = np.count_nonzero(~np.isfinite(out))
     if overflowed:
         raise ValueError(
-            f"the encoded sum overflows: {overflowed} of its {len(out)} coefficients are not finite"
+            f"the encoded sum overflows: {overflowed} of its {out.size} coefficients are not finite"
         )
-    return out
+    return PauliSum._from_arrays(n_qubits, x[pos], z[pos], out)
+
+
+def _ladder_part(phase: int, factor: complex) -> complex:
+    """The coefficient ``encode_ladder`` gives a Majorana string of phase
+    i**phase scaled by ``factor``: from ``PauliSum.from_pauli``, ``scale``
+    and the ladder's sum, each followed by its merge's ``0.0 +``."""
+    return 0.0 + (0.0 + (0.0 + 1.0 * 1j**phase) * factor)
+
+
+def _ladder_table(majoranas, n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Every mode's two encoded ladders: row 2(j - 1) + dagger holds a_j or
+    a+_j as ``x``, ``z`` masks, ``re``, ``im`` parts and ``yc``, the
+    popcount of x & z, padded to the longest ladder, with ``count`` terms
+    each.  One Pauli string per Majorana with distinct keys g, g' gives
+    a_j = (g + i g')/2 and a+_j = (g - i g')/2 straight from the masks and
+    phases; sums take ``encode_ladder``'s terms."""
+    word = np.uint64 if n_qubits <= 64 else object
+    flat = [m for pair in majoranas for m in pair]
+    if any(m.n_qubits != n_qubits for m in flat):
+        raise DimensionError("the Majoranas act on registers of different sizes")
+    if all(isinstance(m, PauliString) for m in flat) and all(
+        (g.x_bits, g.z_bits) != (gp.x_bits, gp.z_bits) for g, gp in majoranas
+    ):
+        x, z = (np.array([getattr(m, f) for m in flat], dtype=word).reshape(-1, 2)
+                for f in ("x_bits", "z_bits"))
+        phase = np.array([m.phase for m in flat]).reshape(-1, 2)
+        # columns: g's factor 0.5, then g''s 0.5 i (a_j) and -0.5 i (a+_j)
+        parts = np.array([[_ladder_part(k, f) for f in (0.5, 0.5 * 1j, 0.5 * -1j)]
+                          for k in range(4)])
+        values = np.stack([parts[phase[:, 0], 0], parts[phase[:, 1], 1],
+                           parts[phase[:, 0], 0], parts[phase[:, 1], 2]], axis=1)
+        x, z, values = np.repeat(x, 2, axis=0), np.repeat(z, 2, axis=0), values.reshape(-1, 2)
+        count = np.full(len(x), 2)
+    else:
+        ladders = [list(encode_ladder(j, dagger, majoranas).items())
+                   for j in range(1, len(majoranas) + 1) for dagger in (False, True)]
+        count = np.array([len(ladder) for ladder in ladders])
+        x = np.zeros((len(ladders), count.max()), dtype=word)
+        z, values = np.zeros_like(x), np.zeros(x.shape, dtype=complex)
+        for row, ladder in enumerate(ladders):
+            for col, ((xb, zb), c) in enumerate(ladder):
+                x[row, col], z[row, col], values[row, col] = xb, zb, c
+    return x, z, values.real.copy(), values.imag.copy(), _popcount(x & z), count
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Elementwise popcount of ``uint64`` masks or of Python-int masks."""
+    if masks.dtype != object:
+        return _popcount_u64(masks)
+    counts = [int(m).bit_count() for m in masks.ravel().tolist()]
+    return np.array(counts, dtype=np.int64).reshape(masks.shape)
+
+
+def _encode_equal_length(n: int, table, rows: np.ndarray, coeff: np.ndarray):
+    """Each term's encoded strings, for terms with ``rows.shape[1]`` ops:
+    ``term`` (index into ``coeff``), ``x``, ``z`` and the ``complex``
+    coefficients, term by term, each term's keys in the order its dict
+    route first sees them.
+
+    Every term starts as ``0.0 + coefficient`` on the identity, pruned.
+    Each op then multiplies every current string (a, in order) by every
+    term of its ladder (b, in order): masks a ^ b, power of i from the
+    popcounts as in ``_mask_product``, and (ca * cb) * i**k spelled out
+    part by part as CPython's complex product.  ``_fold`` then merges each
+    term's products as ``_merge`` does: in first-seen order, summed from
+    ``0.0 +`` the first, pruned."""
+    x_table, z_table, re_table, im_table, yc_table, count = table
+    width = x_table.shape[1]
+    full = bool(np.all(count == width))
+    term = np.arange(len(coeff))
+    x = z = np.zeros(len(coeff), dtype=x_table.dtype)
+    yc = np.zeros(len(coeff), dtype=np.int64)
+    c = 0.0 + coeff
+    keep = _above_tol(c)
+    term, x, z, yc, c = (a[keep] for a in (term, x, z, yc, c))
+    for op in range(rows.shape[1]):
+        row = rows[term, op]
+        bx, bz, bre, bim = (t[row] for t in (x_table, z_table, re_table, im_table))
+        px, pz = x[:, None] ^ bx, z[:, None] ^ bz
+        pyc = _popcount(px & pz)
+        k = (yc[:, None] + yc_table[row] + 2 * _popcount(z[:, None] & bx) - pyc) & 3
+        re, im = c.real[:, None], c.imag[:, None]
+        pr, pi = re * bre - im * bim, re * bim + im * bre
+        kr, ki = _I_POWERS.real[k], _I_POWERS.imag[k]  # 1j**k's parts, signed zeros too
+        c = np.empty(pr.shape, dtype=complex)
+        c.real, c.imag = pr * kr - pi * ki, pr * ki + pi * kr
+        term = np.repeat(term, width)
+        x, z, yc, c = px.ravel(), pz.ravel(), pyc.ravel(), c.ravel()
+        if not full:
+            real = (np.arange(width) < count[row][:, None]).ravel()
+            term, x, z, yc, c = (a[real] for a in (term, x, z, yc, c))
+        pos, c = _fold(c, *_key_groups(n, x, z, term), prune_each=False)
+        term, x, z, yc = term[pos], x[pos], z[pos], yc[pos]
+    return term, x, z, c
+
+
+def _key_groups(n: int, x: np.ndarray, z: np.ndarray, term: np.ndarray | None = None):
+    """A stable order of the terms that puts equal keys (x, z), or (term,
+    x, z) with ``term`` nondecreasing, together, each key's terms in their
+    given order, and where in that order each group starts; masks have at
+    most n bits.  One combined key (term << 2n) | (x << n) | z is sorted
+    where it fits a ``uint64`` or the masks are Python ints, and
+    ``lexsort`` takes the parts otherwise."""
+    word = x.dtype.type
+    extra = 0 if term is None or not term.size else int(term[-1]).bit_length()
+    if x.dtype == object or 2 * n + extra <= 64:
+        key = (x << word(n)) | z
+        if extra:
+            key |= term.astype(x.dtype) << word(2 * n)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = key[1:] != key[:-1]
+    else:
+        cols = (z, x) if term is None else (z, x, term)
+        order = np.lexsort(cols)
+        new = np.zeros(max(order.size - 1, 0), dtype=bool)
+        for col in cols:
+            col = col[order]
+            new |= col[1:] != col[:-1]
+    return order, np.flatnonzero(np.concatenate(([True], new)))[: order.size]
+
+
+def _above_tol(c: np.ndarray) -> np.ndarray:
+    """``abs(c) > PRUNE_TOL`` as CPython decides it, by the C library's
+    ``hypot``; False for NaN."""
+    return np.hypot(c.real, c.imag) > PRUNE_TOL
+
+
+def _fold(c, order, start, prune_each: bool):
+    """Add each group's values ``c[order[start[g]:start[g + 1]]]`` in order:
+    s = 0.0 + the first, then s = (0.0 + s) + the next, the way the dict
+    routes merge.  With ``prune_each`` a sum at most ``PRUNE_TOL`` (or NaN)
+    leaves at once and the next value starts again from ``0.0 +``, as
+    ``del total[key]`` does; otherwise only the final sum is pruned.
+
+    The groups of more than one value are added in lockstep, longest
+    first, so that step i adds the i-th value of a prefix of them.
+    Returns, in increasing order, the position in ``c`` of the value that
+    last started each surviving group, and the sums."""
+    if start.size == order.size:  # no key twice: each value is its own sum
+        c = 0.0 + c
+        pos = np.flatnonzero(_above_tol(c))
+        return pos, c[pos]
+    s = c[order]
+    cur = 0.0 + s[start]
+    last = start.copy()
+    alive = _above_tol(cur)
+    size = np.diff(start, append=order.size)
+    multi = np.flatnonzero(size > 1)
+    multi = multi[np.argsort(-size[multi], kind="stable")]
+    first, run, run_last, run_alive = start[multi], cur[multi], last[multi], alive[multi]
+    longer = np.searchsorted(-size[multi], -np.arange(size[multi[0]]))  # groups with > i
+    for i in range(1, size[multi[0]]):
+        k = longer[i]
+        at = first[:k] + i
+        sums = run[:k]
+        if prune_each and not run_alive[:k].all():
+            dead = ~run_alive[:k]
+            sums[dead] = 0.0  # an absent key: (0.0 + 0.0) + c is 0.0 + c
+            run_last[:k][dead] = at[dead]
+        sums += 0.0
+        sums += s[at]
+        if prune_each:
+            run_alive[:k] = _above_tol(sums)
+    cur[multi], last[multi] = run, run_last
+    alive[multi] = run_alive if prune_each else _above_tol(run)
+    # back in the order of those positions by a scatter, not a sort; s is
+    # spent and holds the sums at their positions
+    pos = order[last[alive]]
+    kept = np.zeros(order.size, dtype=bool)
+    kept[pos] = True
+    s[pos] = cur[alive]
+    return np.flatnonzero(kept), s[kept]
 
 
 def linear_encoding_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliString]]:
@@ -336,5 +560,6 @@ def parse_hamiltonian(
                 (modes[3], False),
             ]
         terms.append(FermionTerm.make(coeff, ops))
-    op = FermionOperator(tuple(terms))
-    return op.hermitized() if hermitize else op
+    if hermitize:
+        terms += [t.dagger() for t in terms]
+    return FermionOperator(tuple(terms))

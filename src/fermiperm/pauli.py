@@ -51,8 +51,11 @@ def parity_u64(values: np.ndarray) -> np.ndarray:
 
 
 def _popcount_u64(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of an integer array, all 64 bits (SWAR folding)."""
+    """Elementwise popcount of an integer array, all 64 bits: numpy's
+    ``bitwise_count`` where it has one (numpy 2), else SWAR folding."""
     v = np.array(values, dtype=np.uint64)
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(v).astype(np.int64)
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
     m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -63,6 +66,18 @@ def _popcount_u64(values: np.ndarray) -> np.ndarray:
         v += v >> np.uint64(shift)
     return (v & np.uint64(0x7F)).astype(np.int64)
 
+
+
+def _overflow_raises(what: str) -> np.errstate:
+    """An ``np.errstate`` under which a float overflow raises ``ValueError``
+    naming ``what``: finite input whose dense form passes the largest float
+    stops there, before any warning, output or eigensolve.  Only overflow
+    raises; arithmetic on values already infinite or NaN goes on as before."""
+
+    def overflow(kind, flag):
+        raise ValueError(f"{what} overflows: its sums pass the largest float")
+
+    return np.errstate(over="call", call=overflow)
 
 # Rows per block of a batched transform: a block holds about 2^14 complex
 # entries (256 KiB) whatever the register width.
@@ -438,13 +453,14 @@ class PauliSum:
         masks, slot = np.unique(x, return_inverse=True)
         cols = np.arange(size)
         step = _block_rows(dim)
-        for start in range(0, masks.size, step):
-            stop = min(start + step, masks.size)
-            lo, hi = np.searchsorted(slot, (start, stop))
-            block = np.zeros((stop - start, dim), dtype=complex)
-            block[slot[lo:hi] - start, z[lo:hi]] = amps[lo:hi]
-            _walsh_hadamard_rows(block)
-            out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
+        with _overflow_raises("the dense form of the Pauli sum"):
+            for start in range(0, masks.size, step):
+                stop = min(start + step, masks.size)
+                lo, hi = np.searchsorted(slot, (start, stop))
+                block = np.zeros((stop - start, dim), dtype=complex)
+                block[slot[lo:hi] - start, z[lo:hi]] = amps[lo:hi]
+                _walsh_hadamard_rows(block)
+                out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
         return out if spare_row else out[:size]
 
     def __str__(self) -> str:
@@ -536,11 +552,12 @@ def _decompose_displacements(
     phases = _I_POWERS[-_popcount_u64(cols) % 4] / dim  # (-i)^|t| / 2^n at t = d & z
     keep = np.empty((rows, dim), dtype=bool)
     step = _block_rows(dim)
-    for start in range(0, rows, step):
-        block = g[start : start + step]
-        _walsh_hadamard_rows(block)
-        block *= phases[row_labels[start : start + step, None] & cols]
-        np.greater(np.abs(block), PRUNE_TOL, out=keep[start : start + step])
+    with _overflow_raises("the Pauli decomposition"):
+        for start in range(0, rows, step):
+            block = g[start : start + step]
+            _walsh_hadamard_rows(block)
+            block *= phases[row_labels[start : start + step, None] & cols]
+            np.greater(np.abs(block), PRUNE_TOL, out=keep[start : start + step])
     x, z = np.nonzero(keep)
     if labels is not None:
         x = labels[x]

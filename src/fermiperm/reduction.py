@@ -45,6 +45,7 @@ from .pauli import (
     PauliSum,
     _block_rows,
     _check_dense_cap,
+    _overflow_raises,
     parity_u64,
 )
 from .permutations import AffineMapF2, BasisPermutation, conjugate_pauli_dense
@@ -83,10 +84,14 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     # The X bit is clear on every kept term and the Z bit is cleared here, so
     # these keys sort and compare as the folded keys do.
     zs &= ~bit
-    # The stable sort puts each key's first-seen term first.  Adding 0.0 to
-    # first + second gives, signed zeros included, PauliSum's own merge
-    # (0.0 + first) + second bit for bit.
-    order = np.lexsort((zs, xs))
+    # The stable sort puts each key's first-seen term first: of one word
+    # (x << n) | z up to 32 qubits, of the parts by lexsort beyond.  Adding
+    # 0.0 to first + second gives, signed zeros included, PauliSum's own
+    # merge (0.0 + first) + second bit for bit.
+    if 2 * n <= 64:
+        order = np.argsort((xs << word(n)) | zs, kind="stable")
+    else:
+        order = np.lexsort((zs, xs))
     kept = kept[order]  # one at a time: each unsorted copy is freed at once
     xs = xs[order]
     zs = zs[order]
@@ -214,26 +219,28 @@ def sector_oracle(
     if n > 64:
         raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
     _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
-    live, strings = _ladder_strings(h.terms, n)
+    live, strings = _ladder_strings(h, n)
     dim = spec.dimension
 
     states = np.array(spec.sector_states(), dtype=np.uint64)
     out = np.zeros((dim, dim), dtype=complex)
-    coeff = np.array([t.coefficient for t in h.terms], dtype=complex)[live]
+    coeff = h._arrays[3][live]
     step = _block_rows(dim)
-    for start in range(0, live.size, step):
-        chunk = slice(start, start + step)
-        term, col, state, odd = _apply_ladders(states, *(a[chunk] for a in strings))
-        rows = np.minimum(np.searchsorted(states, state), dim - 1)
-        hit = states[rows] == state
-        c = coeff[chunk][term[hit]]
-        np.add.at(out.reshape(-1), rows[hit] * dim + col[hit], np.where(odd[hit] == 1, -c, c))
+    with _overflow_raises("the sector oracle"):
+        for start in range(0, live.size, step):
+            chunk = slice(start, start + step)
+            term, col, state, odd = _apply_ladders(states, *(a[chunk] for a in strings))
+            rows = np.minimum(np.searchsorted(states, state), dim - 1)
+            hit = states[rows] == state
+            c = coeff[chunk][term[hit]]
+            np.add.at(out.reshape(-1), rows[hit] * dim + col[hit], np.where(odd[hit] == 1, -c, c))
     return out
 
 
-def _ladder_strings(terms, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The index of the terms that do not kill every state, in order, and
-    their ladder strings as ``need``, ``one``, ``flip``, ``sign``, ``odd``.
+def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The index of the terms of ``h`` that do not kill every state, in
+    order, and their ladder strings as ``need``, ``one``, ``flip``, ``sign``,
+    ``odd``, read from its array form.
 
     Ladder operators only flip mode bits, and the sign of each is the
     parity of the occupied modes left of it, which is linear over GF(2).
@@ -242,17 +249,16 @@ def _ladder_strings(terms, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     carries (-1)^(parity(s & sign) ^ odd), ``odd`` a 0/1 ``int64``.  A term
     that asks one mode to be both occupied and empty is not in the index.
     Raises ``DimensionError`` on a mode outside 1..n."""
-    ops = [op for t in terms for op in reversed(t.ops)]
-    modes = [m for m, _ in ops]
-    if modes and not 1 <= min(modes) <= max(modes) <= n:
-        mode = next(m for m in modes if not 1 <= m <= n)
+    modes, daggers, lengths, _ = h._arrays
+    # terms x operators, right to left as they apply; the padding, mode 0,
+    # comes first and has no bit and nothing left of it
+    filled = (np.arange(modes.shape[1]) < lengths[:, None])[:, ::-1]
+    grid = modes[:, ::-1]
+    used = grid[filled]
+    if used.size and not 1 <= used.min() <= used.max() <= n:
+        mode = next(m for m in used.tolist() if not 1 <= m <= n)
         raise DimensionError(f"mode {mode} out of range 1..{n}")
-    lengths = np.fromiter((len(t.ops) for t in terms), np.int64, len(terms))
-    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]  # terms x operators
-    grid = np.zeros(filled.shape, dtype=np.int64)  # mode 0 pads: no bit, nothing left
-    grid[filled] = modes
-    lowers = np.zeros(filled.shape, dtype=bool)
-    lowers[filled] = [not dagger for _, dagger in ops]
+    lowers = filled & ~daggers[:, ::-1]
     register = (1 << n) - 1
     bit_of = np.array([0] + [1 << (n - m) for m in range(1, n + 1)], dtype=np.uint64)
     left_of = np.array(
@@ -390,12 +396,13 @@ def _hermitize_lower(a: np.ndarray, out: np.ndarray, step: int) -> None:
     is a[s:t, :t] or a[:t, s:t] on its side of the diagonal; no later block
     reads those entries.  The add and the halving are the ufuncs of
     ``(a + a.conj().T) / 2``, so every entry has the same bits."""
-    for start in range(0, a.shape[0], step):
-        stop = min(start + step, a.shape[0])
-        rows = slice(start, stop)
-        target = out[rows, :start]
-        np.add(a[rows, :start], a[:start, rows].conj().T, out=target)
-        np.true_divide(target, 2, out=target)
-        square = a[rows, rows]
-        lower = np.tri(stop - start, dtype=bool)
-        np.copyto(out[rows, rows], (square + square.conj().T) / 2, where=lower)
+    with _overflow_raises("the hermitized sector matrix"):
+        for start in range(0, a.shape[0], step):
+            stop = min(start + step, a.shape[0])
+            rows = slice(start, stop)
+            target = out[rows, :start]
+            np.add(a[rows, :start], a[:start, rows].conj().T, out=target)
+            np.true_divide(target, 2, out=target)
+            square = a[rows, rows]
+            lower = np.tri(stop - start, dtype=bool)
+            np.copyto(out[rows, rows], (square + square.conj().T) / 2, where=lower)

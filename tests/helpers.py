@@ -20,8 +20,11 @@ from fermiperm import f2
 from fermiperm.encodings import _coerce_majorana, encode_ladder
 from fermiperm.pauli import (
     DENSE_CAP,
+    PRUNE_TOL,
     _check_dense_cap,
     _decompose_displacements,
+    _merge,
+    _products,
     parity_u64,
 )
 from fermiperm.permutations import _check_permutation_cap
@@ -345,6 +348,34 @@ def encode_fermion_operator_loop(h, majoranas) -> PauliSum:
             acc = acc * encode_ladder(mode, dag, majoranas)
         total = total + acc
     return total
+
+
+def encode_fermion_operator_dict(h, majoranas) -> PauliSum:
+    """Reference for ``encode_fermion_operator``: the dict route, one Python
+    step per product.  Each term is ``_merge`` of ``_products`` of its
+    coefficient and each encoded ladder in turn; its keys are added in
+    order into one dict as ``(0.0 + total) + c``, and a key whose sum is at
+    most ``PRUNE_TOL`` (or NaN) is deleted, to come back at the end."""
+    n_modes = len(majoranas)
+    if not n_modes:
+        raise DimensionError("no Majorana pairs: need at least one mode to encode")
+    if h.max_mode() > n_modes:
+        raise DimensionError(
+            f"operator touches mode {h.max_mode()} but only {n_modes} are encoded"
+        )
+    n_qubits = _coerce_majorana(majoranas[0][0]).n_qubits
+    ops = dict.fromkeys(op for term in h.terms for op in term.ops)
+    ladders = {op: list(encode_ladder(*op, majoranas).items()) for op in ops}
+    total: dict[tuple[int, int], complex] = {}
+    for term in h.terms:
+        acc = _merge([((0, 0), term.coefficient)])
+        for op in term.ops:
+            acc = _merge(_products(acc.items(), ladders[op]))
+        for key, c in acc.items():
+            total[key] = (0.0 + total[key]) + c if key in total else 0.0 + c
+            if not abs(total[key]) > PRUNE_TOL:  # not <=: NaN is pruned too
+                del total[key]
+    return PauliSum(n_qubits, total)
 
 
 def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP) -> ReductionCheck:

@@ -1101,6 +1101,40 @@ def test_coefficients_that_overflow_when_added_are_a_usage_error(tmp_path, capsy
     assert not out.exists()
 
 
+_HOPPINGS = "1 2 1e308 0\n2 1 1e308 0\n3 4 1e308 0\n4 3 1e308 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, selector, stage",
+    [(_HOPPINGS, ["--index-embed"], "the Pauli decomposition"),
+     (_HOPPINGS, ["--mapping", "parity"], "the hermitized sector matrix"),
+     ("1 1 1e308 0\n1 1 1e308 0\n", ["--mapping", "parity"], "the sector oracle")],
+)
+def test_finite_sums_whose_dense_forms_overflow_are_a_usage_error(
+    tmp_path, capsys, monkeypatch, text, selector, stage
+):
+    """Each input encodes to a finite sum, but the conjugation of the
+    hoppings (index embed), their hermitized sector matrix (parity) or the
+    sector oracle's sum of the two number terms passes the largest float:
+    exit 2 with one error line naming the overflow, before any numpy
+    warning and any eigensolve, with nothing on stdout and no file written."""
+    ham = tmp_path / "h.txt"
+    ham.write_text(text)
+    out = tmp_path / "out.json"
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("an overflowed matrix reached the eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    argv = ["reduce", "--modes", "4", "--fermions", "2", *selector, "--hamiltonian", str(ham)]
+    error = f"error: {stage} overflows: its sums pass the largest float\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for output in (["--output", str(out)], []):
+            assert run(capsys, *argv, *output) == (2, "", error)
+    assert not out.exists()
+
+
 # --- fuzzed parsers ---------------------------------------------------------
 # Each input is valid lines (with comments and blank lines between them) and
 # one malformed line; the error must name that line.  Three modes throughout.

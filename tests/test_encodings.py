@@ -29,7 +29,12 @@ from fermiperm import (
 )
 from fermiperm import SectorSpec, f2
 from fermiperm.cli import random_minimal_majoranas
-from helpers import encode_fermion_operator_loop, kron_dense, matvec
+from helpers import (
+    encode_fermion_operator_dict,
+    encode_fermion_operator_loop,
+    kron_dense,
+    matvec,
+)
 
 
 def test_jw_majorana_forms():
@@ -383,3 +388,58 @@ def test_encoder_matches_loop_bit_for_bit(case):
     assert _keys_and_bits(encode_fermion_operator(h, majoranas)) == _keys_and_bits(
         encode_fermion_operator_loop(h, majoranas)
     )
+
+
+@st.composite
+def wide_operators_and_majoranas(draw):
+    """A one-/two-body operator with one term t appearing as t, -t, later
+    terms, t, and a Majorana table: JW, parity or a random affine map's
+    (offset included) strings on up to 70 modes, where past 64 qubits the
+    masks are Python ints; or a random index embedding's sums, whose
+    ladders have 8 to 104 terms each, so that one term's products number
+    the product of its ladder lengths (two-body terms up to 3 modes, one-body
+    terms up to 4, where the dict route takes its time)."""
+    kind = draw(st.sampled_from(["jw", "parity", "affine", "minimal"]))
+    if kind == "minimal":
+        n = draw(st.integers(2, 4))
+    else:
+        n = draw(st.one_of(st.integers(1, 6), st.integers(62, 70)))
+    mode = st.integers(1, n)
+    two_body = kind != "minimal" or n <= 3
+
+    def term():
+        coeff = complex(draw(_PARTS), draw(_PARTS))
+        if not two_body or draw(st.booleans()):
+            return FermionTerm.make(coeff, [(draw(mode), True), (draw(mode), False)])
+        ops = [(draw(mode), True), (draw(mode), True), (draw(mode), False), (draw(mode), False)]
+        return FermionTerm.make(coeff, ops)
+
+    t = term()
+    terms = [term() for _ in range(draw(st.integers(0, 3)))] + [t, FermionTerm(-t.coefficient, t.ops)]
+    terms += [term() for _ in range(draw(st.integers(0, 3)))] + [t]
+    terms += [term() for _ in range(draw(st.integers(0, 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    if kind == "jw":
+        majoranas = jw_majoranas(n)
+    elif kind == "parity":
+        majoranas = parity_majoranas(n)
+    elif kind == "affine":
+        a = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, size=n))
+        majoranas = linear_encoding_majoranas(a)
+    else:
+        majoranas = random_minimal_majoranas(SectorSpec(n, draw(st.integers(1, n - 1))), rng)
+    return FermionOperator.from_terms(terms), majoranas
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_operators_and_majoranas())
+def test_encoder_matches_dict_route_bit_for_bit(case):
+    """The array kernel gives the dict route's terms in its ``items()``
+    order, with the same bits in every real and imaginary part, signed zeros
+    included, whether the masks are ``uint64`` or Python ints."""
+    h, majoranas = case
+    encoded = encode_fermion_operator(h, majoranas)
+    reference = encode_fermion_operator_dict(h, majoranas)
+    assert encoded.n_qubits == reference.n_qubits
+    assert encoded._arrays[0].dtype == reference._arrays[0].dtype  # uint64, or object past 64
+    assert _keys_and_bits(encoded) == _keys_and_bits(reference)

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,29 @@ def test_parity_and_popcount_u64_against_bit_count():
     counts = [int(v).bit_count() for v in values]
     assert _popcount_u64(values).tolist() == counts
     assert parity_u64(values).tolist() == [c % 2 for c in counts]
+
+
+def test_popcount_u64_folds_bits_without_numpy_bitwise_count(monkeypatch):
+    """numpy before 2.0 has no ``bitwise_count``; the SWAR folding counts
+    the same bits."""
+    rng = np.random.default_rng(22)
+    values = np.concatenate([rng.integers(0, 2**64, size=500, dtype=np.uint64),
+                             np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)])
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert _popcount_u64(values).tolist() == [int(v).bit_count() for v in values]
+
+
+def test_dense_forms_that_overflow_raise_value_error():
+    """Finite terms whose dense matrix, or a finite matrix whose Pauli
+    coefficients, pass the largest float: a ValueError naming the step,
+    not a numpy warning and an infinity."""
+    s = PauliSum.from_terms(1, [(1e308, "I"), (1e308, "Z")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the dense form of the Pauli sum overflows"):
+            s.to_dense()
+        with pytest.raises(ValueError, match="the Pauli decomposition overflows"):
+            pauli_decompose(np.diag([1e308, -1e308]))
 
 
 def test_dense_cap_enforced():

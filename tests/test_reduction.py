@@ -302,6 +302,15 @@ def test_oracle_matches_loop_leaving_the_sector(case):
     assert np.array_equal(sector_oracle(h, spec), sector_oracle_loop(h, spec))
 
 
+@settings(max_examples=60, deadline=None)
+@given(sector_operators(st.integers(1, 7)))
+def test_oracle_matches_loop_bit_for_bit(case):
+    """Terms of 0 to 5 operators, read from the operator's padded array
+    form: the same bits in every entry, signed zeros included."""
+    h, spec = case
+    assert (sector_oracle(h, spec).view(np.uint64) == sector_oracle_loop(h, spec).view(np.uint64)).all()
+
+
 @settings(max_examples=20, deadline=None)
 @given(sector_operators(st.just(64)), st.data())
 def test_oracle_matches_loop_at_64_modes(case, data):
