@@ -319,6 +319,13 @@ def _ladder_part(phase: int, factor: complex) -> complex:
     return 0.0 + (0.0 + (0.0 + 1.0 * 1j**phase) * factor)
 
 
+# _ladder_part at each phase (row) and factor (column): g's 0.5, then g''s
+# 0.5 i in a_j and -0.5 i in a+_j
+_LADDER_PARTS = np.array(
+    [[_ladder_part(k, f) for f in (0.5, 0.5 * 1j, 0.5 * -1j)] for k in range(4)]
+)
+
+
 def _ladder_table(majoranas, n_qubits: int) -> tuple[np.ndarray, ...]:
     """Every mode's two encoded ladders: row 2(j - 1) + dagger holds a_j or
     a+_j as ``x``, ``z`` masks, ``re``, ``im`` parts and ``yc``, the
@@ -336,9 +343,7 @@ def _ladder_table(majoranas, n_qubits: int) -> tuple[np.ndarray, ...]:
         x, z = (np.array([getattr(m, f) for m in flat], dtype=word).reshape(-1, 2)
                 for f in ("x_bits", "z_bits"))
         phase = np.array([m.phase for m in flat]).reshape(-1, 2)
-        # columns: g's factor 0.5, then g''s 0.5 i (a_j) and -0.5 i (a+_j)
-        parts = np.array([[_ladder_part(k, f) for f in (0.5, 0.5 * 1j, 0.5 * -1j)]
-                          for k in range(4)])
+        parts = _LADDER_PARTS
         values = np.stack([parts[phase[:, 0], 0], parts[phase[:, 1], 1],
                            parts[phase[:, 0], 0], parts[phase[:, 1], 2]], axis=1)
         x, z, values = np.repeat(x, 2, axis=0), np.repeat(z, 2, axis=0), values.reshape(-1, 2)
@@ -468,10 +473,9 @@ def _fold(c, order, start, prune_each: bool):
         sums = run[:k]
         if prune_each and not run_alive[:k].all():
             dead = ~run_alive[:k]
-            sums[dead] = 0.0  # an absent key: (0.0 + 0.0) + c is 0.0 + c
+            sums[dead] = 0.0  # an absent key: 0.0 + c
             run_last[:k][dead] = at[dead]
-        sums += 0.0
-        sums += s[at]
+        sums += s[at]  # 0.0 + sum is the sum: a sum of (0.0 + c)s is never -0.0
         if prune_each:
             run_alive[:k] = _above_tol(sums)
     cur[multi], last[multi] = run, run_last

@@ -53,9 +53,9 @@ def parity_u64(values: np.ndarray) -> np.ndarray:
 def _popcount_u64(values: np.ndarray) -> np.ndarray:
     """Elementwise popcount of an integer array, all 64 bits: numpy's
     ``bitwise_count`` where it has one (numpy 2), else SWAR folding."""
-    v = np.array(values, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(v).astype(np.int64)
+        return np.bitwise_count(np.asarray(values, dtype=np.uint64)).astype(np.int64)
+    v = np.array(values, dtype=np.uint64)
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
     m4 = np.uint64(0x0F0F0F0F0F0F0F0F)

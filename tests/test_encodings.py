@@ -393,7 +393,7 @@ def test_encoder_matches_loop_bit_for_bit(case):
 @st.composite
 def wide_operators_and_majoranas(draw):
     """A one-/two-body operator with one term t appearing as t, -t, later
-    terms, t, and a Majorana table: JW, parity or a random affine map's
+    terms, t (or t alone, a quarter of the time), and a Majorana table: JW, parity or a random affine map's
     (offset included) strings on up to 70 modes, where past 64 qubits the
     masks are Python ints; or a random index embedding's sums, whose
     ladders have 8 to 104 terms each, so that one term's products number
@@ -418,6 +418,8 @@ def wide_operators_and_majoranas(draw):
     terms = [term() for _ in range(draw(st.integers(0, 3)))] + [t, FermionTerm(-t.coefficient, t.ops)]
     terms += [term() for _ in range(draw(st.integers(0, 3)))] + [t]
     terms += [term() for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.integers(0, 3)) == 0:
+        terms = [t]  # a sum whose keys may all differ: no merge at all
     rng = np.random.default_rng(draw(st.integers(0, 99)))
     if kind == "jw":
         majoranas = jw_majoranas(n)
