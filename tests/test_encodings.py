@@ -317,6 +317,14 @@ def test_encode_rejects_out_of_range_mode():
         encode_fermion_operator(op, jw_majoranas(2))
 
 
+def test_encode_rejects_majoranas_on_different_registers():
+    """A table mixing 2- and 3-qubit strings has no one register."""
+    majoranas = jw_majoranas(2) + jw_majoranas(3)[2:]
+    op = FermionOperator.from_terms([FermionTerm.make(1.0, [(1, True), (1, False)])])
+    with pytest.raises(DimensionError, match="registers of different sizes"):
+        encode_fermion_operator(op, majoranas)
+
+
 @pytest.mark.parametrize("terms", [[], [FermionTerm.make(1.0, [(1, True), (1, False)])]])
 def test_encode_without_majoranas_is_a_dimension_error(terms):
     with pytest.raises(DimensionError, match="at least one mode"):
