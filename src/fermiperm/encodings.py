@@ -22,7 +22,15 @@ import numpy as np
 
 from . import f2
 from .errors import DimensionError, HamiltonianParseError, NumberConservationError
-from .pauli import PRUNE_TOL, PauliString, PauliSum, _I_POWERS, _popcount_u64
+from .pauli import (
+    PRUNE_TOL,
+    PauliString,
+    PauliSum,
+    _I_POWERS,
+    _ZERO,
+    _key_groups,
+    _popcount_u64,
+)
 from .permutations import AffineMapF2, GateCircuit, conjugate_pauli_affine
 
 
@@ -270,7 +278,9 @@ def encode_fermion_operator(
     strings by its ladder's at once, component-wise as CPython multiplies
     complex numbers, with ``_mask_product``'s phase; ``_fold`` then
     merges each term's products.  The terms' strings, in term order,
-    are added by ``_fold`` after one stable sort by key.
+    are added by ``_fold`` after one stable sort by key.  Each ``0.0 +``
+    is ``pauli._ZERO +``, so it adds to the parts this interpreter's
+    ``0.0 + c`` adds to.
 
     Finite coefficients can still overflow once they are added up; a sum
     with a coefficient that is not finite raises ``ValueError``.  Every
@@ -387,7 +397,7 @@ def _encode_equal_length(n: int, table, rows: np.ndarray, coeff: np.ndarray):
     term = np.arange(len(coeff))
     x = z = np.zeros(len(coeff), dtype=x_table.dtype)
     yc = np.zeros(len(coeff), dtype=np.int64)
-    c = 0.0 + coeff
+    c = _ZERO + coeff
     keep = _above_tol(c)
     term, x, z, yc, c = (a[keep] for a in (term, x, z, yc, c))
     for op in range(rows.shape[1]):
@@ -411,32 +421,6 @@ def _encode_equal_length(n: int, table, rows: np.ndarray, coeff: np.ndarray):
     return term, x, z, c
 
 
-def _key_groups(n: int, x: np.ndarray, z: np.ndarray, term: np.ndarray | None = None):
-    """A stable order of the terms that puts equal keys (x, z), or (term,
-    x, z) with ``term`` nondecreasing, together, each key's terms in their
-    given order, and where in that order each group starts; masks have at
-    most n bits.  One combined key (term << 2n) | (x << n) | z is sorted
-    where it fits a ``uint64`` or the masks are Python ints, and
-    ``lexsort`` takes the parts otherwise."""
-    word = x.dtype.type
-    extra = 0 if term is None or not term.size else int(term[-1]).bit_length()
-    if x.dtype == object or 2 * n + extra <= 64:
-        key = (x << word(n)) | z
-        if extra:
-            key |= term.astype(x.dtype) << word(2 * n)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new = key[1:] != key[:-1]
-    else:
-        cols = (z, x) if term is None else (z, x, term)
-        order = np.lexsort(cols)
-        new = np.zeros(max(order.size - 1, 0), dtype=bool)
-        for col in cols:
-            col = col[order]
-            new |= col[1:] != col[:-1]
-    return order, np.flatnonzero(np.concatenate(([True], new)))[: order.size]
-
-
 def _above_tol(c: np.ndarray) -> np.ndarray:
     """``abs(c) > PRUNE_TOL`` as CPython decides it, by the C library's
     ``hypot``; False for NaN."""
@@ -455,11 +439,11 @@ def _fold(c, order, start, prune_each: bool):
     Returns, in increasing order, the position in ``c`` of the value that
     last started each surviving group, and the sums."""
     if start.size == order.size:  # no key twice: each value is its own sum
-        c = 0.0 + c
+        c = _ZERO + c
         pos = np.flatnonzero(_above_tol(c))
         return pos, c[pos]
     s = c[order]
-    cur = 0.0 + s[start]
+    cur = _ZERO + s[start]
     last = start.copy()
     alive = _above_tol(cur)
     size = np.diff(start, append=order.size)
@@ -473,9 +457,9 @@ def _fold(c, order, start, prune_each: bool):
         sums = run[:k]
         if prune_each and not run_alive[:k].all():
             dead = ~run_alive[:k]
-            sums[dead] = 0.0  # an absent key: 0.0 + c
+            sums[dead] = _ZERO  # an absent key: 0.0 + c
             run_last[:k][dead] = at[dead]
-        sums += s[at]  # 0.0 + sum is the sum: a sum of (0.0 + c)s is never -0.0
+        sums += s[at]  # 0.0 + sum is the sum: no part it adds 0.0 to is -0.0
         if prune_each:
             run_alive[:k] = _above_tol(sums)
     cur[multi], last[multi] = run, run_last
@@ -564,6 +548,5 @@ def parse_hamiltonian(
                 (modes[3], False),
             ]
         terms.append(FermionTerm.make(coeff, ops))
-    if hermitize:
-        terms += [t.dagger() for t in terms]
-    return FermionOperator(tuple(terms))
+    op = FermionOperator(tuple(terms))
+    return op.hermitized() if hermitize else op

@@ -33,6 +33,12 @@ PRUNE_TOL = 1e-12
 # i^k for k = 0..3, indexed by k
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
+# numpy's _ZERO + c is this interpreter's 0.0 + c for a complex c, signed
+# zeros included.  Up to Python 3.13 the 0.0 is added to both parts; from
+# 3.14 (C99's mixed-mode rule) to the real part only, which adding -0.0 to
+# the imaginary part reproduces.
+_ZERO = 0.0 + complex(0.0, -0.0)
+
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
 
@@ -51,10 +57,7 @@ def parity_u64(values: np.ndarray) -> np.ndarray:
 
 
 def _popcount_u64(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of an integer array, all 64 bits: numpy's
-    ``bitwise_count`` where it has one (numpy 2), else SWAR folding."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(np.asarray(values, dtype=np.uint64)).astype(np.int64)
+    """Elementwise popcount of an integer array, all 64 bits, by SWAR folding."""
     v = np.array(values, dtype=np.uint64)
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
@@ -67,6 +70,35 @@ def _popcount_u64(values: np.ndarray) -> np.ndarray:
     return (v & np.uint64(0x7F)).astype(np.int64)
 
 
+def _key_groups(n: int, x: np.ndarray, z: np.ndarray, term: np.ndarray | None = None):
+    """A stable order of the terms that puts equal keys (x, z), or (term,
+    x, z) with ``term`` nondecreasing, together, each key's terms in their
+    given order, and where in that order each group starts; masks have at
+    most n bits.  One combined key (term << 2n) | (x << n) | z is sorted
+    where it fits a ``uint64`` or the masks are Python ints, and
+    ``lexsort`` takes the parts otherwise."""
+    word = x.dtype.type
+    extra = 0 if term is None or not term.size else int(term[-1]).bit_length()
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    if x.dtype == object or 2 * n + extra <= 64:
+        key = x << word(n)
+        key |= z
+        if extra:
+            key |= term.astype(x.dtype) << word(2 * n)
+        order = np.argsort(key, kind="stable")
+        key.sort(kind="stable")  # in place: no second key array beside ``order``
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+    else:
+        cols = (z, x) if term is None else (z, x, term)
+        order = np.lexsort(cols)
+        new[1:] = False
+        for col in cols:
+            col = col[order]
+            new[1:] |= col[1:] != col[:-1]
+    return order, np.flatnonzero(new)
+
 
 def _overflow_raises(what: str) -> np.errstate:
     """An ``np.errstate`` under which a float overflow raises ``ValueError``
@@ -78,6 +110,7 @@ def _overflow_raises(what: str) -> np.errstate:
         raise ValueError(f"{what} overflows: its sums pass the largest float")
 
     return np.errstate(over="call", call=overflow)
+
 
 # Rows per block of a batched transform: a block holds about 2^14 complex
 # entries (256 KiB) whatever the register width.
@@ -557,7 +590,9 @@ def _decompose_displacements(
             block = g[start : start + step]
             _walsh_hadamard_rows(block)
             block *= phases[row_labels[start : start + step, None] & cols]
-            np.greater(np.abs(block), PRUNE_TOL, out=keep[start : start + step])
+            # a finite coefficient's magnitude may pass the largest float
+            with np.errstate(over="ignore"):
+                np.greater(np.abs(block), PRUNE_TOL, out=keep[start : start + step])
     x, z = np.nonzero(keep)
     if labels is not None:
         x = labels[x]

@@ -43,8 +43,10 @@ from .pauli import (
     DENSE_CAP,
     PRUNE_TOL,
     PauliSum,
+    _ZERO,
     _block_rows,
     _check_dense_cap,
+    _key_groups,
     _overflow_raises,
     parity_u64,
 )
@@ -84,24 +86,17 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     # The X bit is clear on every kept term and the Z bit is cleared here, so
     # these keys sort and compare as the folded keys do.
     zs &= ~bit
-    # The stable sort puts each key's first-seen term first: of one word
-    # (x << n) | z up to 32 qubits, of the parts by lexsort beyond.  Adding
-    # 0.0 to first + second gives, signed zeros included, PauliSum's own
-    # merge (0.0 + first) + second bit for bit.
-    if 2 * n <= 64:
-        order = np.argsort((xs << word(n)) | zs, kind="stable")
-    else:
-        order = np.lexsort((zs, xs))
+    # _key_groups' stable sort puts each key's first-seen term first.
+    # Adding _ZERO to first + second gives, signed zeros included, PauliSum's
+    # own merge (0.0 + first) + second bit for bit.
+    order, start = _key_groups(n, xs, zs)
     kept = kept[order]  # one at a time: each unsorted copy is freed at once
-    xs = xs[order]
-    zs = zs[order]
     flip = flip[order]
+    first = order[start]
     del order
-    new = np.ones(kept.size, dtype=bool)
-    new[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
-    start = np.flatnonzero(new)
-    xs = xs[start]
-    zs = zs[start]
+    xs = xs[first]
+    zs = zs[first]
+    del first
     seen = np.argsort(kept[start])  # kept was increasing before the sort
     terms = coeff[kept]
     del kept
@@ -109,7 +104,7 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
         np.negative(terms, out=terms, where=flip)
     total = np.add.reduceat(terms, start)
     del terms
-    total = total[seen] + 0.0
+    total = total[seen] + _ZERO
     keep = np.abs(total) > PRUNE_TOL
     xs, zs = xs[seen[keep]], zs[seen[keep]]
     xs = ((xs >> 1) & ~low) | (xs & low)

@@ -21,7 +21,14 @@ from fermiperm import (
     multiply,
     pauli_decompose,
 )
-from fermiperm.pauli import _block_rows, _popcount_u64, _products, parity_u64
+from fermiperm.pauli import (
+    _ZERO,
+    _block_rows,
+    _decompose_displacements,
+    _popcount_u64,
+    _products,
+    parity_u64,
+)
 from helpers import (
     array_sum,
     items_sorted_loop,
@@ -303,14 +310,25 @@ def test_parity_and_popcount_u64_against_bit_count():
     assert parity_u64(values).tolist() == [c % 2 for c in counts]
 
 
-def test_popcount_u64_folds_bits_without_numpy_bitwise_count(monkeypatch):
-    """numpy before 2.0 has no ``bitwise_count``; the SWAR folding counts
-    the same bits."""
-    rng = np.random.default_rng(22)
-    values = np.concatenate([rng.integers(0, 2**64, size=500, dtype=np.uint64),
-                             np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)])
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert _popcount_u64(values).tolist() == [int(v).bit_count() for v in values]
+def test_zero_adds_to_complex_arrays_as_this_interpreter_does():
+    """numpy's ``_ZERO + c`` has the bits of CPython's ``0.0 + c``, whichever
+    rule the interpreter follows for a float plus a complex (both parts up
+    to Python 3.13, the real part only from 3.14)."""
+    parts = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf]
+    values = [complex(r, i) for r in parts for i in parts]
+    got = (_ZERO + np.array(values)).tolist()
+    want = [0.0 + v for v in values]
+    assert [(math.copysign(1, g.real), math.copysign(1, g.imag), g) for g in got] == [
+        (math.copysign(1, w.real), math.copysign(1, w.imag), w) for w in want
+    ]
+
+
+def test_decompose_keeps_a_finite_coefficient_whose_magnitude_overflows():
+    """|c| of c = 1.5e308 + 1.5e308i passes the largest float, but c is
+    finite and above the threshold: kept, not an overflow error."""
+    c = complex(1.5e308, 1.5e308)
+    x, z, coeff = _decompose_displacements(np.array([[c]]))
+    assert (x.tolist(), z.tolist(), coeff.tolist()) == ([0], [0], [c])
 
 
 def test_dense_forms_that_overflow_raise_value_error():
