@@ -23,13 +23,14 @@ import numpy as np
 from . import f2
 from .errors import DimensionError, HamiltonianParseError, NumberConservationError
 from .pauli import (
-    PRUNE_TOL,
     PauliString,
     PauliSum,
-    _I_POWERS,
     _ZERO,
+    _above_tol,
+    _fold,
     _key_groups,
-    _popcount_u64,
+    _popcount,
+    _row_products,
 )
 from .permutations import AffineMapF2, GateCircuit, conjugate_pauli_affine
 
@@ -73,10 +74,6 @@ class FermionTerm:
     def dagger(self) -> "FermionTerm":
         flipped = tuple((m, not d) for m, d in reversed(self.ops))
         return FermionTerm(self.coefficient.conjugate(), flipped)
-
-    def is_number_conserving(self) -> bool:
-        raised = sum(1 for _, d in self.ops if d)
-        return raised * 2 == len(self.ops)
 
     def describe(self) -> str:
         if not self.ops:
@@ -136,9 +133,6 @@ class FermionOperator:
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         return FermionOperator(self.terms + other.terms)
 
-    def dagger(self) -> "FermionOperator":
-        return FermionOperator(tuple(t.dagger() for t in self.terms))
-
     def hermitized(self) -> "FermionOperator":
         return FermionOperator(self.terms + tuple(t.dagger() for t in self.terms))
 
@@ -168,10 +162,6 @@ class LinearEncodingF2(AffineMapF2):
 
     def __init__(self, matrix: np.ndarray):
         super().__init__(matrix, np.zeros(np.shape(matrix)[:1], dtype=np.uint8))
-
-    @property
-    def n_modes(self) -> int:
-        return self.n_qubits
 
     @classmethod
     def jordan_wigner(cls, n_modes: int) -> "LinearEncodingF2":
@@ -265,22 +255,22 @@ def encode_fermion_operator(
     """Encode each term as the product of its encoded ladder operators, in
     the order written, and return the sum.
 
-    The result is the dict route's, bit for bit: per term, ``_merge`` of
-    ``_products`` of the coefficient and each ladder in turn, then each
-    term's keys added in order into one dict as ``(0.0 + total) + c``,
-    a key whose sum is at most ``PRUNE_TOL`` (or NaN) deleted and put back
-    at the end when it comes again.  So the keys, their ``items()`` order
-    and every bit of every part, signed zeros included, are that route's.
+    The result is the dict route's, bit for bit (the tests keep that route
+    as their reference): per term, a dict merge of the products of the
+    coefficient and each ladder in turn, then each term's keys added in
+    order into one dict as ``(0.0 + total) + c``, a key whose sum is at
+    most ``PRUNE_TOL`` (or NaN) deleted and put back at the end when it
+    comes again.  So the keys, their ``items()`` order and every bit of
+    every part, signed zeros included, are that route's.
 
     It runs on the operator's array form, one group of terms of equal
-    length at a time.  The ladder table comes straight from the Majorana
-    masks (``_ladder_table``).  Each op multiplies every term's current
-    strings by its ladder's at once, component-wise as CPython multiplies
-    complex numbers, with ``_mask_product``'s phase; ``_fold`` then
-    merges each term's products.  The terms' strings, in term order,
-    are added by ``_fold`` after one stable sort by key.  Each ``0.0 +``
-    is ``pauli._ZERO +``, so it adds to the parts this interpreter's
-    ``0.0 + c`` adds to.
+    length at a time, with the term algebra of :mod:`fermiperm.pauli`.
+    The ladder table holds ``encode_ladder``'s terms (``_ladder_table``).
+    Each op multiplies every term's current strings by its ladder's at
+    once (``_row_products``); ``_fold`` then merges each term's products.
+    The terms' strings, in term order, are added by ``_fold`` after one
+    stable sort by key.  Each ``0.0 +`` is ``pauli._ZERO +``, so it adds
+    to the parts this interpreter's ``0.0 + c`` adds to.
 
     Finite coefficients can still overflow once they are added up; a sum
     with a coefficient that is not finite raises ``ValueError``.  Every
@@ -302,18 +292,17 @@ def encode_fermion_operator(
     rows = 2 * (modes - 1) + daggers  # each op's ladder row; padding is never read
     masks = np.zeros(0, dtype=table[0].dtype)
     pieces = [(np.zeros(0, dtype=np.int64), masks, masks, np.zeros(0, dtype=complex))]
-    with np.errstate(over="ignore", invalid="ignore"):  # the result's check speaks for both
-        for length in np.unique(lengths).tolist():
-            terms = np.flatnonzero(lengths == length)
-            term, *strings = _encode_equal_length(
-                n_qubits, table, rows[terms, :length], coeff[terms]
-            )
-            pieces.append((terms[term], *strings))
-        term, x, z, c = (np.concatenate(a) for a in zip(*pieces))
-        if len(pieces) > 2:  # back in term order
-            order = np.argsort(term, kind="stable")
-            x, z, c = x[order], z[order], c[order]
-        pos, out = _fold(c, *_key_groups(n_qubits, x, z), prune_each=True)
+    for length in np.unique(lengths).tolist():
+        terms = np.flatnonzero(lengths == length)
+        term, *strings = _encode_equal_length(
+            n_qubits, table, rows[terms, :length], coeff[terms]
+        )
+        pieces.append((terms[term], *strings))
+    term, x, z, c = (np.concatenate(a) for a in zip(*pieces))
+    if len(pieces) > 2:  # back in term order
+        order = np.argsort(term, kind="stable")
+        x, z, c = x[order], z[order], c[order]
+    pos, out = _fold(c, *_key_groups(n_qubits, x, z), prune_each=True)
     overflowed = np.count_nonzero(~np.isfinite(out))
     if overflowed:
         raise ValueError(
@@ -322,60 +311,44 @@ def encode_fermion_operator(
     return PauliSum._from_arrays(n_qubits, x[pos], z[pos], out)
 
 
-def _ladder_part(phase: int, factor: complex) -> complex:
-    """The coefficient ``encode_ladder`` gives a Majorana string of phase
-    i**phase scaled by ``factor``: from ``PauliSum.from_pauli``, ``scale``
-    and the ladder's sum, each followed by its merge's ``0.0 +``."""
-    return 0.0 + (0.0 + (0.0 + 1.0 * 1j**phase) * factor)
-
-
-# _ladder_part at each phase (row) and factor (column): g's 0.5, then g''s
-# 0.5 i in a_j and -0.5 i in a+_j
-_LADDER_PARTS = np.array(
-    [[_ladder_part(k, f) for f in (0.5, 0.5 * 1j, 0.5 * -1j)] for k in range(4)]
-)
-
-
 def _ladder_table(majoranas, n_qubits: int) -> tuple[np.ndarray, ...]:
     """Every mode's two encoded ladders: row 2(j - 1) + dagger holds a_j or
-    a+_j as ``x``, ``z`` masks, ``re``, ``im`` parts and ``yc``, the
-    popcount of x & z, padded to the longest ladder, with ``count`` terms
-    each.  One Pauli string per Majorana with distinct keys g, g' gives
-    a_j = (g + i g')/2 and a+_j = (g - i g')/2 straight from the masks and
-    phases; sums take ``encode_ladder``'s terms."""
-    word = np.uint64 if n_qubits <= 64 else object
-    flat = [m for pair in majoranas for m in pair]
-    if any(m.n_qubits != n_qubits for m in flat):
+    a+_j as ``x``, ``z`` masks, ``c`` coefficients and ``yc``, the popcount
+    of x & z, padded to the longest ladder, with ``count`` terms each.
+
+    These are ``encode_ladder``'s terms, bit for bit, in one pass over
+    every Majorana's terms as a sum (a string's one term is ``0.0 + 1.0 *
+    coefficient``, as ``PauliSum.from_pauli`` merges it): each is scaled
+    as ``c * factor`` and pruned, and each ladder's g then g' terms are
+    merged by one ``_fold``.  ``scale``'s own ``0.0 +`` is left out, as it
+    changes no bit: the fold adds 0.0 to each key's first value, and where
+    a later value has a -0.0 that ``0.0 +`` would turn to 0.0, the running
+    sum's part is not -0.0."""
+    if any(m.n_qubits != n_qubits for pair in majoranas for m in pair):
         raise DimensionError("the Majoranas act on registers of different sizes")
-    if all(isinstance(m, PauliString) for m in flat) and all(
-        (g.x_bits, g.z_bits) != (gp.x_bits, gp.z_bits) for g, gp in majoranas
-    ):
-        x, z = (np.array([getattr(m, f) for m in flat], dtype=word).reshape(-1, 2)
-                for f in ("x_bits", "z_bits"))
-        phase = np.array([m.phase for m in flat]).reshape(-1, 2)
-        parts = _LADDER_PARTS
-        values = np.stack([parts[phase[:, 0], 0], parts[phase[:, 1], 1],
-                           parts[phase[:, 0], 0], parts[phase[:, 1], 2]], axis=1)
-        x, z, values = np.repeat(x, 2, axis=0), np.repeat(z, 2, axis=0), values.reshape(-1, 2)
-        count = np.full(len(x), 2)
-    else:
-        ladders = [list(encode_ladder(j, dagger, majoranas).items())
-                   for j in range(1, len(majoranas) + 1) for dagger in (False, True)]
-        count = np.array([len(ladder) for ladder in ladders])
-        x = np.zeros((len(ladders), count.max()), dtype=word)
-        z, values = np.zeros_like(x), np.zeros(x.shape, dtype=complex)
-        for row, ladder in enumerate(ladders):
-            for col, ((xb, zb), c) in enumerate(ladder):
-                x[row, col], z[row, col], values[row, col] = xb, zb, c
-    return x, z, values.real.copy(), values.imag.copy(), _popcount(x & z), count
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of ``uint64`` masks or of Python-int masks."""
-    if masks.dtype != object:
-        return _popcount_u64(masks)
-    counts = [int(m).bit_count() for m in masks.ravel().tolist()]
-    return np.array(counts, dtype=np.int64).reshape(masks.shape)
+    row, keys, values = [], [], []
+    for j, pair in enumerate(majoranas):
+        terms = [list(m.items()) if isinstance(m, PauliSum)
+                 else [((m.x_bits, m.z_bits), 0.0 + 1.0 * m.coefficient)] for m in pair]
+        for dagger, sign in enumerate((1j, -1j)):  # a_j, then a+_j
+            for m_terms, factor in zip(terms, (0.5, 0.5 * sign)):
+                for key, c in m_terms:
+                    row.append(2 * j + dagger)
+                    keys.append(key)
+                    values.append(c * factor)
+    row = np.array(row, dtype=np.int64)
+    keys = np.array(keys, dtype=np.uint64 if n_qubits <= 64 else object).reshape(-1, 2)
+    values = np.array(values, dtype=complex)
+    keep = _above_tol(values)
+    row, x, z, values = row[keep], keys[keep, 0], keys[keep, 1], values[keep]
+    pos, values = _fold(values, *_key_groups(n_qubits, x, z, row), prune_each=False)
+    row, x, z = row[pos], x[pos], z[pos]
+    count = np.bincount(row, minlength=2 * len(majoranas))
+    col = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    table = [np.zeros((count.size, count.max(initial=0)), dtype=a.dtype) for a in (x, z, values)]
+    for t, a in zip(table, (x, z, values)):
+        t[row, col] = a
+    return (*table, _popcount(table[0] & table[1]), count)
 
 
 def _encode_equal_length(n: int, table, rows: np.ndarray, coeff: np.ndarray):
@@ -385,13 +358,11 @@ def _encode_equal_length(n: int, table, rows: np.ndarray, coeff: np.ndarray):
     route first sees them.
 
     Every term starts as ``0.0 + coefficient`` on the identity, pruned.
-    Each op then multiplies every current string (a, in order) by every
-    term of its ladder (b, in order): masks a ^ b, power of i from the
-    popcounts as in ``_mask_product``, and (ca * cb) * i**k spelled out
-    part by part as CPython's complex product.  ``_fold`` then merges each
-    term's products as ``_merge`` does: in first-seen order, summed from
-    ``0.0 +`` the first, pruned."""
-    x_table, z_table, re_table, im_table, yc_table, count = table
+    Each op then multiplies every current string by every term of its
+    ladder (``_row_products``), and ``_fold`` merges each term's products
+    as a dict does: in first-seen order, summed from ``0.0 +`` the first,
+    pruned."""
+    x_table, z_table, c_table, yc_table, count = table
     width = x_table.shape[1]
     full = bool(np.all(count == width))
     term = np.arange(len(coeff))
@@ -402,75 +373,15 @@ def _encode_equal_length(n: int, table, rows: np.ndarray, coeff: np.ndarray):
     term, x, z, yc, c = (a[keep] for a in (term, x, z, yc, c))
     for op in range(rows.shape[1]):
         row = rows[term, op]
-        bx, bz, bre, bim = (t[row] for t in (x_table, z_table, re_table, im_table))
-        px, pz = x[:, None] ^ bx, z[:, None] ^ bz
-        pyc = _popcount(px & pz)
-        k = (yc[:, None] + yc_table[row] + 2 * _popcount(z[:, None] & bx) - pyc) & 3
-        re, im = c.real[:, None], c.imag[:, None]
-        pr, pi = re * bre - im * bim, re * bim + im * bre
-        kr, ki = _I_POWERS.real[k], _I_POWERS.imag[k]  # 1j**k's parts, signed zeros too
-        c = np.empty(pr.shape, dtype=complex)
-        c.real, c.imag = pr * kr - pi * ki, pr * ki + pi * kr
+        ladder = (t[row] for t in (x_table, z_table, yc_table, c_table))
+        x, z, yc, c = (a.ravel() for a in _row_products(x, z, yc, c, *ladder))
         term = np.repeat(term, width)
-        x, z, yc, c = px.ravel(), pz.ravel(), pyc.ravel(), c.ravel()
         if not full:
             real = (np.arange(width) < count[row][:, None]).ravel()
             term, x, z, yc, c = (a[real] for a in (term, x, z, yc, c))
         pos, c = _fold(c, *_key_groups(n, x, z, term), prune_each=False)
         term, x, z, yc = term[pos], x[pos], z[pos], yc[pos]
     return term, x, z, c
-
-
-def _above_tol(c: np.ndarray) -> np.ndarray:
-    """``abs(c) > PRUNE_TOL`` as CPython decides it, by the C library's
-    ``hypot``; False for NaN."""
-    return np.hypot(c.real, c.imag) > PRUNE_TOL
-
-
-def _fold(c, order, start, prune_each: bool):
-    """Add each group's values ``c[order[start[g]:start[g + 1]]]`` in order:
-    s = 0.0 + the first, then s = (0.0 + s) + the next, the way the dict
-    routes merge.  With ``prune_each`` a sum at most ``PRUNE_TOL`` (or NaN)
-    leaves at once and the next value starts again from ``0.0 +``, as
-    ``del total[key]`` does; otherwise only the final sum is pruned.
-
-    The groups of more than one value are added in lockstep, longest
-    first, so that step i adds the i-th value of a prefix of them.
-    Returns, in increasing order, the position in ``c`` of the value that
-    last started each surviving group, and the sums."""
-    if start.size == order.size:  # no key twice: each value is its own sum
-        c = _ZERO + c
-        pos = np.flatnonzero(_above_tol(c))
-        return pos, c[pos]
-    s = c[order]
-    cur = _ZERO + s[start]
-    last = start.copy()
-    alive = _above_tol(cur)
-    size = np.diff(start, append=order.size)
-    multi = np.flatnonzero(size > 1)
-    multi = multi[np.argsort(-size[multi], kind="stable")]
-    first, run, run_last, run_alive = start[multi], cur[multi], last[multi], alive[multi]
-    longer = np.searchsorted(-size[multi], -np.arange(size[multi[0]]))  # groups with > i
-    for i in range(1, size[multi[0]]):
-        k = longer[i]
-        at = first[:k] + i
-        sums = run[:k]
-        if prune_each and not run_alive[:k].all():
-            dead = ~run_alive[:k]
-            sums[dead] = _ZERO  # an absent key: 0.0 + c
-            run_last[:k][dead] = at[dead]
-        sums += s[at]  # 0.0 + sum is the sum: no part it adds 0.0 to is -0.0
-        if prune_each:
-            run_alive[:k] = _above_tol(sums)
-    cur[multi], last[multi] = run, run_last
-    alive[multi] = run_alive if prune_each else _above_tol(run)
-    # back in the order of those positions by a scatter, not a sort; s is
-    # spent and holds the sums at their positions
-    pos = order[last[alive]]
-    kept = np.zeros(order.size, dtype=bool)
-    kept[pos] = True
-    s[pos] = cur[alive]
-    return np.flatnonzero(kept), s[kept]
 
 
 def linear_encoding_majoranas(a: AffineMapF2) -> list[tuple[PauliString, PauliString]]:

@@ -15,6 +15,10 @@ Representation conventions, used consistently across the package:
   ``PRUNE_TOL`` are dropped by arithmetic.  It stores its terms only as
   read-only parallel ``x``/``z``/``coeff`` arrays, in the order the keys
   were first merged; ``items()`` reads them in that order.
+
+The term algebra, shared by ``PauliSum`` and the encoder, lives here once:
+``_row_products`` multiplies strings and ``_fold`` merges like keys, bit for
+bit as Python's complex arithmetic and a dict merge, the tests' reference.
 """
 
 from __future__ import annotations
@@ -98,6 +102,86 @@ def _key_groups(n: int, x: np.ndarray, z: np.ndarray, term: np.ndarray | None = 
             col = col[order]
             new[1:] |= col[1:] != col[:-1]
     return order, np.flatnonzero(new)
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Elementwise popcount of ``uint64`` masks or of Python-int masks."""
+    if masks.dtype != object:
+        return _popcount_u64(masks)
+    counts = [int(m).bit_count() for m in masks.ravel().tolist()]
+    return np.array(counts, dtype=np.int64).reshape(masks.shape)
+
+
+def _above_tol(c: np.ndarray) -> np.ndarray:
+    """``abs(c) > PRUNE_TOL`` as CPython decides it, by the C library's
+    ``hypot``; False for NaN."""
+    return np.hypot(c.real, c.imag) > PRUNE_TOL
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fold(c, order, start, prune_each: bool):
+    """Add each group's values ``c[order[start[g]:start[g + 1]]]`` in order:
+    s = 0.0 + the first, then s = (0.0 + s) + the next, the way a Python
+    dict merges them.  With ``prune_each`` a sum at most ``PRUNE_TOL`` (or
+    NaN) leaves at once and the next value starts again from ``0.0 +``, as
+    ``del total[key]`` does; otherwise only the final sum is pruned.
+
+    The groups of more than one value are added in lockstep, longest
+    first, so that step i adds the i-th value of a prefix of them.
+    Returns, in increasing order, the position in ``c`` of the value that
+    last started each surviving group, and the sums."""
+    if start.size == order.size:  # no key twice: each value is its own sum
+        c = _ZERO + c
+        pos = np.flatnonzero(_above_tol(c))
+        return pos, c[pos]
+    s = c[order]
+    cur = _ZERO + s[start]
+    last = start.copy()
+    alive = _above_tol(cur)
+    size = np.diff(start, append=order.size)
+    multi = np.flatnonzero(size > 1)
+    multi = multi[np.argsort(-size[multi], kind="stable")]
+    first, run, run_last, run_alive = start[multi], cur[multi], last[multi], alive[multi]
+    longer = np.searchsorted(-size[multi], -np.arange(size[multi[0]]))  # groups with > i
+    for i in range(1, size[multi[0]]):
+        k = longer[i]
+        at = first[:k] + i
+        sums = run[:k]
+        if prune_each and not run_alive[:k].all():
+            dead = ~run_alive[:k]
+            sums[dead] = _ZERO  # an absent key: 0.0 + c
+            run_last[:k][dead] = at[dead]
+        sums += s[at]  # 0.0 + sum is the sum: no part it adds 0.0 to is -0.0
+        if prune_each:
+            run_alive[:k] = _above_tol(sums)
+    cur[multi], last[multi] = run, run_last
+    alive[multi] = run_alive if prune_each else _above_tol(run)
+    # back in the order of those positions by a scatter, not a sort; s is
+    # spent and holds the sums at their positions
+    pos = order[last[alive]]
+    kept = np.zeros(order.size, dtype=bool)
+    kept[pos] = True
+    s[pos] = cur[alive]
+    return np.flatnonzero(kept), s[kept]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _row_products(x, z, yc, c, bx, bz, byc, bc):
+    """Each string a (masks ``x``, ``z``, ``yc`` the popcount of x & z,
+    coefficient ``c``) times every string b of its row of the 2-D ``bx``,
+    ``bz``, ``byc``, ``bc`` (a row per string, or one for all): masks a ^ b,
+    i**k from the popcounts as in ``_mask_product``, and the bits of
+    ``ca * cb * 1j**k`` as CPython's complex product gives them.  Returns
+    the products' ``x``, ``z``, ``yc`` and coefficients, a row per a."""
+    px, pz = x[:, None] ^ bx, z[:, None] ^ bz
+    pyc = _popcount(px & pz)
+    k = (yc[:, None] + byc + 2 * _popcount(z[:, None] & bx) - pyc) & 3
+    re, im = c.real[:, None], c.imag[:, None]
+    pr, pi = re * bc.real - im * bc.imag, re * bc.imag + im * bc.real
+    kr, ki = _I_POWERS.real[k], _I_POWERS.imag[k]  # 1j**k's parts, signed zeros too
+    out = np.empty(pr.shape, dtype=complex)
+    out.real, out.imag = pr * kr - pi * ki, pr * ki + pi * kr
+    return px, pz, pyc, out
 
 
 def _overflow_raises(what: str) -> np.errstate:
@@ -284,25 +368,6 @@ def commutator_type(a: PauliString, b: PauliString) -> str:
     return "commute" if commutes(a, b) else "anticommute"
 
 
-def _merge(pairs: Iterable[tuple[tuple[int, int], complex]]) -> dict[tuple[int, int], complex]:
-    """Sum the coefficients of like keys, in first-seen key order, and drop
-    every sum of magnitude at most ``PRUNE_TOL``."""
-    merged: dict[tuple[int, int], complex] = {}
-    for key, coeff in pairs:
-        merged[key] = merged.get(key, 0.0) + complex(coeff)
-    return {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
-
-
-def _products(a_items, b_items: list) -> list[tuple[tuple[int, int], complex]]:
-    """Unmerged (key, coefficient) pairs of a * b, a's terms in the outer loop."""
-    items = []
-    for (xa, za), ca in a_items:
-        for (xb, zb), cb in b_items:
-            x, z, k = _mask_product(xa, za, xb, zb)
-            items.append(((x, z), ca * cb * 1j**k))
-    return items
-
-
 class PauliSum:
     """A complex-weighted sum of Pauli strings on a fixed register.
 
@@ -319,15 +384,18 @@ class PauliSum:
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
-        merged = _merge(terms.items() if isinstance(terms, dict) else terms)
-        masks = list(chain.from_iterable(merged))
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        masks = list(chain.from_iterable(key for key, _ in pairs))
         if masks and (min(masks) < 0 or int(max(masks)) >> n_qubits):
             raise DimensionError(f"a term's x or z mask lies outside the {n_qubits}-qubit register")
         keys = np.array(masks, np.uint64 if n_qubits <= 64 else object).reshape(-1, 2)
-        coeff = np.fromiter(merged.values(), complex, len(merged))
-        for a in (keys, coeff):
+        x, z = keys[:, 0], keys[:, 1]
+        coeff = np.array([complex(c) for _, c in pairs], dtype=complex)
+        pos, coeff = _fold(coeff, *_key_groups(n_qubits, x, z), prune_each=False)
+        x, z = x[pos], z[pos]
+        for a in (x, z, coeff):
             a.setflags(write=False)
-        self._arrays = (keys[:, 0], keys[:, 1], coeff)
+        self._arrays = (x, z, coeff)
 
     @classmethod
     def _from_arrays(
@@ -429,7 +497,13 @@ class PauliSum:
             return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise DimensionError("cannot multiply sums on different registers")
-        return PauliSum(self.n_qubits, _products(self.items(), list(other.items())))
+        (x, z, c), (bx, bz, bc) = self._arrays, other._arrays
+        products = _row_products(
+            x, z, _popcount(x & z), c, bx[None], bz[None], _popcount(bx & bz)[None], bc[None]
+        )
+        x, z, _, c = (a.ravel() for a in products)
+        pos, c = _fold(c, *_key_groups(self.n_qubits, x, z), prune_each=False)
+        return PauliSum._from_arrays(self.n_qubits, x[pos], z[pos], c)
 
     __rmul__ = __mul__
 

@@ -23,8 +23,7 @@ from fermiperm.pauli import (
     PRUNE_TOL,
     _check_dense_cap,
     _decompose_displacements,
-    _merge,
-    _products,
+    _mask_product,
     parity_u64,
 )
 from fermiperm.permutations import _check_permutation_cap
@@ -38,10 +37,31 @@ _SINGLE = {
 }
 
 
+def _merge(pairs) -> dict[tuple[int, int], complex]:
+    """The dict route's merge, the reference for ``pauli._fold``: sum the
+    coefficients of like keys, in first-seen key order, and drop every sum
+    of magnitude at most ``PRUNE_TOL``."""
+    merged: dict[tuple[int, int], complex] = {}
+    for key, coeff in pairs:
+        merged[key] = merged.get(key, 0.0) + complex(coeff)
+    return {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
+
+
+def _products(a_items, b_items: list) -> list[tuple[tuple[int, int], complex]]:
+    """The dict route's product, the reference for ``pauli._row_products``:
+    unmerged (key, coefficient) pairs of a * b, a's terms in the outer loop."""
+    items = []
+    for (xa, za), ca in a_items:
+        for (xb, zb), cb in b_items:
+            x, z, k = _mask_product(xa, za, xb, zb)
+            items.append(((x, z), ca * cb * 1j**k))
+    return items
+
+
 def products_loop(n_qubits: int, a_items, b_items) -> list:
-    """Reference for ``pauli._products``: one validated ``PauliString`` per
-    operand and ``multiply`` per pair.  Unmerged (key, coefficient) pairs of
-    a * b, a's terms in the outer loop."""
+    """Reference for ``PauliSum.__mul__`` before its merge: one validated
+    ``PauliString`` per operand and ``multiply`` per pair.  Unmerged (key,
+    coefficient) pairs of a * b, a's terms in the outer loop."""
     items = []
     for (xa, za), ca in a_items:
         pa = PauliString(n_qubits, xa, za)

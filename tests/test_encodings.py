@@ -13,6 +13,7 @@ from fermiperm import (
     HamiltonianParseError,
     InvalidEncodingError,
     LinearEncodingF2,
+    PauliString,
     PauliSum,
     commutator_type,
     encode_fermion_operator,
@@ -406,8 +407,10 @@ def wide_operators_and_majoranas(draw):
     masks are Python ints; or a random index embedding's sums, whose
     ladders have 8 to 104 terms each, so that one term's products number
     the product of its ladder lengths (two-body terms up to 3 modes, one-body
-    terms up to 4, where the dict route takes its time)."""
-    kind = draw(st.sampled_from(["jw", "parity", "affine", "minimal"]))
+    terms up to 4, where the dict route takes its time); or a mixed table
+    of JW strings, pairs (g, i g) whose a_j cancels to no terms, pairs
+    (g, g) and two-term sums."""
+    kind = draw(st.sampled_from(["jw", "parity", "affine", "minimal", "mixed"]))
     if kind == "minimal":
         n = draw(st.integers(2, 4))
     else:
@@ -436,9 +439,26 @@ def wide_operators_and_majoranas(draw):
     elif kind == "affine":
         a = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, size=n))
         majoranas = linear_encoding_majoranas(a)
-    else:
+    elif kind == "minimal":
         majoranas = random_minimal_majoranas(SectorSpec(n, draw(st.integers(1, n - 1))), rng)
+    else:
+        majoranas = [_mixed_pair(draw, n, g, gp) for g, gp in jw_majoranas(n)]
     return FermionOperator.from_terms(terms), majoranas
+
+
+def _mixed_pair(draw, n: int, g: PauliString, gp: PauliString):
+    """JW's pair (g, g') kept, turned into (g, i g) or (g, g), or into the
+    sums g + c g' and g', whose c may be above ``PRUNE_TOL`` and half of it
+    not, so a ladder's scaled terms are pruned before they merge."""
+    form = draw(st.sampled_from(["strings", "cancel", "same", "sums"]))
+    if form == "cancel":
+        return g, PauliString(n, g.x_bits, g.z_bits, 1)
+    if form == "same":
+        return g, g
+    if form == "sums":
+        coeff = draw(st.one_of(st.sampled_from([1.5e-12, -2e-12]), st.builds(complex, _PARTS, _PARTS)))
+        return PauliSum.from_pauli(g) + PauliSum.from_pauli(gp, coeff), PauliSum.from_pauli(gp)
+    return g, gp
 
 
 @settings(max_examples=120, deadline=None)

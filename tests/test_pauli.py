@@ -22,14 +22,15 @@ from fermiperm import (
     pauli_decompose,
 )
 from fermiperm.pauli import (
+    PRUNE_TOL,
     _ZERO,
     _block_rows,
     _decompose_displacements,
     _popcount_u64,
-    _products,
     parity_u64,
 )
 from helpers import (
+    _merge,
     array_sum,
     items_sorted_loop,
     kron_dense,
@@ -110,11 +111,13 @@ def mask_products(draw):
 @settings(max_examples=150, deadline=None)
 @given(mask_products())
 def test_mask_rule_matches_multiply_and_letter_table(case):
-    """``_products`` reads the phase off the masks: same keys, same order and
-    the same coefficient bits as one ``multiply`` per pair; ``multiply``
-    itself matches a per-qubit letter table."""
+    """``PauliSum.__mul__`` reads the phase off the masks: same keys, same
+    order and the same coefficient bits as one ``multiply`` per pair and the
+    dict merge; ``multiply`` itself matches a per-qubit letter table."""
     n, a_items, b_items, pa, pb = case
-    assert repr(_products(a_items, b_items)) == repr(products_loop(n, a_items, b_items))
+    a, b = PauliSum(n, a_items), PauliSum(n, b_items)
+    expected = _merge(products_loop(n, list(a.items()), list(b.items())))
+    assert repr(list((a * b).items())) == repr(list(expected.items()))
     for (xa, za), _ in a_items:
         for (xb, zb), _ in b_items:
             a, b = PauliString(n, xa, za, pa), PauliString(n, xb, zb, pb)
@@ -454,6 +457,49 @@ def test_from_letters_validation():
             PauliSum(n, [(key, 1.0)])
     assert PauliSum(64, [((2**64 - 1, 0), 1.0)]).to_json_dict()["terms"][0]["pauli"] == "X" * 64
     assert PauliSum(70, [((1 << 69, 0), 1.0)]).to_json_dict()["terms"][0]["pauli"] == "X" + "I" * 69
+
+
+def test_sum_checks_every_mask_before_the_merge():
+    """A mask off the register raises even when its term would be pruned
+    or cancelled by the merge."""
+    for terms in (
+        [((9, 0), 0.0)],
+        [((-1, 0), 0.0)],
+        [((9, 0), 1.0), ((9, 0), -1.0)],
+    ):
+        with pytest.raises(DimensionError, match="outside the 3-qubit register"):
+            PauliSum(3, terms)
+
+
+_AT_TOL = [PRUNE_TOL, float(np.nextafter(PRUNE_TOL, 1.0)), float(np.nextafter(PRUNE_TOL, 0.0))]
+
+
+@st.composite
+def merge_inputs(draw):
+    """(n, pairs) on 1..130 qubits: keys drawn from a pool of up to four,
+    so they repeat, and coefficients (complex, float or int) whose parts
+    include signed zeros, values either side of ``PRUNE_TOL`` and values
+    that cancel exactly."""
+    n = draw(st.integers(1, 130))
+    masks = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+    keys = draw(st.lists(masks, min_size=1, max_size=4))
+    parts = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3e-13, *_AT_TOL, *(-t for t in _AT_TOL)]),
+        st.floats(-1.0, 1.0, allow_nan=False),
+    )
+    coeff = st.one_of(st.builds(complex, parts, parts), parts, st.integers(-2, 2))
+    pairs = st.lists(st.tuples(st.sampled_from(keys), coeff), max_size=12)
+    return n, draw(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_inputs())
+def test_sum_merges_as_the_dict_route(case):
+    """The constructor's array merge gives the dict merge's terms: the same
+    keys in first-seen order and the same bits of every part, signed zeros
+    included, at any width."""
+    n, pairs = case
+    assert repr(list(PauliSum(n, pairs).items())) == repr(list(_merge(pairs).items()))
 
 
 def test_single_qubit_accessors_validate():

@@ -323,7 +323,7 @@ def test_linear_encoding_is_the_affine_map_with_zero_offset():
     assert isinstance(parity, AffineMapF2)
     assert parity == AffineMapF2(f2.parity_matrix(4), np.zeros(4, dtype=np.uint8))
     assert parity != LinearEncodingF2.jordan_wigner(4)
-    assert not parity.offset.any() and parity.n_modes == 4
+    assert not parity.offset.any() and parity.n_qubits == 4
     with pytest.raises(InvalidEncodingError, match="singular over GF\\(2\\)"):
         LinearEncodingF2(np.array([[1, 1], [1, 1]]))
 
