@@ -46,7 +46,7 @@ from .permutations import (
     parse_cycles,
     permutation_from_circuit,
 )
-from .reduction import ORACLE_TOL, encode_and_reduce, sector_oracle, verify_reduction
+from .reduction import ORACLE_TOL, encode_and_reduce, verify_reduction
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -297,7 +297,7 @@ def cmd_reduce(args) -> int:
     cap = overrides.get("dense_cap", DENSE_CAP)
     tol = overrides.get("tolerance", ORACLE_TOL)
     rh = encode_and_reduce(h, p, spec, dense_cap=cap)
-    check = verify_reduction(rh, sector_oracle(h, spec, dense_cap=cap), tol=tol, dense_cap=cap)
+    check = verify_reduction(rh, h, tol=tol, dense_cap=cap)
 
     width = rh.pauli_sum.n_qubits
     payload = {
@@ -456,7 +456,7 @@ def cmd_verify_oracle(args) -> int:
     for _ in range(args.trials):
         h = random_one_body(spec.n_modes, rng)
         rh = encode_and_reduce(h, p, spec)
-        check = verify_reduction(rh, sector_oracle(h, spec), tol=tol)
+        check = verify_reduction(rh, h, tol=tol)
         worst = max(worst, check.max_deviation)
         if not check.passed:
             print(f"FAIL: deviation {check.max_deviation:g} exceeds {tol:g}")

@@ -10,18 +10,20 @@ skip the terms with X or Y on a constant qubit.  It projects those qubits
 out and returns the reduced operator plus each sector rank's label, its
 basis index on the surviving qubits.
 ``sector_oracle`` computes the same physics with no qubit encoding at all:
-one private kernel applies a chunk of terms' ladder strings to every
-sector state at once.  It is the ground truth that ``verify_reduction``
-compares against.  Verification stays inside the sector: it builds only the d x d
-block of the reduced operator on the sector labels, never the 2^q x 2^q
-matrix, so for d = C(N,K) its cost is dominated by the two d x d
-eigensolves of the spectrum check.  Both solves read hermitized triangles
-packed into the one (d + 1) x d buffer the block comes in, so for a large
-sector and a BLAS pinned to one thread they run side by side on two
-threads.  That buffer is the only d x d array verify allocates, so with
-the oracle it holds 2 x 16 d^2 bytes (at most 512 MiB under the default
-dense cap, d <= 2^12); LAPACK's own working copy of each matrix, 16 d^2
-bytes, two at once when the solves run side by side, is not counted there.
+one private kernel applies a chunk of terms' ladder strings to a set of
+sector states at once.  It is the ground truth that ``verify_reduction``
+compares against; given the operator itself, verify computes it a chunk of
+columns at a time, with the matching rows from the adjoint ladder strings,
+and never holds it whole.  Verification stays inside the sector: it builds
+only the d x d block of the reduced operator on the sector labels, never
+the 2^q x 2^q matrix, so for d = C(N,K) its cost is dominated by the two
+d x d eigensolves of the spectrum check.  One sweep writes both hermitized
+triangles into the (d + 1) x d buffer the block comes in, so for a large
+sector and a BLAS pinned to one thread the solves run side by side on two
+threads.  That buffer is the only d x d array verify holds, 16 (d + 1) d
+bytes (about 256 MiB under the default dense cap, d <= 2^12); LAPACK's own
+working copy of each matrix, 16 d^2 bytes, two at once when the solves run
+side by side, is not counted there.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ from .permutations import AffineMapF2, BasisPermutation, conjugate_pauli_dense
 
 ORACLE_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
+# (term, state) pairs per chunk of the oracle kernel, whose broadcast mask
+# test holds about 24 bytes a pair, numpy's ufunc buffers included
+_LADDER_PAIRS = 1 << 13
+_ORACLE_SAFE_SUM = 2.0**1000  # far enough below the largest float, about 2^1024
 SIDE_BY_SIDE_DIM = 512  # sector size from which verify's two eigensolves may run at once
 # the thread counts numpy's BLAS reads when it loads
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -201,59 +207,46 @@ def sector_oracle(
     held as ``uint64`` occupancy strings (so N <= 64).  A state dies when a
     raised mode is occupied or a lowered one is empty, picks up the sign
     (-1)^(number of occupied modes left of the acted mode), and has that
-    mode flipped.  ``_apply_ladders`` does this for a chunk of terms and
-    every state at once, ``pauli._BLOCK_ENTRIES`` (term, state) pairs at a
-    time.  The surviving results are ranked by binary search in the sorted
-    sector; those outside it are dropped.  One term sends distinct columns
-    to distinct rows, and the results are added with ``np.add.at`` in
-    term-major order, so every entry sums its terms in their given order.
-    Every mode is checked before anything is allocated.  The d x d matrix is
-    dense, so d may be at most 2^dense_cap.
+    mode flipped.  This is the column pass of ``_oracle_passes`` over every
+    state; ``verify_reduction``, given ``h``, runs it a chunk of columns at
+    a time.  Every entry sums its terms in their given order.  Every mode
+    is checked before anything is allocated.  The d x d matrix is dense, so
+    d may be at most 2^dense_cap.
     """
-    n = spec.n_modes
-    if n > 64:
-        raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
-    _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
-    live, strings = _ladder_strings(h, n)
-    dim = spec.dimension
-
-    states = np.array(spec.sector_states(), dtype=np.uint64)
-    out = np.zeros((dim, dim), dtype=complex)
-    coeff = h._arrays[3][live]
-    step = _block_rows(dim)
-    with _overflow_raises("the sector oracle"):
-        for start in range(0, live.size, step):
-            chunk = slice(start, start + step)
-            term, col, state, odd = _apply_ladders(states, *(a[chunk] for a in strings))
-            rows = np.minimum(np.searchsorted(states, state), dim - 1)
-            hit = states[rows] == state
-            c = coeff[chunk][term[hit]]
-            np.add.at(out.reshape(-1), rows[hit] * dim + col[hit], np.where(odd[hit] == 1, -c, c))
-    return out
+    columns, _ = _oracle_passes(h, spec, dense_cap)
+    return columns(0, spec.dimension)
 
 
-def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The index of the terms of ``h`` that do not kill every state, in
-    order, and their ladder strings as ``need``, ``one``, ``flip``, ``sign``,
-    ``odd``, read from its array form.
+def _ladder_strings(
+    h: FermionOperator, n: int, adjoint: bool = False
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The coefficients of the terms of ``h`` that do not kill every state,
+    in order, and their ladder strings as ``need``, ``one``, ``flip``,
+    ``sign``, ``odd``, read from its array form.  With ``adjoint`` the
+    strings are those of each term's adjoint, its operators read left to
+    right with their dagger flags flipped; the coefficients are not
+    conjugated.
 
     Ladder operators only flip mode bits, and the sign of each is the
     parity of the occupied modes left of it, which is linear over GF(2).
-    So on an occupancy string s, with the operators applied right to left,
-    the term survives iff ``s & need == one``, ends at ``s ^ flip`` and
-    carries (-1)^(parity(s & sign) ^ odd), ``odd`` a 0/1 ``int64``.  A term
-    that asks one mode to be both occupied and empty is not in the index.
-    Raises ``DimensionError`` on a mode outside 1..n."""
-    modes, daggers, lengths, _ = h._arrays
-    # terms x operators, right to left as they apply; the padding, mode 0,
-    # comes first and has no bit and nothing left of it
-    filled = (np.arange(modes.shape[1]) < lengths[:, None])[:, ::-1]
-    grid = modes[:, ::-1]
+    So on an occupancy string s, with the operators applied in turn, the
+    term survives iff ``s & need == one``, ends at ``s ^ flip`` and carries
+    (-1)^(parity(s & sign) ^ odd), ``odd`` a 0/1 ``int64``.  A term that
+    asks one mode to be both occupied and empty is left out.  Raises
+    ``DimensionError`` on a mode outside 1..n."""
+    modes, daggers, lengths, coeff = h._arrays
+    # terms x operators in the order they apply; the padding, mode 0, has no
+    # bit and nothing left of it
+    filled = np.arange(modes.shape[1]) < lengths[:, None]
+    if adjoint:
+        grid, lowers = modes, filled & daggers
+    else:
+        filled, grid = filled[:, ::-1], modes[:, ::-1]
+        lowers = filled & ~daggers[:, ::-1]
     used = grid[filled]
     if used.size and not 1 <= used.min() <= used.max() <= n:
         mode = next(m for m in used.tolist() if not 1 <= m <= n)
         raise DimensionError(f"mode {mode} out of range 1..{n}")
-    lowers = filled & ~daggers[:, ::-1]
     register = (1 << n) - 1
     bit_of = np.array([0] + [1 << (n - m) for m in range(1, n + 1)], dtype=np.uint64)
     left_of = np.array(
@@ -270,7 +263,7 @@ def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.nd
     live = np.flatnonzero((one & zero) == 0)
     masks = (one | zero, one, np.bitwise_xor.reduce(bits, axis=1),
              np.bitwise_xor.reduce(lefts, axis=1), odd)
-    return live, tuple(a[live] for a in masks)
+    return coeff[live], tuple(a[live] for a in masks)
 
 
 def _apply_ladders(states, need, one, flip, sign, odd):
@@ -283,6 +276,71 @@ def _apply_ladders(states, need, one, flip, sign, odd):
     return term, col, start ^ flip[term], parity_u64(start & sign[term]) ^ odd[term]
 
 
+def _scatter_ladders(out, starts, states, coeff, strings, first: int = 0) -> None:
+    """The one oracle kernel: add each term's element +-c from ``starts[c]``
+    to sector rank r >= ``first`` into ``out[r - first, c]``.
+
+    ``_apply_ladders`` runs on ``_LADDER_PAIRS`` (term, start) pairs at a
+    time.  The results are ranked by binary search in the sorted sector
+    ``states``; those outside it, or ranked below ``first``, are dropped.
+    One term sends distinct starts to distinct rows, and ``np.add.at`` adds
+    in term-major order, so every entry sums its terms in their given order.
+    ``out`` must be C-contiguous."""
+    dim, width = states.size, starts.size
+    flat = out.reshape(-1)
+    step = max(1, _LADDER_PAIRS // width)
+    with _overflow_raises("the sector oracle"):
+        for start in range(0, coeff.size, step):
+            chunk = slice(start, start + step)
+            term, col, state, odd = _apply_ladders(starts, *(a[chunk] for a in strings))
+            rows = np.minimum(np.searchsorted(states, state), dim - 1)
+            hit = (states[rows] == state) & (rows >= first)
+            c = coeff[chunk][term[hit]]
+            np.add.at(flat, (rows[hit] - first) * width + col[hit], np.where(odd[hit] == 1, -c, c))
+
+
+def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
+    """The oracle's checks, then two functions of the sector states s..t-1:
+    the column pass, O[:, s:t], and the row pass, O[s:t, t:].  The row pass
+    applies the adjoint ladder strings to the same states, since for a
+    ladder product T, <j| T |i> = <i| T^dagger |j>, a real +-1 or 0.
+
+    Below ``_ORACLE_SAFE_SUM`` per part, a sum of some of the coefficients
+    cannot pass the largest float.  Otherwise an oracle entry may overflow,
+    so the column pass runs once over every state here: its error then
+    comes before any other of ``verify_reduction``'s, as when the whole
+    oracle was built first."""
+    n = spec.n_modes
+    if n > 64:
+        raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
+    _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
+    coeff, strings = _ladder_strings(h, n)
+    states = np.array(spec.sector_states(), dtype=np.uint64)
+    dim = states.size
+    adjoint = None  # built by the first row pass; a single chunk runs none
+
+    def columns(s: int, t: int) -> np.ndarray:
+        out = np.zeros((dim, t - s), dtype=complex)
+        _scatter_ladders(out, states[s:t], states, coeff, strings)
+        return out
+
+    def rows(s: int, t: int) -> np.ndarray:
+        nonlocal adjoint
+        out = np.zeros((dim - t, t - s), dtype=complex)  # O[s:t, t:] transposed
+        if t < dim:
+            adjoint = adjoint or _ladder_strings(h, n, adjoint=True)
+            _scatter_ladders(out, states[s:t], states, *adjoint, first=t)
+        return out.T
+
+    with np.errstate(over="ignore"):
+        safe = all(np.abs(part).sum() < _ORACLE_SAFE_SUM for part in (coeff.real, coeff.imag))
+    if not safe:
+        step = _block_rows(dim)
+        for s in range(0, dim, step):
+            columns(s, min(s + step, dim))
+    return columns, rows
+
+
 @dataclass(frozen=True)
 class ReductionCheck:
     max_deviation: float
@@ -293,28 +351,24 @@ class ReductionCheck:
 
 def verify_reduction(
     rh: ReducedHamiltonian,
-    oracle: np.ndarray,
+    oracle: FermionOperator | np.ndarray,
     tol: float = ORACLE_TOL,
     dense_cap: int = DENSE_CAP,
 ) -> ReductionCheck:
     """Compare every sector matrix element of the reduced operator against
     the brute-force oracle, and the sector spectra as well.
 
-    Only the d x d block on the sector labels is built, straight from the
-    Pauli sum by the transform ``to_dense`` uses; the two d x d eigensolves
-    then dominate the cost.  The block is the only d x d array allocated:
-    the deviation is taken a few rows at a time, and both eigensolves read
-    hermitized lower triangles written in place into the (d + 1) x d buffer
-    the block comes in.  The block's goes, transposed, into the upper
-    triangle of rows 0..d-1, read as ``buf[:d].T``; the oracle's goes into
-    the strict lower triangle of the buffer, read as ``buf[1:]``.  The two
-    never overlap, and LAPACK sees the same lower triangles whichever way
-    the solves run, so the result does not depend on it.  So verify holds
-    the oracle and one buffer, 2 x 16 d^2 bytes, which is at most 512 MiB
-    under the default ``dense_cap`` (d <= 2^12); LAPACK's own working copy,
-    16 d^2 bytes, comes on top, twice at once when the solves run side by
-    side.  ``oracle`` is only read.  ``dense_cap`` bounds the reduced
-    register.
+    ``oracle`` is ``h`` itself or its matrix ``sector_oracle(h, rh.spec)``,
+    with the same result, bit for bit.  Given ``h``, the oracle's checks
+    come first and it is computed a chunk of columns at a time, never whole;
+    a given matrix is only read.  Only the d x d block on the sector labels
+    is built, in the (d + 1) x d buffer ``_dense_block`` returns, and
+    ``_sweep`` writes both hermitized triangles into that buffer.  So verify
+    holds one d x d array, 16 (d + 1) d bytes (about 256 MiB under the
+    default ``dense_cap``, d <= 2^12), plus chunks of about 2^14 entries.
+    The two eigensolves then dominate the cost; LAPACK's working copy of
+    each matrix, 16 d^2 bytes, comes on top, twice at once when they run
+    side by side.  ``dense_cap`` bounds the reduced register.
 
     The oracle's solve runs on a worker thread while the calling thread
     runs the block's (numpy releases the GIL inside ``eigvalsh``) only
@@ -329,27 +383,66 @@ def verify_reduction(
       reads 1: a BLAS at its default threading already uses every core,
       and two solves side by side would only contend for them.
 
-    A solve that raises raises from the calling thread, after the worker
-    has been joined, as it would in turn."""
+    LAPACK sees the same lower triangles whichever way the solves run, so
+    the result does not depend on it.  A solve that raises raises from the
+    calling thread, after the worker has been joined, as it would in turn."""
     dim = rh.spec.dimension
-    if oracle.shape != (dim, dim):
+    if isinstance(oracle, FermionOperator):
+        columns, rows = _oracle_passes(oracle, rh.spec, dense_cap)
+    elif oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
+    else:
+        columns, rows = (lambda s, t: oracle[:, s:t]), (lambda s, t: oracle[s:t, t:])
     buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
-    block = buf[:dim]
-    step = _block_rows(dim)
-    max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does
-    for start in range(0, dim, step):
-        rows = slice(start, start + step)
-        max_dev = np.maximum(max_dev, np.max(np.abs(block[rows] - oracle[rows])))
-    max_dev = float(max_dev)
-
-    _hermitize_lower(block, block.T, step)
-    _hermitize_lower(oracle, buf[1:], step)  # over the block's spent strict lower triangle
-    eig_block, eig_oracle = _eigvalsh_pair(block.T, buf[1:], _solve_side_by_side(dim))
+    max_dev = _sweep(buf, columns, rows)
+    eig_block, eig_oracle = _eigvalsh_pair(buf[:dim].T, buf[1:], _solve_side_by_side(dim))
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle))) if dim else 0.0
 
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, spectrum_dev, passed, tol)
+
+
+def _sweep(buf: np.ndarray, columns, rows) -> float:
+    """Return max |B - O| for the block B in the first d rows of the
+    (d + 1) x d buffer, and write both hermitized lower triangles, (a +
+    a^H) / 2, into it: B's, transposed, into the upper triangle of rows
+    0..d-1, read as ``buf[:d].T``; the oracle's into the strict lower
+    triangle, read as ``buf[1:]``.  ``columns(s, t)`` gives O[:, s:t] and
+    ``rows(s, t)`` gives O[s:t, t:].
+
+    The chunks J = [s, t) of ``_block_rows(d)`` columns run right to left.
+    When J's turn comes no chunk has written to column J or to rows J right
+    of the diagonal, so:
+
+    1. the deviation reads B[:, J] raw;
+    2. B's entries for rows J go into ``buf[J, s:]``: the upper triangle,
+       and below the diagonal of J's square values step 3 overwrites;
+    3. O's entries for columns J go into ``buf[j + 1:, j]``, over the raw B
+       entries steps 1 and 2 have just read.
+
+    Every entry is ``a[i, j] + conj(a[j, i])`` then ``/ 2``, the ufuncs of
+    ``(a + a.conj().T) / 2``, so it has the bits of the whole-matrix form."""
+    dim = buf.shape[1]
+    step = _block_rows(dim)
+    max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does
+    for s in reversed(range(0, dim, step)):
+        t = min(s + step, dim)
+        col = columns(s, t)
+        max_dev = np.maximum(max_dev, np.max(np.abs(buf[:dim, s:t] - col)))
+        with _overflow_raises("the hermitized sector matrix"):
+            upper = buf[s:t, s:]
+            herm = np.conjugate(upper)
+            np.add(buf[s:dim, s:t].T, herm, out=herm)
+            np.true_divide(herm, 2, out=upper)
+            del herm  # before the row pass allocates its chunk
+            below = buf[t + 1:, s:t]
+            np.add(col[t:], np.conjugate(rows(s, t).T), out=below)
+            np.true_divide(below, 2, out=below)
+            square = np.conjugate(col[s:t].T)
+            np.add(col[s:t], square, out=square)
+            np.true_divide(square, 2, out=square)
+            np.copyto(buf[s + 1:t + 1, s:t], square, where=np.tri(t - s, dtype=bool))
+    return float(max_dev)
 
 
 def _solve_side_by_side(dim: int) -> bool:
@@ -380,24 +473,3 @@ def _eigvalsh_pair(a: np.ndarray, b: np.ndarray, side_by_side: bool):
         eig_b = pool.submit(np.linalg.eigvalsh, b, UPLO="L")
         eig_a = np.linalg.eigvalsh(a, UPLO="L")
     return np.sort(eig_a), np.sort(eig_b.result())
-
-
-def _hermitize_lower(a: np.ndarray, out: np.ndarray, step: int) -> None:
-    """Write (a + a^H) / 2 into the lower triangle of ``out``, diagonal
-    included, ``step`` rows at a time; no other entry of ``out`` is written.
-
-    ``out`` may be ``a`` itself or ``a.T``: row block [s, t) reads a[s:t, :t]
-    and a[:t, s:t], and writes out[s:t, :t] on or below the diagonal, which
-    is a[s:t, :t] or a[:t, s:t] on its side of the diagonal; no later block
-    reads those entries.  The add and the halving are the ufuncs of
-    ``(a + a.conj().T) / 2``, so every entry has the same bits."""
-    with _overflow_raises("the hermitized sector matrix"):
-        for start in range(0, a.shape[0], step):
-            stop = min(start + step, a.shape[0])
-            rows = slice(start, stop)
-            target = out[rows, :start]
-            np.add(a[rows, :start], a[:start, rows].conj().T, out=target)
-            np.true_divide(target, 2, out=target)
-            square = a[rows, rows]
-            lower = np.tri(stop - start, dtype=bool)
-            np.copyto(out[rows, rows], (square + square.conj().T) / 2, where=lower)

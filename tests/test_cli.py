@@ -172,9 +172,11 @@ def test_reduce_verify_reports_spectrum_deviation(tmp_path, capsys):
 
 def test_dense_cap_option_is_passed_not_set(tmp_path, capsys, monkeypatch):
     """--dense-cap reaches the conjugation, the oracle and the verify as an
-    argument; the module default is never reassigned."""
+    argument; the module default is never reassigned.  The oracle is
+    computed inside verify, from the operator: its cap is the one its size
+    check is given."""
     import fermiperm.cli as cli
-    from fermiperm import pauli
+    from fermiperm import pauli, reduction
 
     seen = []
 
@@ -187,8 +189,15 @@ def test_dense_cap_option_is_passed_not_set(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(cli, name, call)
 
-    for name in ("encode_and_reduce", "sector_oracle", "verify_reduction"):
+    for name in ("encode_and_reduce", "verify_reduction"):
         spy(name)
+    check_oracle = reduction._check_dense_cap  # the oracle's only use of it
+
+    def oracle_check(n_qubits, cap):
+        seen.append(("sector_oracle", cap, pauli.DENSE_CAP))
+        return check_oracle(n_qubits, cap)
+
+    monkeypatch.setattr(reduction, "_check_dense_cap", oracle_check)
     ham = tmp_path / "h.txt"
     ham.write_text(HOPPING)
     args = ["reduce", "--modes", "4", "--fermions", "2", "--index-embed",
@@ -204,6 +213,26 @@ def test_dense_cap_option_is_passed_not_set(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "capped at 2 qubits" in err
     assert pauli.DENSE_CAP == 12
+
+
+@pytest.mark.parametrize(
+    "cap, error",
+    [("9", "error: dense operations are capped at 9 qubits, got 10\n"),  # the oracle's sector
+     ("10", "error: dense operations are capped at 10 qubits, got 11\n")],  # the reduced block
+)
+def test_dense_cap_errors_name_the_oracle_then_the_block(tmp_path, capsys, cap, error):
+    """N=12, K=6 with the parity mapping: 924 sector states need 10 qubits
+    and the reduced operator has 11.  The oracle's check comes before the
+    block's, so each cap names its own count; exit 2, nothing on stdout and
+    no file written."""
+    ham = tmp_path / "h.txt"
+    ham.write_text(HOPPING)
+    out = tmp_path / "out.json"
+    argv = ["reduce", "--mapping", "parity", "--modes", "12", "--fermions", "6",
+            "--dense-cap", cap, "--hamiltonian", str(ham)]
+    for output in (["--output", str(out)], []):
+        assert run(capsys, *argv, *output) == (2, "", error)
+    assert not out.exists()
 
 
 def test_reduce_without_fermions_is_usage_error(tmp_path, capsys):

@@ -39,7 +39,6 @@ from fermiperm import (
 )
 from fermiperm import f2, reduction
 from fermiperm.pauli import PRUNE_TOL
-from fermiperm.reduction import _hermitize_lower
 from helpers import (
     array_sum,
     conjugate_affine_loop,
@@ -854,37 +853,153 @@ def test_verify_holds_one_block():
     assert verify_reduction(rh, spiked) == verify_reduction_dense(rh, spiked)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 45),
-       st.sampled_from(["copy", "in place", "transposed", "shifted"]), st.integers(0, 2**32 - 1))
-def test_hermitize_lower_matches_whole_matrix(d, step, layout, seed):
-    """Every row-block size and the layouts verify uses: into another
-    buffer, in place, in place into the transpose (the block's upper
-    triangle) and into the rows below the first of a (d + 1) x d buffer.
-    The lower triangle, diagonal included, has the bits of (a + a^H) / 2,
-    and every other byte of the buffer is unchanged."""
+def _check_bits(check):
+    """A ``ReductionCheck`` with its floats as bytes, so that -0.0 and NaN compare too."""
+    return (np.float64(check.max_deviation).tobytes(), np.float64(check.spectrum_deviation).tobytes(),
+            check.passed, check.tolerance)
+
+
+def _two_body(n, rng, count):
+    """``count`` random a+_p a+_q a_r a_s terms with complex coefficients, hermitized."""
+    terms = []
+    for _ in range(count):
+        p, q, r, s = (int(m) for m in rng.integers(1, n + 1, size=4))
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        terms.append(FermionTerm.make(c, [(p, True), (q, True), (r, False), (s, False)]))
+    return FermionOperator.from_terms(terms).hermitized()
+
+
+@st.composite
+def operator_reductions(draw):
+    """(operator, reduced operator) on N = 3..8 modes: one- and two-body
+    terms with complex coefficients, hermitized or not, reduced with the
+    parity map, a random index embed or a random table (both not affine)."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = st.integers(1, n)
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        body = draw(st.integers(1, 2))
+        raised = draw(st.lists(modes, min_size=body, max_size=body))
+        lowered = draw(st.lists(modes, min_size=body, max_size=body))
+        ops = [(m, True) for m in raised] + [(m, False) for m in lowered]
+        terms.append(FermionTerm.make(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), ops))
+    h = FermionOperator.from_terms(terms)
+    if draw(st.booleans()):
+        h = h.hermitized()
+    spec = SectorSpec(n, k)
+    kind = draw(st.sampled_from(["parity", "index-embed", "random"]))
+    if kind == "parity":
+        p = LinearEncodingF2.parity(n)
+    elif kind == "index-embed":
+        p = minimal_permutation_index_embed(spec, completion="random", rng=rng)
+    else:
+        p = BasisPermutation(rng.permutation(1 << n))
+    return h, encode_and_reduce(h, p, spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_reductions(), st.integers(1, 9))
+def test_verify_from_the_operator_matches_the_matrix(case, width):
+    """Given ``h``, verify never builds the oracle, yet every field has the
+    bits it has given ``sector_oracle(h, spec)`` and the whole-matrix
+    reference's.  At N <= 8 the sweep runs one chunk, so it runs again with
+    chunks of ``width`` columns: the row pass and every step of the sweep
+    then run at several column offsets."""
+    h, rh = case
+    oracle = sector_oracle(h, rh.spec)
+    oracle.setflags(write=False)
+    expected = _check_bits(verify_reduction_dense(rh, oracle))
+    assert _check_bits(verify_reduction(rh, h)) == expected
+    assert _check_bits(verify_reduction(rh, oracle)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_block_rows", lambda dim: width)
+        assert _check_bits(verify_reduction(rh, h)) == expected
+        assert _check_bits(verify_reduction(rh, oracle)) == expected
+
+
+@pytest.mark.parametrize(
+    "n, k, mapping, body",
+    [(10, 5, "index-embed", 1), (10, 5, "parity", 2), (12, 6, "parity", 1)],
+)
+def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
+    """Sectors of 252 and 924 states, swept in 4 and 55 chunks: the
+    operator and its matrix give the reference's bits."""
+    spec = SectorSpec(n, k)
+    rng = np.random.default_rng(5)
+    h = random_one_body(n, rng) if body == 1 else _two_body(n, rng, 40)
+    p = LinearEncodingF2.parity(n) if mapping == "parity" else minimal_permutation_index_embed(spec)
+    rh = encode_and_reduce(h, p, spec)
+    oracle = sector_oracle(h, spec)
+    oracle.setflags(write=False)
+    expected = _check_bits(verify_reduction_dense(rh, oracle))
+    assert _check_bits(verify_reduction(rh, h)) == expected
+    assert _check_bits(verify_reduction(rh, oracle)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases(), st.integers(1, 30))
+def test_row_pass_matches_the_oracle_rows(case, width):
+    """The adjoint ladder strings applied to the states s..t-1 give the
+    oracle's rows s..t-1 right of column t, and the column pass its columns
+    s..t-1, bit for bit: constant, one-body, two-body and arbitrary ladder
+    terms, signed zeros and repeated terms among them."""
+    h, spec = case
+    oracle = sector_oracle(h, spec)
+    columns, rows = reduction._oracle_passes(h, spec, spec.n_modes)
+    dim = spec.dimension
+    for s in range(0, dim, width):
+        t = min(s + width, dim)
+        got = rows(s, t)
+        assert got.shape == (t - s, dim - t) and got.tobytes() == oracle[s:t, t:].tobytes()
+        got = columns(s, t)
+        assert got.shape == (dim, t - s) and got.tobytes() == oracle[:, s:t].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 45), st.integers(0, 2**32 - 1))
+def test_sweep_writes_both_hermitized_triangles(d, width, seed):
+    """Every chunk width against the whole-matrix forms: the deviation and
+    both lower triangles, diagonal included, have the bits of max |B - O|,
+    (B + B^H) / 2 and (O + O^H) / 2, signed zeros among the entries.  B's is
+    read as ``buf[:d].T`` and O's as ``buf[1:]``, which between them cover
+    every byte of the buffer; the oracle is only read."""
     rng = np.random.default_rng(seed)
     buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
     buf[rng.random((d + 1, d)) < 0.2] = -0.0
-    view = {
-        "copy": lambda b: b[:d],
-        "in place": lambda b: b[:d],
-        "transposed": lambda b: b[:d].T,
-        "shifted": lambda b: b[1:],
-    }[layout]
-    if layout in ("in place", "transposed"):
-        a = buf[:d]
-    else:
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a.setflags(write=False)
-    expected = (a + a.conj().T) / 2
-    before = buf.copy()
-    _hermitize_lower(a, view(buf), step)
+    oracle = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    oracle[rng.random((d, d)) < 0.2] = complex(-0.0, 0.0)
+    oracle.setflags(write=False)
+    block = buf[:d].copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_block_rows", lambda dim: width)
+        max_dev = reduction._sweep(buf, lambda s, t: oracle[:, s:t], lambda s, t: oracle[s:t, t:])
+    assert np.float64(max_dev).tobytes() == np.max(np.abs(block - oracle)).tobytes()
     lower = np.tril_indices(d)
-    assert view(buf)[lower].tobytes() == expected[lower].tobytes()
-    outside = np.ones(buf.shape, dtype=bool)
-    view(outside)[lower] = False
-    assert buf[outside].tobytes() == before[outside].tobytes()
+    for got, a in ((buf[:d].T, block), (buf[1:], oracle)):
+        assert got[lower].tobytes() == ((a + a.conj().T) / 2)[lower].tobytes()
+
+
+def test_verify_from_the_operator_holds_one_buffer():
+    """N=10, K=5 with the parity mapping (d = 252, 4 chunks): given ``h``,
+    verify holds the (d + 1) x d buffer and chunks of about 2^14 entries,
+    never the d x d oracle.  Given the matrix, verify itself holds no more."""
+    n, spec = 10, SectorSpec(10, 5)
+    h = random_one_body(n, np.random.default_rng(7))
+    rh = encode_and_reduce(h, LinearEncodingF2.parity(n), spec)
+    d = spec.dimension
+    bound = 1.15 * 16 * (d + 1) * d + 2**20
+    oracle = sector_oracle(h, spec)
+    for source in (h, oracle):
+        tracemalloc.start()
+        try:
+            check = verify_reduction(rh, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.passed
+        assert peak < bound
 
 
 def test_identity_permutation_reduction_has_no_fixed_qubits():
