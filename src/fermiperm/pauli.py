@@ -42,6 +42,8 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # 3.14 (C99's mixed-mode rule) to the real part only, which adding -0.0 to
 # the imaginary part reproduces.
 _ZERO = 0.0 + complex(0.0, -0.0)
+# x + _ABSENT is x, signed zeros included: the partner of a term that is not there
+_ABSENT = complex(-0.0, -0.0)
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
@@ -50,6 +52,29 @@ _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
 def _check_dense_cap(n_qubits: int, cap: int = DENSE_CAP) -> None:
     if n_qubits > cap:
         raise ResourceError(f"dense operations are capped at {cap} qubits, got {n_qubits}")
+
+
+def _check_fixed(n: int, fixed) -> None:
+    """``project_fixed_qubit``'s checks on (qubit, value) pairs fixed at once
+    on n qubits: every qubit in 1..n and fixed once, one qubit left at
+    least, every value 0 or 1."""
+    qubits = [q for q, _ in fixed]
+    for q in qubits:
+        if not 1 <= q <= n:
+            raise DimensionError(f"qubit {q} out of range 1..{n}")
+    for q in qubits:
+        if qubits.count(q) > 1:
+            raise DimensionError(f"qubit {q} is fixed twice")
+    if len(qubits) >= n:
+        raise DimensionError("cannot project the last remaining qubit away")
+    for q, value in fixed:
+        if value not in (0, 1):
+            raise ValueError(f"qubit {q} can only be fixed to 0 or 1, got {value!r}")
+
+
+def _fixed_mask(n: int, fixed) -> int:
+    """The register mask of the qubits of (qubit, value) pairs, qubit q at bit n - q."""
+    return sum(1 << (n - q) for q, _ in fixed)
 
 
 def parity_u64(values: np.ndarray) -> np.ndarray:
@@ -552,20 +577,27 @@ class PauliSum:
         if np.count_nonzero(pos < size) != size:
             raise ValueError("block labels must be distinct")
         out = np.zeros((size + 1, size), dtype=complex)
-        x, z, amps = self._arrays
-        x, z = x.astype(np.int64), z.astype(np.int64)
-        amps = amps * _I_POWERS[_popcount_u64(x & z) % 4]
+        x, z, coeff = self._arrays
+        x, z = x.view(np.int64), z.view(np.int64)  # views of the uint64 masks, no copies
+        # one stable sort by X mask, whose order each block of masks reads
         order = np.argsort(x, kind="stable")
-        x, z, amps = x[order], z[order], amps[order]
-        masks, slot = np.unique(x, return_inverse=True)
+        xs = x[order]
+        new = np.empty(xs.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(xs[1:], xs[:-1], out=new[1:])
+        bounds = np.append(np.flatnonzero(new), xs.size)  # where each X mask's terms start
+        masks = xs[bounds[:-1]]
+        del xs, new
         cols = np.arange(size)
         step = _block_rows(dim)
         with _overflow_raises("the dense form of the Pauli sum"):
             for start in range(0, masks.size, step):
                 stop = min(start + step, masks.size)
-                lo, hi = np.searchsorted(slot, (start, stop))
+                terms = order[bounds[start] : bounds[stop]]
+                amps = coeff[terms] * _I_POWERS[_popcount_u64(x[terms] & z[terms]) % 4]
                 block = np.zeros((stop - start, dim), dtype=complex)
-                block[slot[lo:hi] - start, z[lo:hi]] = amps[lo:hi]
+                rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
+                block[rows, z[terms]] = amps
                 _walsh_hadamard_rows(block)
                 out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
         return out if spare_row else out[:size]
@@ -636,38 +668,81 @@ def pauli_decompose(m: np.ndarray) -> PauliSum:
 
 
 def _decompose_displacements(
-    g: np.ndarray, labels: np.ndarray | None = None
+    g: np.ndarray, fixed=()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pauli terms of the 2^n x 2^n matrix M whose displacement-by-column
-    array is ``g``, g[d, c] = M[c (+) d, c]; ``g`` is overwritten.
+    array is ``g``, g[d, c] = M[c (+) d, c]; ``g`` is overwritten.  With
+    ``fixed``, (qubit, value) pairs, the terms of <fixed| M |fixed> on the
+    other qubits.
 
     The Walsh-Hadamard transform of row d over c, at z, times
     (-i)^|d & z| / 2^n, is the coefficient of the term with X mask d and Z
     mask z (Georges, Berntson, Suenderhauf and Ivanov, "Pauli decomposition
     via the fast Walsh-Hadamard transform").  Each row is transformed,
-    phased and pruned on its own, so ``g`` may hold only some rows: row i
-    is then displacement ``labels[i]`` (increasing), and the terms of the
-    other displacements are left out.
-    Transform, phase and threshold run on blocks of rows into one ``bool``
-    mask, so the survivors are gathered once.  Returns parallel ``x``,
-    ``z`` (``uint64``) and ``coeff`` arrays: distinct keys, row-major in
-    (x, z), every coefficient above ``PRUNE_TOL``.
+    phased and pruned on its own, so given ``fixed``, ``g`` holds only the
+    displacements with no X on a fixed qubit, in increasing order: the
+    projection drops the others.  Both Z partners of a fixed qubit lie in
+    one row, so ``_project_rows`` projects each block of rows right after
+    its prune, before any term is gathered.
+    Transform, phase, threshold and projection run on blocks of rows into
+    one ``bool`` mask, so the survivors are gathered once.  Returns parallel
+    ``x``, ``z`` (``uint64``) and ``coeff`` arrays: distinct keys, every
+    coefficient above ``PRUNE_TOL``, bit for bit and in the order that the
+    full decomposition, row-major in (x, z), gives once ``project_fixed_qubit``
+    has run on it for every fixed qubit in descending qubit order.
     """
     rows, dim = g.shape
+    n = dim.bit_length() - 1
     cols = np.arange(dim, dtype=np.int64)
-    row_labels = cols if labels is None else labels
+    labels = cols[(cols & _fixed_mask(n, fixed)) == 0]  # row i is displacement labels[i]
+    bits = sorted((n - q, value) for q, value in fixed)  # descending qubit order
+    width = dim >> len(bits)
     phases = _I_POWERS[-_popcount_u64(cols) % 4] / dim  # (-i)^|t| / 2^n at t = d & z
-    keep = np.empty((rows, dim), dtype=bool)
+    keep = np.empty((rows, width), dtype=bool)
+    first = np.empty((rows, width), dtype=np.int32) if bits else None  # columns < 2^31
     step = _block_rows(dim)
     with _overflow_raises("the Pauli decomposition"):
         for start in range(0, rows, step):
             block = g[start : start + step]
             _walsh_hadamard_rows(block)
-            block *= phases[row_labels[start : start + step, None] & cols]
+            block *= phases[labels[start : start + step, None] & cols]
             # a finite coefficient's magnitude may pass the largest float
             with np.errstate(over="ignore"):
-                np.greater(np.abs(block), PRUNE_TOL, out=keep[start : start + step])
-    x, z = np.nonzero(keep)
-    if labels is not None:
-        x = labels[x]
-    return x.view(np.uint64), z.view(np.uint64), g[keep]
+                kept = np.abs(block) > PRUNE_TOL
+            if bits:
+                block, kept, first[start : start + step] = _project_rows(block, kept, bits)
+                g[start : start + step, :width] = block
+            keep[start : start + step] = kept
+    x, z = np.nonzero(keep)  # row i on the surviving qubits is i: labels skip the fixed bits
+    coeff = g[:, :width][keep]
+    if bits:
+        # the projection keeps each term where its first-seen partner stood
+        seen = x * dim + first[keep]
+        if np.any(seen[1:] <= seen[:-1]):
+            order = np.argsort(seen, kind="stable")
+            x, z, coeff = x[order], z[order], coeff[order]
+    return x.view(np.uint64), z.view(np.uint64), coeff
+
+
+def _project_rows(block: np.ndarray, kept: np.ndarray, bits):
+    """``project_fixed_qubit`` on a block of decomposed rows, for each
+    (bit, value) of ``bits`` in increasing bit order: the entries with the
+    bit clear (I) and set (Z) are partners, ``kept`` marks the terms that
+    exist, and each sum is (lo or ``_ABSENT``) + (+-hi or ``_ABSENT``) +
+    ``_ZERO``, pruned at ``PRUNE_TOL``: the projection's merge, bit for
+    bit.  Returns the sums with the folded columns taken out, their mask,
+    and the column each one's first-seen term had in the block: lo's,
+    since it comes first, when lo exists."""
+    first = np.arange(block.shape[1])[None]
+    for folded, (bit, value) in enumerate(bits):
+        half = 1 << (bit - folded)  # the lower fixed bits are folded out already
+        pairs = [a.reshape(a.shape[0], -1, 2, half) for a in (block, kept, first)]
+        (lo, klo, flo), (hi, khi, fhi) = ([a[:, :, side] for a in pairs] for side in (0, 1))
+        block = np.where(klo, lo, _ABSENT)
+        block += np.where(khi, np.negative(hi) if value else hi, _ABSENT)
+        block += _ZERO
+        first = np.where(klo, flo, fhi)
+        with np.errstate(over="ignore"):
+            kept = np.abs(block) > PRUNE_TOL
+        block, kept, first = (a.reshape(a.shape[0], -1) for a in (block, kept, first))
+    return block, kept, first

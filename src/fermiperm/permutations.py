@@ -25,7 +25,10 @@ from .pauli import (
     PauliSum,
     _block_rows,
     _check_dense_cap,
+    _check_fixed,
     _decompose_displacements,
+    _fixed_mask,
+    _overflow_raises,
     _popcount_u64,
     parity_u64,
 )
@@ -400,39 +403,44 @@ def conjugate_pauli_affine(a: AffineMapF2, p: PauliString) -> PauliString:
 
 
 def conjugate_pauli_dense(
-    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP, *, drop_x: int = 0
+    p: BasisPermutation, s: PauliSum, dense_cap: int = DENSE_CAP, *, fixed=()
 ) -> PauliSum:
-    """Exact U S U^dag for an arbitrary basis permutation U, without the
-    terms that carry X or Y on a qubit of the mask ``drop_x``.
+    """Exact U S U^dag for an arbitrary basis permutation U or, given
+    ``fixed``, (qubit, value) pairs such as a ``RedundancyReport``'s, its
+    projection <fixed| U S U^dag |fixed> on the other qubits.
 
     Each conjugated Pauli term is a generalized permutation matrix (one
     non-zero per column).  The terms' column values are scattered, a chunk
     of terms at a time, into one displacement-by-column array
     G[row (+) column, column]; one batched Walsh-Hadamard transform over the
     rows of G then yields the Z coefficients of every displacement at once
-    (``_decompose_displacements`` in :mod:`fermiperm.pauli`).  G holds only
-    the displacements d with ``d & drop_x == 0``, the X masks that are
-    kept: each set bit of ``drop_x`` halves G and the transform.  The
-    default, 0, keeps every term.  The result is the full result's terms
-    without those X masks, in the same order.
+    (``_decompose_displacements`` in :mod:`fermiperm.pauli`).  Given
+    ``fixed``, G holds only the displacements with no X on a fixed qubit,
+    the terms the projection keeps, so each fixed qubit halves G and the
+    transform; each block of transformed rows is then projected, one fixed
+    qubit at a time in descending qubit order, before any term is
+    gathered.  The result is ``project_fixed_qubit`` run on the full result
+    for each fixed qubit in that order, bit for bit and in the same order,
+    and the pairs are checked as it checks them.
 
     A chunk is a (terms x 2^n) block of entries, ``pauli._BLOCK_ENTRIES``
     in all, added into G with ``np.add.at`` in term-major order, so every
-    entry sums its terms in the given order, starting from zero.  Cost
-    O(T 2^n + n 4^n) for T input terms; the only 2^n-wide arrays of more
-    than a chunk are G and a ``bool`` mask of its survivors, and
-    ``dense_cap`` bounds n.  The result holds the surviving terms as
-    arrays: distinct keys, row-major in (x, z).
+    entry sums its terms in the given order, starting from zero; a sum past
+    the largest float raises ``ValueError``.  Cost O(T 2^n + n 4^n) for T
+    input terms; the only 2^n-wide arrays of more than a chunk are G and a
+    ``bool`` mask of its survivors, and ``dense_cap`` bounds n.  The result
+    holds the surviving terms as arrays; without ``fixed``, distinct keys
+    row-major in (x, z).
     """
     n = p.n_qubits
     if s.n_qubits != n:
         raise DimensionError("Pauli sum and permutation act on different registers")
     _check_dense_cap(n, dense_cap)
+    _check_fixed(n, fixed)
     dim = p.dim
-    if not 0 <= drop_x < dim:
-        raise ValueError(f"drop_x mask {drop_x!r} does not fit {n} qubits")
+    mask = _fixed_mask(n, fixed)
     cols = np.arange(dim, dtype=np.int64)
-    labels = cols[(cols & drop_x) == 0]  # the displacements G keeps, increasing
+    labels = cols[(cols & mask) == 0]  # the displacements G keeps, increasing
     row_of = np.zeros(dim, dtype=np.int64)
     row_of[labels] = np.arange(labels.size)
     p_inv = p.inverse().image
@@ -442,15 +450,16 @@ def conjugate_pauli_dense(
     x, z = x.astype(np.int64), z.astype(np.int64)
     amps = coeff * _I_POWERS[_popcount_u64(x & z) % 4]
     step = _block_rows(dim)
-    for start in range(0, amps.size, step):
-        chunk = slice(start, start + step)
-        # column v of U P U^dag holds amp * (-1)^(z.u) at row p(u (+) x),
-        # u = p^-1(v): one entry per column
-        disp = p.image[p_inv ^ x[chunk, None]] ^ cols
-        values = amps[chunk, None] * (1.0 - 2.0 * parity_u64(p_inv & z[chunk, None]))
-        where = row_of[disp] * dim + cols
-        if drop_x:
-            kept = (disp & drop_x) == 0
-            where, values = where[kept], values[kept]
-        np.add.at(flat, where.ravel(), values.ravel())
-    return PauliSum._from_arrays(n, *_decompose_displacements(g, labels if drop_x else None))
+    with _overflow_raises("the dense conjugation"):
+        for start in range(0, amps.size, step):
+            chunk = slice(start, start + step)
+            # column v of U P U^dag holds amp * (-1)^(z.u) at row p(u (+) x),
+            # u = p^-1(v): one entry per column
+            disp = p.image[p_inv ^ x[chunk, None]] ^ cols
+            values = amps[chunk, None] * (1.0 - 2.0 * parity_u64(p_inv & z[chunk, None]))
+            where = row_of[disp] * dim + cols
+            if mask:
+                kept = (disp & mask) == 0
+                where, values = where[kept], values[kept]
+            np.add.at(flat, where.ravel(), values.ravel())
+    return PauliSum._from_arrays(n - len(fixed), *_decompose_displacements(g, fixed))

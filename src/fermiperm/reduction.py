@@ -4,11 +4,12 @@
 the qubits whose value is constant across the sector images, and encodes
 the operator in the basis of the chosen permutation U: with U's conjugated
 Majoranas, one signed Pauli string each, when U is affine (a Clifford),
-given as its map or as a table that scans as one; otherwise with
-Jordan-Wigner, conjugated by the chunked dense path told by ``drop_x`` to
-skip the terms with X or Y on a constant qubit.  It projects those qubits
-out and returns the reduced operator plus each sector rank's label, its
-basis index on the surviving qubits.
+given as its map or as a table that scans as one, then projects those
+qubits out with ``project_fixed_qubit``; otherwise with Jordan-Wigner,
+conjugated by the chunked dense path given those qubits as ``fixed``: it
+skips the terms with X or Y on them and projects them out of each block of
+transformed rows, with the same bits.  It returns the reduced operator plus
+each sector rank's label, its basis index on the surviving qubits.
 ``sector_oracle`` computes the same physics with no qubit encoding at all:
 one private kernel applies a chunk of terms' ladder strings to a set of
 sector states at once.  It is the ground truth that ``verify_reduction``
@@ -48,6 +49,8 @@ from .pauli import (
     _ZERO,
     _block_rows,
     _check_dense_cap,
+    _check_fixed,
+    _fixed_mask,
     _key_groups,
     _overflow_raises,
     parity_u64,
@@ -76,12 +79,7 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     are held, so the input is never copied whole; only the surviving keys
     are folded.  Terms keep the order in which their keys first appear."""
     n = s.n_qubits
-    if not 1 <= qubit <= n:
-        raise DimensionError(f"qubit {qubit} out of range 1..{n}")
-    if n == 1:
-        raise DimensionError("cannot project the last remaining qubit away")
-    if value not in (0, 1):
-        raise ValueError(f"qubit {qubit} can only be fixed to 0 or 1, got {value!r}")
+    _check_fixed(n, ((qubit, value),))
     x, z, coeff = s._arrays
     word = x.dtype.type  # uint64, or Python ints past 64 qubits
     bit = word(1 << (n - qubit))
@@ -148,8 +146,8 @@ def encode_and_reduce(
     encodes ``h`` with its conjugated Majoranas, which gives the
     Jordan-Wigner encoding conjugated term by term, bit for bit.
     Any other permutation is conjugated on the full 2^N register, which
-    ``dense_cap`` bounds in qubits, keeping only the terms with no X or Y
-    on a fixed qubit: the projection would drop the others."""
+    ``dense_cap`` bounds in qubits, and projected inside the same call:
+    ``conjugate_pauli_dense`` with the report's ``fixed`` pairs."""
     h.require_number_conserving()
     n = spec.n_modes
     if p.n_qubits != n:
@@ -166,12 +164,11 @@ def encode_and_reduce(
     if affine is not None:
         reduced = encode_fermion_operator(h, linear_encoding_majoranas(affine))
         _check_identity_on_fixed(reduced._arrays[0], n, report)
+        for qubit, value in sorted(report.fixed, reverse=True):
+            reduced = project_fixed_qubit(reduced, qubit, value)
     else:
         encoded = encode_fermion_operator(h, jw_majoranas(n))
-        reduced = conjugate_pauli_dense(p, encoded, dense_cap, drop_x=_fixed_mask(n, report))
-
-    for qubit, value in sorted(report.fixed, reverse=True):
-        reduced = project_fixed_qubit(reduced, qubit, value)
+        reduced = conjugate_pauli_dense(p, encoded, dense_cap, fixed=report.fixed)
 
     labels = np.zeros_like(images)
     for q in report.surviving:
@@ -179,19 +176,11 @@ def encode_and_reduce(
     return ReducedHamiltonian(reduced, report, spec, tuple(labels.tolist()))
 
 
-def _fixed_mask(n: int, report: RedundancyReport) -> int:
-    """The register mask of the fixed qubits, qubit q at bit n - q."""
-    mask = 0
-    for q, _ in report.fixed:
-        mask |= 1 << (n - q)
-    return mask
-
-
 def _check_identity_on_fixed(x: np.ndarray, n: int, report: RedundancyReport) -> None:
     """For Clifford permutations every encoded number-conserving term must
     carry only I or Z on the redundant qubits; X or Y there, a set bit of
     an X mask, means the permutation or the conjugation is wrong."""
-    if np.any(x & x.dtype.type(_fixed_mask(n, report))):
+    if np.any(x & x.dtype.type(_fixed_mask(n, report.fixed))):
         raise InvalidEncodingError(
             "encoded term acts with X or Y on a redundant qubit"
         )

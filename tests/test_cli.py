@@ -1137,14 +1137,16 @@ _HOPPINGS = "1 2 1e308 0\n2 1 1e308 0\n3 4 1e308 0\n4 3 1e308 0\n"
     "text, selector, stage",
     [(_HOPPINGS, ["--index-embed"], "the Pauli decomposition"),
      (_HOPPINGS, ["--mapping", "parity"], "the hermitized sector matrix"),
-     ("1 1 1e308 0\n1 1 1e308 0\n", ["--mapping", "parity"], "the sector oracle")],
+     ("1 1 1e308 0\n1 1 1e308 0\n", ["--mapping", "parity"], "the sector oracle"),
+     ("1 1 1e308 0\n1 1 1e308 0\n", ["--index-embed"], "the dense conjugation")],
 )
 def test_finite_sums_whose_dense_forms_overflow_are_a_usage_error(
     tmp_path, capsys, monkeypatch, text, selector, stage
 ):
     """Each input encodes to a finite sum, but the conjugation of the
-    hoppings (index embed), their hermitized sector matrix (parity) or the
-    sector oracle's sum of the two number terms passes the largest float:
+    hoppings (index embed), their hermitized sector matrix (parity), the
+    sector oracle's sum of the two number terms (parity) or the scatter of
+    their I and Z terms into one entry (index embed) passes the largest float:
     exit 2 with one error line naming the overflow, before any numpy
     warning and any eigensolve, with nothing on stdout and no file written."""
     ham = tmp_path / "h.txt"

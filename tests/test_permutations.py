@@ -34,6 +34,7 @@ from fermiperm import (
     parse_cycles,
     pauli_decompose,
     permutation_from_circuit,
+    project_fixed_qubit,
     random_one_body,
 )
 from fermiperm import f2, permutations
@@ -46,6 +47,7 @@ from helpers import (
     gl_to_cnot_circuit_loop,
     matvec,
     permutation_matrix,
+    project_fixed_qubit_loop,
     random_pauli_letters,
     random_pauli_sum,
     rank_masks,
@@ -502,42 +504,81 @@ def test_dense_conjugation_array_core_matches_public(case):
 @st.composite
 def dense_conjugation_cases(draw):
     """A random or an index-embed permutation on N <= 8 qubits, a sum of
-    unmerged terms whose parts include -0.0, and a mask of qubits to drop."""
+    unmerged terms whose parts include -0.0, and (qubit, value) pairs that
+    fix up to N - 1 qubits.  On half the draws with a fixed qubit and N <= 6
+    the sum is U^dag T U for a T whose Z terms on a fixed qubit come without
+    their I partner or with one that cancels them on projection, so that
+    the projection meets Z terms alone and sums that vanish."""
     n = draw(st.integers(1, 8))
     if draw(st.booleans()):
         p = BasisPermutation(draw(st.permutations(range(1 << n))))
     else:
         p = minimal_permutation_index_embed(SectorSpec(n, draw(st.integers(0, n))))
+    qubits = draw(st.lists(st.integers(1, n), unique=True, max_size=n - 1))
+    fixed = tuple((q, draw(st.integers(0, 1))) for q in qubits)
     masks = st.integers(0, 2**n - 1)
     parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3, -2.5e-3])
     terms = draw(st.dictionaries(st.tuples(masks, masks), st.builds(complex, parts, parts),
                                  max_size=40))
-    s = array_sum(n, {key: c for key, c in terms.items() if abs(c) > PRUNE_TOL})
-    return p, s, draw(masks)
+    above_tol = lambda t: array_sum(n, {k: c for k, c in t.items() if abs(c) > PRUNE_TOL})  # noqa: E731
+    if fixed and n <= 6 and draw(st.booleans()):
+        for x, z in list(terms):
+            q, value = draw(st.sampled_from(fixed))
+            bit = 1 << (n - q)
+            x &= ~bit
+            c = terms.pop((x, z), None) or 1.0
+            terms[(x, z | bit)] = c
+            if draw(st.booleans()):
+                terms[(x, z & ~bit)] = c if value else -c  # <value| I and Z cancel
+            else:
+                terms.pop((x, z & ~bit), None)
+        terms = dict(conjugate_pauli_dense(p.inverse(), above_tol(terms)).items())
+    return p, above_tol(terms), fixed
 
 
 @settings(max_examples=150, deadline=None)
 @given(dense_conjugation_cases())
 def test_dense_conjugation_bit_identical_to_term_loop(case):
     """The chunked scatter adds every entry's terms in their given order,
-    from zero, as the per-term loop does; ``drop_x`` keeps exactly the full
-    result's terms with no X on the dropped qubits, in the same order."""
-    p, s, drop_x = case
+    from zero, as the per-term loop does; with ``fixed`` the projection
+    inside the transform gives what the loop projection gives on the full
+    result, one fixed qubit at a time in descending qubit order: the same
+    bytes in the same order."""
+    p, s, fixed = case
     full = conjugate_pauli_dense(p, s)
     for got, want in zip(full._arrays, conjugate_pauli_dense_loop(p, s)._arrays):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    x, z, coeff = full._arrays
-    kept = (x & np.uint64(drop_x)) == 0
-    dropped = conjugate_pauli_dense(p, s, drop_x=drop_x)
-    for got, want in zip(dropped._arrays, (x[kept], z[kept], coeff[kept])):
+    expected = full
+    for qubit, value in sorted(fixed, reverse=True):
+        expected = project_fixed_qubit_loop(expected, qubit, value)
+    projected = conjugate_pauli_dense(p, s, fixed=fixed)
+    assert projected.n_qubits == expected.n_qubits
+    for got, want in zip(projected._arrays, expected._arrays):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_dense_conjugation_rejects_masks_outside_the_register():
+@pytest.mark.parametrize(
+    "fixed",
+    [((0, 0),), ((4, 1),), ((2, 2),), ((1, 0), (2, 1), (3, 0)), ((3, 0), (3, 1))],
+    ids=["qubit_0", "qubit_n_plus_1", "value_2", "every_qubit", "qubit_n_twice"],
+)
+def test_dense_conjugation_rejects_bad_fixed_pairs(fixed):
+    """Qubit 0, qubit n + 1, value 2, every qubit, and qubit n twice: each
+    raises the error ``project_fixed_qubit`` raises on the full result, one
+    pair at a time in descending qubit order, and its message wherever the
+    pairs name distinct qubits."""
     p = BasisPermutation.identity(3)
-    for bad in (-1, 8):
-        with pytest.raises(ValueError, match="does not fit 3 qubits"):
-            conjugate_pauli_dense(p, PauliSum.identity(3), drop_x=bad)
+    s = PauliSum.from_terms(3, [(1.0, "ZIZ"), (0.5, "IXI")])
+    with pytest.raises(ValueError) as expected:
+        out = conjugate_pauli_dense(p, s)
+        for qubit, value in sorted(fixed, reverse=True):
+            out = project_fixed_qubit(out, qubit, value)
+    with pytest.raises(expected.type) as got:
+        conjugate_pauli_dense(p, s, fixed=fixed)
+    if len(set(q for q, _ in fixed)) == len(fixed):
+        assert str(got.value) == str(expected.value)
+    else:  # one call cannot fix a qubit twice, so the message is its own
+        assert str(got.value) == "qubit 3 is fixed twice"
 
 
 def test_dense_conjugation_holds_survivors_once():
