@@ -8,6 +8,7 @@ Pauli terms are always emitted in lexicographic letter order.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -150,8 +151,12 @@ def _resolve_permutation(args) -> BasisPermutation | LinearEncodingF2:
 # Terms per chunk of a streamed Pauli sum: about 25 kB of JSON text.  The
 # join of a chunk's 6 pieces per term holds an 80-byte buffer view per piece.
 _CHUNK_TERMS = 1 << 8
-# Distinct floats per repr of a list: about 100 kB of text at a time.
+# Distinct floats per batch of the spelling kernel (``_spellings``).
 _SPELL_BATCH = 1 << 12
+# Bytes of the longest spelling, "-2.2250738585072014e-308".
+_SPELL_WIDTH = 24
+# Spellings laid out per gather: an index of 8 bytes a byte, 98 kB.
+_GATHER_ROWS = 1 << 9
 
 
 def _emit(payload, output: Optional[str]) -> None:
@@ -216,27 +221,29 @@ def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
     """Chunks that join to ``json.dumps(s.to_json_dict()["terms"], indent=2)``,
     encoded, with every line after the first indented by ``indent``.
 
-    Each distinct float bit pattern is spelled once, as json does: the
-    sorted distinct values go through one ``repr`` of their list a batch of
-    ``_SPELL_BATCH`` at a time, split at its separators, and NaN and the
-    infinities are renamed as json spells them.  A chunk looks its parts
-    up in that table; it is one join of the constant separators, the
-    sorted letters and the spellings of the chunk's terms, interleaved."""
+    Each distinct float bit pattern is spelled once, as json does: one
+    ``argsort`` of the parts gives the sorted distinct values, which
+    ``_spellings`` turns into a table of fixed-width bytes, and each part's
+    row in that table.  A chunk takes its parts' spellings from the table;
+    it is one join of the constant separators, the sorted letters and the
+    spellings of the chunk's terms, interleaved."""
     letters, coeff = s._sorted_terms()
     if not letters.size:
         yield b"[]"
         return
     parts = coeff.view(np.float64).view(np.uint64)  # re, im per term
-    bits = np.sort(parts)  # np.unique(parts) gives the same, ten times slower
-    bits = bits[np.append(True, bits[1:] != bits[:-1])]
-    values = bits.view(np.float64)
-    spelled = np.empty(bits.size, dtype=object)
-    for start in range(0, bits.size, _SPELL_BATCH):
-        batch = slice(start, start + _SPELL_BATCH)
-        spelled[batch] = repr(values[batch].tolist()).encode()[1:-1].split(b", ")
-    json_names = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
-    for index in np.flatnonzero(~np.isfinite(values)).tolist():
-        spelled[index] = json_names[spelled[index]]
+    order = np.argsort(parts)
+    bits = parts[order]
+    del coeff, parts  # the sorted copy and the order hold all that is needed
+    first = np.empty(bits.size, dtype=bool)
+    first[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first]
+    row = np.empty(order.size, dtype=np.int32)  # each part's row of the table
+    row[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order, first
+    table = _spellings(bits)
+    del bits
     item = (indent + "  ").encode()
     opening = b"\n" + item + b'{\n' + item + b'  "pauli": "'
     closing = b"\n" + item + b"}"
@@ -244,7 +251,7 @@ def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
             None, b",\n" + item + b'  "im": ', None]
     for start in range(0, letters.size, _CHUNK_TERMS):
         stop = min(start + _CHUNK_TERMS, letters.size)
-        spelling = spelled[np.searchsorted(bits, parts[2 * start : 2 * stop])].tolist()
+        spelling = table[row[2 * start : 2 * stop]].tolist()  # drops the NUL padding
         pieces = term * (stop - start)
         pieces[1::6] = letters[start:stop].tolist()
         pieces[3::6] = spelling[0::2]
@@ -255,6 +262,261 @@ def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
             pieces.append(closing + b"\n" + indent.encode() + b"]")
         yield b"".join(pieces)
         del pieces, spelling  # before the next chunk's lists are built
+
+
+def _spellings(bits: np.ndarray) -> np.ndarray:
+    """What ``json.dumps`` writes for each float64 bit pattern in ``bits``
+    (a ``uint64`` array): ``repr``'s spelling, or ``NaN``, ``Infinity`` and
+    ``-Infinity``, as ``S24`` items padded with NUL bytes, which
+    ``.tolist()`` drops.
+
+    The finite values are spelled ``_SPELL_BATCH`` at a time, without a
+    ``repr`` per value: ``_shortest`` finds repr's digits and
+    ``_lay_out`` places them as repr does."""
+    table = np.empty(bits.size, dtype=f"S{_SPELL_WIDTH}")
+    rows = table.view(np.uint8).reshape(bits.size, _SPELL_WIDTH)
+    for start in range(0, bits.size, _SPELL_BATCH):
+        batch = bits[start : start + _SPELL_BATCH]
+        _lay_out(batch, *_shortest(batch), rows[start : start + _SPELL_BATCH])
+    values = bits.view(np.float64)
+    table[np.isnan(values)] = b"NaN"
+    table[np.isposinf(values)] = b"Infinity"
+    table[np.isneginf(values)] = b"-Infinity"
+    return table
+
+
+# Every constant beside a uint64 array is a uint64 scalar: numpy 1.x makes
+# a uint64 array mixed with a signed integer float64.
+_U = np.uint64
+_LOW_32, _LOW_63 = _U(2**32 - 1), _U(2**63 - 1)
+_EXPONENT_FIELD = _U(0x7FF << 52)
+_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_K_MIN, _K_MAX = -324, 292  # floor(log10(2^q)) for q from -1074 to 971
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach's g for each decimal exponent k from ``_K_MIN`` to
+    ``_K_MAX``: the 126-bit g = floor(10^-k 2^-r) + 1 with 2^125 <= g < 2^126,
+    as two ``uint64`` arrays, g >> 63 and g & (2^63 - 1).  Built from Python
+    ints on first use."""
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = ((-k * 913124641741) >> 38) - 125  # floor(log2(10^-k)) - 125
+        if k > 0:
+            g.append((1 << -r) // 10**k + 1)
+        else:
+            g.append((10**-k >> r if r >= 0 else 10**-k << -r) + 1)
+    high = np.array([v >> 63 for v in g], dtype=np.uint64)
+    low = np.array([v & (2**63 - 1) for v in g], dtype=np.uint64)
+    high.flags.writeable = low.flags.writeable = False
+    return high, low
+
+
+def _high_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a b, from 32-bit limbs."""
+    b0, b1, low = b & _LOW_32, b >> _U(32), a & _LOW_32
+    carry = low * b0
+    carry >>= _U(32)
+    low *= b1
+    high = low >> _U(32)
+    low &= _LOW_32
+    carry += low
+    np.right_shift(a, _U(32), out=low)  # a's high limb
+    b0 *= low
+    b1 *= low
+    del low
+    high += b0 >> _U(32)
+    b0 &= _LOW_32
+    carry += b0
+    high += b1
+    carry >>= _U(32)
+    high += carry
+    return high
+
+
+def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Schubfach's rop(cp g 2^-127), g = g1 2^63 + g0: the product's
+    integer part with its lowest bit set when a fraction is left."""
+    z = g1 * cp
+    z >>= _U(1)
+    z += _high_product(g0, cp)
+    high = _high_product(g1, cp)
+    high += z >> _U(63)
+    z &= _LOW_63
+    z += _LOW_63
+    z >>= _U(63)
+    high |= z
+    return high
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per float64 bit pattern, integers f and k with the value f 10^k,
+    where f has the fewest digits that read back as the value and, of
+    those, the nearest (even on a tie): the digits ``repr`` writes.
+    Zeros and non-finite values give f = 0.
+
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
+    as Java's ``DoubleToDecimal`` runs it, on ``uint64`` arrays, with two
+    differences where Python spells a value otherwise: a shorter candidate
+    is tried from two digits up, not three (Java keeps two digits), and the
+    two smallest subnormals take the common path, not Java's x10 one
+    (``repr`` writes 5e-324, Java 4.9E-324).  Each temporary is freed or
+    reused once read, which keeps a batch's memory to a few hundred bytes a
+    value."""
+    c = bits & _U(2**52 - 1)
+    biased = bits & _EXPONENT_FIELD
+    blank = (biased == _EXPONENT_FIELD) | ((bits << _U(1)) == _U(0))  # non-finite or zero
+    biased >>= _U(52)
+    # at a power of two the interval below the value is half as wide
+    irregular = (c == _U(0)) & (biased > _U(1))
+    c |= (biased != _U(0)).astype(np.uint64) << _U(52)
+    q = np.maximum(biased, _U(1)).astype(np.int64)
+    del biased
+    q -= 1075  # the value is c 2^q
+    # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) where irregular, and
+    # h = q + floor(log2(10^-k)) + 2, from Java's exact fixed-point logs
+    k = q * 661971961083
+    k -= np.where(irregular, 274743187321, 0)
+    k >>= 41
+    h = k * -913124641741
+    h >>= 38
+    h += q
+    h += 2
+    h = h.view(np.uint64)  # 1 to 4
+    del q
+    g1, g0 = (table[k - _K_MIN] for table in _powers_of_ten())
+    cb = c << _U(2)
+    c &= _U(1)  # an odd c leaves the interval's ends out
+    vb = _round_to_odd(g1, g0, cb << h)
+    cb -= np.where(irregular, _U(1), _U(2))
+    vbl = _round_to_odd(g1, g0, cb << h)
+    cb += np.where(irregular, _U(3), _U(4))
+    vbr = _round_to_odd(g1, g0, cb << h)
+    del g1, g0, cb, h, irregular
+    vbl += c  # d 10^k is in the interval when vbl <= 4 d <= vbr
+    vbr -= c
+    del c
+    s = vb >> _U(2)
+    # one digit fewer: if just one of the multiples of ten around s is in
+    # the interval, it is the answer
+    sp = s // _U(10)
+    sp *= _U(10)
+    upin = vbl <= sp << _U(2)
+    shorter = upin != (((sp + _U(10)) << _U(2)) <= vbr)
+    shorter &= s >= _U(10)
+    # else s or s + 1: the one in the interval or, if both are, the nearer
+    # (v is below their midpoint when vb < 4 s + 2), s on a tie if even
+    uin = vbl <= s << _U(2)
+    win = ((s + _U(1)) << _U(2)) <= vbr
+    del vbl, vbr
+    middle = (s << _U(2)) + _U(2)
+    nearer = vb < middle
+    nearer |= (vb == middle) & ((s & _U(1)) == _U(0))
+    del vb, middle
+    s += np.where(uin != win, win, ~nearer).astype(np.uint64)
+    sp += np.where(upin, _U(0), _U(10))
+    f = np.where(shorter, sp, s)
+    f[blank] = 0
+    return f, k
+
+
+def _lay_out(bits: np.ndarray, f: np.ndarray, k: np.ndarray, rows: np.ndarray) -> None:
+    """Write repr's spelling of each value f 10^k into its row of ``rows``
+    (a ``uint8`` array, ``_SPELL_WIDTH`` bytes a row, NUL-padded), the sign
+    taken from ``bits``; f = 0 is spelled as a zero.  ``f`` and ``k`` are
+    overwritten.
+
+    Each value gets 32 source bytes, four little-endian words: its 17
+    digits at bytes 7 to 23 (f scaled up to 17 digits, so trailing zeros
+    pad it) and '0', '.', '-', 'e' and the exponent's sign and three digits
+    at bytes 24 to 31, with NUL at byte 0.  Its row is a gather of those
+    bytes by the ``_layouts()`` row for its sign, count of significant
+    digits and form."""
+    size = f.size
+    digits = np.searchsorted(_POW10, f, side="right")
+    f *= _POW10[17 - digits]
+    point = k  # the value is 0.(digits) 10^point
+    point += digits
+    del digits
+    point[f == _U(0)] = 1
+    lead = f // _U(10**16)
+    f -= lead * _U(10**16)
+    # the other 16 digits, 8 to a word, the first in the lowest byte
+    eights = np.empty((size, 2), dtype=np.uint64)
+    eights[:, 0] = f // _U(10**8)
+    eights[:, 1] = f - eights[:, 0] * _U(10**8)
+    part = eights // _U(10**4)
+    eights -= part * _U(10**4)
+    eights <<= _U(32)
+    eights |= part  # two 4-digit halves, 32 bits apart
+    for multiplier, shift, mask, width, spread in (
+        (10486, 20, 0x0000007F0000007F, 100, 16),  # y // 100 = y 10486 >> 20 for y < 10^4
+        (103, 10, 0x000F000F000F000F, 10, 8),  # y // 10 = y 103 >> 10 for y < 100
+    ):
+        np.multiply(eights, _U(multiplier), out=part)
+        part >>= _U(shift)
+        part &= _U(mask)
+        eights -= part * _U(width)
+        eights <<= _U(spread)
+        eights |= part
+    del part
+    # the digit count without trailing zeros: a word's float exponent
+    # places its highest nonzero byte
+    last = [(np.frexp(eights[:, j].astype(np.float64))[1] + 7) // 8 for j in (0, 1)]
+    count = np.where(last[1] > 0, 9 + last[1], np.where(last[0] > 0, 1 + last[0], 1))
+    del last
+    words = np.empty((size, 4), dtype="<u8")
+    words[:, 0] = (lead + _U(0x30)) << _U(56)
+    words[:, 1:3] = eights | _U(0x3030303030303030)
+    del lead, eights
+    e = np.abs(point - 1)
+    exponent = np.where(point < 1, 0x2D, 0x2B) | (e // 100 + 0x30) << 8
+    exponent |= (e // 10 % 10 + 0x30) << 16 | (e % 10 + 0x30) << 24
+    words[:, 3] = (exponent.astype(np.uint64) << _U(32)) | _U(0x652D2E30)  # "0.-e"
+    del exponent
+    form = np.where((point > -4) & (point <= 16), point + 3, 20 + (e >= 100))
+    del e
+    negative = (bits >> _U(63)).astype(np.intp)
+    source = words.view(np.uint8).ravel()
+    layouts = _layouts()
+    for start in range(0, size, _GATHER_ROWS):
+        rows_here = slice(start, start + _GATHER_ROWS)
+        index = layouts[negative[rows_here], count[rows_here] - 1, form[rows_here]]
+        index += np.arange(32 * start, 32 * min(start + _GATHER_ROWS, size), 32)[:, None]
+        np.take(source, index, out=rows[rows_here])
+
+
+@functools.cache
+def _layouts() -> np.ndarray:
+    """The source bytes of ``_lay_out``'s rows that spell a value, padded
+    with NUL, at [negative, n - 1, form] for n significant digits and a
+    form of point + 3 for a decimal point at -3 to 16 (the value is
+    0.(digits) 10^point), or 20 and 21 for an exponent of two and three
+    digits.
+
+    These are ``repr``'s rules: positional notation when -4 < point <= 16,
+    with '.0' on an integer; otherwise one digit, '.' and the rest if there
+    are more, 'e', the exponent's sign and at least two of its digits."""
+    nul, zero, dot, minus, e, sign = 0, 24, 25, 26, 27, 28
+    exponent_digits = [29, 30, 31]  # hundreds, tens, units
+    table = np.full((2, 17, 22, _SPELL_WIDTH), nul, dtype=np.intp)
+    for negative, n, form in itertools.product((0, 1), range(1, 18), range(22)):
+        digits = list(range(7, 7 + n))
+        point = form - 3
+        if form >= 20:
+            row = digits[:1] + ([dot] + digits[1:] if n > 1 else [])
+            row += [e, sign] + exponent_digits[21 - form :]
+        elif point <= 0:
+            row = [zero, dot] + [zero] * -point + digits
+        elif point >= n:
+            row = digits + [zero] * (point - n) + [dot, zero]
+        else:
+            row = digits[:point] + [dot] + digits[point:]
+        row = [minus] * negative + row
+        table[negative, n - 1, form, : len(row)] = row
+    table.flags.writeable = False
+    return table
 
 
 def _load_hamiltonian(args) -> FermionOperator:

@@ -492,3 +492,34 @@ def gl_to_cnot_circuit_loop(m: np.ndarray) -> GateCircuit:
     for src, dst in reversed(ops):
         circuit.cnot(src + 1, dst + 1)
     return circuit
+
+
+def walsh_hadamard_rows_reshape(a: np.ndarray) -> None:
+    """Reference for ``pauli._walsh_hadamard_rows``: every butterfly level
+    through one (rows, size / 2h, 2, h) view, in place."""
+    rows, size = a.shape
+    tmp = np.empty(rows * size // 2, dtype=a.dtype)
+    h = 1
+    while h < size:
+        pairs = a.reshape(rows, size // (2 * h), 2, h)
+        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        diff = tmp.reshape(rows, size // (2 * h), h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        h *= 2
+
+
+_JSON_NAMES = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
+
+
+def spellings_repr(bits: np.ndarray, batch: int = 1 << 12) -> list[bytes]:
+    """Reference for ``cli._spellings``: what json writes for each float64
+    bit pattern in ``bits``, from one ``repr`` of a list of ``batch`` values
+    at a time, split at its separators, with NaN and the infinities renamed
+    as json spells them."""
+    values = bits.view(np.float64)
+    spelled = []
+    for start in range(0, values.size, batch):
+        spelled += repr(values[start : start + batch].tolist()).encode()[1:-1].split(b", ")
+    return [_JSON_NAMES.get(word, word) for word in spelled]

@@ -27,9 +27,11 @@ from fermiperm import (
     random_one_body,
 )
 from fermiperm import f2, permutations
-from fermiperm.cli import _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, anticommutation_suite, main
+from fermiperm.cli import (
+    _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, _spellings, anticommutation_suite, main,
+)
 from fermiperm.pauli import PRUNE_TOL
-from helpers import array_sum, items_sorted_loop
+from helpers import array_sum, items_sorted_loop, spellings_repr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1034,6 +1036,77 @@ def test_json_writer_spells_distinct_doubles_across_chunks():
     chunks = list(_json_chunks(payload))
     assert len(chunks) == 2 + math.ceil(n_terms / _CHUNK_TERMS)
     assert b"".join(chunks).decode() == json.dumps(_plain(payload), indent=2)
+
+
+def _assert_spelled_as_repr(bits: np.ndarray) -> None:
+    assert _spellings(bits).tolist() == spellings_repr(bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(), min_size=100, max_size=1000))
+def test_spellings_match_repr_on_floats(values):
+    _assert_spelled_as_repr(np.array(values, dtype=np.float64).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(min_size=8 * 256, max_size=8 * 1024))
+def test_spellings_match_repr_on_bit_patterns(raw):
+    """Any 64 bits, viewed as a double: mostly 17-digit values, spread over
+    every exponent, NaN payloads included."""
+    _assert_spelled_as_repr(np.frombuffer(raw[: len(raw) // 8 * 8], dtype=np.uint64))
+
+
+def _edge_doubles(stride: int = 1, reach: int = 1000) -> np.ndarray:
+    """Bit patterns where the spelling's rules change: every power of two
+    with both neighbours (an exponent step, where the interval below the
+    value is half as wide), the 2^18 smallest subnormals, the integers up to
+    200,000 and 2^53 +- 1000, every power of ten, ``reach`` neighbours on
+    each side of 1e-4, 1e-5, 1e16 and 1e17 (where positional and exponent
+    forms switch), and zero, the largest double, NaN and infinity; each with
+    both signs.  ``stride`` thins the two large families."""
+    one = np.uint64(1)
+    powers = np.concatenate([
+        np.arange(1, 2047, dtype=np.uint64) << np.uint64(52),
+        one << np.arange(52, dtype=np.uint64),
+    ])
+    switches = np.array([1e-4, 1e-5, 1e16, 1e17]).view(np.uint64)
+    specials = np.array([0.0, np.finfo(np.float64).max, np.nan, np.inf]).view(np.uint64)
+    positive = np.concatenate([
+        powers - one, powers, powers + one,
+        np.arange(1, 2**18, stride, dtype=np.uint64),
+        np.arange(1, 200_001, stride, dtype=np.float64).view(np.uint64),
+        (2**53 + np.arange(-1000, 1001)).astype(np.float64).view(np.uint64),
+        np.array([float(f"1e{e}") for e in range(-323, 309)]).view(np.uint64),
+        (switches[:, None] - np.uint64(reach) + np.arange(2 * reach + 1, dtype=np.uint64)).ravel(),
+        specials,
+        np.array([0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF], dtype=np.uint64),  # NaN payloads
+    ])
+    return np.concatenate([positive, positive | np.uint64(1 << 63)])
+
+
+def test_spellings_match_repr_on_edge_doubles():
+    bits = _edge_doubles()
+    assert bits.size > 900_000
+    _assert_spelled_as_repr(bits)
+    # the cases this kernel and Java's differ on, and both form switches
+    values = [5e-324, 1e-323, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+              0.0001, 1e-05, 9.999999999999999e-05, 1e17, 1.2345678901234567e16, -0.0, 0.0]
+    spelled = _spellings(np.array(values).view(np.uint64)).tolist()
+    assert spelled == [repr(v).encode() for v in values]
+    assert spelled[:2] == [b"5e-324", b"1e-323"]
+    assert spelled[3:8] == [b"1e+16", b"9999999999999998.0", b"0.0001", b"1e-05", b"9.999999999999999e-05"]
+
+
+def test_json_writer_spells_edge_doubles():
+    """A sum whose parts are the edge doubles, thinned, each beside 1.0 (NaN
+    beside an infinity, to stay above PRUNE_TOL), as json writes it."""
+    parts = _edge_doubles(stride=61, reach=40).view(np.float64).tolist()
+    coeffs = [complex(v, math.inf) if math.isnan(v) else complex(v, 1.0) if i % 2
+              else complex(1.0, v) for i, v in enumerate(parts)]
+    keys = np.random.default_rng(5).choice(4**9, len(coeffs), replace=False).tolist()
+    s = array_sum(9, {(k >> 9, k & 511): c for k, c in zip(keys, coeffs)})
+    payload = {"n_qubits": 9, "terms": s}
+    assert _joined(payload) == json.dumps(_plain(payload), indent=2)
 
 
 @pytest.mark.parametrize("command", ["reduce", "encode", "stats"])

@@ -27,6 +27,7 @@ from fermiperm.pauli import (
     _block_rows,
     _decompose_displacements,
     _popcount_u64,
+    _walsh_hadamard_rows,
     parity_u64,
 )
 from helpers import (
@@ -38,6 +39,7 @@ from helpers import (
     letter_product,
     products_loop,
     random_pauli_letters,
+    walsh_hadamard_rows_reshape,
     random_pauli_sum,
 )
 
@@ -298,6 +300,24 @@ def test_to_dense_round_trip_across_row_blocks():
     s = random_pauli_sum(9, 400, rng)
     assert len({x for (x, _), _ in s.items()}) > _block_rows(1 << 9)
     assert pauli_decompose(s.to_dense()) - s == PauliSum(9)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16])
+def test_walsh_hadamard_rows_match_the_reshape_loop(rows):
+    """Row lengths 2 to 2^12: the strided passes of levels 2 and 4 leave the
+    same bits as every level through one reshaped view, signed zeros,
+    infinities and NaN included."""
+    rng = np.random.default_rng(rows)
+    for bits in range(1, 13):
+        size = 1 << bits
+        a = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+        a *= rng.choice([1.0, 0.0, -0.0, 1e300], (rows, size))
+        a.flat[rng.integers(0, a.size, 3)] = [complex(np.inf, 0.0), complex(np.nan, -0.0), -0.0j]
+        expected = a.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            _walsh_hadamard_rows(a)
+            walsh_hadamard_rows_reshape(expected)
+        assert a.tobytes() == expected.tobytes(), size
 
 
 def test_parity_u64_beyond_16_bits():
