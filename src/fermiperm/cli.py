@@ -20,7 +20,6 @@ import numpy as np
 from .encodings import (
     FermionOperator,
     LinearEncodingF2,
-    _coerce_majorana,
     jw_majoranas,
     linear_encoding_majoranas,
     parity_majoranas,
@@ -131,7 +130,7 @@ def _linear_encoding(args) -> LinearEncodingF2:
     return LinearEncodingF2.jordan_wigner(args.modes)
 
 
-def _resolve_permutation(args) -> BasisPermutation | LinearEncodingF2:
+def _resolve_permutation(args, spec: Optional[SectorSpec]) -> BasisPermutation | LinearEncodingF2:
     """A linear encoding as its map, with no 2^N table; any other as its table."""
     n = args.modes
     if args.matrix is not None or args.mapping is not None:
@@ -143,9 +142,9 @@ def _resolve_permutation(args) -> BasisPermutation | LinearEncodingF2:
         with open(args.circuit) as fh:
             circuit = GateCircuit.from_text(n, fh.read())
         return permutation_from_circuit(circuit)
-    if args.fermions is None:
+    if spec is None:
         raise ValueError("--index-embed needs --fermions")
-    return minimal_permutation_index_embed(SectorSpec(n, args.fermions))
+    return minimal_permutation_index_embed(spec)
 
 
 # Terms per chunk of a streamed Pauli sum: about 25 kB of JSON text.  The
@@ -553,7 +552,7 @@ def _sum_stats(s: PauliSum) -> dict:
 def cmd_reduce(args) -> int:
     spec = SectorSpec(args.modes, args.fermions)
     h = _load_hamiltonian(args)
-    p = _resolve_permutation(args)
+    p = _resolve_permutation(args, spec)
     given = (("dense_cap", args.dense_cap), ("tolerance", args.tolerance))
     overrides = {name: value for name, value in given if value is not None}
     cap = overrides.get("dense_cap", DENSE_CAP)
@@ -582,11 +581,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_perm(args) -> int:
-    p = _resolve_permutation(args)
+    spec = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
+    p = _resolve_permutation(args, spec)
     table = p if isinstance(p, BasisPermutation) else p.to_permutation()  # for `cycles:`
     lines = [f"cycles: {table.cycle_string()}"]
     lines.append(f"affine: {'yes' if p.affine is not None else 'no'}")
-    spec = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
     if spec is not None:
         report = redundant_qubits(p, spec)
         desc = "; ".join(f"qubit {q} = {v}" for q, v in report.fixed) or "none"
@@ -640,7 +639,7 @@ def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
 
         bad_pair, pair_failure = commutes, "{} and {} commute"
     else:
-        ops = [_coerce_majorana(op).to_dense() for op in ops]
+        ops = [op.to_dense() for op in ops]
         eye = np.eye(ops[0].shape[0])
 
         def bad_square(a) -> bool:

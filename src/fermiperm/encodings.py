@@ -414,7 +414,7 @@ def parse_hamiltonian(
     and modes are 1-based.  Both parts must be finite: ``nan``, ``inf`` or
     an overflowing ``1e400`` raises ``HamiltonianParseError``.  Hermiticity
     is the caller's responsibility unless ``hermitize`` is set, which adds
-    the conjugate transpose of every parsed term.
+    the conjugate transpose of every parsed term before the array form is built.
     """
     terms = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -459,5 +459,5 @@ def parse_hamiltonian(
                 (modes[3], False),
             ]
         terms.append(FermionTerm.make(coeff, ops))
-    op = FermionOperator(tuple(terms))
-    return op.hermitized() if hermitize else op
+    daggers = [t.dagger() for t in terms] if hermitize else []
+    return FermionOperator(tuple(terms + daggers))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -52,15 +53,19 @@ class SectorSpec:
         # exact ceil(log2 C(N,K)) without float rounding
         return (self.dimension - 1).bit_length()
 
-    def sector_states(self) -> list[int]:
+    @cached_property
+    def states(self) -> np.ndarray:
         """All weight-K basis integers in increasing (lexicographic) order,
-        so index r holds ``unrank_weightk(r, N, K)``.
+        so index r holds ``unrank_weightk(r, N, K)``, as one read-only ``uint64`` array.
 
         One pass over the K-subsets of the mode bits, highest first: their
         lexicographic order is decreasing order of the integers."""
+        if self.n_modes > 64:
+            raise DimensionError(f"the sector states hold at most 64 modes, got {self.n_modes}")
         bits = [1 << b for b in range(self.n_modes - 1, -1, -1)]
-        states = [sum(c) for c in combinations(bits, self.n_fermions)]
-        states.reverse()
+        sums = [sum(c) for c in combinations(bits, self.n_fermions)]
+        states = np.array(sums[::-1], dtype=np.uint64)
+        states.setflags(write=False)
         return states
 
 
@@ -117,7 +122,7 @@ def minimal_permutation_index_embed(
     n = spec.n_modes
     _check_permutation_cap(n)
     states = np.arange(1 << n, dtype=np.int64)
-    sources = np.array(spec.sector_states(), dtype=np.int64)
+    sources = spec.states.view(np.int64)  # numpy makes uint64 with int64 float64
     targets = np.arange(spec.dimension, dtype=np.int64) << (n - spec.q_min)
     image = np.full(states.size, -1, dtype=np.int64)
     image[sources] = targets
@@ -159,8 +164,7 @@ def redundant_qubits(p: BasisPermutation | AffineMapF2, spec: SectorSpec) -> Red
     images stay distinct: they are distinct and agree on every fixed bit."""
     if p.n_qubits != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
-    images = p.apply(np.array(spec.sector_states(), dtype=np.int64))
-    return _redundancy_of_images(images, p.n_qubits)
+    return _redundancy_of_images(p.apply(spec.states), p.n_qubits)
 
 
 def _redundancy_of_images(images: np.ndarray, n: int) -> RedundancyReport:
@@ -206,7 +210,7 @@ def synthesize_permutation(
 
     cycles = p.to_cycles()
     if sector is not None:
-        sector_states = set(sector.sector_states())
+        sector_states = set(sector.states.tolist())
         cycles.sort(key=lambda c: (not any(s in sector_states for s in c), c[0]))
     circuit = GateCircuit(n)
     n_transpositions = 0

@@ -23,6 +23,7 @@ bit as Python's complex arithmetic and a dict merge, the tests' reference.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -629,8 +630,8 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PauliSum":
-        """The inverse of :meth:`to_json_dict`; a malformed structure, ``true``
-        for a number included, raises ``ValueError`` naming the bad term's index."""
+        """The inverse of :meth:`to_json_dict`; a malformed term, ``true`` for a
+        number or a part that is not a finite float, raises ``ValueError`` naming its index."""
         if not (
             isinstance(data, dict)
             and type(data.get("n_qubits")) is int
@@ -647,6 +648,8 @@ class PauliSum:
                 raise ValueError(
                     f'term {index} must be {{"pauli": letters, "re": number, "im": number}}'
                 )
+            if not all(abs(t[part]) <= sys.float_info.max for part in ("re", "im")):
+                raise ValueError(f"term {index} has a part that is not a finite float")
             pairs.append((complex(t["re"], t["im"]), t["pauli"]))
         return cls.from_terms(data["n_qubits"], pairs)
 

@@ -54,7 +54,7 @@ def _check_states(states, n_qubits: int) -> None:
 class BasisPermutation:
     """A bijection on {0, ..., 2^n - 1}; image[i] is where basis state i goes."""
 
-    __slots__ = ("n_qubits", "image", "_affine")
+    __slots__ = ("n_qubits", "image", "_affine", "_inverse")
 
     def __init__(self, image: Sequence[int]):
         arr = np.asarray(image)
@@ -72,6 +72,7 @@ class BasisPermutation:
         self.n_qubits = n
         self.image = arr
         self._affine = ...  # not yet classified
+        self._inverse = None  # not yet built
 
     @classmethod
     def identity(cls, n_qubits: int) -> "BasisPermutation":
@@ -99,9 +100,9 @@ class BasisPermutation:
         return self.image.size
 
     def inverse(self) -> "BasisPermutation":
-        inv = np.empty_like(self.image)
-        inv[self.image] = np.arange(self.dim)
-        return BasisPermutation(inv)
+        if self._inverse is None:  # built and checked once, on first use, and kept
+            self._inverse = BasisPermutation(np.argsort(self.image))
+        return self._inverse
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasisPermutation):

@@ -156,9 +156,8 @@ def encode_and_reduce(
         raise InvalidEncodingError(
             "sector holds a single state; there is no operator left to reduce"
         )
-    states = np.array(spec.sector_states(), dtype=np.int64)  # in rank order
     affine = p.affine
-    images = p.apply(states)
+    images = p.apply(spec.states)  # in rank order
     report = _redundancy_of_images(images, n)
 
     if affine is not None:
@@ -304,8 +303,7 @@ def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
         raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
     _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
     coeff, strings = _ladder_strings(h, n)
-    states = np.array(spec.sector_states(), dtype=np.uint64)
-    dim = states.size
+    states, dim = spec.states, spec.dimension
     adjoint = None  # built by the first row pass; a single chunk runs none
 
     def columns(s: int, t: int) -> np.ndarray:

@@ -234,7 +234,7 @@ def sector_oracle_term_loop(h, spec, dense_cap: int = DENSE_CAP) -> np.ndarray:
     _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
     dim = spec.dimension
 
-    states = np.array(spec.sector_states(), dtype=np.uint64)
+    states = spec.states
     cols = np.arange(dim)
     register = (1 << n) - 1
     out = np.zeros((dim, dim), dtype=complex)
@@ -289,7 +289,7 @@ def minimal_permutation_index_embed_loop(
     _check_permutation_cap(n)
     dim = 1 << n
     shift = n - spec.q_min
-    sources = spec.sector_states()
+    sources = spec.states.tolist()
     targets = [r << shift for r in range(spec.dimension)]
     image = np.full(dim, -1, dtype=np.int64)
     for src, tgt in zip(sources, targets):
@@ -336,7 +336,7 @@ def redundant_qubits_loop(p, spec) -> RedundancyReport:
     n = p.n_qubits
     if n != spec.n_modes:
         raise DimensionError("permutation and sector have different sizes")
-    images = [p.apply(s) for s in spec.sector_states()]
+    images = [p.apply(s) for s in spec.states.tolist()]
     fixed = []
     surviving = []
     for q in range(1, n + 1):

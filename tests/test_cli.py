@@ -26,7 +26,7 @@ from fermiperm import (
     minimal_permutation_index_embed,
     random_one_body,
 )
-from fermiperm import f2, permutations
+from fermiperm import encodings, f2, minimal, permutations
 from fermiperm.cli import (
     _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, _spellings, anticommutation_suite, main,
 )
@@ -389,6 +389,25 @@ def test_anticommutation_suite_reports_failures():
         21, ["{ g1, g2 } != 0", "{ g1, g3 } != 0", "{ g2, g3 } != 0", "g3^2 != I"]
     )
 
+
+def test_perm_index_embed_needs_fermions(capsys):
+    code, out, err = run(capsys, "perm", "--modes", "4", "--index-embed")
+    assert (code, out, err) == (2, "", "error: --index-embed needs --fermions\n")
+
+
+def test_verify_oracle_reports_a_deviation_past_the_tolerance(capsys):
+    """A tolerance below the rounding of the reduction fails the first
+    trial: exit 1 and one line naming the deviation and the tolerance."""
+    code, out, err = run(
+        capsys, "verify", "oracle", "--modes", "6", "--fermions", "3", "--trials", "2",
+        "--tolerance", "1e-300",
+    )
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL: deviation ") and out.endswith(" exceeds 1e-300\n")
+    assert out.count("\n") == 1
+    assert 1e-300 < float(out.split()[2]) < 1e-12
+
+
 def test_verify_oracle(capsys):
     code, out, _ = run(
         capsys, "verify", "oracle", "--modes", "4", "--fermions", "2",
@@ -455,6 +474,20 @@ def test_stats_rejects_malformed_structure(tmp_path, capsys, doc, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_stats_rejects_parts_that_are_not_finite(tmp_path, capsys):
+    """A NaN or infinite part is named by its term's index, not pruned or
+    kept; so is an integer past the largest float.  Nothing is written."""
+    terms = [("X", "1.0", "0.0"), ("Y", "NaN", "0.0"), ("Z", "1.0", "Infinity")]
+    for bad, index in ((terms, 1), (terms[:1] + terms[2:], 1), ([("X", "1" + "0" * 400, "0")], 0)):
+        path, out_file = tmp_path / "p.json", tmp_path / "stats.json"
+        body = ", ".join(f'{{"pauli": "{p}", "re": {re}, "im": {im}}}' for p, re, im in bad)
+        path.write_text(f'{{"n_qubits": 1, "terms": [{body}]}}')
+        code, out, err = run(capsys, "stats", "--input", str(path), "--output", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: term {index} has a part that is not a finite float\n"
+        assert not out_file.exists()
 
 
 def test_outputs_are_deterministic(hop_file, capsys):
@@ -663,6 +696,47 @@ def test_each_table_is_scanned_once_per_command(capsys, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert len(scans) == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv, enumerations, inversions, operators",
+    [
+        (["reduce", "--modes", "8", "--fermions", "4", "--index-embed"], 1, 1, 1),
+        (["reduce", "--modes", "12", "--fermions", "6", "--mapping", "parity"], 1, 0, 1),
+        (["reduce", "--modes", "6", "--fermions", "3", "--index-embed", "--hermitize"], 1, 1, 1),
+        (["perm", "--modes", "6", "--fermions", "3", "--synthesize", "--index-embed"], 1, 0, 0),
+        (["verify", "oracle", "--modes", "8", "--fermions", "4"], 1, 1, 20),
+        (["verify", "anticommutation", "--modes", "6"], 5, 10, 0),
+    ],
+)
+def test_each_input_is_built_once_per_command(
+    hop_file, capsys, monkeypatch, argv, enumerations, inversions, operators
+):
+    """A command enumerates each ``SectorSpec``'s states once, inverts each
+    table once however many conjugations read it, and builds each
+    operator's array form once, ``--hermitize`` included.  Per command, the
+    sector enumerations (one ``combinations`` pass each), the distinct
+    inverse tables and the ``FermionOperator`` constructions are counted:
+    20 trials of ``verify oracle`` draw 20 operators, and ``verify
+    anticommutation --modes 6`` makes 5 sectors and 10 tables."""
+    passes, inverses, built = [], [], []
+    combinations, inverse = minimal.combinations, permutations.BasisPermutation.inverse
+    post_init = encodings.FermionOperator.__post_init__
+    monkeypatch.setattr(minimal, "combinations", lambda *a: passes.append(a) or combinations(*a))
+    monkeypatch.setattr(
+        permutations.BasisPermutation, "inverse",
+        lambda p: inverses.append(inverse(p)) or inverses[-1],
+    )
+    monkeypatch.setattr(
+        encodings.FermionOperator, "__post_init__", lambda op: built.append(op) or post_init(op)
+    )
+    if argv[0] == "reduce":
+        argv = [*argv, "--hamiltonian", hop_file]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(passes) == enumerations
+    assert len({id(t) for t in inverses}) == inversions  # inverses holds each one alive
+    assert len(built) == operators
 
 
 def test_reduce_cycles_of_the_parity_table_match_the_parity_map(tmp_path, capsys):

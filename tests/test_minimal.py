@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fermiperm import (
     BasisPermutation,
+    DimensionError,
     GateCircuit,
     LinearEncodingF2,
     PauliSum,
@@ -78,7 +79,24 @@ def test_sector_states_match_unrank_loop():
         for k in range(0, n + 1):
             spec = SectorSpec(n, k)
             expected = [unrank_weightk(r, n, k) for r in range(spec.dimension)]
-            assert spec.sector_states() == expected
+            assert spec.states.tolist() == expected
+
+
+def test_sector_states_are_one_kept_read_only_uint64_array():
+    spec = SectorSpec(64, 2)
+    states = spec.states
+    assert states is spec.states  # enumerated once, on first use
+    assert states.dtype == np.uint64 and not states.flags.writeable
+    assert states.size == spec.dimension == 2016
+    assert states[[0, -1]].tolist() == [0b11, 0b11 << 62]
+    assert bool(np.all(states[1:] > states[:-1]))
+
+
+def test_sector_states_reject_more_than_64_modes():
+    spec = SectorSpec(65, 1)
+    assert spec.q_min == 7  # the spec itself is fine; only its states are held as uint64
+    with pytest.raises(DimensionError, match="at most 64 modes, got 65"):
+        spec.states
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,12 +141,18 @@ def test_index_embed_redundancy_property(n, k, completion):
     assert all(v == 0 for _, v in report.fixed)
 
 
+@pytest.mark.parametrize("p", [BasisPermutation.identity(4), LinearEncodingF2.parity(4)])
+def test_redundant_qubits_rejects_a_sector_of_another_size(p):
+    with pytest.raises(DimensionError, match="different sizes"):
+        redundant_qubits(p, SectorSpec(5, 2))
+
+
 def test_index_embed_random_completion_fixes_sector():
     rng = np.random.default_rng(5)
     spec = SectorSpec(5, 2)
     base = minimal_permutation_index_embed(spec)
     rand = minimal_permutation_index_embed(spec, completion="random", rng=rng)
-    for s in spec.sector_states():
+    for s in spec.states.tolist():
         assert rand.apply(s) == base.apply(s)
     assert rand != base  # overwhelmingly likely with (2^5 - 10)! choices
 
@@ -136,7 +160,7 @@ def test_index_embed_random_completion_fixes_sector():
 def test_index_embed_compact_support():
     spec = SectorSpec(6, 2)
     p = minimal_permutation_index_embed(spec, completion="compact")
-    sources = set(spec.sector_states())
+    sources = set(spec.states.tolist())
     targets = {r << (6 - spec.q_min) for r in range(spec.dimension)}
     moved = {s for s in range(64) if p.apply(s) != s}
     assert moved <= (sources | targets)
@@ -247,7 +271,7 @@ def test_sector_images_stay_distinct_on_surviving_qubits(data):
         p = minimal_permutation_index_embed(spec, completion=completion, rng=rng)
     report = redundant_qubits(p, spec)
     restricted = {
-        tuple((p.apply(s) >> (n - q)) & 1 for q in report.surviving) for s in spec.sector_states()
+        tuple((p.apply(s) >> (n - q)) & 1 for q in report.surviving) for s in spec.states.tolist()
     }
     assert len(restricted) == spec.dimension
 

@@ -538,6 +538,9 @@ def test_string_rendering():
     assert str(p) == "(1+0i) XIZX"
     s = PauliSum.from_terms(4, [(0.5, "XIZX")])
     assert s.items_sorted() == [("XIZX", 0.5 + 0j)]
+    assert str(PauliSum(2)) == "0"
+    s = PauliSum.from_terms(2, [(0.5, "ZX"), (-1j, "XI"), (2, "IY")])
+    assert str(s) == "(2+0i) IY + (0-1i) XI + (0.5+0i) ZX"  # in letter order
 
 
 def test_json_round_trip_and_sorted_terms():

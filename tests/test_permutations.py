@@ -172,6 +172,17 @@ def test_inverse_undoes_the_permutation():
     assert np.array_equal(q.image[p.image], np.arange(16))
 
 
+def test_inverse_is_built_once_and_kept():
+    p = random_permutation(4, np.random.default_rng(1))
+    assert p.inverse() is p.inverse()
+    assert np.array_equal(p.inverse().image, np.argsort(p.image))
+
+
+def test_dense_conjugation_rejects_mismatched_registers():
+    with pytest.raises(DimensionError, match="different registers"):
+        conjugate_pauli_dense(BasisPermutation.identity(3), PauliSum.from_terms(2, [(1.0, "XZ")]))
+
+
 def test_parity_chain_inverse_recovers_occupancies():
     n = 5
     chain = GateCircuit(n)

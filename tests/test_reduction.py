@@ -341,6 +341,32 @@ def test_oracle_rejects_more_than_64_modes():
         sector_oracle(FermionOperator.number_operator(65), SectorSpec(65, 1))
 
 
+def test_encode_and_reduce_at_64_modes():
+    """The sector states of 64 modes fill uint64: mode 1 is bit 63.  A
+    linear encoding reduces them with no table; parity fixes its last qubit
+    and Jordan-Wigner none, with the labels of the images."""
+    h = FermionOperator.from_terms(
+        FermionTerm.make(0.5, [(p, True), (q, False)]) for p, q in ((1, 64), (64, 1))
+    )
+    spec = SectorSpec(64, 1)
+    rh = encode_and_reduce(h, LinearEncodingF2.jordan_wigner(64), spec)
+    assert rh.pauli_sum.n_qubits == 64 and rh.report.fixed == ()
+    assert rh.labels == tuple(1 << b for b in range(64))
+    assert dict(rh.pauli_sum.items_sorted()) == {
+        "X" + "Z" * 62 + "X": 0.25, "Y" + "Z" * 62 + "Y": 0.25
+    }
+    rh = encode_and_reduce(h, LinearEncodingF2.parity(64), spec)
+    assert rh.pauli_sum.n_qubits == 63 and rh.report.fixed == ((64, 1),)
+
+
+def test_verify_rejects_an_oracle_of_another_shape():
+    h = random_one_body(4, np.random.default_rng(0))
+    spec = SectorSpec(4, 2)
+    rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
+    with pytest.raises(DimensionError, match="oracle shape"):
+        verify_reduction(rh, np.zeros((5, 5)))
+
+
 def test_oracle_rejects_modes_outside_the_register():
     h = FermionOperator.from_terms([FermionTerm.make(1.0, [(5, True), (1, False)])])
     with pytest.raises(DimensionError):
