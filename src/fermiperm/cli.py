@@ -1,8 +1,8 @@
 """Command-line interface: encode, reduce, perm, verify, costs, stats.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or parse error.  All output is deterministic for identical inputs;
-Pauli terms are always emitted in lexicographic letter order.
+2 usage, parse or resource error.  All output is deterministic for
+identical inputs; Pauli terms are always emitted in lexicographic letter order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
     BasisPermutation,
     GateCircuit,
-    _check_permutation_cap,
     conjugate_pauli_dense,
     from_cycles,
     parse_cycles,
@@ -134,7 +133,6 @@ def _resolve_permutation(args, spec: Optional[SectorSpec]) -> BasisPermutation |
     """A linear encoding as its map, with no 2^N table; any other as its table."""
     n = args.modes
     if args.matrix is not None or args.mapping is not None:
-        _check_permutation_cap(n)  # before the n x n matrix is built or read
         return _linear_encoding(args)
     if args.cycles is not None:
         return from_cycles(n, parse_cycles(args.cycles))
@@ -552,6 +550,7 @@ def _sum_stats(s: PauliSum) -> dict:
 def cmd_reduce(args) -> int:
     spec = SectorSpec(args.modes, args.fermions)
     h = _load_hamiltonian(args)
+    spec.states  # enumerated, or refused by its caps, before an N x N map is built
     p = _resolve_permutation(args, spec)
     given = (("dense_cap", args.dense_cap), ("tolerance", args.tolerance))
     overrides = {name: value for name, value in given if value is not None}
@@ -807,8 +806,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (FermipermError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FermipermError, ValueError, OSError, MemoryError) as exc:
+        # an allocation Python itself refuses raises a MemoryError with no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -28,7 +28,7 @@ from .permutations import (
     BasisPermutation,
     Gate,
     GateCircuit,
-    _check_permutation_cap,
+    _check_storage_cap,
     permutation_from_circuit,
 )
 
@@ -59,9 +59,11 @@ class SectorSpec:
         so index r holds ``unrank_weightk(r, N, K)``, as one read-only ``uint64`` array.
 
         One pass over the K-subsets of the mode bits, highest first: their
-        lexicographic order is decreasing order of the integers."""
+        lexicographic order is decreasing order of the integers.  Raises
+        before it enumerates past 64 modes or 2^16 states (q_min > 16)."""
         if self.n_modes > 64:
             raise DimensionError(f"the sector states hold at most 64 modes, got {self.n_modes}")
+        _check_storage_cap(self.q_min, "sector")
         bits = [1 << b for b in range(self.n_modes - 1, -1, -1)]
         sums = [sum(c) for c in combinations(bits, self.n_fermions)]
         states = np.array(sums[::-1], dtype=np.uint64)
@@ -120,7 +122,7 @@ def minimal_permutation_index_embed(
     * ``"random"``   - shuffle the unused targets with ``rng``.
     """
     n = spec.n_modes
-    _check_permutation_cap(n)
+    _check_storage_cap(n)
     states = np.arange(1 << n, dtype=np.int64)
     sources = spec.states.view(np.int64)  # numpy makes uint64 with int64 float64
     targets = np.arange(spec.dimension, dtype=np.int64) << (n - spec.q_min)

@@ -36,12 +36,10 @@ from .pauli import (
 PERMUTATION_CAP = 16
 
 
-def _check_permutation_cap(n_qubits: int) -> None:
-    """Raise before a 2^n image table is allocated for n past the cap."""
+def _check_storage_cap(n_qubits: int, noun: str = "permutation") -> None:
+    """Raise before a 2^n image table, or a sector whose q_min is n, is stored past the cap."""
     if n_qubits > PERMUTATION_CAP:
-        raise ResourceError(
-            f"permutation storage is capped at {PERMUTATION_CAP} qubits, got {n_qubits}"
-        )
+        raise ResourceError(f"{noun} storage is capped at {PERMUTATION_CAP} qubits, got {n_qubits}")
 
 
 def _check_states(states, n_qubits: int) -> None:
@@ -64,7 +62,7 @@ class BasisPermutation:
         n = dim.bit_length() - 1
         if dim < 2 or dim != 1 << n:
             raise ValueError("image length must be a power of two, at least 2")
-        _check_permutation_cap(n)
+        _check_storage_cap(n)
         arr = arr.astype(np.int64)  # always a copy, so the caller's array stays writable
         if not np.array_equal(np.sort(arr), np.arange(dim)):
             raise ValueError("image is not a bijection on the basis indices")
@@ -76,7 +74,7 @@ class BasisPermutation:
 
     @classmethod
     def identity(cls, n_qubits: int) -> "BasisPermutation":
-        _check_permutation_cap(n_qubits)
+        _check_storage_cap(n_qubits)
         return cls(np.arange(1 << n_qubits))
 
     def apply(self, states):
@@ -138,7 +136,7 @@ class BasisPermutation:
 def from_cycles(n_qubits: int, cycles: Iterable[Sequence[int]]) -> BasisPermutation:
     """Standard cycle notation on 0-based state values: within (a1,...,ak),
     a_i maps to a_{i+1} and a_k maps back to a1; unlisted states are fixed."""
-    _check_permutation_cap(n_qubits)
+    _check_storage_cap(n_qubits)
     dim = 1 << n_qubits
     image = np.arange(dim)
     touched: set[int] = set()
@@ -285,7 +283,7 @@ class GateCircuit:
 def permutation_from_circuit(circuit: GateCircuit) -> BasisPermutation:
     """Compose the gates' actions on basis indices, first gate acting first."""
     n = circuit.n_qubits
-    _check_permutation_cap(n)
+    _check_storage_cap(n)
     state = np.arange(1 << n, dtype=np.int64)
     for g in circuit.gates:
         tbit = 1 << (n - g.target)
@@ -355,7 +353,7 @@ class AffineMapF2:
         return self
 
     def to_permutation(self) -> BasisPermutation:
-        _check_permutation_cap(self.n_qubits)
+        _check_storage_cap(self.n_qubits)
         return BasisPermutation(self.apply(np.arange(1 << self.n_qubits, dtype=np.int64)))
 
     def __eq__(self, other) -> bool:

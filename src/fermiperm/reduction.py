@@ -134,17 +134,17 @@ def encode_and_reduce(
 ) -> ReducedHamiltonian:
     """Full pipeline; raises if ``h`` is not number conserving.
 
-    ``p`` is U as a table or as its affine map x -> Mx (+) b (a
-    ``LinearEncodingF2`` has b = 0); ``p.affine`` tells the two paths apart
-    and either type's ``apply`` gives the sector images.
+    ``p`` is U as a 2^N table or as its affine map x -> Mx (+) b, which
+    stores none (a ``LinearEncodingF2`` has b = 0); ``p.affine`` tells the
+    paths apart and either type's ``apply`` gives the sector images.
 
     The sector images stay distinct on the surviving qubits, since a
     permutation's images are distinct and agree on every fixed qubit, so
-    the reduction never merges two sector states.  The sector images are
-    gathered once, in rank order: the redundancy scan runs on them first,
-    and each rank's label is its image's surviving bits.  An affine U
-    encodes ``h`` with its conjugated Majoranas, which gives the
-    Jordan-Wigner encoding conjugated term by term, bit for bit.
+    the reduction never merges two sector states.  They are gathered once,
+    in rank order, from ``spec.states``, which caps both paths at 64 modes
+    and 2^16 states: the redundancy scan runs on them first, and each
+    rank's label is its image's surviving bits.  An affine U encodes ``h``
+    with its conjugated Majoranas, bit for bit the conjugated JW encoding.
     Any other permutation is conjugated on the full 2^N register, which
     ``dense_cap`` bounds in qubits, and projected inside the same call:
     ``conjugate_pauli_dense`` with the report's ``fixed`` pairs."""

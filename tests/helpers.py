@@ -26,7 +26,7 @@ from fermiperm.pauli import (
     _mask_product,
     parity_u64,
 )
-from fermiperm.permutations import _check_permutation_cap
+from fermiperm.permutations import _check_storage_cap
 from fermiperm.reduction import ORACLE_TOL, SPECTRUM_TOL, ReductionCheck
 
 _SINGLE = {
@@ -286,7 +286,7 @@ def minimal_permutation_index_embed_loop(
     and loops over all 2^N states.  Sends the weight-K state of rank r to
     r << (N - q_min) and completes the other states per ``completion``."""
     n, k = spec.n_modes, spec.n_fermions
-    _check_permutation_cap(n)
+    _check_storage_cap(n)
     dim = 1 << n
     shift = n - spec.q_min
     sources = spec.states.tolist()

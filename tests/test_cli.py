@@ -237,6 +237,108 @@ def test_dense_cap_errors_name_the_oracle_then_the_block(tmp_path, capsys, cap, 
     assert not out.exists()
 
 
+# A complex one-body input on 17 modes, every p <= q once.
+ONE_BODY_17 = "".join(
+    f"{p} {q} {0.1 * p - 0.07 * q:.3f} {0.05 * (q - p):.3f}\n"
+    for p in range(1, 18)
+    for q in range(p, 18)
+)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # verify's block on the reduced register, at the default dense cap
+        ("--modes 16 --fermions 2 --mapping parity", "dense operations are capped at 12 qubits, got 15"),
+        ("--modes 17 --fermions 2 --mapping parity", "dense operations are capped at 12 qubits, got 16"),
+        # C(40,20) states need 38 qubits
+        ("--modes 40 --fermions 20 --mapping parity", "sector storage is capped at 16 qubits, got 38"),
+        ("--modes 65 --fermions 1 --mapping jw", "the sector states hold at most 64 modes, got 65"),
+        # a table is still bounded by the permutation cap
+        ("--modes 17 --fermions 2 --index-embed", "permutation storage is capped at 16 qubits, got 17"),
+    ],
+    ids=["parity-16-2", "parity-17-2", "parity-40-20", "jw-65-1", "embed-17-2"],
+)
+def test_reduce_is_bounded_by_the_sector_and_dense_caps(hop_file, tmp_path, capsys, argv, error):
+    """A linear encoding stores no 2^N table, so ``reduce --mapping`` past
+    16 modes is bounded by the sector's caps and the dense cap alone: exit
+    2, one error line, nothing on stdout and no file."""
+    out = tmp_path / "out.json"
+    argv = ["reduce", *argv.split(), "--hamiltonian", hop_file, "--output", str(out)]
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("selector", [["--mapping", "parity"], ["--index-embed"]], ids=["map", "table"])
+@pytest.mark.parametrize("modes, fermions, error", [
+    (40, 20, "sector storage is capped at 16 qubits, got 38"),
+    (1000, 1, "the sector states hold at most 64 modes, got 1000"),
+], ids=["40-20", "1000-1"])
+def test_reduce_refuses_a_sector_before_it_is_enumerated(
+    hop_file, capsys, monkeypatch, selector, modes, fermions, error
+):
+    """The sector's caps are checked before a state is enumerated and
+    before the encoding's N x N matrix or the 2^N table is built."""
+    def refuse(*args, **kwargs):
+        pytest.fail("built past the sector's caps")
+
+    monkeypatch.setattr(minimal, "combinations", refuse)
+    monkeypatch.setattr(cli, "_resolve_permutation", refuse)
+    argv = ["reduce", "--modes", str(modes), "--fermions", str(fermions), *selector]
+    assert run(capsys, *argv, "--hamiltonian", hop_file) == (2, "", f"error: {error}\n")
+
+
+def test_reduce_mapping_runs_past_16_modes(tmp_path, capsys):
+    """(17,2) under the parity map: 136 states on a 16-qubit register, with
+    no 2^17 table, once the dense cap admits verify's block."""
+    ham = tmp_path / "h.txt"
+    ham.write_text(ONE_BODY_17)
+    code, out, err = run(
+        capsys, "reduce", "--modes", "17", "--fermions", "2", "--mapping", "parity",
+        "--dense-cap", "16", "--hermitize", "--hamiltonian", str(ham),
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["hamiltonian"]["n_qubits"] == 16 and len(doc["state_map"]) == 136
+    assert doc["fixed_qubits"] == [[17, 0]] and doc["verify"]["passed"]
+
+
+NUMPY_REFUSAL = "Unable to allocate 16.0 GiB for an array with shape (16384, 65536) and data type complex128"
+
+
+@pytest.mark.parametrize("message, line", [
+    (NUMPY_REFUSAL, NUMPY_REFUSAL),
+    ("", "out of memory"),  # Python's own MemoryError carries no message
+], ids=["numpy", "python"])
+def test_a_failed_allocation_is_one_error_line(
+    hop_file, tmp_path, capsys, monkeypatch, message, line
+):
+    """An allocation past the machine's memory exits 2 with one error line
+    and no file, not a traceback with exit 1 (the code of a failed
+    verification).  The allocation is faked: a real one might succeed."""
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "encode_and_reduce", refuse)
+    out = tmp_path / "out.json"
+    argv = ["reduce", "--modes", "4", "--fermions", "2", "--index-embed",
+            "--hamiltonian", hop_file, "--output", str(out)]
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+    assert not out.exists()
+
+
+def test_reduce_argument_errors(hop_file, capsys):
+    """A --modes that is not an integer is argparse's error; K past N is
+    the sector's."""
+    argv = ["reduce", "--index-embed", "--hamiltonian", hop_file]
+    code, out, err = run(capsys, *argv, "--modes", "x", "--fermions", "1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --modes: invalid int value: 'x'\n")
+    assert run(capsys, *argv, "--modes", "3", "--fermions", "4") == (
+        2, "", "error: need 0 <= K <= N\n"
+    )
+
+
 def test_reduce_without_fermions_is_usage_error(tmp_path, capsys):
     """``reduce`` and ``verify oracle`` require ``--fermions``: argparse
     rejects the command before it runs."""
@@ -387,6 +489,28 @@ def test_anticommutation_suite_reports_failures():
     mixed = [(strings[0][0], PauliSum.from_pauli(strings[0][1])), *strings[1:]]
     assert anticommutation_suite(mixed) == (
         21, ["{ g1, g2 } != 0", "{ g1, g3 } != 0", "{ g2, g3 } != 0", "g3^2 != I"]
+    )
+
+
+def test_verify_appendix_reports_a_counterexample(capsys, monkeypatch):
+    """Two constant digits would refute the appendix: exit 1 and the rows
+    of the matrix that reaches them."""
+    report = minimal.AppendixReport(
+        n=3, matrix_count=168, max_constant_digits=2, witness=(4, 6, 7)
+    )
+    monkeypatch.setattr(cli, "appendix_verify", lambda n: report)
+    assert run(capsys, "verify", "appendix", "--n", "3") == (
+        1, "168 matrices, max constant digits 2\ncounterexample rows (bit masks): (4, 6, 7)\n", ""
+    )
+
+
+def test_verify_anticommutation_reports_the_first_failure(capsys, monkeypatch):
+    """A family whose first pair commutes fails its suite: exit 1, and only
+    the first of its failures is printed."""
+    x, y = PauliString.from_letters("X"), PauliString.from_letters("Y")
+    monkeypatch.setattr(cli, "jw_majoranas", lambda n: [(x, x), (x, y)])
+    assert run(capsys, "verify", "anticommutation", "--modes", "2", "--mapping", "jw") == (
+        1, "jw: 10 checks FAIL\n  counterexample: g1 and g'1 commute\n", ""
     )
 
 

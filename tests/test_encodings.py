@@ -313,9 +313,24 @@ def test_parse_hamiltonian_errors_carry_line_numbers(bad, line):
 
 
 def test_encode_rejects_out_of_range_mode():
-    op = FermionOperator.from_terms([FermionTerm.make(1.0, [(3, True), (3, False)])])
-    with pytest.raises(DimensionError):
-        encode_fermion_operator(op, jw_majoranas(2))
+    for mode, message in (
+        (3, "operator touches mode 3 but only 2 are encoded"),
+        (0, "no Majorana pair for mode 0"),
+    ):
+        op = FermionOperator.from_terms([FermionTerm.make(1.0, [(mode, True), (mode, False)])])
+        with pytest.raises(DimensionError, match=message):
+            encode_fermion_operator(op, jw_majoranas(2))
+
+
+def test_states_and_ladders_check_their_registers():
+    with pytest.raises(ValueError, match="need at least one mode"):
+        FockState(0, 0)
+    with pytest.raises(ValueError, match="occupancy mask exceeds the register"):
+        FockState(2, 4)
+    with pytest.raises(DimensionError, match="encoding and state have different mode counts"):
+        encode_state(LinearEncodingF2.jordan_wigner(3), FockState(2, 1))
+    with pytest.raises(DimensionError, match="no Majorana pair for mode 3"):
+        encode_ladder(3, True, jw_majoranas(2))
 
 
 def test_encode_rejects_majoranas_on_different_registers():

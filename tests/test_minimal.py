@@ -1,6 +1,7 @@
 """Ranking, index-embed permutations, redundancy, synthesis, enumeration."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from fermiperm import (
     GateCircuit,
     LinearEncodingF2,
     PauliSum,
+    ResourceError,
     SectorSpec,
     appendix_verify,
     classify_affine,
@@ -60,6 +62,8 @@ def test_rank_weight_zero():
 def test_rank_errors():
     with pytest.raises(ValueError):
         rank_weightk(int("0111", 2), 4, 2)
+    with pytest.raises(ValueError, match="state 16 out of range for 4 bits"):
+        rank_weightk(16, 4, 1)
     with pytest.raises(ValueError):
         unrank_weightk(6, 4, 2)
 
@@ -97,6 +101,28 @@ def test_sector_states_reject_more_than_64_modes():
     assert spec.q_min == 7  # the spec itself is fine; only its states are held as uint64
     with pytest.raises(DimensionError, match="at most 64 modes, got 65"):
         spec.states
+
+
+def test_sector_states_are_capped_at_2_to_the_16():
+    """A sector is stored only up to 2^16 states, the entry count of the
+    largest permutation table: (18,9) and (64,3) need 16 qubits and are
+    held; (19,9) needs 17 and (20,10) 18, and both are refused before a
+    single state is enumerated.  Past 64 modes the mode check comes first."""
+    assert SectorSpec(18, 9).states.size == 48_620
+    assert SectorSpec(64, 3).states.size == 41_664
+    for n, k, q in ((19, 9, 17), (20, 10, 18), (40, 20, 38)):
+        spec = SectorSpec(n, k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as err:
+                spec.states
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"sector storage is capped at 16 qubits, got {q}"
+        assert peak < 1 << 20
+    with pytest.raises(DimensionError, match="at most 64 modes, got 70"):
+        SectorSpec(70, 35).states
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,3 +479,5 @@ def test_costs_small():
 def test_costs_single_mode():
     rows = qubit_costs(1)
     assert [r.minimal for r in rows] == [0, 0]
+    with pytest.raises(ValueError, match="need at least one mode"):
+        qubit_costs(0)

@@ -93,8 +93,16 @@ def test_multiply_associative_on_random_triples():
 
 
 def test_multiply_dimension_mismatch():
+    x, xx = PauliString.from_letters("X"), PauliString.from_letters("XX")
     with pytest.raises(DimensionError):
-        multiply(PauliString.from_letters("X"), PauliString.from_letters("XX"))
+        multiply(x, xx)
+    with pytest.raises(DimensionError, match="commutator of Pauli strings on different registers"):
+        commutes(x, xx)
+    a, b = PauliSum.from_pauli(x), PauliSum.from_pauli(xx)
+    with pytest.raises(DimensionError, match="cannot add sums on different registers"):
+        a + b
+    with pytest.raises(DimensionError, match="cannot multiply sums on different registers"):
+        a * b
 
 
 @st.composite
@@ -469,6 +477,12 @@ def test_from_letters_validation():
         PauliString.from_letters("XQZ")
     with pytest.raises(ValueError):
         PauliString(2, 0, 0, 5)
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        PauliString(0, 0, 0)
+    with pytest.raises(ValueError, match="bit mask exceeds register size"):
+        PauliString(2, 4, 0)
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        PauliSum(0)
     with pytest.raises(DimensionError):
         PauliSum.from_terms(3, [(1.0, "XX")])
     # a key's masks must lie on the register, compared as Python ints at any width
@@ -529,6 +543,8 @@ def test_single_qubit_accessors_validate():
         with pytest.raises(DimensionError, match=f"qubit {qubit} out of range 1..3"):
             p.letter(qubit)
     assert PauliString.single(3, 2, "Y") == PauliString.from_letters("IYI")
+    with pytest.raises(DimensionError, match="qubit 3 out of range 1..2"):
+        PauliString.single(2, 3, "X")
     with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
         PauliString.single(3, 2, "Q")
 

@@ -183,6 +183,13 @@ def test_dense_conjugation_rejects_mismatched_registers():
         conjugate_pauli_dense(BasisPermutation.identity(3), PauliSum.from_terms(2, [(1.0, "XZ")]))
 
 
+def test_circuits_and_affine_conjugation_check_their_registers():
+    with pytest.raises(ValueError, match="need at least one wire"):
+        GateCircuit(0)
+    with pytest.raises(DimensionError, match="Pauli string and affine map act on different registers"):
+        conjugate_pauli_affine(LinearEncodingF2.parity(3), PauliString.from_letters("XZ"))
+
+
 def test_parity_chain_inverse_recovers_occupancies():
     n = 5
     chain = GateCircuit(n)
