@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .pauli import DENSE_CAP, PauliString, PauliSum, commutes
 from .permutations import (
     BasisPermutation,
     GateCircuit,
+    _check_storage_cap,
     conjugate_pauli_dense,
     from_cycles,
     parse_cycles,
@@ -178,40 +179,76 @@ def _emit(payload, output: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
+class _StateMap(NamedTuple):
+    """Stands for ``reduce``'s ``state_map`` in a payload: the list
+    ``[{"rank": r, "bits": labels[r] as width binary digits}, ...]``."""
+
+    labels: Sequence[int]
+    width: int
+
+
 def _json_chunks(payload: dict) -> Iterator[bytes]:
     """Exactly ``json.dumps(payload, indent=2)``, encoded, in chunks, where a
     ``PauliSum`` value (in the payload or a nested dict) stands for its
-    sorted terms list, the ``"terms"`` of ``PauliSum.to_json_dict``.
+    sorted terms list, the ``"terms"`` of ``PauliSum.to_json_dict``, and a
+    ``_StateMap`` for its list of ranks and bits.
 
     Sums are written straight from their term arrays, ``_CHUNK_TERMS`` terms
-    a chunk (see ``_terms_chunks``).  Everything else goes through json,
-    whose encoder is pure Python once ``indent`` is set.
+    a chunk (see ``_terms_chunks``), and a state map in one join (see
+    ``_state_map_chunks``).  Everything else goes through json, whose
+    encoder is pure Python once ``indent`` is set.
     """
-    # stands in for each sum; the CLI's payloads hold no NUL character
-    marker = "\0terms"
-    sums: list[tuple[PauliSum, str]] = []
-    marked = _mark_sums(payload, marker, 0, sums)
+    # stands in for each such value; the CLI's payloads hold no NUL character
+    marker = "\0spelled"
+    spelled: list[tuple[PauliSum | _StateMap, str]] = []
+    marked = _mark_spelled(payload, marker, 0, spelled)
     head, *tails = json.dumps(marked, indent=2).split(json.dumps(marker))
     yield head.encode()
-    for (s, indent), tail in zip(sums, tails):
-        yield from _terms_chunks(s, indent)
+    for (value, indent), tail in zip(spelled, tails):
+        if isinstance(value, PauliSum):
+            yield from _terms_chunks(value, indent)
+        else:
+            yield from _state_map_chunks(value, indent)
         yield tail.encode()
 
 
-def _mark_sums(obj, marker: str, depth: int, sums: list):
-    """``obj`` with each ``PauliSum`` in it replaced by ``marker``; the sum
-    and the indent of its lines are appended to ``sums`` in the order json
-    will write them.
+def _mark_spelled(obj, marker: str, depth: int, spelled: list):
+    """``obj`` with each ``PauliSum`` and ``_StateMap`` in it replaced by
+    ``marker``; the value and the indent of its lines are appended to
+    ``spelled`` in the order json will write them.
 
     A module function, not a closure: a recursive closure is a reference
-    cycle, which would keep ``sums`` alive until the garbage collector
+    cycle, which would keep ``spelled`` alive until the garbage collector
     runs."""
-    if isinstance(obj, PauliSum):
-        sums.append((obj, "  " * depth))
+    if isinstance(obj, (PauliSum, _StateMap)):
+        spelled.append((obj, "  " * depth))
         return marker
     if not isinstance(obj, dict):
         return obj
-    return {key: _mark_sums(value, marker, depth + 1, sums) for key, value in obj.items()}
+    return {key: _mark_spelled(value, marker, depth + 1, spelled) for key, value in obj.items()}
+
+
+def _state_map_chunks(m: _StateMap, indent: str) -> Iterator[bytes]:
+    """One chunk that is the state map's list as ``json.dumps(..., indent=2)``
+    writes it, with every line after the first indented by ``indent``: a
+    join of the constant separators, the ranks and the labels' digits, laid
+    out for all labels at once."""
+    if not len(m.labels):
+        yield b"[]"
+        return
+    labels = np.asarray(m.labels, dtype=np.int64)
+    digits = (labels[:, None] >> np.arange(m.width - 1, -1, -1)) & 1
+    digits += ord("0")
+    bits = digits.astype(np.uint8).view(f"S{m.width}").ravel().tolist()
+    item = (indent + "  ").encode()
+    opening = b"\n" + item + b'{\n' + item + b'  "rank": '
+    closing = b'"\n' + item + b"}"
+    pieces = [closing + b"," + opening, None, b",\n" + item + b'  "bits": "', None] * labels.size
+    pieces[0] = b"[" + opening
+    pieces[1::4] = np.arange(labels.size).astype(bytes).tolist()
+    pieces[3::4] = bits
+    pieces.append(closing + b"\n" + indent.encode() + b"]")
+    yield b"".join(pieces)
 
 
 def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
@@ -564,9 +601,7 @@ def cmd_reduce(args) -> int:
         "spec": {"N": spec.n_modes, "K": spec.n_fermions, "q_min": spec.q_min},
         "fixed_qubits": [[q, v] for q, v in rh.report.fixed],
         "hamiltonian": {"n_qubits": width, "terms": rh.pauli_sum},
-        "state_map": [
-            {"rank": r, "bits": format(label, f"0{width}b")} for r, label in enumerate(rh.labels)
-        ],
+        "state_map": _StateMap(rh.labels, width),
         "verify": {
             "max_deviation": check.max_deviation,
             "spectrum_deviation": check.spectrum_deviation,
@@ -581,6 +616,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_perm(args) -> int:
     spec = SectorSpec(args.modes, args.fermions) if args.fermions is not None else None
+    if args.matrix is not None or args.mapping is not None:
+        _check_storage_cap(args.modes)  # `cycles:` needs the table: refuse before the N x N map
     p = _resolve_permutation(args, spec)
     table = p if isinstance(p, BasisPermutation) else p.to_permutation()  # for `cycles:`
     lines = [f"cycles: {table.cycle_string()}"]
@@ -728,78 +765,89 @@ def cmd_verify_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every command's arguments or, given ``command``,
+    with only that command's.  The others keep their names and help lines,
+    which is all that top-level help and errors print."""
     parser = argparse.ArgumentParser(
         prog="fermiperm",
         description="Permutation-based fermion-to-qubit encodings and sector reduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="encode a fermionic Hamiltonian file")
-    enc.add_argument("--modes", type=_positive_int, required=True)
-    enc.add_argument("--hamiltonian", required=True, metavar="FILE")
-    enc.add_argument("--hermitize", action="store_true")
-    enc.add_argument("--output", metavar="FILE")
-    group = enc.add_mutually_exclusive_group()
-    group.add_argument("--mapping", choices=["jw", "parity"])
-    group.add_argument("--matrix", metavar="FILE")
-    enc.set_defaults(func=cmd_encode)
+    def add(name: str, help_line: str) -> Optional[argparse.ArgumentParser]:
+        """The command's parser if its arguments are to be added, else None."""
+        command_parser = sub.add_parser(name, help=help_line)
+        return command_parser if command in (None, name) else None
 
-    red = sub.add_parser("reduce", help="encode, conjugate, and project a sector")
-    red.add_argument("--modes", type=_positive_int, required=True)
-    red.add_argument("--fermions", type=int, required=True)
-    red.add_argument("--hamiltonian", required=True, metavar="FILE")
-    red.add_argument("--hermitize", action="store_true")
-    red.add_argument("--tolerance", type=_positive_float, help="oracle comparison tolerance")
-    red.add_argument(
-        "--dense-cap", type=_positive_int, help="override the dense-matrix qubit cap"
-    )
-    red.add_argument("--output", metavar="FILE")
-    _add_perm_selector(red)
-    red.set_defaults(func=cmd_reduce)
+    if enc := add("encode", "encode a fermionic Hamiltonian file"):
+        enc.add_argument("--modes", type=_positive_int, required=True)
+        enc.add_argument("--hamiltonian", required=True, metavar="FILE")
+        enc.add_argument("--hermitize", action="store_true")
+        enc.add_argument("--output", metavar="FILE")
+        group = enc.add_mutually_exclusive_group()
+        group.add_argument("--mapping", choices=["jw", "parity"])
+        group.add_argument("--matrix", metavar="FILE")
+        enc.set_defaults(func=cmd_encode)
 
-    perm = sub.add_parser("perm", help="inspect or synthesize a basis permutation")
-    perm.add_argument("--modes", type=_positive_int, required=True)
-    perm.add_argument("--fermions", type=int)
-    perm.add_argument("--synthesize", action="store_true")
-    perm.add_argument("--output", metavar="FILE")
-    _add_perm_selector(perm)
-    perm.set_defaults(func=cmd_perm)
+    if red := add("reduce", "encode, conjugate, and project a sector"):
+        red.add_argument("--modes", type=_positive_int, required=True)
+        red.add_argument("--fermions", type=int, required=True)
+        red.add_argument("--hamiltonian", required=True, metavar="FILE")
+        red.add_argument("--hermitize", action="store_true")
+        red.add_argument("--tolerance", type=_positive_float, help="oracle comparison tolerance")
+        red.add_argument(
+            "--dense-cap", type=_positive_int, help="override the dense-matrix qubit cap"
+        )
+        red.add_argument("--output", metavar="FILE")
+        _add_perm_selector(red)
+        red.set_defaults(func=cmd_reduce)
 
-    ver = sub.add_parser("verify", help="run a verification suite")
-    ver_sub = ver.add_subparsers(dest="suite", required=True)
-    v_anti = ver_sub.add_parser("anticommutation")
-    v_anti.add_argument("--modes", type=_positive_int, required=True)
-    v_anti.add_argument("--mapping", choices=["jw", "parity", "random-minimal"])
-    v_anti.add_argument("--trials", type=_positive_int, default=2)
-    v_anti.add_argument("--seed", type=int, default=0)
-    v_anti.set_defaults(func=cmd_verify_anticommutation)
-    v_app = ver_sub.add_parser("appendix")
-    v_app.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
-    v_app.set_defaults(func=cmd_verify_appendix)
-    v_orc = ver_sub.add_parser("oracle")
-    v_orc.add_argument("--modes", type=_positive_int, required=True)
-    v_orc.add_argument("--fermions", type=int, required=True)
-    v_orc.add_argument("--trials", type=_positive_int, default=20)
-    v_orc.add_argument("--seed", type=int, default=0)
-    v_orc.add_argument("--tolerance", type=_positive_float)
-    v_orc.set_defaults(func=cmd_verify_oracle)
+    if perm := add("perm", "inspect or synthesize a basis permutation"):
+        perm.add_argument("--modes", type=_positive_int, required=True)
+        perm.add_argument("--fermions", type=int)
+        perm.add_argument("--synthesize", action="store_true")
+        perm.add_argument("--output", metavar="FILE")
+        _add_perm_selector(perm)
+        perm.set_defaults(func=cmd_perm)
 
-    costs = sub.add_parser("costs", help="qubit-cost table as CSV")
-    costs.add_argument("--modes", type=_positive_int, required=True)
-    costs.add_argument("--output", metavar="FILE")
-    costs.set_defaults(func=cmd_costs)
+    if ver := add("verify", "run a verification suite"):
+        ver_sub = ver.add_subparsers(dest="suite", required=True)
+        v_anti = ver_sub.add_parser("anticommutation")
+        v_anti.add_argument("--modes", type=_positive_int, required=True)
+        v_anti.add_argument("--mapping", choices=["jw", "parity", "random-minimal"])
+        v_anti.add_argument("--trials", type=_positive_int, default=2)
+        v_anti.add_argument("--seed", type=int, default=0)
+        v_anti.set_defaults(func=cmd_verify_anticommutation)
+        v_app = ver_sub.add_parser("appendix")
+        v_app.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
+        v_app.set_defaults(func=cmd_verify_appendix)
+        v_orc = ver_sub.add_parser("oracle")
+        v_orc.add_argument("--modes", type=_positive_int, required=True)
+        v_orc.add_argument("--fermions", type=int, required=True)
+        v_orc.add_argument("--trials", type=_positive_int, default=20)
+        v_orc.add_argument("--seed", type=int, default=0)
+        v_orc.add_argument("--tolerance", type=_positive_float)
+        v_orc.set_defaults(func=cmd_verify_oracle)
 
-    stats = sub.add_parser("stats", help="term statistics of a Pauli-sum JSON file")
-    stats.add_argument("--input", required=True, metavar="FILE")
-    stats.add_argument("--output", metavar="FILE")
-    stats.set_defaults(func=cmd_stats)
+    if costs := add("costs", "qubit-cost table as CSV"):
+        costs.add_argument("--modes", type=_positive_int, required=True)
+        costs.add_argument("--output", metavar="FILE")
+        costs.set_defaults(func=cmd_costs)
+
+    if stats := add("stats", "term statistics of a Pauli-sum JSON file"):
+        stats.add_argument("--input", required=True, metavar="FILE")
+        stats.add_argument("--output", metavar="FILE")
+        stats.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option but --help, so the first word
+    # that is not an option is the command, if any
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

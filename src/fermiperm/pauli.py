@@ -235,30 +235,39 @@ def _walsh_hadamard_rows(a: np.ndarray) -> None:
     """In place, per row: a[r, z] <- sum_v a[r, v] * (-1)^popcount(z & v).
 
     ``a`` must be C-contiguous with a power-of-two row length; the only
-    temporary is one half-size buffer.  Butterfly level h sets columns v and
-    v + h (v with bit h clear) to their sum and difference.  Levels 2 and 4
-    run as h strided passes, columns o, o + 2h, ... against o + h,
-    o + 3h, ..., so that numpy's inner loops span the row, not the 2 or 4
-    columns of one (rows, size / 2h, 2, h) view.  The other levels take that
-    view, where per-offset passes measured slower.  Either way each entry
-    gets the same additions in the same level order.
+    temporary is one buffer of its size.  The log2(size) stages have
+    Pease's constant geometry.  Each reads its source, flat, as pairs of
+    adjacent entries and writes their sums to the first half of the other
+    buffer and their differences to the second, in two passes that each
+    span the whole block.  So each stage butterflies the lowest index bit,
+    a column bit, then rotates the index bits right by one.  After every
+    column bit has had its turn, the entry of row r at column z sits at
+    z * rows + r, and one transposing copy puts it back in ``a``.  A stage
+    cannot run in place, as it writes entries it has yet to read, so the
+    two buffers take turns; when the result ends in ``a``, it is first
+    copied to the other.  Every output of every pass is contiguous:
+    numpy's ufuncs stage a row-gapped output through a buffer of up to
+    half a block, which a per-row (rows, size / 2, 2) geometry would need.
+
+    Each entry gets the same additions as the in-place butterfly, column
+    bit 0 first, the entry with the bit clear as the left operand, so the
+    bits are the same, signed zeros, infinities and NaN included.
     """
     rows, size = a.shape
-    tmp = np.empty(rows * size // 2, dtype=a.dtype)
-    h = 1
-    while h < size:
-        if h in (2, 4):
-            diff = tmp[: rows * size // (2 * h)].reshape(rows, size // (2 * h))
-            halves = [(a[:, o :: 2 * h], a[:, o + h :: 2 * h]) for o in range(h)]
-        else:
-            pairs = a.reshape(rows, size // (2 * h), 2, h)
-            diff = tmp.reshape(rows, size // (2 * h), h)
-            halves = [(pairs[:, :, 0, :], pairs[:, :, 1, :])]
-        for lo, hi in halves:
-            np.subtract(lo, hi, out=diff)
-            lo += hi
-            hi[...] = diff
-        h *= 2
+    flat = a.reshape(-1)
+    src, dst = flat, np.empty_like(flat)
+    for _ in range(size.bit_length() - 1):
+        pairs = src.reshape(-1, 2)
+        halves = dst.reshape(2, -1)
+        np.add(pairs[:, 0], pairs[:, 1], out=halves[0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=halves[1])
+        src, dst = dst, src
+    if src is flat:
+        if rows == 1:
+            return
+        dst[...] = src
+        src = dst
+    a[...] = src.reshape(size, rows).T
 
 
 # Qubits per word of a term's sort key: 2 bits a qubit fill a uint64.

@@ -28,7 +28,8 @@ from fermiperm import (
 )
 from fermiperm import encodings, f2, minimal, permutations
 from fermiperm.cli import (
-    _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, _spellings, anticommutation_suite, main,
+    _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, _spellings, _StateMap, anticommutation_suite,
+    build_parser, main,
 )
 from fermiperm.pauli import PRUNE_TOL
 from helpers import array_sum, items_sorted_loop, spellings_repr
@@ -628,6 +629,39 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+# Help and usage errors, which main prints from a parser with only the
+# named command's arguments.
+_PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["bogus", "--modes", "3"], ["--help", "reduce"],
+    *([command, "--help"] for command in ("encode", "reduce", "perm", "verify", "costs", "stats")),
+    *(["verify", suite, "--help"] for suite in ("anticommutation", "appendix", "oracle")),
+    ["verify"], ["verify", "bogus"], ["verify", "appendix", "--n", "7"],
+    ["reduce", "--modes", "x"], ["encode", "--modes", "0"], ["perm", "--modes", "3"],
+    ["costs"], ["stats", "--input"], ["--bogus", "reduce", "--modes", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv):
+    """Every help text and usage error main prints, its exit code included,
+    is the full parser's, byte for byte."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+    assert _main_captured(argv) == (exc.value.code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("command", ["encode", "costs", "bogus"])
+def test_a_one_command_parser_knows_no_other_commands_options(capsys, command):
+    """main builds the parser for its first word: there ``reduce`` has no
+    arguments, so its required options are unrecognized."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser(command).parse_args(["reduce", "--modes", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modes 3" in capsys.readouterr().err
+
+
 # Every subcommand that takes --modes, with the other arguments it needs;
 # "HAM" stands for a Hamiltonian file.
 _MODES_COMMANDS = {
@@ -741,6 +775,25 @@ def test_encode_named_mapping_runs_no_elimination(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(f2, "_row_ops", no_elimination)
     assert run(capsys, *base, "--mapping", mapping) == (0, expected, "")
+
+
+@pytest.mark.parametrize("modes, selector", [(20, "--mapping"), (2000, "--mapping"), (20, "--matrix")])
+def test_perm_refuses_the_table_before_the_map(tmp_path, capsys, monkeypatch, modes, selector):
+    """``perm`` needs the 2^N table for its ``cycles:`` line, so past the cap
+    it exits 2 before the N x N map is built and eliminated."""
+    if selector == "--matrix":
+        mat = tmp_path / "m.txt"
+        mat.write_text("".join("".join(map(str, row)) + "\n" for row in f2.parity_matrix(modes)))
+        selector = ["--matrix", str(mat)]
+    else:
+        selector = ["--mapping", "parity"]
+
+    def no_elimination(m):
+        raise AssertionError("eliminated a map past the table cap")
+
+    monkeypatch.setattr(f2, "_row_ops", no_elimination)
+    error = f"error: permutation storage is capped at 16 qubits, got {modes}\n"
+    assert run(capsys, "perm", "--modes", str(modes), *selector) == (2, "", error)
 
 
 @pytest.mark.parametrize(
@@ -1168,6 +1221,23 @@ def test_json_writer_on_pauli_sums(s, top_level, count):
     # to_json_dict itself is unchanged: the loop reference's sorted items
     expected = [{"pauli": p, "re": c.real, "im": c.imag} for p, c in items_sorted_loop(s)]
     assert json.dumps(s.to_json_dict()["terms"]) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("d", [2, 70, 924])
+def test_json_writer_on_state_maps(d):
+    """A state map of d labels, 1 to 16 digits each, as reduce writes it
+    (one level down) and nested deeper, is json's text of its list."""
+    rng = np.random.default_rng(d)
+    for width in range(1, 17):
+        labels = rng.integers(0, 1 << width, d)
+        labels[:2] = [0, (1 << width) - 1]
+        labels = tuple(labels.tolist())
+        plain = [{"rank": r, "bits": format(label, f"0{width}b")} for r, label in enumerate(labels)]
+        for wrap in (
+            lambda m: {"spec": {"N": d}, "state_map": m, "verify": {"passed": True}},
+            lambda m: {"a": {"b": m}},
+        ):
+            assert _joined(wrap(_StateMap(labels, width))) == json.dumps(wrap(plain), indent=2)
 
 
 def _numbered_sum(n_terms: int, seed: int) -> PauliSum:

@@ -310,14 +310,22 @@ def test_to_dense_round_trip_across_row_blocks():
     assert pauli_decompose(s.to_dense()) - s == PauliSum(9)
 
 
-@pytest.mark.parametrize("rows", [1, 3, 16])
-def test_walsh_hadamard_rows_match_the_reshape_loop(rows):
-    """Row lengths 2 to 2^12: the strided passes of levels 2 and 4 leave the
-    same bits as every level through one reshaped view, signed zeros,
-    infinities and NaN included."""
-    rng = np.random.default_rng(rows)
-    for bits in range(1, 13):
-        size = 1 << bits
+# Rows of 2 to 2^14 columns, an odd and an even stage count at the block
+# cap among them, and the block shapes of the two callers: 64 x 256 in the
+# embed_onebody decomposition and 8 x 2048 in the parity_wide verify block.
+_WHT_SHAPES = {
+    **{str(rows): [(rows, 1 << bits) for bits in range(1, 15)] for rows in (1, 3, 16)},
+    "callers": [(64, 256), (8, 2048)],
+}
+
+
+@pytest.mark.parametrize("shapes", list(_WHT_SHAPES.values()), ids=list(_WHT_SHAPES))
+def test_walsh_hadamard_rows_match_the_reshape_loop(shapes):
+    """The constant-geometry stages leave the same bits as every butterfly
+    level through one reshaped view, in place, signed zeros, infinities and
+    NaN included."""
+    rng = np.random.default_rng(len(shapes) * shapes[0][0])
+    for rows, size in shapes:
         a = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
         a *= rng.choice([1.0, 0.0, -0.0, 1e300], (rows, size))
         a.flat[rng.integers(0, a.size, 3)] = [complex(np.inf, 0.0), complex(np.nan, -0.0), -0.0j]
@@ -325,7 +333,22 @@ def test_walsh_hadamard_rows_match_the_reshape_loop(rows):
         with np.errstate(invalid="ignore", over="ignore"):
             _walsh_hadamard_rows(a)
             walsh_hadamard_rows_reshape(expected)
-        assert a.tobytes() == expected.tobytes(), size
+        assert a.tobytes() == expected.tobytes(), (rows, size)
+
+
+@pytest.mark.parametrize("rows, size", [(1, 1 << 14), (16, 1 << 9), (64, 256), (8, 2048)])
+def test_walsh_hadamard_rows_hold_one_extra_buffer(rows, size):
+    """The transform allocates at most one buffer the size of its input,
+    whether its stage count is odd or even."""
+    a = np.random.default_rng(size).standard_normal((rows, size)) + 0j
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _walsh_hadamard_rows(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= a.nbytes + 4096, (peak - base, a.nbytes)
 
 
 def test_parity_u64_beyond_16_bits():
