@@ -720,27 +720,33 @@ def cmd_verify_appendix(args) -> int:
 
 
 def cmd_verify_anticommutation(args) -> int:
+    """Each family is built, checked and dropped before the next is built.
+    The report lines are printed once every family is checked, so an error
+    leaves stdout empty."""
     n = args.modes
     rng = np.random.default_rng(args.seed)
-    suites = []
-    if args.mapping in (None, "jw"):
-        suites.append(("jw", jw_majoranas(n)))
-    if args.mapping in (None, "parity"):
-        suites.append(("parity", parity_majoranas(n)))
-    if args.mapping in (None, "random-minimal"):
-        for k in range(1, n):
-            spec = SectorSpec(n, k)
-            for t in range(args.trials):
-                suites.append((f"minimal(K={k},#{t})", random_minimal_majoranas(spec, rng)))
-    if not suites:
-        raise ValueError(f"--mapping random-minimal needs at least 2 modes, got {n}")
-    bad = 0
-    for name, majos in suites:
+
+    def families():
+        if args.mapping in (None, "jw"):
+            yield "jw", jw_majoranas(n)
+        if args.mapping in (None, "parity"):
+            yield "parity", parity_majoranas(n)
+        if args.mapping in (None, "random-minimal"):
+            for k in range(1, n):
+                spec = SectorSpec(n, k)
+                for t in range(args.trials):
+                    yield f"minimal(K={k},#{t})", random_minimal_majoranas(spec, rng)
+
+    lines, bad = [], 0
+    for name, majos in families():
         checks, failures = anticommutation_suite(majos)
-        print(f"{name}: {checks} checks {'FAIL' if failures else 'pass'}")
-        for f in failures[:1]:
-            print(f"  counterexample: {f}")
+        del majos  # before the next family is built
+        lines.append(f"{name}: {checks} checks {'FAIL' if failures else 'pass'}")
+        lines.extend(f"  counterexample: {f}" for f in failures[:1])
         bad += len(failures)
+    if not lines:
+        raise ValueError(f"--mapping random-minimal needs at least 2 modes, got {n}")
+    print("\n".join(lines))
     return EXIT_OK if bad == 0 else EXIT_VERIFY_FAILED
 
 
@@ -765,91 +771,84 @@ def cmd_verify_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with every command's arguments or, given ``command``,
-    with only that command's.  The others keep their names and help lines,
-    which is all that top-level help and errors print."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: argparse reads
+    a parser and changes nothing in it while it parses."""
     parser = argparse.ArgumentParser(
         prog="fermiperm",
         description="Permutation-based fermion-to-qubit encodings and sector reduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_line: str) -> Optional[argparse.ArgumentParser]:
-        """The command's parser if its arguments are to be added, else None."""
-        command_parser = sub.add_parser(name, help=help_line)
-        return command_parser if command in (None, name) else None
+    enc = sub.add_parser("encode", help="encode a fermionic Hamiltonian file")
+    enc.add_argument("--modes", type=_positive_int, required=True)
+    enc.add_argument("--hamiltonian", required=True, metavar="FILE")
+    enc.add_argument("--hermitize", action="store_true")
+    enc.add_argument("--output", metavar="FILE")
+    group = enc.add_mutually_exclusive_group()
+    group.add_argument("--mapping", choices=["jw", "parity"])
+    group.add_argument("--matrix", metavar="FILE")
+    enc.set_defaults(func=cmd_encode)
 
-    if enc := add("encode", "encode a fermionic Hamiltonian file"):
-        enc.add_argument("--modes", type=_positive_int, required=True)
-        enc.add_argument("--hamiltonian", required=True, metavar="FILE")
-        enc.add_argument("--hermitize", action="store_true")
-        enc.add_argument("--output", metavar="FILE")
-        group = enc.add_mutually_exclusive_group()
-        group.add_argument("--mapping", choices=["jw", "parity"])
-        group.add_argument("--matrix", metavar="FILE")
-        enc.set_defaults(func=cmd_encode)
+    red = sub.add_parser("reduce", help="encode, conjugate, and project a sector")
+    red.add_argument("--modes", type=_positive_int, required=True)
+    red.add_argument("--fermions", type=int, required=True)
+    red.add_argument("--hamiltonian", required=True, metavar="FILE")
+    red.add_argument("--hermitize", action="store_true")
+    red.add_argument("--tolerance", type=_positive_float, help="oracle comparison tolerance")
+    red.add_argument(
+        "--dense-cap", type=_positive_int, help="override the dense-matrix qubit cap"
+    )
+    red.add_argument("--output", metavar="FILE")
+    _add_perm_selector(red)
+    red.set_defaults(func=cmd_reduce)
 
-    if red := add("reduce", "encode, conjugate, and project a sector"):
-        red.add_argument("--modes", type=_positive_int, required=True)
-        red.add_argument("--fermions", type=int, required=True)
-        red.add_argument("--hamiltonian", required=True, metavar="FILE")
-        red.add_argument("--hermitize", action="store_true")
-        red.add_argument("--tolerance", type=_positive_float, help="oracle comparison tolerance")
-        red.add_argument(
-            "--dense-cap", type=_positive_int, help="override the dense-matrix qubit cap"
-        )
-        red.add_argument("--output", metavar="FILE")
-        _add_perm_selector(red)
-        red.set_defaults(func=cmd_reduce)
+    perm = sub.add_parser("perm", help="inspect or synthesize a basis permutation")
+    perm.add_argument("--modes", type=_positive_int, required=True)
+    perm.add_argument("--fermions", type=int)
+    perm.add_argument("--synthesize", action="store_true")
+    perm.add_argument("--output", metavar="FILE")
+    _add_perm_selector(perm)
+    perm.set_defaults(func=cmd_perm)
 
-    if perm := add("perm", "inspect or synthesize a basis permutation"):
-        perm.add_argument("--modes", type=_positive_int, required=True)
-        perm.add_argument("--fermions", type=int)
-        perm.add_argument("--synthesize", action="store_true")
-        perm.add_argument("--output", metavar="FILE")
-        _add_perm_selector(perm)
-        perm.set_defaults(func=cmd_perm)
+    ver = sub.add_parser("verify", help="run a verification suite")
+    ver_sub = ver.add_subparsers(dest="suite", required=True)
+    v_anti = ver_sub.add_parser("anticommutation")
+    v_anti.add_argument("--modes", type=_positive_int, required=True)
+    v_anti.add_argument("--mapping", choices=["jw", "parity", "random-minimal"])
+    v_anti.add_argument("--trials", type=_positive_int, default=2)
+    v_anti.add_argument("--seed", type=int, default=0)
+    v_anti.set_defaults(func=cmd_verify_anticommutation)
+    v_app = ver_sub.add_parser("appendix")
+    v_app.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
+    v_app.set_defaults(func=cmd_verify_appendix)
+    v_orc = ver_sub.add_parser("oracle")
+    v_orc.add_argument("--modes", type=_positive_int, required=True)
+    v_orc.add_argument("--fermions", type=int, required=True)
+    v_orc.add_argument("--trials", type=_positive_int, default=20)
+    v_orc.add_argument("--seed", type=int, default=0)
+    v_orc.add_argument("--tolerance", type=_positive_float)
+    v_orc.set_defaults(func=cmd_verify_oracle)
 
-    if ver := add("verify", "run a verification suite"):
-        ver_sub = ver.add_subparsers(dest="suite", required=True)
-        v_anti = ver_sub.add_parser("anticommutation")
-        v_anti.add_argument("--modes", type=_positive_int, required=True)
-        v_anti.add_argument("--mapping", choices=["jw", "parity", "random-minimal"])
-        v_anti.add_argument("--trials", type=_positive_int, default=2)
-        v_anti.add_argument("--seed", type=int, default=0)
-        v_anti.set_defaults(func=cmd_verify_anticommutation)
-        v_app = ver_sub.add_parser("appendix")
-        v_app.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
-        v_app.set_defaults(func=cmd_verify_appendix)
-        v_orc = ver_sub.add_parser("oracle")
-        v_orc.add_argument("--modes", type=_positive_int, required=True)
-        v_orc.add_argument("--fermions", type=int, required=True)
-        v_orc.add_argument("--trials", type=_positive_int, default=20)
-        v_orc.add_argument("--seed", type=int, default=0)
-        v_orc.add_argument("--tolerance", type=_positive_float)
-        v_orc.set_defaults(func=cmd_verify_oracle)
+    costs = sub.add_parser("costs", help="qubit-cost table as CSV")
+    costs.add_argument("--modes", type=_positive_int, required=True)
+    costs.add_argument("--output", metavar="FILE")
+    costs.set_defaults(func=cmd_costs)
 
-    if costs := add("costs", "qubit-cost table as CSV"):
-        costs.add_argument("--modes", type=_positive_int, required=True)
-        costs.add_argument("--output", metavar="FILE")
-        costs.set_defaults(func=cmd_costs)
-
-    if stats := add("stats", "term statistics of a Pauli-sum JSON file"):
-        stats.add_argument("--input", required=True, metavar="FILE")
-        stats.add_argument("--output", metavar="FILE")
-        stats.set_defaults(func=cmd_stats)
+    stats = sub.add_parser("stats", help="term statistics of a Pauli-sum JSON file")
+    stats.add_argument("--input", required=True, metavar="FILE")
+    stats.add_argument("--output", metavar="FILE")
+    stats.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no option but --help, so the first word
-    # that is not an option is the command, if any
-    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
+    """Run the command ``argv`` names (``sys.argv[1:]`` when None), parsed by
+    the one ``build_parser()``, and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

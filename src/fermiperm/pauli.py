@@ -138,10 +138,22 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.array(counts, dtype=np.int64).reshape(masks.shape)
 
 
+# np.abs(c) more than 2 ulps from PRUNE_TOL is on hypot's side of it: near
+# PRUNE_TOL numpy's complex abs is at most an ulp off the C library's hypot
+_NEAR_TOL = np.nextafter(np.nextafter(PRUNE_TOL, [0, 1]), [0, 1])
+
+
+@np.errstate(over="ignore")  # a finite c's magnitude may pass the largest float
 def _above_tol(c: np.ndarray) -> np.ndarray:
     """``abs(c) > PRUNE_TOL`` as CPython decides it, by the C library's
-    ``hypot``; False for NaN."""
-    return np.hypot(c.real, c.imag) > PRUNE_TOL
+    ``hypot``; False for NaN.  The one prune of every coefficient array:
+    ``np.abs`` decides, and ``hypot`` only within 2 ulps of ``PRUNE_TOL``."""
+    magnitude = np.abs(c)
+    keep = magnitude > PRUNE_TOL
+    near = (magnitude >= _NEAR_TOL[0]) & (magnitude <= _NEAR_TOL[1])
+    if near.any():
+        keep[near] = np.hypot(c.real[near], c.imag[near]) > PRUNE_TOL
+    return keep
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -729,9 +741,7 @@ def _decompose_displacements(
             block = g[start : start + step]
             _walsh_hadamard_rows(block)
             block *= phases[labels[start : start + step, None] & cols]
-            # a finite coefficient's magnitude may pass the largest float
-            with np.errstate(over="ignore"):
-                kept = np.abs(block) > PRUNE_TOL
+            kept = _above_tol(block)
             if bits:
                 block, kept, first[start : start + step] = _project_rows(block, kept, bits)
                 g[start : start + step, :width] = block
@@ -765,7 +775,6 @@ def _project_rows(block: np.ndarray, kept: np.ndarray, bits):
         block += np.where(khi, np.negative(hi) if value else hi, _ABSENT)
         block += _ZERO
         first = np.where(klo, flo, fhi)
-        with np.errstate(over="ignore"):
-            kept = np.abs(block) > PRUNE_TOL
+        kept = _above_tol(block)
         block, kept, first = (a.reshape(a.shape[0], -1) for a in (block, kept, first))
     return block, kept, first

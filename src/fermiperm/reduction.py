@@ -44,9 +44,9 @@ from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, _redundancy_of_images
 from .pauli import (
     DENSE_CAP,
-    PRUNE_TOL,
     PauliSum,
     _ZERO,
+    _above_tol,
     _block_rows,
     _check_dense_cap,
     _check_fixed,
@@ -109,7 +109,7 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     total = np.add.reduceat(terms, start)
     del terms
     total = total[seen] + _ZERO
-    keep = np.abs(total) > PRUNE_TOL
+    keep = _above_tol(total)
     xs, zs = xs[seen[keep]], zs[seen[keep]]
     xs = ((xs >> 1) & ~low) | (xs & low)
     zs = ((zs >> 1) & ~low) | (zs & low)

@@ -468,6 +468,34 @@ def test_verify_anticommutation_random_minimal_needs_two_modes(capsys):
 
 
 
+def _traced_peak(f) -> int:
+    """The tracemalloc peak of ``f()``, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_anticommutation_holds_one_family_at_a_time(capsys):
+    """At 7 modes ``random-minimal`` builds 12 dense-conjugated families,
+    6 sectors of 2 trials; the command peaks below twice the peak of
+    building and checking the K = 3 family alone, so each family is
+    dropped before the next is built."""
+    spec = SectorSpec(7, 3)
+
+    def one_family():
+        cli.anticommutation_suite(cli.random_minimal_majoranas(spec, np.random.default_rng(0)))
+
+    one_family()  # once untraced, so that both peaks leave out first-use caches
+    alone = _traced_peak(one_family)
+    argv = ["verify", "anticommutation", "--modes", "7", "--mapping", "random-minimal"]
+    command = _traced_peak(lambda: run(capsys, *argv))
+    assert command < 2 * alone, (command, alone)
+    assert run(capsys, *argv)[1].count(" checks pass\n") == 12
+
+
 def test_anticommutation_suite_reports_failures():
     """Broken 3-mode families: each failure is named, in pair order, and the
     check count stays 2N(2N + 1)/2.  Strings are checked on their masks and
@@ -629,8 +657,7 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
-# Help and usage errors, which main prints from a parser with only the
-# named command's arguments.
+# Help and usage errors, which main prints from the one cached parser.
 _PARSER_ARGVS = [
     [], ["--help"], ["-h"], ["bogus"], ["bogus", "--modes", "3"], ["--help", "reduce"],
     *([command, "--help"] for command in ("encode", "reduce", "perm", "verify", "costs", "stats")),
@@ -644,22 +671,26 @@ _PARSER_ARGVS = [
 @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
 def test_one_command_parser_prints_what_the_full_parser_prints(argv):
     """Every help text and usage error main prints, its exit code included,
-    is the full parser's, byte for byte."""
+    is that of a freshly built parser, byte for byte: the parser main has
+    cached, and parsed with in earlier tests, is unchanged by its parses."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            build_parser.__wrapped__().parse_args(argv)
     assert _main_captured(argv) == (exc.value.code, out.getvalue(), err.getvalue())
 
 
-@pytest.mark.parametrize("command", ["encode", "costs", "bogus"])
-def test_a_one_command_parser_knows_no_other_commands_options(capsys, command):
-    """main builds the parser for its first word: there ``reduce`` has no
-    arguments, so its required options are unrecognized."""
-    with pytest.raises(SystemExit) as exc:
-        build_parser(command).parse_args(["reduce", "--modes", "3"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --modes 3" in capsys.readouterr().err
+def test_main_parses_with_one_parser_built_once(monkeypatch):
+    """A usage error, a command, a suite and help, run in turn by main in
+    one process, share one parser and print, exit codes included, what each
+    prints from a freshly built parser."""
+    argvs = [["costs"], ["costs", "--modes", "4"], ["verify", "appendix", "--n", "2"], ["--help"]]
+    parser = build_parser()
+    cached = [_main_captured(argv) for argv in argvs]
+    assert build_parser() is parser
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)  # a new parser per call
+    assert [_main_captured(argv) for argv in argvs] == cached
 
 
 # Every subcommand that takes --modes, with the other arguments it needs;
@@ -1226,7 +1257,8 @@ def test_json_writer_on_pauli_sums(s, top_level, count):
 @pytest.mark.parametrize("d", [2, 70, 924])
 def test_json_writer_on_state_maps(d):
     """A state map of d labels, 1 to 16 digits each, as reduce writes it
-    (one level down) and nested deeper, is json's text of its list."""
+    (one level down) and nested deeper, is json's text of its list; so is
+    an empty one."""
     rng = np.random.default_rng(d)
     for width in range(1, 17):
         labels = rng.integers(0, 1 << width, d)
@@ -1238,6 +1270,7 @@ def test_json_writer_on_state_maps(d):
             lambda m: {"a": {"b": m}},
         ):
             assert _joined(wrap(_StateMap(labels, width))) == json.dumps(wrap(plain), indent=2)
+    assert _joined({"state_map": _StateMap((), 1)}) == json.dumps({"state_map": []}, indent=2)
 
 
 def _numbered_sum(n_terms: int, seed: int) -> PauliSum:

@@ -442,6 +442,8 @@ def test_appendix_caps():
 
     with pytest.raises(ResourceError):
         appendix_verify(6)
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        appendix_verify(1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -24,6 +24,7 @@ from fermiperm import (
 from fermiperm.pauli import (
     PRUNE_TOL,
     _ZERO,
+    _above_tol,
     _block_rows,
     _decompose_displacements,
     _popcount_u64,
@@ -465,6 +466,11 @@ def test_decompose_identity_and_z():
     assert one == PauliSum.from_terms(2, [(1.0, "II")])
     z = pauli_decompose(np.diag([1.0, -1.0]))
     assert z == PauliSum.from_terms(1, [(1.0, "Z")])
+    # |c| is PRUNE_TOL by numpy's complex abs and an ulp above it by hypot,
+    # which CPython's abs and the constructor use: the term comes back, bit for bit
+    c = PauliSum.identity(1, 9.999999999999998e-13 + 2.4780348905730923e-20j)
+    assert len(c) == 1
+    assert repr(list(pauli_decompose(c.to_dense()).items())) == repr(list(c.items()))
 
 
 def test_decompose_round_trip_random_3q():
@@ -476,6 +482,29 @@ def test_decompose_round_trip_random_3q():
         for (key, coeff) in s.items():
             assert abs(dict(back.items()).get(key, 0.0) - coeff) < 1e-12
         assert len(back) == len(s)
+
+
+def test_above_tol_is_hypot_near_the_threshold():
+    """At each of the 17 magnitudes within 8 ulps of PRUNE_TOL, over random
+    angles, and on NaN, infinities and overflowing magnitudes, the prune
+    keeps exactly the values whose hypot is above PRUNE_TOL, for any shape."""
+    rng = np.random.default_rng(5)
+    magnitudes = [PRUNE_TOL]
+    for _ in range(8):
+        magnitudes = [np.nextafter(magnitudes[0], 0), *magnitudes, np.nextafter(magnitudes[-1], 1)]
+    angles = rng.uniform(0, 2 * np.pi, size=(len(magnitudes), 4000))
+    c = np.array(magnitudes)[:, None] * np.exp(1j * angles)
+    inf, nan = math.inf, math.nan
+    special = [complex(nan, 0), complex(inf, nan), complex(nan, -inf), complex(1.5e308, 1.5e308),
+               complex(PRUNE_TOL, 0), complex(0, -PRUNE_TOL), 0j]
+    for values in (c, c.ravel(), np.array(special)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _above_tol(values)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(got, np.hypot(values.real, values.imag) > PRUNE_TOL)
+    assert np.array_equal(got, [False, True, True, True, False, False, False])
+    assert 0 < np.count_nonzero(_above_tol(c)) < c.size
 
 
 def test_decompose_unitary_norm_is_one():

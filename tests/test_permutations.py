@@ -159,6 +159,8 @@ def test_circuit_text_round_trip():
         GateCircuit.from_text(2, "CNOT 1\n")
     with pytest.raises(ValueError):
         GateCircuit.from_text(2, "HADAMARD 1\n")
+    with pytest.raises(ValueError, match="^line 1: MCX needs at least two controls$"):
+        GateCircuit.from_text(4, "MCX 1 2")
 
 
 # --- group operations ------------------------------------------------------
