@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -146,8 +146,8 @@ def _resolve_permutation(args, spec: Optional[SectorSpec]) -> BasisPermutation |
     return minimal_permutation_index_embed(spec)
 
 
-# Terms per chunk of a streamed Pauli sum: about 25 kB of JSON text.  The
-# join of a chunk's 6 pieces per term holds an 80-byte buffer view per piece.
+# Records per chunk of a streamed JSON list: about 25 kB of a Pauli sum's
+# text.  The join holds an 80-byte buffer view per piece, 6 per term.
 _CHUNK_TERMS = 1 << 8
 # Distinct floats per batch of the spelling kernel (``_spellings``).
 _SPELL_BATCH = 1 << 12
@@ -179,48 +179,46 @@ def _emit(payload, output: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
-class _StateMap(NamedTuple):
-    """Stands for ``reduce``'s ``state_map`` in a payload: the list
-    ``[{"rank": r, "bits": labels[r] as width binary digits}, ...]``."""
+class _Records(NamedTuple):
+    """A JSON list of ``count`` flat objects: ``fields`` pairs each key with
+    whether its value is a quoted string, and ``columns()``, called once json
+    reaches the list, gives per key a function spelling records start to stop."""
 
-    labels: Sequence[int]
-    width: int
+    fields: tuple[tuple[str, bool], ...]
+    count: int
+    columns: Callable[[], Sequence[Callable[[int, int], list]]]
 
 
 def _json_chunks(payload: dict) -> Iterator[bytes]:
     """Exactly ``json.dumps(payload, indent=2)``, encoded, in chunks, where a
-    ``PauliSum`` value (in the payload or a nested dict) stands for its
-    sorted terms list, the ``"terms"`` of ``PauliSum.to_json_dict``, and a
-    ``_StateMap`` for its list of ranks and bits.
+    ``_Records`` value (in the payload or a nested dict) stands for its list
+    and a ``PauliSum`` for the records of ``_term_records``.
 
-    Sums are written straight from their term arrays, ``_CHUNK_TERMS`` terms
-    a chunk (see ``_terms_chunks``), and a state map in one join (see
-    ``_state_map_chunks``).  Everything else goes through json, whose
-    encoder is pure Python once ``indent`` is set.
+    Each list is written by ``_records_chunks``; everything else goes
+    through json, whose encoder is pure Python once ``indent`` is set.
     """
     # stands in for each such value; the CLI's payloads hold no NUL character
     marker = "\0spelled"
-    spelled: list[tuple[PauliSum | _StateMap, str]] = []
+    spelled: list[tuple[_Records, str]] = []
     marked = _mark_spelled(payload, marker, 0, spelled)
     head, *tails = json.dumps(marked, indent=2).split(json.dumps(marker))
     yield head.encode()
-    for (value, indent), tail in zip(spelled, tails):
-        if isinstance(value, PauliSum):
-            yield from _terms_chunks(value, indent)
-        else:
-            yield from _state_map_chunks(value, indent)
+    for (records, indent), tail in zip(spelled, tails):
+        yield from _records_chunks(records, indent)
         yield tail.encode()
 
 
 def _mark_spelled(obj, marker: str, depth: int, spelled: list):
-    """``obj`` with each ``PauliSum`` and ``_StateMap`` in it replaced by
-    ``marker``; the value and the indent of its lines are appended to
+    """``obj`` with each ``_Records`` and ``PauliSum`` in it replaced by
+    ``marker``; the records and the indent of their lines are appended to
     ``spelled`` in the order json will write them.
 
     A module function, not a closure: a recursive closure is a reference
     cycle, which would keep ``spelled`` alive until the garbage collector
     runs."""
-    if isinstance(obj, (PauliSum, _StateMap)):
+    if isinstance(obj, PauliSum):
+        obj = _term_records(obj)
+    if isinstance(obj, _Records):
         spelled.append((obj, "  " * depth))
         return marker
     if not isinstance(obj, dict):
@@ -228,74 +226,73 @@ def _mark_spelled(obj, marker: str, depth: int, spelled: list):
     return {key: _mark_spelled(value, marker, depth + 1, spelled) for key, value in obj.items()}
 
 
-def _state_map_chunks(m: _StateMap, indent: str) -> Iterator[bytes]:
-    """One chunk that is the state map's list as ``json.dumps(..., indent=2)``
-    writes it, with every line after the first indented by ``indent``: a
-    join of the constant separators, the ranks and the labels' digits, laid
-    out for all labels at once."""
-    if not len(m.labels):
+def _records_chunks(records: _Records, indent: str) -> Iterator[bytes]:
+    """Chunks that join to the records' list as ``json.dumps(..., indent=2)``
+    writes it, encoded, with every line after the first indented by
+    ``indent``.  A chunk of ``_CHUNK_TERMS`` records is one join of the
+    constant separators and its slice of each column, interleaved."""
+    if not records.count:
         yield b"[]"
         return
-    labels = np.asarray(m.labels, dtype=np.int64)
-    digits = (labels[:, None] >> np.arange(m.width - 1, -1, -1)) & 1
-    digits += ord("0")
-    bits = digits.astype(np.uint8).view(f"S{m.width}").ravel().tolist()
+    columns = records.columns()
     item = (indent + "  ").encode()
-    opening = b"\n" + item + b'{\n' + item + b'  "rank": '
-    closing = b'"\n' + item + b"}"
-    pieces = [closing + b"," + opening, None, b",\n" + item + b'  "bits": "', None] * labels.size
-    pieces[0] = b"[" + opening
-    pieces[1::4] = np.arange(labels.size).astype(bytes).tolist()
-    pieces[3::4] = bits
-    pieces.append(closing + b"\n" + indent.encode() + b"]")
-    yield b"".join(pieces)
-
-
-def _terms_chunks(s: PauliSum, indent: str) -> Iterator[bytes]:
-    """Chunks that join to ``json.dumps(s.to_json_dict()["terms"], indent=2)``,
-    encoded, with every line after the first indented by ``indent``.
-
-    Each distinct float bit pattern is spelled once, as json does: one
-    ``argsort`` of the parts gives the sorted distinct values, which
-    ``_spellings`` turns into a table of fixed-width bytes, and each part's
-    row in that table.  A chunk takes its parts' spellings from the table;
-    it is one join of the constant separators, the sorted letters and the
-    spellings of the chunk's terms, interleaved."""
-    letters, coeff = s._sorted_terms()
-    if not letters.size:
-        yield b"[]"
-        return
-    parts = coeff.view(np.float64).view(np.uint64)  # re, im per term
-    order = np.argsort(parts)
-    bits = parts[order]
-    del coeff, parts  # the sorted copy and the order hold all that is needed
-    first = np.empty(bits.size, dtype=bool)
-    first[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    bits = bits[first]
-    row = np.empty(order.size, dtype=np.int32)  # each part's row of the table
-    row[order] = np.cumsum(first, dtype=np.int32) - 1
-    del order, first
-    table = _spellings(bits)
-    del bits
-    item = (indent + "  ").encode()
-    opening = b"\n" + item + b'{\n' + item + b'  "pauli": "'
-    closing = b"\n" + item + b"}"
-    term = [closing + b"," + opening, None, b'",\n' + item + b'  "re": ',
-            None, b",\n" + item + b'  "im": ', None]
-    for start in range(0, letters.size, _CHUNK_TERMS):
-        stop = min(start + _CHUNK_TERMS, letters.size)
-        spelling = table[row[2 * start : 2 * stop]].tolist()  # drops the NUL padding
-        pieces = term * (stop - start)
-        pieces[1::6] = letters[start:stop].tolist()
-        pieces[3::6] = spelling[0::2]
-        pieces[5::6] = spelling[1::2]
+    quotes = [b'"' * quoted for _, quoted in records.fields]  # each opens and closes its value
+    keys = [b'\n%s  "%s": %s' % (item, k.encode(), q) for (k, _), q in zip(records.fields, quotes)]
+    opening, closing = b"\n" + item + b"{" + keys[0], quotes[-1] + b"\n" + item + b"}"
+    separators = [closing + b"," + opening] + [q + b"," + key for q, key in zip(quotes, keys[1:])]
+    record = [piece for separator in separators for piece in (separator, None)]
+    for start in range(0, records.count, _CHUNK_TERMS):
+        stop = min(start + _CHUNK_TERMS, records.count)
+        pieces = record * (stop - start)
+        for j, column in enumerate(columns):
+            pieces[2 * j + 1 :: len(record)] = column(start, stop)
         if start == 0:
-            pieces[0] = b"[" + opening  # the list opens where later terms close the last
-        if stop == letters.size:
+            pieces[0] = b"[" + opening  # the list opens where later records close the last
+        if stop == records.count:
             pieces.append(closing + b"\n" + indent.encode() + b"]")
         yield b"".join(pieces)
-        del pieces, spelling  # before the next chunk's lists are built
+        del pieces  # before the next chunk's lists are built
+
+
+def _term_records(s: PauliSum) -> _Records:
+    """The records of ``s.to_json_dict()["terms"]``.  Each distinct float bit
+    pattern is spelled once, as json does: one ``argsort`` of the parts
+    gives the sorted distinct values, which ``_spellings`` turns into a
+    table of fixed-width bytes, and each part's row in that table."""
+
+    def columns():
+        letters, coeff = s._sorted_terms()
+        parts = coeff.view(np.float64).view(np.uint64)  # re, im per term
+        order = np.argsort(parts)
+        bits = parts[order]
+        del coeff, parts  # the sorted copy and the order hold all that is needed
+        first = np.empty(bits.size, dtype=bool)
+        first[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        bits = bits[first]
+        row = np.empty((order.size // 2, 2), dtype=np.int32)  # each part's row of the table
+        row.ravel()[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order, first
+        table = _spellings(bits)
+        del bits
+        re, im = row.T
+        return (lambda start, stop: letters[start:stop].tolist(),
+                lambda start, stop: table[re[start:stop]].tolist(),  # drops the NUL padding
+                lambda start, stop: table[im[start:stop]].tolist())
+
+    return _Records((("pauli", True), ("re", False), ("im", False)), len(s), columns)
+
+
+def _state_map(labels: Sequence[int], width: int) -> _Records:
+    """``reduce``'s ``state_map``: each rank and its label in ``width`` binary digits."""
+
+    def columns():
+        digits = np.asarray(labels, dtype=np.int64)[:, None] >> np.arange(width - 1, -1, -1)
+        bits = (digits & 1 | ord("0")).astype(np.uint8).view(f"S{width}").ravel()
+        return (lambda start, stop: np.arange(start, stop).astype(bytes).tolist(),
+                lambda start, stop: bits[start:stop].tolist())
+
+    return _Records((("rank", False), ("bits", True)), len(labels), columns)
 
 
 def _spellings(bits: np.ndarray) -> np.ndarray:
@@ -601,7 +598,7 @@ def cmd_reduce(args) -> int:
         "spec": {"N": spec.n_modes, "K": spec.n_fermions, "q_min": spec.q_min},
         "fixed_qubits": [[q, v] for q, v in rh.report.fixed],
         "hamiltonian": {"n_qubits": width, "terms": rh.pauli_sum},
-        "state_map": _StateMap(rh.labels, width),
+        "state_map": _state_map(rh.labels, width),
         "verify": {
             "max_deviation": check.max_deviation,
             "spectrum_deviation": check.spectrum_deviation,
@@ -646,8 +643,7 @@ def cmd_costs(args) -> int:
 
 def cmd_stats(args) -> int:
     with open(args.input) as fh:
-        data = json.load(fh)
-    s = PauliSum.from_json_dict(data)
+        s = PauliSum.from_json_dict(json.load(fh))
     payload = {"n_qubits": s.n_qubits, **_sum_stats(s)}
     _emit(payload, args.output)
     return EXIT_OK
@@ -853,8 +849,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (FermipermError, ValueError, OSError, MemoryError) as exc:
-        # an allocation Python itself refuses raises a MemoryError with no message
+    except (FermipermError, ValueError, OSError, MemoryError, RecursionError) as exc:
+        # an allocation Python itself refuses raises a MemoryError with no
+        # message; json raises a RecursionError on input nested too deeply
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -77,7 +77,8 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     is folded out are summed and the sum is pruned at ``PRUNE_TOL``.  Only
     the index of those terms, their keys and their gathered coefficients
     are held, so the input is never copied whole; only the surviving keys
-    are folded.  Terms keep the order in which their keys first appear."""
+    are folded.  Terms keep the order in which their keys first appear.
+    A sum past the largest float raises ``ValueError``."""
     n = s.n_qubits
     _check_fixed(n, ((qubit, value),))
     x, z, coeff = s._arrays
@@ -106,7 +107,8 @@ def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
     del kept
     if value:
         np.negative(terms, out=terms, where=flip)
-    total = np.add.reduceat(terms, start)
+    with _overflow_raises("the projection"):
+        total = np.add.reduceat(terms, start)
     del terms
     total = total[seen] + _ZERO
     keep = _above_tol(total)

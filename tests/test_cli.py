@@ -28,7 +28,7 @@ from fermiperm import (
 )
 from fermiperm import encodings, f2, minimal, permutations
 from fermiperm.cli import (
-    _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, _spellings, _StateMap, anticommutation_suite,
+    _CHUNK_TERMS, _SPELL_BATCH, _json_chunks, _spellings, _state_map, anticommutation_suite,
     build_parser, main,
 )
 from fermiperm.pauli import PRUNE_TOL
@@ -641,6 +641,18 @@ def test_stats_rejects_parts_that_are_not_finite(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err == f"error: term {index} has a part that is not a finite float\n"
         assert not out_file.exists()
+
+
+def test_stats_rejects_json_nested_too_deeply(tmp_path, capsys):
+    """Nesting past the interpreter's recursion limit is one error line and
+    exit 2, with nothing on stdout and no file written."""
+    path, out_file = tmp_path / "deep.json", tmp_path / "stats.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for output in (["--output", str(out_file)], []):
+        code, out, err = run(capsys, "stats", "--input", str(path), *output)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "recursion" in err
+    assert not out_file.exists()
 
 
 def test_outputs_are_deterministic(hop_file, capsys):
@@ -1269,8 +1281,23 @@ def test_json_writer_on_state_maps(d):
             lambda m: {"spec": {"N": d}, "state_map": m, "verify": {"passed": True}},
             lambda m: {"a": {"b": m}},
         ):
-            assert _joined(wrap(_StateMap(labels, width))) == json.dumps(wrap(plain), indent=2)
-    assert _joined({"state_map": _StateMap((), 1)}) == json.dumps({"state_map": []}, indent=2)
+            assert _joined(wrap(_state_map(labels, width))) == json.dumps(wrap(plain), indent=2)
+    assert _joined({"state_map": _state_map((), 1)}) == json.dumps({"state_map": []}, indent=2)
+
+
+@pytest.mark.parametrize("d", [255, 256, 257, 924])
+def test_json_writer_chunks_state_maps(d):
+    """A state map of d labels around one chunk and of the (12, 6) sector
+    is json's text in chunks of at most _CHUNK_TERMS records, one chunk per
+    _CHUNK_TERMS labels begun, beside the text before and after it."""
+    width = 10
+    labels = tuple(np.random.default_rng(d).integers(0, 1 << width, d).tolist())
+    plain = [{"rank": r, "bits": format(label, f"0{width}b")} for r, label in enumerate(labels)]
+    payload = {"spec": {"N": 12}, "state_map": _state_map(labels, width), "verify": {}}
+    chunks = list(_json_chunks(payload))
+    assert b"".join(chunks).decode() == json.dumps({**payload, "state_map": plain}, indent=2)
+    assert max(chunk.count(b'"rank"') for chunk in chunks) <= _CHUNK_TERMS
+    assert len(chunks) == 2 + math.ceil(d / _CHUNK_TERMS)
 
 
 def _numbered_sum(n_terms: int, seed: int) -> PauliSum:
@@ -1537,6 +1564,24 @@ def test_finite_sums_whose_dense_forms_overflow_are_a_usage_error(
         warnings.simplefilter("error")
         for output in (["--output", str(out)], []):
             assert run(capsys, *argv, *output) == (2, "", error)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("selector", [["--mapping", "parity"], ["--index-embed"]])
+def test_projections_that_overflow_are_a_usage_error(tmp_path, capsys, selector):
+    """At N=2, K=1 either table is affine, so the number terms' I and Z
+    partners meet in the projection, where their sum passes the largest
+    float: exit 2 with one error line naming it, before any numpy warning,
+    with nothing on stdout and no file written."""
+    ham = tmp_path / "h.txt"
+    ham.write_text("1 1 1.7e308 0\n2 2 -1.7e308 0\n")
+    out = tmp_path / "out.json"
+    argv = ["reduce", "--modes", "2", "--fermions", "1", *selector, "--hermitize"]
+    error = "error: the projection overflows: its sums pass the largest float\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for output in (["--output", str(out)], []):
+            assert run(capsys, *argv, "--hamiltonian", str(ham), *output) == (2, "", error)
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ def test_project_matches_loop(case):
         assert got == expected
         assert same_terms(got, expected)
         s = expected
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_project_raises_when_partners_overflow(value):
+    """I and Z partners of 1e308 fold to a sum past the largest float on
+    either value (Z's sign flips with the I term's): a ValueError naming
+    the projection, before any numpy warning."""
+    s = PauliSum.from_terms(2, [(1e308, "II"), ((-1) ** value * 1e308, "ZI")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the projection overflows"):
+            project_fixed_qubit(s, 1, value)
 
 
 def test_project_merges_at_the_prune_threshold():
