@@ -658,8 +658,10 @@ def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
     pair anticommutes.
 
     ``majoranas`` is a list of (plain, primed) pairs of PauliString or
-    PauliSum.  A family of strings is checked on its masks and phases; any
-    other family is made dense once.  Returns (number of checks, failure
+    PauliSum.  A family of strings is checked on its masks and phases.  Any
+    other family is made dense once and kept as column maps, each column's one
+    nonzero (ValueError unless there is one) as its row and value; products of
+    such maps are checked entry for entry.  Returns (number of checks, failure
     descriptions).
     """
     names = [f"{g}{j}" for j in range(1, len(majoranas) + 1) for g in ("g", "g'")]
@@ -671,14 +673,19 @@ def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
 
         bad_pair, pair_failure = commutes, "{} and {} commute"
     else:
-        ops = [op.to_dense() for op in ops]
-        eye = np.eye(ops[0].shape[0])
+        ops = [_column_map(op.to_dense(), name) for op, name in zip(ops, names)]
+        cols = np.arange(ops[0][0].size)
 
         def bad_square(a) -> bool:
-            return not np.array_equal(a @ a, eye)
+            row, val = a
+            return not (np.array_equal(row[row], cols) and np.all(val[row] * val == 1))
 
-        def bad_pair(a, b) -> bool:
-            return np.max(np.abs(a @ b + b @ a)) != 0.0
+        def bad_pair(a, b) -> bool:  # column v of ab + ba: two entries that must cancel
+            (row_a, val_a), (row_b, val_b) = a, b
+            return not (
+                np.array_equal(row_a[row_b], row_b[row_a])
+                and np.array_equal(val_a[row_b] * val_b, -(val_b[row_a] * val_a))
+            )
 
         pair_failure = "{{ {}, {} }} != 0"
     failures = []
@@ -689,6 +696,15 @@ def anticommutation_suite(majoranas) -> tuple[int, list[str]]:
             if bad_pair(a, ops[j]):
                 failures.append(pair_failure.format(names[i], names[j]))
     return len(ops) * (len(ops) + 1) // 2, failures
+
+
+def _column_map(dense: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) of each column's one nonzero; ValueError unless there is one."""
+    nonzero = dense != 0
+    if np.any(np.count_nonzero(nonzero, axis=0) != 1):
+        raise ValueError(f"{name} does not hold exactly one nonzero per column")
+    row = np.argmax(nonzero, axis=0)
+    return row, dense[row, np.arange(row.size)]
 
 
 def random_minimal_majoranas(

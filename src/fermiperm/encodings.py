@@ -139,16 +139,10 @@ class FermionOperator:
     def max_mode(self) -> int:
         return int(self._arrays[0].max(initial=0))
 
-    def _conserving(self) -> np.ndarray:
-        """Per term: as many raising as lowering operators."""
-        _, daggers, lengths, _ = self._arrays
-        return 2 * np.count_nonzero(daggers, axis=1) == lengths
-
-    def is_number_conserving(self) -> bool:
-        return bool(self._conserving().all())
-
     def require_number_conserving(self) -> None:
-        broken = np.flatnonzero(~self._conserving())
+        """Raise unless every term has as many raising as lowering operators."""
+        _, daggers, lengths, _ = self._arrays
+        broken = np.flatnonzero(2 * np.count_nonzero(daggers, axis=1) != lengths)
         if broken.size:
             t = self.terms[broken[0]]
             raise NumberConservationError(

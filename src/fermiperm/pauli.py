@@ -332,10 +332,6 @@ class PauliString:
             raise ValueError("phase must be an integer power of i in {0,1,2,3}")
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0, 0)
-
-    @classmethod
     def from_letters(cls, letters: str, phase: int = 0) -> "PauliString":
         """Build from a string like ``"ZXIX"`` (qubit 1 leftmost)."""
         n = len(letters)
@@ -349,17 +345,6 @@ class PauliString:
             x |= xq * bit
             z |= zq * bit
         return cls(n, x, z, phase)
-
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, letter: str) -> "PauliString":
-        """One non-identity letter on the given qubit (1-based)."""
-        if not 1 <= qubit <= n_qubits:
-            raise DimensionError(f"qubit {qubit} out of range 1..{n_qubits}")
-        if letter not in _LETTER_TO_XZ:
-            raise ValueError(f"invalid Pauli letter {letter!r}")
-        xq, zq = _LETTER_TO_XZ[letter]
-        bit = 1 << (n_qubits - qubit)
-        return cls(n_qubits, xq * bit, zq * bit, 0)
 
     def letter(self, qubit: int) -> str:
         if not 1 <= qubit <= self.n_qubits:

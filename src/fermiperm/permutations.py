@@ -43,8 +43,12 @@ def _check_storage_cap(n_qubits: int, noun: str = "permutation") -> None:
 
 
 def _check_states(states, n_qubits: int) -> None:
-    """Raise unless ``states``, an int or an integer array, lie in 0..2^n - 1."""
+    """Raise unless ``states``, an int or an integer array (an object array of
+    Python ints past 64 bits), lie in 0..2^n - 1.  A bool or a float is no state."""
     s = np.asarray(states)
+    if s.dtype.kind not in "iu" and not (s.dtype == object and all(type(x) is int for x in s.flat)):
+        kind = f"a {s.dtype} array" if s.ndim else type(states).__name__
+        raise DimensionError(f"basis states must be integers, got {kind}")
     if s.size and (int(np.min(s)) < 0 or int(np.max(s)) >= 1 << n_qubits):
         raise DimensionError(f"a basis state lies outside 0..2^{n_qubits} - 1")
 
@@ -72,14 +76,10 @@ class BasisPermutation:
         self._affine = ...  # not yet classified
         self._inverse = None  # not yet built
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "BasisPermutation":
-        _check_storage_cap(n_qubits)
-        return cls(np.arange(1 << n_qubits))
-
     def apply(self, states):
         """Lookup: an ``int`` for an int state, elementwise for an integer
-        array.  Raises ``DimensionError`` on a state outside 0..2^n - 1."""
+        array.  Raises ``DimensionError`` on a bool, a float or a state
+        outside 0..2^n - 1."""
         _check_states(states, self.n_qubits)
         images = self.image[states]
         return images if isinstance(images, np.ndarray) else int(images)
@@ -307,10 +307,12 @@ class AffineMapF2:
     offset: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.uint8) % 2
-        b = np.ascontiguousarray(self.offset, dtype=np.uint8) % 2
+        m, b = np.asarray(self.matrix), np.asarray(self.offset)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or b.shape != (m.shape[0],):
             raise ValueError("matrix must be square and offset a matching vector")
+        if not all(((a == 0) | (a == 1)).all() for a in (m, b)):
+            raise ValueError("matrix and offset entries must be 0 or 1")
+        m, b = np.array(m, dtype=np.uint8), np.array(b, dtype=np.uint8)  # own copies
         ops = f2._row_ops(m)
         if ops is None:
             raise InvalidEncodingError("encoding matrix is singular over GF(2), not invertible")
@@ -343,7 +345,7 @@ class AffineMapF2:
 
     def apply(self, states):
         """Mx (+) b: for a Python int of any width, or elementwise for an
-        array.  Raises ``DimensionError`` on a state outside 0..2^n - 1."""
+        integer array.  Raises ``DimensionError`` as ``BasisPermutation.apply`` does."""
         _check_states(states, self.n_qubits)
         return f2._xor_columns(self._column_masks, states) ^ self._offset_mask
 

@@ -523,3 +523,19 @@ def spellings_repr(bits: np.ndarray, batch: int = 1 << 12) -> list[bytes]:
     for start in range(0, values.size, batch):
         spelled += repr(values[start : start + batch].tolist()).encode()[1:-1].split(b", ")
     return [_JSON_NAMES.get(word, word) for word in spelled]
+
+
+def anticommutation_suite_dense(majoranas) -> tuple[int, list[str]]:
+    """``cli.anticommutation_suite`` on dense products: every operator made
+    dense, each square compared with I and each anticommutator with 0."""
+    names = [f"{g}{j}" for j in range(1, len(majoranas) + 1) for g in ("g", "g'")]
+    ops = [op.to_dense() for pair in majoranas for op in pair]
+    eye = np.eye(ops[0].shape[0])
+    failures = []
+    for i, a in enumerate(ops):
+        if not np.array_equal(a @ a, eye):
+            failures.append(f"{names[i]}^2 != I")
+        for j in range(i + 1, len(ops)):
+            if np.max(np.abs(a @ ops[j] + ops[j] @ a)) != 0.0:
+                failures.append(f"{{ {names[i]}, {names[j]} }} != 0")
+    return len(ops) * (len(ops) + 1) // 2, failures

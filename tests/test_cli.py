@@ -32,7 +32,7 @@ from fermiperm.cli import (
     build_parser, main,
 )
 from fermiperm.pauli import PRUNE_TOL
-from helpers import array_sum, items_sorted_loop, spellings_repr
+from helpers import anticommutation_suite_dense, array_sum, items_sorted_loop, spellings_repr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -519,6 +519,56 @@ def test_anticommutation_suite_reports_failures():
     assert anticommutation_suite(mixed) == (
         21, ["{ g1, g2 } != 0", "{ g1, g3 } != 0", "{ g2, g3 } != 0", "g3^2 != I"]
     )
+
+
+def test_anticommutation_suite_matches_dense_products():
+    """On random-minimal families for N = 2..6, and on copies of them with an
+    operator doubled, negated, repeated, or swapped in from another family,
+    the column maps give the checks and failures of dense products."""
+    rng = np.random.default_rng(12)
+    swaps_failing = 0
+    for n in range(2, 7):
+        families = [cli.random_minimal_majoranas(SectorSpec(n, k), rng) for k in range(1, n)]
+        families.append(cli.random_minimal_majoranas(SectorSpec(n, 1), rng))  # a second trial
+        for f, family in enumerate(families):
+            ops = [op for pair in family for op in pair]
+            other = [op for pair in families[f - 1] for op in pair]
+            i, j = (int(v) for v in rng.choice(len(ops), 2, replace=False))
+            copies = [list(ops) for _ in range(5)]
+            copies[1][i] = 2 * ops[i]
+            copies[2][i] = -1 * ops[i]
+            copies[3][j] = ops[i]
+            copies[4][i] = other[i]
+            verdicts = []
+            for c in copies:
+                pairs = list(zip(c[0::2], c[1::2]))
+                expect = anticommutation_suite_dense(pairs)
+                assert anticommutation_suite(pairs) == expect
+                verdicts.append(bool(expect[1]))
+            # a negated Majorana is still one; a doubled or repeated one is not
+            assert verdicts[:4] == [False, True, False, True]
+            swaps_failing += verdicts[4]
+    assert swaps_failing > 10
+
+
+def test_anticommutation_suite_holds_column_maps():
+    """A (7,3) random-minimal family is checked on column maps: the suite
+    peaks below 2 MB, where dense products of its 128 x 128 operators peak
+    at 4.4 MB."""
+    family = cli.random_minimal_majoranas(SectorSpec(7, 3), np.random.default_rng(0))
+    anticommutation_suite(family)  # once untraced, so that the peak leaves out first-use caches
+    assert _traced_peak(lambda: anticommutation_suite(family)) < 2_000_000
+
+
+def test_anticommutation_suite_refuses_operators_not_one_nonzero_per_column():
+    """(X + Z)/sqrt(2) squares to I and anticommutes with Y, but it is no
+    Pauli string up to a basis permutation: the suite names it and raises."""
+    h = PauliSum.from_terms(1, [(2**-0.5, "X"), (2**-0.5, "Z")])
+    y = PauliSum.from_terms(1, [(1.0, "Y")])
+    with pytest.raises(ValueError, match="^g1 does not hold exactly one nonzero per column$"):
+        anticommutation_suite([(h, y)])
+    with pytest.raises(ValueError, match="^g'2 does not hold"):
+        anticommutation_suite([(y, 1j * y), (y, h)])
 
 
 def test_verify_appendix_reports_a_counterexample(capsys, monkeypatch):

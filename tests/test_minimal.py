@@ -167,7 +167,7 @@ def test_index_embed_redundancy_property(n, k, completion):
     assert all(v == 0 for _, v in report.fixed)
 
 
-@pytest.mark.parametrize("p", [BasisPermutation.identity(4), LinearEncodingF2.parity(4)])
+@pytest.mark.parametrize("p", [BasisPermutation(np.arange(16)), LinearEncodingF2.parity(4)])
 def test_redundant_qubits_rejects_a_sector_of_another_size(p):
     with pytest.raises(DimensionError, match="different sizes"):
         redundant_qubits(p, SectorSpec(5, 2))
@@ -328,7 +328,7 @@ def test_affine_permutations_fix_at_most_one_qubit():
 
 
 def test_synthesize_identity():
-    rep = synthesize_permutation(BasisPermutation.identity(3))
+    rep = synthesize_permutation(BasisPermutation(np.arange(8)))
     assert rep.total_gates == 0
     assert rep.nonclifford_count == 0
 
@@ -453,6 +453,28 @@ def test_appendix_counts_and_witness(n):
     assert report.max_constant_digits == 1
     assert [v for _, v in report.per_weight_max] == [1] * (n - 1)
     assert report.witness == tuple(f2.rows_to_masks(f2.parity_matrix(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_affine_maps_fix_exactly_an_all_ones_row(data):
+    """The Clifford limit in closed form, past the n <= 5 of the brute force:
+    for 0 < K < N, digit i of Ms (+) b is constant on the weight-K states
+    exactly when row i of M is all ones, and then it is K + b_i mod 2;
+    otherwise swapping a 1-bit and a 0-bit of s flips it.  An invertible M
+    has at most one such row; half the draws force one."""
+    n = data.draw(st.integers(2, 16), label="n")  # C(16, 8) = 12870 <= 2^16 states
+    k = data.draw(st.integers(1, n - 1), label="k")
+    ones = data.draw(st.none() | st.integers(0, n - 1), label="all-ones row")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = np.ones((n, n), dtype=np.uint8)  # singular: the loop runs at least once
+    while not f2.is_invertible(m):
+        m = rng.integers(0, 2, (n, n), dtype=np.uint8)
+        if ones is not None:
+            m[ones] = 1
+    b = rng.integers(0, 2, n, dtype=np.uint8)
+    expect = tuple((int(i) + 1, (k + int(b[i])) % 2) for i in np.flatnonzero(m.all(axis=1)))
+    assert redundant_qubits(AffineMapF2(m, b), SectorSpec(n, k)).fixed == expect
 
 
 # --- costs -----------------------------------------------------------------

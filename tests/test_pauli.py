@@ -59,7 +59,7 @@ def test_multiply_single_qubit_identities():
 def test_paulis_square_to_identity(letters):
     p = PauliString.from_letters(letters)
     sq = p * p
-    assert sq == PauliString.identity(p.n_qubits)
+    assert sq == PauliString(p.n_qubits, 0, 0)
 
 
 def test_multiply_checked_against_dense_product():
@@ -179,7 +179,7 @@ def test_commutator_type_matches_dense_random_8q():
 
 
 def test_weight():
-    assert PauliString.identity(5).weight() == 0
+    assert PauliString(5, 0, 0).weight() == 0
     assert PauliString.from_letters("ZXIX").weight() == 3
     from fermiperm import jw_majorana
 
@@ -210,7 +210,7 @@ def test_four_term_majorana_image_stays_four_terms():
 
 
 def test_to_dense_identity_and_z():
-    assert np.allclose(PauliString.identity(3).to_dense(), np.eye(8))
+    assert np.allclose(PauliString(3, 0, 0).to_dense(), np.eye(8))
     assert np.allclose(PauliString.from_letters("Z").to_dense(), np.diag([1, -1]))
 
 
@@ -406,7 +406,7 @@ def test_dense_cap_enforced():
         pauli_decompose(np.broadcast_to(np.float64(1.0), (2**13, 2**13)))
 
 
-@pytest.mark.parametrize("op", [PauliSum.identity(20), PauliString.identity(20)], ids=type)
+@pytest.mark.parametrize("op", [PauliSum.identity(20), PauliString(20, 0, 0)], ids=type)
 def test_to_dense_cap_checked_before_allocation(op):
     """At 20 qubits the 2^20 basis labels alone would be 8 MiB."""
     tracemalloc.start()
@@ -594,11 +594,6 @@ def test_single_qubit_accessors_validate():
     for qubit in (0, 4):
         with pytest.raises(DimensionError, match=f"qubit {qubit} out of range 1..3"):
             p.letter(qubit)
-    assert PauliString.single(3, 2, "Y") == PauliString.from_letters("IYI")
-    with pytest.raises(DimensionError, match="qubit 3 out of range 1..2"):
-        PauliString.single(2, 3, "X")
-    with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
-        PauliString.single(3, 2, "Q")
 
 
 def test_string_rendering():

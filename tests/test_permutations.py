@@ -69,7 +69,7 @@ def random_permutation(n, rng):
 
 
 def test_from_cycles_empty_is_identity():
-    assert from_cycles(3, []) == BasisPermutation.identity(3)
+    assert from_cycles(3, []) == BasisPermutation(np.arange(8))
 
 
 def test_from_cycles_one_fermion_ket_table():
@@ -120,7 +120,7 @@ def test_cycle_string_round_trip():
     rng = np.random.default_rng(3)
     p = BasisPermutation(rng.permutation(16))
     assert from_cycles(4, parse_cycles(p.cycle_string())) == p
-    assert BasisPermutation.identity(2).cycle_string() == "()"
+    assert BasisPermutation(np.arange(4)).cycle_string() == "()"
 
 
 def test_permutation_from_circuit_single_cnot():
@@ -182,7 +182,7 @@ def test_inverse_is_built_once_and_kept():
 
 def test_dense_conjugation_rejects_mismatched_registers():
     with pytest.raises(DimensionError, match="different registers"):
-        conjugate_pauli_dense(BasisPermutation.identity(3), PauliSum.from_terms(2, [(1.0, "XZ")]))
+        conjugate_pauli_dense(BasisPermutation(np.arange(8)), PauliSum.from_terms(2, [(1.0, "XZ")]))
 
 
 def test_circuits_and_affine_conjugation_check_their_registers():
@@ -206,7 +206,7 @@ def test_parity_chain_inverse_recovers_occupancies():
 
 
 def test_classify_identity():
-    a = classify_affine(BasisPermutation.identity(3))
+    a = classify_affine(BasisPermutation(np.arange(8)))
     assert a is not None
     assert np.array_equal(a.matrix, np.eye(3, dtype=np.uint8))
     assert not a.offset.any()
@@ -328,8 +328,13 @@ def test_row_ops_match_the_reference_eliminations(case):
         ([[1, 1], [1, 1]], [0, 1], "invertible"),
         ([[1, 0, 0], [0, 1, 0]], [0, 0], "square"),
         ([[1, 0], [1, 1]], [0, 1, 1], "matching vector"),
+        ([[3, 0], [2, 1]], [0, 0], "entries must be 0 or 1"),
+        ([[1, 0], [0, -1]], [0, 0], "entries must be 0 or 1"),
+        ([[1.5, 0], [0, 1]], [0, 0], "entries must be 0 or 1"),
+        ([[1, 0], [0, 1]], [0, 2], "entries must be 0 or 1"),
     ],
-    ids=["singular", "not-square", "offset-length"],
+    ids=["singular", "not-square", "offset-length", "entry-2", "entry-minus-1", "entry-1.5",
+         "offset-2"],
 )
 def test_affine_map_rejects_bad_input(matrix, offset, message):
     with pytest.raises(ValueError, match=message):
@@ -385,8 +390,8 @@ def test_classify_round_trips_random_affine():
 
 
 def test_apply_rejects_states_outside_the_register():
-    """A table and a map take states in 0..2^n - 1 only, as ints or arrays;
-    in range they give the lookup and Mx (+) b."""
+    """A table and a map take states in 0..2^n - 1 only, as ints or integer
+    arrays; in range they give the lookup and Mx (+) b."""
     table = BasisPermutation([1, 0, 3, 2])
     swap = LinearEncodingF2(np.array([[0, 1], [1, 0]]))
     wide = LinearEncodingF2.jordan_wigner(70)
@@ -394,11 +399,16 @@ def test_apply_rejects_states_outside_the_register():
         for bad in (-1, 4, np.array([0, 4]), np.array([-1, 1])):
             with pytest.raises(DimensionError, match=r"outside 0\.\.2\^2 - 1"):
                 p.apply(bad)
+        # a bool would index the table as a mask, and a float is no state
+        for bad in (True, np.array([True, False, True, False]), 2.0):
+            with pytest.raises(DimensionError, match="basis states must be integers"):
+                p.apply(bad)
         assert [p.apply(s) for s in range(4)] == images
         assert p.apply(np.arange(4)).tolist() == images
     with pytest.raises(DimensionError):
         wide.apply(1 << 70)
     assert wide.apply((1 << 70) - 1) == (1 << 70) - 1
+    assert wide.apply(np.array([1 << 69, 3], dtype=object)).tolist() == [1 << 69, 3]
 
 def test_classify_affine_iff_single_term_conjugation():
     """Gottesman-Knill consistency: affine exactly when every single-qubit
@@ -411,7 +421,8 @@ def test_classify_affine_iff_single_term_conjugation():
         single = True
         for q in range(1, n + 1):
             for letter in "XZ":
-                s = PauliSum.from_pauli(PauliString.single(n, q, letter))
+                letters = "I" * (q - 1) + letter + "I" * (n - q)
+                s = PauliSum.from_pauli(PauliString.from_letters(letters))
                 out = conjugate_pauli_dense(p, s)
                 if len(out) != 1:
                     single = False
@@ -442,7 +453,7 @@ def test_affine_conjugation_golden_table():
 def test_dense_conjugation_identity():
     rng = np.random.default_rng(7)
     s = random_pauli_sum(3, 5, rng)
-    assert conjugate_pauli_dense(BasisPermutation.identity(3), s) == s
+    assert conjugate_pauli_dense(BasisPermutation(np.arange(8)), s) == s
 
 
 def test_dense_conjugation_of_zero_sum_is_zero():
@@ -452,7 +463,7 @@ def test_dense_conjugation_of_zero_sum_is_zero():
 
 
 def test_dense_conjugation_cap_checked_before_allocation():
-    p = BasisPermutation.identity(13)
+    p = BasisPermutation(np.arange(2**13))
     s = PauliSum.identity(13)
     tracemalloc.start()
     try:
@@ -587,7 +598,7 @@ def test_dense_conjugation_rejects_bad_fixed_pairs(fixed):
     raises the error ``project_fixed_qubit`` raises on the full result, one
     pair at a time in descending qubit order, and its message wherever the
     pairs name distinct qubits."""
-    p = BasisPermutation.identity(3)
+    p = BasisPermutation(np.arange(8))
     s = PauliSum.from_terms(3, [(1.0, "ZIZ"), (0.5, "IXI")])
     with pytest.raises(ValueError) as expected:
         out = conjugate_pauli_dense(p, s)
@@ -680,7 +691,8 @@ def test_affine_equals_dense_exhaustive_small():
 def test_permutation_cap():
     """At 17 qubits the image table would be 1 MiB; the ResourceError comes
     before anything near that is allocated."""
-    for build in (BasisPermutation.identity, lambda n: from_cycles(n, [(0, 1)])):
+    zeros = np.broadcast_to(np.int64(0), (1 << 17,))  # a view: nothing the size of the table
+    for build in (lambda n: BasisPermutation(zeros), lambda n: from_cycles(n, [(0, 1)])):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError):
