@@ -80,15 +80,16 @@ def _fixed_mask(n: int, fixed) -> int:
 
 def parity_u64(values: np.ndarray) -> np.ndarray:
     """Elementwise popcount parity (0 or 1) of an integer array, all 64 bits."""
-    v = np.array(values, dtype=np.uint64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
+    return _popcount_u64(values) & 1
 
 
 def _popcount_u64(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of an integer array, all 64 bits, by SWAR folding."""
+    """Elementwise popcount of an integer array, all 64 bits: numpy's
+    ``bitwise_count`` (numpy 2.0 on) on the bits as ``uint64``, else SWAR
+    folding."""
     v = np.array(values, dtype=np.uint64)
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(v).astype(np.int64)
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
     m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -239,6 +240,11 @@ def _overflow_raises(what: str) -> np.errstate:
 _BLOCK_ENTRIES = 1 << 14
 
 
+# Complex entries (64 KiB) that each array of verify's scratch holds, beside
+# the (d + 1) x d buffer of ``_dense_block(spare_row=True)``.
+_VERIFY_ENTRIES = 1 << 12
+
+
 def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_ENTRIES // dim)
 
@@ -266,13 +272,19 @@ def _walsh_hadamard_rows(a: np.ndarray) -> None:
     bits are the same, signed zeros, infinities and NaN included.
     """
     rows, size = a.shape
+    if size == 1:  # no stage: the transform of one entry is itself
+        return
     flat = a.reshape(-1)
     src, dst = flat, np.empty_like(flat)
+    # each buffer's views, made once: read as adjacent pairs, written as halves
+    views = {}
+    for b in (src, dst):
+        pairs, halves = b.reshape(-1, 2), b.reshape(2, -1)
+        views[id(b)] = pairs[:, 0], pairs[:, 1], halves[0], halves[1]
     for _ in range(size.bit_length() - 1):
-        pairs = src.reshape(-1, 2)
-        halves = dst.reshape(2, -1)
-        np.add(pairs[:, 0], pairs[:, 1], out=halves[0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=halves[1])
+        (left, right, _, _), (_, _, low, high) = views[id(src)], views[id(dst)]
+        np.add(left, right, out=low)
+        np.subtract(left, right, out=high)
         src, dst = dst, src
     if src is flat:
         if rows == 1:
@@ -576,7 +588,10 @@ class PauliSum:
         """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
         labels, without the 2^n x 2^n matrix unless every label is asked for.
         With ``spare_row`` the whole (d + 1) x d buffer is returned, B in its
-        first d rows and scratch values in its last.
+        first d rows and scratch values in its last.  Its blocks of X masks
+        then hold ``_VERIFY_ENTRIES`` entries, or one row: beside the buffer,
+        the block, the transform's second buffer and each gather of labels
+        hold 64 KiB at most, two rows at 2^11.
 
         Terms sharing an X mask x fill the entries (v (+) x, v); their values
         are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
@@ -607,15 +622,20 @@ class PauliSum:
         masks = xs[bounds[:-1]]
         del xs, new
         cols = np.arange(size)
-        step = _block_rows(dim)
+        step = max(1, _VERIFY_ENTRIES // dim) if spare_row else _block_rows(dim)
+        # each term's power of i, a byte, so a block gathers its amplitudes
+        phase = np.empty(x.size, dtype=np.uint8)
+        for lo in range(0, x.size, _BLOCK_ENTRIES):
+            part = slice(lo, lo + _BLOCK_ENTRIES)
+            phase[part] = _popcount_u64(x[part] & z[part]) % 4
         with _overflow_raises("the dense form of the Pauli sum"):
             for start in range(0, masks.size, step):
                 stop = min(start + step, masks.size)
                 terms = order[bounds[start] : bounds[stop]]
-                amps = coeff[terms] * _I_POWERS[_popcount_u64(x[terms] & z[terms]) % 4]
                 block = np.zeros((stop - start, dim), dtype=complex)
-                rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
-                block[rows, z[terms]] = amps
+                rows = np.arange(0, (stop - start) * dim, dim)  # where each mask's row starts
+                at = z[terms] + np.repeat(rows, np.diff(bounds[start : stop + 1]))
+                block.reshape(-1)[at] = coeff[terms] * _I_POWERS[phase[terms]]
                 _walsh_hadamard_rows(block)
                 out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
         return out if spare_row else out[:size]

@@ -78,10 +78,10 @@ class BasisPermutation:
 
     def apply(self, states):
         """Lookup: an ``int`` for an int state, elementwise for an integer
-        array.  Raises ``DimensionError`` on a bool, a float or a state
-        outside 0..2^n - 1."""
+        array, an object array of ints among them.  Raises
+        ``DimensionError`` on a bool, a float or a state outside 0..2^n - 1."""
         _check_states(states, self.n_qubits)
-        images = self.image[states]
+        images = self.image[np.asarray(states, dtype=np.int64)]  # a table has at most 2^16 states
         return images if isinstance(images, np.ndarray) else int(images)
 
     @property

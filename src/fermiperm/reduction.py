@@ -24,12 +24,16 @@ sector and a BLAS pinned to one thread the solves run side by side on two
 threads.  That buffer is the only d x d array verify holds, 16 (d + 1) d
 bytes (about 256 MiB under the default dense cap, d <= 2^12); LAPACK's own
 working copy of each matrix, 16 d^2 bytes, two at once when the solves run
-side by side, is not counted there.
+side by side, is not counted there.  Beside it, each array of verify's
+scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096, 64 KiB),
+whatever d and the chunk width: the oracle reaches the sweep as the summed
+entries of a chunk of columns, and the sweep hermitizes in place.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +50,8 @@ from .pauli import (
     DENSE_CAP,
     PauliSum,
     _ZERO,
+    _VERIFY_ENTRIES,
     _above_tol,
-    _block_rows,
     _check_dense_cap,
     _check_fixed,
     _fixed_mask,
@@ -203,8 +207,14 @@ def sector_oracle(
     is checked before anything is allocated.  The d x d matrix is dense, so
     d may be at most 2^dense_cap.
     """
-    columns, _ = _oracle_passes(h, spec, dense_cap)
-    return columns(0, spec.dimension)
+    coeff, strings = _checked_ladder_strings(h, spec, dense_cap)
+    states, dim = spec.states, spec.dimension
+    out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
+    with _overflow_raises("the sector oracle"):
+        for rank, col, value in _scatter_ladders(states, states, coeff, strings):
+            np.add.at(flat, rank * dim + col, value)
+    return out
 
 
 def _ladder_strings(
@@ -256,44 +266,101 @@ def _ladder_strings(
     return coeff[live], tuple(a[live] for a in masks)
 
 
-def _apply_ladders(states, need, one, flip, sign, odd):
-    """Apply a chunk of ladder strings (``_ladder_strings`` masks) to every
-    occupancy string in ``states``.  Returns the surviving (term, column)
-    pairs in term-major order, and for each its resulting state and its
-    sign bit (1 for a minus sign)."""
-    term, col = np.nonzero((states & need[:, None]) == one[:, None])
-    start = states[col]
-    return term, col, start ^ flip[term], parity_u64(start & sign[term]) ^ odd[term]
+def _apply_ladders(starts, states, coeff, need, one, flip, sign, odd, first):
+    """Apply a chunk of ladder strings (``_ladder_strings`` masks, their
+    coefficients ``coeff``) to every occupancy string in ``starts``.
+    Returns the surviving (term, column) pairs that land on a sector rank
+    r >= ``first``, in term-major order, as r - first, the column and the
+    signed coefficient."""
+    term, col = np.nonzero((starts & need[:, None]) == one[:, None])
+    state = starts[col]
+    minus = parity_u64(state & sign[term]) != odd[term]
+    state ^= flip[term]
+    rank = np.searchsorted(states, state)
+    np.minimum(rank, states.size - 1, out=rank)
+    hit = states[rank] == state
+    del state
+    if first:
+        hit &= rank >= first
+    term, col, rank, minus = term[hit], col[hit], rank[hit], minus[hit]
+    rank -= first
+    value = coeff[term]
+    np.negative(value, out=value, where=minus)
+    return rank, col, value
 
 
-def _scatter_ladders(out, starts, states, coeff, strings, first: int = 0) -> None:
-    """The one oracle kernel: add each term's element +-c from ``starts[c]``
-    to sector rank r >= ``first`` into ``out[r - first, c]``.
+def _scatter_ladders(starts, states, coeff, strings, first: int = 0):
+    """The one oracle kernel: yield each term's element +-c from
+    ``starts[c]`` to sector rank r >= ``first`` as r - first, c and the
+    value, in term-major order.
 
     ``_apply_ladders`` runs on ``_LADDER_PAIRS`` (term, start) pairs at a
-    time.  The results are ranked by binary search in the sorted sector
-    ``states``; those outside it, or ranked below ``first``, are dropped.
-    One term sends distinct starts to distinct rows, and ``np.add.at`` adds
-    in term-major order, so every entry sums its terms in their given order.
-    ``out`` must be C-contiguous."""
-    dim, width = states.size, starts.size
-    flat = out.reshape(-1)
-    step = max(1, _LADDER_PAIRS // width)
-    with _overflow_raises("the sector oracle"):
-        for start in range(0, coeff.size, step):
-            chunk = slice(start, start + step)
-            term, col, state, odd = _apply_ladders(starts, *(a[chunk] for a in strings))
-            rows = np.minimum(np.searchsorted(states, state), dim - 1)
-            hit = (states[rows] == state) & (rows >= first)
-            c = coeff[chunk][term[hit]]
-            np.add.at(flat, (rows[hit] - first) * width + col[hit], np.where(odd[hit] == 1, -c, c))
+    time, one yield each.  The results are ranked by binary search in the
+    sorted sector ``states``; those outside it, or ranked below ``first``,
+    are dropped.  One term sends distinct starts to distinct rows, so
+    ``np.add.at`` over the yields in turn sums every entry's terms in their
+    given order."""
+    step = max(1, _LADDER_PAIRS // starts.size)
+    for start in range(0, coeff.size, step):
+        chunk = slice(start, start + step)
+        yield _apply_ladders(starts, states, coeff[chunk], *(a[chunk] for a in strings), first)
+
+
+def _ladder_counts(states, need, one, *_) -> np.ndarray:
+    """How many of the ladder strings (``_ladder_strings`` masks) survive
+    on each of ``states``: the most entries the kernel gives its column."""
+    counts = np.zeros(states.size, dtype=np.int64)
+    step = max(1, _LADDER_PAIRS // states.size)
+    for start in range(0, need.size, step):
+        chunk = slice(start, start + step)
+        counts += np.count_nonzero((states & need[chunk, None]) == one[chunk, None], axis=0)
+    return counts
+
+
+def _summed(entries, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct flat indices r * ``width`` + c of ``_scatter_ladders``
+    yields, sorted, and each one's values summed by ``np.add.at`` from +0
+    in the order given: the entries of the zeroed array that ``np.add.at``
+    over the yields in turn would fill."""
+    keys, values = [], []
+    for rank, col, value in entries:
+        keys.append(rank * width + col)
+        values.append(value)
+    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    inverse = np.cumsum(first)  # each entry's distinct index, in sorted order
+    inverse -= 1
+    inverse[order] = inverse.copy()  # and in the order given
+    del order
+    keys = keys[first]
+    total = np.zeros(keys.size, dtype=complex)
+    start = 0
+    for value in values:  # one piece at a time, in order
+        np.add.at(total, inverse[start:start + value.size], value)
+        start += value.size
+    return keys, total
+
+
+def _checked_ladder_strings(h: FermionOperator, spec: SectorSpec, dense_cap: int):
+    """The oracle's checks, then ``_ladder_strings(h, N)``."""
+    n = spec.n_modes
+    if n > 64:
+        raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
+    _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
+    return _ladder_strings(h, n)
 
 
 def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
-    """The oracle's checks, then two functions of the sector states s..t-1:
-    the column pass, O[:, s:t], and the row pass, O[s:t, t:].  The row pass
-    applies the adjoint ladder strings to the same states, since for a
-    ladder product T, <j| T |i> = <i| T^dagger |j>, a real +-1 or 0.
+    """The oracle's checks, then for the sector states s..t-1 its column
+    and row passes, and the most entries each column of the oracle O gets
+    from the kernel.  The column pass gives the entries of O[:, s:t] as
+    ``_summed`` does.  The row pass adds O[s:t, t:], transposed, into the
+    zeroed ``buf[t + 1:, s:t]``, one kernel step at a time; it applies the
+    adjoint ladder strings to the same states, since for a ladder product
+    T, <j| T |i> = <i| T^dagger |j>, a real +-1 or 0.
 
     Below ``_ORACLE_SAFE_SUM`` per part, a sum of some of the coefficients
     cannot pass the largest float.  Otherwise an oracle entry may overflow,
@@ -301,33 +368,80 @@ def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
     comes before any other of ``verify_reduction``'s, as when the whole
     oracle was built first."""
     n = spec.n_modes
-    if n > 64:
-        raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
-    _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
-    coeff, strings = _ladder_strings(h, n)
+    coeff, strings = _checked_ladder_strings(h, spec, dense_cap)
     states, dim = spec.states, spec.dimension
-    adjoint = None  # built by the first row pass; a single chunk runs none
+    adjoint = None  # built by the first row pass; the last chunk runs none
 
-    def columns(s: int, t: int) -> np.ndarray:
-        out = np.zeros((dim, t - s), dtype=complex)
-        _scatter_ladders(out, states[s:t], states, coeff, strings)
-        return out
+    def columns(s: int, t: int):
+        with _overflow_raises("the sector oracle"):
+            return _summed(_scatter_ladders(states[s:t], states, coeff, strings), t - s)
 
-    def rows(s: int, t: int) -> np.ndarray:
+    def rows(s: int, t: int, buf: np.ndarray) -> None:
         nonlocal adjoint
-        out = np.zeros((dim - t, t - s), dtype=complex)  # O[s:t, t:] transposed
-        if t < dim:
-            adjoint = adjoint or _ladder_strings(h, n, adjoint=True)
-            _scatter_ladders(out, states[s:t], states, *adjoint, first=t)
-        return out.T
+        adjoint = adjoint or _ladder_strings(h, n, adjoint=True)
+        flat = buf.reshape(-1)
+        with _overflow_raises("the sector oracle"):
+            for rank, col, value in _scatter_ladders(states[s:t], states, *adjoint, first=t):
+                np.add.at(flat, (rank + t + 1) * dim + s + col, value)
 
+    counts = _ladder_counts(states, *strings)
     with np.errstate(over="ignore"):
         safe = all(np.abs(part).sum() < _ORACLE_SAFE_SUM for part in (coeff.real, coeff.imag))
     if not safe:
-        step = _block_rows(dim)
-        for s in range(0, dim, step):
-            columns(s, min(s + step, dim))
-    return columns, rows
+        cuts = _chunk_cuts(counts)
+        for s, t in zip(cuts[:-1], cuts[1:]):
+            columns(s, t)
+    return columns, rows, counts
+
+
+def _matrix_passes(oracle: np.ndarray):
+    """``_oracle_passes`` for a given complex matrix O: the column pass
+    gives the entries of O[:, s:t] that are not +0+0j, in row-major order;
+    the row pass copies O[s:t, t:], transposed, into ``buf[t + 1:, s:t]``;
+    and each column's count of those entries.  Both read O in blocks of
+    rows whose masks hold 8 ``_VERIFY_ENTRIES`` bools."""
+    dim = len(oracle)
+
+    def blocks(s: int, t: int):
+        step = max(1, 8 * _VERIFY_ENTRIES // (t - s))
+        for a in range(0, dim, step):
+            part = oracle[a:a + step, s:t]
+            kept = part.real.view(np.int64) != 0  # the bits of a part are not all zero
+            kept |= part.imag.view(np.int64) != 0
+            yield a, part, kept
+
+    def columns(s: int, t: int):
+        keys = np.empty(counts[s:t].sum(), dtype=np.int64)
+        values = np.empty(keys.size, dtype=complex)
+        n = 0
+        for a, part, kept in blocks(s, t):
+            found = np.flatnonzero(kept)
+            keys[n:n + found.size] = found + a * (t - s)
+            values[n:n + found.size] = part[kept]
+            n += found.size
+        return keys, values
+
+    def rows(s: int, t: int, buf: np.ndarray) -> None:
+        buf[t + 1:, s:t] = oracle[s:t, t:].T
+
+    counts = np.zeros(dim, dtype=np.int64)
+    for _, _, kept in blocks(0, dim):
+        counts += np.count_nonzero(kept, axis=0)
+    return columns, rows, counts
+
+
+def _chunk_cuts(counts: np.ndarray) -> list[int]:
+    """Bounds 0 = c_0 < c_1 < ... = d of the sweep's chunks of columns,
+    taken left to right: each chunk is as wide as keeps the entries
+    ``counts`` gives its columns within ``_VERIFY_ENTRIES``, and one column
+    at least."""
+    total = np.concatenate(([0], np.cumsum(counts)))
+    cuts = [0]
+    while cuts[-1] < counts.size:
+        s = cuts[-1]
+        t = int(np.searchsorted(total, total[s] + _VERIFY_ENTRIES, side="right")) - 1
+        cuts.append(max(t, s + 1))
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -354,7 +468,10 @@ def verify_reduction(
     is built, in the (d + 1) x d buffer ``_dense_block`` returns, and
     ``_sweep`` writes both hermitized triangles into that buffer.  So verify
     holds one d x d array, 16 (d + 1) d bytes (about 256 MiB under the
-    default ``dense_cap``, d <= 2^12), plus chunks of about 2^14 entries.
+    default ``dense_cap``, d <= 2^12).  Beside it, each array of scratch
+    holds at most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the
+    2^q-wide transform, and the oracle's kernel steps ``_LADDER_PAIRS``
+    (term, state) pairs: at d = 924 and q = 11, about 0.25 MiB at most.
     The two eigensolves then dominate the cost; LAPACK's working copy of
     each matrix, 16 d^2 bytes, comes on top, twice at once when they run
     side by side.  ``dense_cap`` bounds the reduced register.
@@ -376,14 +493,15 @@ def verify_reduction(
     the result does not depend on it.  A solve that raises raises from the
     calling thread, after the worker has been joined, as it would in turn."""
     dim = rh.spec.dimension
-    if isinstance(oracle, FermionOperator):
-        columns, rows = _oracle_passes(oracle, rh.spec, dense_cap)
-    elif oracle.shape != (dim, dim):
+    if not isinstance(oracle, FermionOperator) and oracle.shape != (dim, dim):
         raise DimensionError("oracle shape does not match the sector dimension")
-    else:
-        columns, rows = (lambda s, t: oracle[:, s:t]), (lambda s, t: oracle[s:t, t:])
-    buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
-    max_dev = _sweep(buf, columns, rows)
+    with _small_ufunc_buffers():
+        if isinstance(oracle, FermionOperator):
+            columns, rows, counts = _oracle_passes(oracle, rh.spec, dense_cap)
+        else:  # a complex matrix is not copied
+            columns, rows, counts = _matrix_passes(np.asarray(oracle, dtype=complex))
+        buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
+        max_dev = _sweep(buf, _chunk_cuts(counts), columns, rows)
     eig_block, eig_oracle = _eigvalsh_pair(buf[:dim].T, buf[1:], _solve_side_by_side(dim))
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle))) if dim else 0.0
 
@@ -391,47 +509,121 @@ def verify_reduction(
     return ReductionCheck(max_dev, spectrum_dev, passed, tol)
 
 
-def _sweep(buf: np.ndarray, columns, rows) -> float:
+def _sweep(buf: np.ndarray, cuts, columns, rows) -> float:
     """Return max |B - O| for the block B in the first d rows of the
     (d + 1) x d buffer, and write both hermitized lower triangles, (a +
     a^H) / 2, into it: B's, transposed, into the upper triangle of rows
     0..d-1, read as ``buf[:d].T``; the oracle's into the strict lower
-    triangle, read as ``buf[1:]``.  ``columns(s, t)`` gives O[:, s:t] and
-    ``rows(s, t)`` gives O[s:t, t:].
+    triangle, read as ``buf[1:]``.  ``columns(s, t)`` gives the entries of
+    O[:, s:t] as sorted, distinct flat indices of that array and their
+    values, every other entry +0+0j; ``rows(s, t, buf)`` writes O[s:t, t:],
+    transposed, into the zeroed ``buf[t + 1:, s:t]``.
 
-    The chunks J = [s, t) of ``_block_rows(d)`` columns run right to left.
-    When J's turn comes no chunk has written to column J or to rows J right
-    of the diagonal, so:
+    The chunks J = [s, t) between ``cuts`` run right to left.  When J's
+    turn comes no chunk has written to column J or to rows J right of the
+    diagonal, so:
 
-    1. the deviation reads B[:, J] raw;
-    2. B's entries for rows J go into ``buf[J, s:]``: the upper triangle,
-       and below the diagonal of J's square values step 3 overwrites;
+    1. the deviation reads B[:, J] raw, in blocks of rows: the block's
+       entries of O are subtracted in place, |B - O| there and |B| = |B -
+       0| elsewhere give the block's max, and B's bits are put back;
+    2. B's entries for rows J go into ``buf[J, s:]``: in place right of
+       J's square, and the square's rows from the diagonal on a block of
+       rows at a time, through an array of at most ``_VERIFY_ENTRIES``;
     3. O's entries for columns J go into ``buf[j + 1:, j]``, over the raw B
-       entries steps 1 and 2 have just read.
+       entries steps 1 and 2 have just read.  The square's, a block of rows
+       at a time, through the same array: conj(O[J, J].T) from the entries,
+       0j added, and the entries added at their places.  Below the square,
+       in place: the region is zeroed, takes the row pass, is conjugated,
+       0j is added and the entries of O[t:, J] are added at their places.
 
     Every entry is ``a[i, j] + conj(a[j, i])`` then ``/ 2``, the ufuncs of
-    ``(a + a.conj().T) / 2``, so it has the bits of the whole-matrix form."""
-    dim = buf.shape[1]
-    step = _block_rows(dim)
+    ``(a + a.conj().T) / 2``, so it has the bits of the whole-matrix form:
+    where O has no entry, the +0+0j that ``0j +`` adds stands for it.  No
+    scratch array grows with d times the chunk width: each holds the
+    chunk's entries, a block of absolute values or of the square, at most
+    ``_VERIFY_ENTRIES`` entries' bytes.  ``verify_reduction`` runs it, and
+    the block, under ``_small_ufunc_buffers``."""
     max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does
-    for s in reversed(range(0, dim, step)):
-        t = min(s + step, dim)
-        col = columns(s, t)
-        max_dev = np.maximum(max_dev, np.max(np.abs(buf[:dim, s:t] - col)))
-        with _overflow_raises("the hermitized sector matrix"):
-            upper = buf[s:t, s:]
-            herm = np.conjugate(upper)
-            np.add(buf[s:dim, s:t].T, herm, out=herm)
-            np.true_divide(herm, 2, out=upper)
-            del herm  # before the row pass allocates its chunk
-            below = buf[t + 1:, s:t]
-            np.add(col[t:], np.conjugate(rows(s, t).T), out=below)
-            np.true_divide(below, 2, out=below)
-            square = np.conjugate(col[s:t].T)
-            np.add(col[s:t], square, out=square)
-            np.true_divide(square, 2, out=square)
-            np.copyto(buf[s + 1:t + 1, s:t], square, where=np.tri(t - s, dtype=bool))
+    for s, t in reversed(list(zip(cuts[:-1], cuts[1:]))):
+        max_dev = np.maximum(max_dev, _sweep_chunk(buf, s, t, columns, rows))
     return float(max_dev)
+
+
+@contextmanager
+def _small_ufunc_buffers():
+    """A context in which numpy's ufuncs buffer 256 entries an operand.  A
+    ufunc on a view of more than one dimension that is not contiguous
+    allocates ``np.getbufsize()`` entries for each operand, 128 KiB for a
+    complex one by default, even when no cast needs them, as none of
+    verify's does."""
+    old = np.setbufsize(256)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _sweep_chunk(buf: np.ndarray, s: int, t: int, columns, rows):
+    """One chunk of ``_sweep``, whose docstring gives its steps; returns
+    its deviation.  Its arrays go when it returns, before the next chunk's
+    entries are made."""
+    dim, w = buf.shape[1], t - s
+    flat = buf.reshape(-1)
+    keys, values = columns(s, t)
+    inside, below = np.searchsorted(keys, [s * w, t * w])
+    square = values[inside:below]  # O[J, J]'s entries, at J's flat indices
+    direct = keys[inside:below] - s * w
+    moved = direct % w * w + direct // w  # and at conj(O[J, J].T)'s
+    at = keys + keys // w * (dim - w) + s  # each entry's index in ``flat``
+    del keys
+    max_dev = 0.0
+    step = max(1, 2 * _VERIFY_ENTRIES // w)  # |B| is 8 bytes, half an entry
+    bounds = np.searchsorted(at, np.arange(0, dim + step, step) * dim)
+    for i, a in enumerate(range(0, dim, step)):
+        # B - O at the block's entries, B - 0 = B elsewhere; B's bits go back
+        e = slice(bounds[i], bounds[i + 1])
+        raw = flat[at[e]]
+        np.subtract.at(flat, at[e], values[e])
+        max_dev = np.maximum(max_dev, np.max(np.abs(buf[a:min(a + step, dim), s:t])))
+        flat[at[e]] = raw
+    step = max(1, _VERIFY_ENTRIES // w)  # rows of J's square at a time
+    scratch = np.empty((step, w), dtype=complex)
+    with _overflow_raises("the hermitized sector matrix"):
+        right = buf[s:t, t:]
+        np.conjugate(right, out=right)
+        np.add(buf[t:dim, s:t].T, right, out=right)
+        np.true_divide(right, 2, out=right)
+        for a in range(0, w, step):  # B's, each row from the diagonal on
+            b = min(a + step, w)
+            herm = np.conjugate(buf[s + a:s + b, s + a:t], out=scratch[:b - a, a:])
+            np.add(buf[s + a:t, s + a:s + b].T, herm, out=herm)
+            np.true_divide(herm, 2, out=buf[s + a:s + b, s + a:t])
+        for a in range(0, w, step):  # O's: conj(O[J, J].T), then 0j or the entry + it
+            b = min(a + step, w)
+            herm = scratch[:b - a].reshape(-1)
+            herm[...] = np.conjugate(0j)
+            there = (moved >= a * w) & (moved < b * w) if step < w else slice(None)
+            herm[moved[there] - a * w] = np.conjugate(square[there])
+            here = slice(*np.searchsorted(direct, [a * w, b * w]))
+            conj_t = herm[direct[here] - a * w]
+            np.add(0j, herm, out=herm)
+            herm[direct[here] - a * w] = square[here] + conj_t
+            np.true_divide(herm, 2, out=herm)
+            np.copyto(buf[s + 1 + a:s + 1 + b, s:t], scratch[:b - a],
+                      where=np.tri(b - a, w, a, dtype=bool))
+        del scratch, herm, square, direct, moved, there, conj_t
+        if t == dim:  # no rows below the square
+            return max_dev
+        at = at[below:] + dim
+        lower = buf[t + 1:, s:t]
+        lower[...] = 0
+        rows(s, t, buf)
+        np.conjugate(lower, out=lower)
+        conj_rows = flat[at]
+        np.add(0j, lower, out=lower)
+        flat[at] = values[below:] + conj_rows
+        np.true_divide(lower, 2, out=lower)
+    return max_dev
 
 
 def _solve_side_by_side(dim: int) -> bool:

@@ -24,6 +24,7 @@ from fermiperm.pauli import (
     _check_dense_cap,
     _decompose_displacements,
     _mask_product,
+    _overflow_raises,
     parity_u64,
 )
 from fermiperm.permutations import _check_storage_cap
@@ -414,6 +415,35 @@ def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP) -> R
 
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, spectrum_dev, passed, tol)
+
+
+def sweep_dense_chunks(buf: np.ndarray, columns, rows, width: int) -> float:
+    """Reference for ``reduction._sweep``: the sweep over dense chunks.
+    ``columns(s, t)`` gives O[:, s:t] and ``rows(s, t)`` O[s:t, t:] as
+    dense arrays; chunks of ``width`` columns run right to left, and each
+    holds its column chunk, its row chunk and their temporaries at once.
+    Returns max |B - O| and writes (B + B^H) / 2's lower triangle,
+    transposed, into the upper triangle of ``buf[:d]`` and (O + O^H) / 2's
+    into ``buf[1:]``."""
+    dim = buf.shape[1]
+    max_dev = 0.0
+    for s in reversed(range(0, dim, width)):
+        t = min(s + width, dim)
+        col = columns(s, t)
+        max_dev = np.maximum(max_dev, np.max(np.abs(buf[:dim, s:t] - col)))
+        with _overflow_raises("the hermitized sector matrix"):
+            upper = buf[s:t, s:]
+            herm = np.conjugate(upper)
+            np.add(buf[s:dim, s:t].T, herm, out=herm)
+            np.true_divide(herm, 2, out=upper)
+            below = buf[t + 1:, s:t]
+            np.add(col[t:], np.conjugate(rows(s, t).T), out=below)
+            np.true_divide(below, 2, out=below)
+            square = np.conjugate(col[s:t].T)
+            np.add(col[s:t], square, out=square)
+            np.true_divide(square, 2, out=square)
+            np.copyto(buf[s + 1:t + 1, s:t], square, where=np.tri(t - s, dtype=bool))
+    return float(max_dev)
 
 
 # GF(2) references: three eliminations independent of ``f2._row_ops``, and

@@ -365,6 +365,19 @@ def test_parity_and_popcount_u64_against_bit_count():
     assert parity_u64(values).tolist() == [c % 2 for c in counts]
 
 
+def test_popcount_u64_with_and_without_numpy_bitwise_count(monkeypatch):
+    """numpy's ``bitwise_count`` (2.0 on) and the SWAR folding older numpy
+    takes give the counts of the bits as ``uint64``, for signed input too."""
+    rng = np.random.default_rng(22)
+    values = rng.integers(0, 2**64, size=500, dtype=np.uint64)
+    counts = [int(v).bit_count() for v in values]
+    for _ in range(2):
+        assert _popcount_u64(values).tolist() == counts
+        assert _popcount_u64(values.view(np.int64)).tolist() == counts
+        assert parity_u64(values.view(np.int64)).tolist() == [c % 2 for c in counts]
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+
+
 def test_zero_adds_to_complex_arrays_as_this_interpreter_does():
     """numpy's ``_ZERO + c`` has the bits of CPython's ``0.0 + c``, whichever
     rule the interpreter follows for a float plus a complex (both parts up

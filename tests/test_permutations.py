@@ -405,6 +405,9 @@ def test_apply_rejects_states_outside_the_register():
                 p.apply(bad)
         assert [p.apply(s) for s in range(4)] == images
         assert p.apply(np.arange(4)).tolist() == images
+        # an object array of ints, the form of states past 64 bits, empty too
+        assert p.apply(np.array([1, 2], dtype=object)).tolist() == images[1:3]
+        assert p.apply(np.array([], dtype=object)).tolist() == []
     with pytest.raises(DimensionError):
         wide.apply(1 << 70)
     assert wide.apply((1 << 70) - 1) == (1 << 70) - 1

@@ -48,6 +48,7 @@ from helpers import (
     random_pauli_sum,
     sector_oracle_loop,
     sector_oracle_term_loop,
+    sweep_dense_chunks,
     three_cnot_permutation,
     verify_reduction_dense,
 )
@@ -904,9 +905,9 @@ def test_verify_holds_one_block():
         tracemalloc.stop()
     assert check.passed
     assert peak < 1.25 * 16 * d * d
-    assert check == verify_reduction_dense(rh, oracle)  # 55 row blocks of 17
+    assert check == verify_reduction_dense(rh, oracle)  # 9 chunks of 44 to 110 columns
     spiked = oracle.copy()
-    spiked[16, 923] += 1e-3  # the last row of the first block
+    spiked[16, 923] += 1e-3  # an entry the oracle lacks, in the first chunk swept
     spiked.setflags(write=False)
     assert verify_reduction(rh, spiked) == verify_reduction_dense(rh, spiked)
 
@@ -915,6 +916,11 @@ def _check_bits(check):
     """A ``ReductionCheck`` with its floats as bytes, so that -0.0 and NaN compare too."""
     return (np.float64(check.max_deviation).tobytes(), np.float64(check.spectrum_deviation).tobytes(),
             check.passed, check.tolerance)
+
+
+def _cuts(dim, width):
+    """Chunk bounds of ``width`` columns, the last one narrower."""
+    return list(range(0, dim, width)) + [dim]
 
 
 def _two_body(n, rng, count):
@@ -972,7 +978,7 @@ def test_verify_from_the_operator_matches_the_matrix(case, width):
     assert _check_bits(verify_reduction(rh, h)) == expected
     assert _check_bits(verify_reduction(rh, oracle)) == expected
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "_block_rows", lambda dim: width)
+        mp.setattr(reduction, "_chunk_cuts", lambda counts: _cuts(counts.size, width))
         assert _check_bits(verify_reduction(rh, h)) == expected
         assert _check_bits(verify_reduction(rh, oracle)) == expected
 
@@ -982,8 +988,9 @@ def test_verify_from_the_operator_matches_the_matrix(case, width):
     [(10, 5, "index-embed", 1), (10, 5, "parity", 2), (12, 6, "parity", 1)],
 )
 def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
-    """Sectors of 252 and 924 states, swept in 4 and 55 chunks: the
-    operator and its matrix give the reference's bits."""
+    """Sectors of 252 and 924 states, swept in 2, 1 and 10 chunks of
+    columns as their entries fall: the operator and its matrix give the
+    reference's bits."""
     spec = SectorSpec(n, k)
     rng = np.random.default_rng(5)
     h = random_one_body(n, rng) if body == 1 else _two_body(n, rng, 40)
@@ -1005,13 +1012,19 @@ def test_row_pass_matches_the_oracle_rows(case, width):
     terms, signed zeros and repeated terms among them."""
     h, spec = case
     oracle = sector_oracle(h, spec)
-    columns, rows = reduction._oracle_passes(h, spec, spec.n_modes)
+    columns, rows, counts = reduction._oracle_passes(h, spec, spec.n_modes)
     dim = spec.dimension
+    assert np.all(counts >= np.count_nonzero(oracle, axis=0))
     for s in range(0, dim, width):
         t = min(s + width, dim)
-        got = rows(s, t)
+        buf = np.zeros((dim + 1, dim), dtype=complex)
+        rows(s, t, buf)
+        got = buf[t + 1:, s:t].T
         assert got.shape == (t - s, dim - t) and got.tobytes() == oracle[s:t, t:].tobytes()
-        got = columns(s, t)
+        keys, values = columns(s, t)
+        assert np.all(keys[1:] > keys[:-1])
+        got = np.zeros((dim, t - s), dtype=complex)
+        got.reshape(-1)[keys] = values
         assert got.shape == (dim, t - s) and got.tobytes() == oracle[:, s:t].tobytes()
 
 
@@ -1030,9 +1043,8 @@ def test_sweep_writes_both_hermitized_triangles(d, width, seed):
     oracle[rng.random((d, d)) < 0.2] = complex(-0.0, 0.0)
     oracle.setflags(write=False)
     block = buf[:d].copy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "_block_rows", lambda dim: width)
-        max_dev = reduction._sweep(buf, lambda s, t: oracle[:, s:t], lambda s, t: oracle[s:t, t:])
+    columns, rows, _ = reduction._matrix_passes(oracle)
+    max_dev = reduction._sweep(buf, _cuts(d, width), columns, rows)
     assert np.float64(max_dev).tobytes() == np.max(np.abs(block - oracle)).tobytes()
     lower = np.tril_indices(d)
     for got, a in ((buf[:d].T, block), (buf[1:], oracle)):
@@ -1040,9 +1052,9 @@ def test_sweep_writes_both_hermitized_triangles(d, width, seed):
 
 
 def test_verify_from_the_operator_holds_one_buffer():
-    """N=10, K=5 with the parity mapping (d = 252, 4 chunks): given ``h``,
-    verify holds the (d + 1) x d buffer and chunks of about 2^14 entries,
-    never the d x d oracle.  Given the matrix, verify itself holds no more."""
+    """N=10, K=5 with the parity mapping (d = 252, 2 chunks): given ``h``,
+    verify holds the (d + 1) x d buffer, never the d x d oracle.  Given the
+    matrix, verify itself holds no more."""
     n, spec = 10, SectorSpec(10, 5)
     h = random_one_body(n, np.random.default_rng(7))
     rh = encode_and_reduce(h, LinearEncodingF2.parity(n), spec)
@@ -1058,6 +1070,94 @@ def test_verify_from_the_operator_holds_one_buffer():
             tracemalloc.stop()
         assert check.passed
         assert peak < bound
+
+
+def test_verify_scratch_keeps_to_one_budget():
+    """N=12, K=6 with the parity mapping, seed 7 (d = 924, q = 11): beside
+    its (d + 1) x d buffer, 13.04 MiB, verify's scratch stays under 0.3
+    MiB given ``h`` or its matrix.  Dense chunks of 17 columns of the
+    oracle and blocks of 2^14 transform entries took 0.74 MiB."""
+    n, spec = 12, SectorSpec(12, 6)
+    h = random_one_body(n, np.random.default_rng(7))
+    rh = encode_and_reduce(h, LinearEncodingF2.parity(n), spec)
+    oracle = sector_oracle(h, spec)
+    d = spec.dimension
+    verify_reduction(rh, oracle)  # imports the solves' worker pool, once a process
+    for source in (h, oracle):
+        tracemalloc.start()
+        try:
+            check = verify_reduction(rh, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.passed
+        assert peak <= 16 * (d + 1) * d + 0.3 * 2**20
+
+
+@st.composite
+def sweep_cases(draw):
+    """A (d + 1) x d buffer, an oracle given as ``h`` or as a matrix, a
+    chunk width in 1..45 and an entry budget that cuts the deviation and
+    the squares into one block or many.  The buffer has -0.0 parts and,
+    sometimes, NaN.
+    ``h`` (N = 3..8) has one- and two-body terms, repeated terms and
+    coefficients with -0.0 parts; the matrix has +0+0j, -0.0 parts and
+    random entries, at a density drawn from sparse to dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 45))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 8))
+        spec = SectorSpec(n, draw(st.integers(1, n - 1)))
+        modes = st.integers(1, n)
+        parts = st.sampled_from([0.0, -0.0, 0.5, -1.0, 0.25])
+        terms = []
+        for _ in range(draw(st.integers(0, 12))):
+            body = draw(st.integers(1, 2))
+            raised = draw(st.lists(modes, min_size=body, max_size=body))
+            lowered = draw(st.lists(modes, min_size=body, max_size=body))
+            ops = [(m, True) for m in raised] + [(m, False) for m in lowered]
+            terms.append(FermionTerm.make(complex(draw(parts), draw(parts)), ops))
+        terms += terms[: draw(st.integers(0, len(terms)))]
+        source = FermionOperator.from_terms(terms)
+        d = spec.dimension
+    else:
+        spec = None
+        d = draw(st.integers(1, 60))
+        source = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        source[rng.random((d, d)) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+        source[rng.random((d, d)) < 0.1] = complex(-0.0, 0.0)
+        source[rng.random((d, d)) < 0.1] = complex(0.0, -0.0)
+    buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
+    buf[rng.random((d + 1, d)) < 0.3] = -0.0
+    if draw(st.booleans()):
+        buf[rng.random((d + 1, d)) < 0.05] = np.nan
+    return spec, source, buf, width, draw(st.sampled_from([8, 100, 4096]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_the_dense_chunk_sweep(case):
+    """The entry-form sweep against the dense-chunk sweep it replaced, byte
+    for byte: the deviation and every byte of the buffer, the spare row
+    included, for the oracle given as ``h`` and as a matrix."""
+    spec, source, buf, width, entries = case
+    d = buf.shape[1]
+    if spec is None:
+        oracle = source
+        columns, rows, _ = reduction._matrix_passes(oracle)
+    else:
+        oracle = sector_oracle(source, spec)
+        columns, rows, _ = reduction._oracle_passes(source, spec, spec.n_modes)
+    oracle.setflags(write=False)
+    expected = buf.copy()
+    with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
+        dev = sweep_dense_chunks(
+            expected, lambda s, t: oracle[:, s:t], lambda s, t: oracle[s:t, t:], width
+        )
+        got = reduction._sweep(buf, _cuts(d, width), columns, rows)
+    assert np.float64(got).tobytes() == np.float64(dev).tobytes()
+    assert buf.tobytes() == expected.tobytes()
 
 
 def test_reduce_index_embed_projects_inside_the_transform():
