@@ -12,7 +12,7 @@ import numpy as np
 from fermiperm import (
     PauliString,
     PauliSum,
-    commutator_type,
+    commutes,
     pauli_decompose,
 )
 
@@ -31,12 +31,14 @@ b = PauliString.from_letters("XXZY")
 print(f"\n({a.letters()}) * ({b.letters()}) = {a * b}")
 print("weight of ZXIX:", a.weight())
 
-# --- commutator type from the symplectic form -------------------------------
+# --- commutation from the symplectic form -----------------------------------
 
-print("\nX vs Z on one qubit:", commutator_type(X, Z))
+# commutes() is the symplectic test; the demo spells its verdict as a word
+words = {True: "commute", False: "anticommute"}
+print("\nX vs Z on one qubit:", words[commutes(X, Z)])
 print(
     "X1 vs Z2 (disjoint support):",
-    commutator_type(PauliString.from_letters("XI"), PauliString.from_letters("IZ")),
+    words[commutes(PauliString.from_letters("XI"), PauliString.from_letters("IZ"))],
 )
 
 # --- sums, simplification, dense form ---------------------------------------

@@ -13,7 +13,7 @@ from fermiperm import (
     FermionOperator,
     FockState,
     LinearEncodingF2,
-    commutator_type,
+    commutes,
     encode_fermion_operator,
     encode_state,
     jw_majorana,
@@ -47,18 +47,15 @@ for j in range(1, 5):
     print(f"  g{j} = {g.letters()}    g'{j} = {gp.letters()}")
 
 flat = [op for pair in parity_majoranas(4) for op in pair]
-bad = sum(
-    commutator_type(a, b) != "anticommute"
-    for i, a in enumerate(flat)
-    for b in flat[i + 1 :]
-)
+bad = sum(commutes(a, b) for i, a in enumerate(flat) for b in flat[i + 1 :])
 print("parity Majorana pairs that fail to anticommute:", bad)
 
 # --- encoding a Hamiltonian ---------------------------------------------------
 
 hopping = np.zeros((4, 4))
 hopping[0, 1] = hopping[1, 0] = 1.0  # a+_1 a_2 + a+_2 a_1
-h = FermionOperator.one_body(hopping) + FermionOperator.number_operator(4)
+number = FermionOperator.one_body(np.eye(4))  # sum_p a+_p a_p
+h = FermionOperator.one_body(hopping) + number
 
 encoded = encode_fermion_operator(h, jw_majoranas(4))
 print("\nhopping + total number under Jordan-Wigner:")

@@ -14,7 +14,7 @@ from fermiperm import (
     GateCircuit,
     PauliSum,
     classify_affine,
-    commutator_type,
+    commutes,
     conjugate_pauli_affine,
     conjugate_pauli_dense,
     jw_majorana,
@@ -48,7 +48,7 @@ for j in range(1, N + 1):
     mark = "ok" if got == want else "MISMATCH"
     print(f"  P g{j} P+ = {got.letters():>6}   parity formula {want.letters():>6}   {mark}")
 
-# --- commutator types are conjugation invariants ------------------------------
+# --- commutation is a conjugation invariant ----------------------------------
 
 from fermiperm import BasisPermutation, PauliString
 
@@ -61,10 +61,10 @@ pairs_checked = 0
 for _ in range(200):
     letters = ["".join(rng.choice(list("IXYZ")) for _ in range(N)) for _ in range(2)]
     a, b = (PauliString.from_letters(s) for s in letters)
-    before = commutator_type(a, b)
+    before = commutes(a, b)
     ca = conjugate_pauli_dense(random_p, PauliSum.from_pauli(a)).to_dense()
     cb = conjugate_pauli_dense(random_p, PauliSum.from_pauli(b)).to_dense()
-    after = "commute" if np.max(np.abs(ca @ cb - cb @ ca)) < 1e-12 else "anticommute"
+    after = np.max(np.abs(ca @ cb - cb @ ca)) < 1e-12
     assert before == after
     pairs_checked += 1
 print(f"\ncommutator type preserved under a random S_16 permutation "

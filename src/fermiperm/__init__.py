@@ -22,9 +22,7 @@ from .pauli import (
     DENSE_CAP,
     PauliString,
     PauliSum,
-    commutator_type,
     commutes,
-    multiply,
     pauli_decompose,
 )
 from .encodings import (

@@ -126,10 +126,6 @@ class FermionOperator:
                     terms.append(FermionTerm.make(h[p, q], [(p + 1, True), (q + 1, False)]))
         return cls(tuple(terms))
 
-    @classmethod
-    def number_operator(cls, n_modes: int) -> "FermionOperator":
-        return cls.one_body(np.eye(n_modes))
-
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         return FermionOperator(self.terms + other.terms)
 

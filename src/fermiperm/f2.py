@@ -81,14 +81,6 @@ def is_invertible(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and _row_ops(m) is not None
 
 
-def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample a uniformly random invertible matrix by rejection."""
-    while True:
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if is_invertible(m):
-            return m
-
-
 def rows_to_masks(m: np.ndarray) -> list[int]:
     """Row bit masks of a 0/1 matrix with column 0 as the most significant
     bit: each row packed to bytes in C, then read as one big-endian int."""

@@ -376,23 +376,19 @@ class PauliString:
         return (self.x_bits | self.z_bits).bit_count()
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
+        """Exact group product with the phase tracked in {1, i, -1, -i}."""
+        if self.n_qubits != other.n_qubits:
+            raise DimensionError(
+                f"cannot multiply Pauli strings on {self.n_qubits} and {other.n_qubits} qubits"
+            )
+        x, z, k = _mask_product(self.x_bits, self.z_bits, other.x_bits, other.z_bits)
+        return PauliString(self.n_qubits, x, z, (self.phase + other.phase + k) % 4)
 
     def __str__(self) -> str:
         return f"{_format_coeff(self.coefficient)} {self.letters()}"
 
     def to_dense(self) -> np.ndarray:
         return PauliSum.from_pauli(self).to_dense()
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact group product a*b with the phase tracked in {1, i, -1, -i}."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(
-            f"cannot multiply Pauli strings on {a.n_qubits} and {b.n_qubits} qubits"
-        )
-    x, z, k = _mask_product(a.x_bits, a.z_bits, b.x_bits, b.z_bits)
-    return PauliString(a.n_qubits, x, z, (a.phase + b.phase + k) % 4)
 
 
 def _mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
@@ -416,11 +412,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     if a.n_qubits != b.n_qubits:
         raise DimensionError("commutator of Pauli strings on different registers")
     return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
-
-
-def commutator_type(a: PauliString, b: PauliString) -> str:
-    """Return ``"commute"`` or ``"anticommute"``."""
-    return "commute" if commutes(a, b) else "anticommute"
 
 
 class PauliSum:
@@ -464,10 +455,6 @@ class PauliSum:
         out.n_qubits = n_qubits
         out._arrays = (x, z, coeff)
         return out
-
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, [((0, 0), coeff)])
 
     @classmethod
     def from_pauli(cls, p: PauliString, coeff: complex = 1.0) -> "PauliSum":

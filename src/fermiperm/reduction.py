@@ -411,15 +411,11 @@ def _matrix_passes(oracle: np.ndarray):
             yield a, part, kept
 
     def columns(s: int, t: int):
-        keys = np.empty(counts[s:t].sum(), dtype=np.int64)
-        values = np.empty(keys.size, dtype=complex)
-        n = 0
+        keys, values = [], []
         for a, part, kept in blocks(s, t):
-            found = np.flatnonzero(kept)
-            keys[n:n + found.size] = found + a * (t - s)
-            values[n:n + found.size] = part[kept]
-            n += found.size
-        return keys, values
+            keys.append(np.flatnonzero(kept) + a * (t - s))
+            values.append(part[kept])
+        return np.concatenate(keys), np.concatenate(values)
 
     def rows(s: int, t: int, buf: np.ndarray) -> None:
         buf[t + 1:, s:t] = oracle[s:t, t:].T
@@ -461,11 +457,12 @@ def verify_reduction(
     """Compare every sector matrix element of the reduced operator against
     the brute-force oracle, and the sector spectra as well.
 
-    ``oracle`` is ``h`` itself or its matrix ``sector_oracle(h, rh.spec)``,
-    with the same result, bit for bit.  Given ``h``, the oracle's checks
-    come first and it is computed a chunk of columns at a time, never whole;
-    a given matrix is only read.  Only the d x d block on the sector labels
-    is built, in the (d + 1) x d buffer ``_dense_block`` returns, and
+    ``oracle`` is ``h`` itself or its matrix ``sector_oracle(h, rh.spec)``
+    (or anything ``np.asarray`` reads as that matrix), with the same result,
+    bit for bit.  Given ``h``, the oracle's checks come first and it is
+    computed a chunk of columns at a time, never whole; a given complex
+    array is only read.  Only the d x d block on the sector labels is
+    built, in the (d + 1) x d buffer ``_dense_block`` returns, and
     ``_sweep`` writes both hermitized triangles into that buffer.  So verify
     holds one d x d array, 16 (d + 1) d bytes (about 256 MiB under the
     default ``dense_cap``, d <= 2^12).  Beside it, each array of scratch
@@ -493,13 +490,15 @@ def verify_reduction(
     the result does not depend on it.  A solve that raises raises from the
     calling thread, after the worker has been joined, as it would in turn."""
     dim = rh.spec.dimension
-    if not isinstance(oracle, FermionOperator) and oracle.shape != (dim, dim):
-        raise DimensionError("oracle shape does not match the sector dimension")
+    if not isinstance(oracle, FermionOperator):
+        oracle = np.asarray(oracle, dtype=complex)  # a complex matrix is not copied
+        if oracle.shape != (dim, dim):
+            raise DimensionError("oracle shape does not match the sector dimension")
     with _small_ufunc_buffers():
         if isinstance(oracle, FermionOperator):
             columns, rows, counts = _oracle_passes(oracle, rh.spec, dense_cap)
-        else:  # a complex matrix is not copied
-            columns, rows, counts = _matrix_passes(np.asarray(oracle, dtype=complex))
+        else:
+            columns, rows, counts = _matrix_passes(oracle)
         buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
         max_dev = _sweep(buf, _chunk_cuts(counts), columns, rows)
     eig_block, eig_oracle = _eigvalsh_pair(buf[:dim].T, buf[1:], _solve_side_by_side(dim))

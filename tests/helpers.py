@@ -61,8 +61,9 @@ def _products(a_items, b_items: list) -> list[tuple[tuple[int, int], complex]]:
 
 def products_loop(n_qubits: int, a_items, b_items) -> list:
     """Reference for ``PauliSum.__mul__`` before its merge: one validated
-    ``PauliString`` per operand and ``multiply`` per pair.  Unmerged (key,
-    coefficient) pairs of a * b, a's terms in the outer loop."""
+    ``PauliString`` per operand and one ``PauliString`` product per pair.
+    Unmerged (key, coefficient) pairs of a * b, a's terms in the outer
+    loop."""
     items = []
     for (xa, za), ca in a_items:
         pa = PauliString(n_qubits, xa, za)
@@ -80,8 +81,8 @@ _LETTER_PRODUCTS = {
 
 
 def letter_product(a: str, b: str) -> tuple[str, int]:
-    """Reference for ``multiply`` on unit-phase strings, one qubit at a time:
-    the letters of a * b and its power of i."""
+    """Reference for ``PauliString.__mul__`` on unit-phase strings, one
+    qubit at a time: the letters of a * b and its power of i."""
     k = 0
     out = []
     for p, q in zip(a, b):
@@ -175,6 +176,14 @@ def array_sum(n_qubits: int, terms: dict) -> PauliSum:
 
 def random_pauli_letters(n_qubits: int, rng: np.random.Generator) -> str:
     return "".join(rng.choice(list("IXYZ")) for _ in range(n_qubits))
+
+
+def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample a uniformly random invertible GF(2) matrix by rejection."""
+    while True:
+        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        if f2.is_invertible(m):
+            return m
 
 
 def three_cnot_circuit() -> GateCircuit:
@@ -364,7 +373,7 @@ def encode_fermion_operator_loop(h, majoranas) -> PauliSum:
     n_qubits = first.n_qubits
     total = PauliSum(n_qubits)
     for term in h.terms:
-        acc = PauliSum.identity(n_qubits, term.coefficient)
+        acc = PauliSum(n_qubits, [((0, 0), term.coefficient)])
         for mode, dag in term.ops:
             acc = acc * encode_ladder(mode, dag, majoranas)
         total = total + acc

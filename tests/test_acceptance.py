@@ -37,9 +37,13 @@ from fermiperm import (
     encode_and_reduce,
     verify_reduction,
 )
-from fermiperm import f2
 from fermiperm.cli import anticommutation_suite, random_minimal_majoranas
-from helpers import permutation_matrix, random_pauli_letters, three_cnot_permutation
+from helpers import (
+    permutation_matrix,
+    random_invertible,
+    random_pauli_letters,
+    three_cnot_permutation,
+)
 
 
 @contextmanager
@@ -175,7 +179,7 @@ def test_criterion_6_conjugation_oracle_equivalence():
         for _ in range(200):
             n = int(rng.integers(2, 7))
             a = AffineMapF2(
-                f2.random_invertible(n, rng),
+                random_invertible(n, rng),
                 rng.integers(0, 2, size=n, dtype=np.uint8),
             )
             ps = PauliString.from_letters(random_pauli_letters(n, rng))

@@ -15,7 +15,7 @@ from fermiperm import (
     LinearEncodingF2,
     PauliString,
     PauliSum,
-    commutator_type,
+    commutes,
     encode_fermion_operator,
     encode_ladder,
     encode_state,
@@ -35,6 +35,7 @@ from helpers import (
     encode_fermion_operator_loop,
     kron_dense,
     matvec,
+    random_invertible,
 )
 
 
@@ -62,7 +63,7 @@ def test_majorana_relations_exhaustive(family, n):
     for i, a in enumerate(flat):
         assert a * a == PauliString(n, 0, 0)
         for b in flat[i + 1 :]:
-            assert commutator_type(a, b) == "anticommute"
+            assert not commutes(a, b)
 
 
 def test_encode_state_identity_and_parity():
@@ -80,7 +81,7 @@ def test_encode_state_identity_and_parity():
     assert encode_state(shifted, FockState.from_string("000")).to_string() == "101"
     rng = np.random.default_rng(12)
     for n in (2, 4, 6):
-        a = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, size=n))
+        a = AffineMapF2(random_invertible(n, rng), rng.integers(0, 2, size=n))
         table = a.to_permutation()
         for occupancy in range(1 << n):
             assert encode_state(a, FockState(n, occupancy)).occupancy == table.apply(occupancy)
@@ -128,8 +129,8 @@ def test_number_operator_eigenvalues_are_occupancies():
 
 def test_encode_number_operator_closed_form():
     for n in (1, 2, 4):
-        enc = encode_fermion_operator(FermionOperator.number_operator(n), jw_majoranas(n))
-        expected = PauliSum.identity(n, n / 2)
+        enc = encode_fermion_operator(FermionOperator.one_body(np.eye(n)), jw_majoranas(n))
+        expected = PauliSum(n, [((0, 0), n / 2)])
         for j in range(1, n + 1):
             letters = "I" * (j - 1) + "Z" + "I" * (n - j)
             expected = expected + PauliSum.from_terms(n, [(-0.5, letters)])
@@ -183,7 +184,7 @@ def test_gl_to_cnot_parity_chain_action():
 def test_gl_to_cnot_matches_matrix_action(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
-        m = f2.random_invertible(n, rng)
+        m = random_invertible(n, rng)
         enc = LinearEncodingF2(m)
         p = permutation_from_circuit(gl_to_cnot_circuit(enc))
         for state in range(1 << n):
@@ -195,7 +196,7 @@ def test_linear_map_table_matches_circuit_table():
     """The table built straight from M equals the synthesized circuit's."""
     rng = np.random.default_rng(101)
     for n in (1, 2, 5, 9):
-        enc = LinearEncodingF2(f2.random_invertible(n, rng))
+        enc = LinearEncodingF2(random_invertible(n, rng))
         p = permutation_from_circuit(gl_to_cnot_circuit(enc))
         assert enc.to_permutation() == p
 
@@ -203,7 +204,7 @@ def test_linear_map_table_matches_circuit_table():
 def test_gl_to_cnot_at_the_dense_cap():
     """One 12-qubit case: the circuit action matches M on all 4096 states."""
     rng = np.random.default_rng(200)
-    m = f2.random_invertible(12, rng)
+    m = random_invertible(12, rng)
     p = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2(m)))
     cols = [f2.vec_to_mask(matvec(m, f2.mask_to_vec(1 << (11 - i), 12))) for i in range(12)]
     for state in range(1 << 12):
@@ -222,12 +223,12 @@ def test_singular_matrix_rejected():
 def test_linear_encoding_majoranas_satisfy_relations():
     rng = np.random.default_rng(12)
     for n in (2, 4, 6):
-        enc = LinearEncodingF2(f2.random_invertible(n, rng))
+        enc = LinearEncodingF2(random_invertible(n, rng))
         flat = [op for pair in linear_encoding_majoranas(enc) for op in pair]
         for i, a in enumerate(flat):
             assert a * a == PauliString(n, 0, 0)
             for b in flat[i + 1 :]:
-                assert commutator_type(a, b) == "anticommute"
+                assert not commutes(a, b)
 
 
 def test_linear_majoranas_match_parity_formulas():
@@ -243,7 +244,7 @@ def test_conjugated_majoranas_match_ladder_semantics():
     """<Mn'| g~ |Mn> equals <n'| g |n> for every pair of basis states."""
     rng = np.random.default_rng(77)
     for n in (2, 3, 4, 5, 6):
-        m = f2.random_invertible(n, rng)
+        m = random_invertible(n, rng)
         enc = LinearEncodingF2(m)
         majos = linear_encoding_majoranas(enc)
         jw = jw_majoranas(n)
@@ -262,7 +263,7 @@ def test_number_conserving_operator_commutes_with_number():
         h = rng.uniform(-1, 1, (n, n))
         op = FermionOperator.one_body((h + h.T) / 2)
         enc = encode_fermion_operator(op, jw_majoranas(n))
-        num = encode_fermion_operator(FermionOperator.number_operator(n), jw_majoranas(n))
+        num = encode_fermion_operator(FermionOperator.one_body(np.eye(n)), jw_majoranas(n))
         a, b = enc.to_dense(), num.to_dense()
         assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
@@ -451,7 +452,7 @@ def wide_operators_and_majoranas(draw):
     elif kind == "parity":
         majoranas = parity_majoranas(n)
     elif kind == "affine":
-        a = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, size=n))
+        a = AffineMapF2(random_invertible(n, rng), rng.integers(0, 2, size=n))
         majoranas = linear_encoding_majoranas(a)
     elif kind == "minimal":
         majoranas = random_minimal_majoranas(SectorSpec(n, draw(st.integers(1, n - 1))), rng)

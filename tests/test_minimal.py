@@ -39,6 +39,7 @@ from fermiperm import f2
 from fermiperm.permutations import AffineMapF2
 from helpers import (
     minimal_permutation_index_embed_loop,
+    random_invertible,
     redundant_qubits_loop,
     three_cnot_permutation,
 )
@@ -310,7 +311,7 @@ def test_affine_permutations_fix_at_most_one_qubit():
     for n in range(2, 9):
         for _ in range(30):
             a = AffineMapF2(
-                f2.random_invertible(n, rng),
+                random_invertible(n, rng),
                 rng.integers(0, 2, size=n, dtype=np.uint8),
             )
             p = a.to_permutation()

@@ -45,6 +45,7 @@ from helpers import (
     conjugate_affine_loop,
     kron_dense,
     project_fixed_qubit_loop,
+    random_invertible,
     random_pauli_sum,
     sector_oracle_loop,
     sector_oracle_term_loop,
@@ -222,7 +223,7 @@ def test_project_number_conserving_term_keeps_structure():
     leaves the same diagonal operator on three qubits."""
     p = three_cnot_permutation()
     spec = SectorSpec(4, 2)
-    h = FermionOperator.number_operator(4)
+    h = FermionOperator.one_body(np.eye(4))
     rh = encode_and_reduce(h, p, spec)
     dense = rh.pauli_sum.to_dense()
     assert np.max(np.abs(dense - np.diag(np.diag(dense)))) < 1e-12
@@ -234,7 +235,7 @@ def test_project_number_conserving_term_keeps_structure():
 def test_oracle_number_operator_is_k_identity():
     for n, k in [(3, 1), (4, 2), (5, 3)]:
         spec = SectorSpec(n, k)
-        oracle = sector_oracle(FermionOperator.number_operator(n), spec)
+        oracle = sector_oracle(FermionOperator.one_body(np.eye(n)), spec)
         assert np.allclose(oracle, k * np.eye(spec.dimension))
 
 
@@ -345,7 +346,7 @@ def test_oracle_matches_loop_at_64_modes(case, data):
 
 @pytest.mark.parametrize("n", [1, 4, 64])
 def test_oracle_empty_and_full_sectors(n):
-    h = FermionOperator.number_operator(n) + FermionOperator.from_terms(
+    h = FermionOperator.one_body(np.eye(n)) + FermionOperator.from_terms(
         [FermionTerm.make(0.25, []), FermionTerm.make(2.0, [(1, False), (1, True)])]
     )
     for k in (0, n):
@@ -358,7 +359,7 @@ def test_oracle_empty_and_full_sectors(n):
 
 def test_oracle_rejects_more_than_64_modes():
     with pytest.raises(DimensionError):
-        sector_oracle(FermionOperator.number_operator(65), SectorSpec(65, 1))
+        sector_oracle(FermionOperator.one_body(np.eye(65)), SectorSpec(65, 1))
 
 
 def test_encode_and_reduce_at_64_modes():
@@ -385,6 +386,17 @@ def test_verify_rejects_an_oracle_of_another_shape():
     rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
     with pytest.raises(DimensionError, match="oracle shape"):
         verify_reduction(rh, np.zeros((5, 5)))
+    # the shape is that of the converted matrix: one more axis is refused too
+    with pytest.raises(DimensionError, match="oracle shape"):
+        verify_reduction(rh, sector_oracle(h, spec)[None])
+
+
+def test_verify_reads_a_nested_list_oracle_as_its_array():
+    h = random_one_body(5, np.random.default_rng(3))
+    spec = SectorSpec(5, 2)
+    rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
+    oracle = sector_oracle(h, spec)
+    assert repr(verify_reduction(rh, oracle.tolist())) == repr(verify_reduction(rh, oracle))
 
 
 def test_oracle_rejects_modes_outside_the_register():
@@ -517,14 +529,14 @@ def test_dense_block_never_builds_the_full_matrix():
 def test_reduce_number_operator_two_fermion_circuit():
     p = three_cnot_permutation()
     spec = SectorSpec(4, 2)
-    rh = encode_and_reduce(FermionOperator.number_operator(4), p, spec)
+    rh = encode_and_reduce(FermionOperator.one_body(np.eye(4)), p, spec)
     assert rh.pauli_sum.n_qubits == 3
     assert rh.report.fixed == ((4, 0),)
     dense = rh.pauli_sum.to_dense()
     for r in range(spec.dimension):
         idx = rh.labels[r]
         assert abs(dense[idx, idx] - 2.0) < 1e-12
-    check = verify_reduction(rh, sector_oracle(FermionOperator.number_operator(4), spec))
+    check = verify_reduction(rh, sector_oracle(FermionOperator.one_body(np.eye(4)), spec))
     assert check.passed and check.max_deviation < 1e-12
 
 
@@ -532,9 +544,9 @@ def test_reduce_number_operator_index_embed():
     for n, k in [(4, 1), (4, 2), (5, 2)]:
         spec = SectorSpec(n, k)
         p = minimal_permutation_index_embed(spec)
-        rh = encode_and_reduce(FermionOperator.number_operator(n), p, spec)
+        rh = encode_and_reduce(FermionOperator.one_body(np.eye(n)), p, spec)
         assert rh.pauli_sum.n_qubits == spec.q_min
-        oracle = sector_oracle(FermionOperator.number_operator(n), spec)
+        oracle = sector_oracle(FermionOperator.one_body(np.eye(n)), spec)
         assert verify_reduction(rh, oracle).passed
 
 
@@ -591,7 +603,7 @@ def reduction_cases(draw):
     if kind == "parity":
         p = permutation_from_circuit(gl_to_cnot_circuit(LinearEncodingF2.parity(n)))
     elif kind == "affine":
-        p = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, n)).to_permutation()
+        p = AffineMapF2(random_invertible(n, rng), rng.integers(0, 2, n)).to_permutation()
     else:
         p = minimal_permutation_index_embed(spec, completion="random", rng=rng)
     if kind == "permuted index-embed":
@@ -643,7 +655,7 @@ def affine_reduction_cases(draw):
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    affine = AffineMapF2(f2.random_invertible(n, rng), rng.integers(0, 2, n))
+    affine = AffineMapF2(random_invertible(n, rng), rng.integers(0, 2, n))
     parts = st.one_of(st.sampled_from(_EDGE_PARTS), st.floats(-1, 1))
     modes = st.integers(1, n)
     terms = []
@@ -726,7 +738,7 @@ def test_reduce_rejects_trivial_sector():
     spec = SectorSpec(3, 3)
     p = minimal_permutation_index_embed(spec)
     with pytest.raises(InvalidEncodingError):
-        encode_and_reduce(FermionOperator.number_operator(3), p, spec)
+        encode_and_reduce(FermionOperator.one_body(np.eye(3)), p, spec)
 
 
 def test_reduce_nonclifford_permutation():
@@ -803,7 +815,7 @@ def verify_cases(draw):
     kind = draw(st.sampled_from(["affine", "index-embed", "random"]))
     if kind == "affine":
         offset = rng.integers(0, 2, size=n, dtype=np.uint8)
-        p = AffineMapF2(f2.random_invertible(n, rng), offset).to_permutation()
+        p = AffineMapF2(random_invertible(n, rng), offset).to_permutation()
     elif kind == "index-embed":
         p = minimal_permutation_index_embed(spec, completion="random", rng=rng)
     else:
@@ -1201,7 +1213,7 @@ def test_dense_block_holds_the_sort_order_not_sorted_copies():
 def test_identity_permutation_reduction_has_no_fixed_qubits():
     spec = SectorSpec(4, 2)
     p = BasisPermutation(np.arange(16))
-    h = FermionOperator.number_operator(4)
+    h = FermionOperator.one_body(np.eye(4))
     rh = encode_and_reduce(h, p, spec)
     assert rh.report.fixed == ()
     assert rh.pauli_sum.n_qubits == 4
