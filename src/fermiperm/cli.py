@@ -46,7 +46,7 @@ from .permutations import (
     parse_cycles,
     permutation_from_circuit,
 )
-from .reduction import ORACLE_TOL, encode_and_reduce, verify_reduction
+from .reduction import ORACLE_TOL, SPECTRUM_TOL, encode_and_reduce, verify_reduction
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -601,6 +601,7 @@ def cmd_reduce(args) -> int:
         "state_map": _state_map(rh.labels, width),
         "verify": {
             "max_deviation": check.max_deviation,
+            "spectrum_bound": check.spectrum_bound,
             "spectrum_deviation": check.spectrum_deviation,
             "passed": check.passed,
         },
@@ -773,8 +774,12 @@ def cmd_verify_oracle(args) -> int:
         rh = encode_and_reduce(h, p, spec)
         check = verify_reduction(rh, h, tol=tol)
         worst = max(worst, check.max_deviation)
-        if not check.passed:
+        if not check.max_deviation < tol:
             print(f"FAIL: deviation {check.max_deviation:g} exceeds {tol:g}")
+            return EXIT_VERIFY_FAILED
+        if not check.passed:
+            print(f"FAIL: spectrum deviation {check.spectrum_deviation:g} exceeds "
+                  f"{SPECTRUM_TOL:g} (bound {check.spectrum_bound:g})")
             return EXIT_VERIFY_FAILED
     print(f"{args.trials} trials pass, max deviation {worst:.3g}")
     return EXIT_OK

@@ -17,22 +17,22 @@ compares against; given the operator itself, verify computes it a chunk of
 columns at a time, with the matching rows from the adjoint ladder strings,
 and never holds it whole.  Verification stays inside the sector: it builds
 only the d x d block of the reduced operator on the sector labels, never
-the 2^q x 2^q matrix, so for d = C(N,K) its cost is dominated by the two
-d x d eigensolves of the spectrum check.  One sweep writes both hermitized
-triangles into the (d + 1) x d buffer the block comes in, so for a large
-sector and a BLAS pinned to one thread the solves run side by side on two
-threads.  That buffer is the only d x d array verify holds, 16 (d + 1) d
-bytes (about 256 MiB under the default dense cap, d <= 2^12); LAPACK's own
-working copy of each matrix, 16 d^2 bytes, two at once when the solves run
-side by side, is not counted there.  Beside it, each array of verify's
-scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096, 64 KiB),
-whatever d and the chunk width: the oracle reaches the sweep as the summed
-entries of a chunk of columns, and the sweep hermitizes in place.
+the 2^q x 2^q matrix.  One sweep writes both hermitized triangles into the
+(d + 1) x d buffer the block comes in, and one pass over them takes the
+Frobenius norm of their difference, which bounds the difference of the
+two sector spectra (Weyl); the two d x d eigensolves run only when that
+bound does not certify the spectrum check.  That buffer is the only d x d
+array verify holds, 16 (d + 1) d bytes (about 256 MiB under the default
+dense cap, d <= 2^12); LAPACK's own working copy of each matrix, 16 d^2
+bytes, is not counted there when the solves run.  Beside it, each array
+of verify's scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096,
+64 KiB), whatever d and the chunk width: the oracle reaches the sweep as
+the summed entries of a chunk of columns, and the sweep hermitizes in
+place.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -67,9 +67,6 @@ SPECTRUM_TOL = 1e-8
 # test holds about 24 bytes a pair, numpy's ufunc buffers included
 _LADDER_PAIRS = 1 << 13
 _ORACLE_SAFE_SUM = 2.0**1000  # far enough below the largest float, about 2^1024
-SIDE_BY_SIDE_DIM = 512  # sector size from which verify's two eigensolves may run at once
-# the thread counts numpy's BLAS reads when it loads
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
@@ -443,7 +440,8 @@ def _chunk_cuts(counts: np.ndarray) -> list[int]:
 @dataclass(frozen=True)
 class ReductionCheck:
     max_deviation: float
-    spectrum_deviation: float
+    spectrum_bound: float
+    spectrum_deviation: float | None  # None when the bound certifies the spectra
     passed: bool
     tolerance: float
 
@@ -469,26 +467,19 @@ def verify_reduction(
     holds at most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the
     2^q-wide transform, and the oracle's kernel steps ``_LADDER_PAIRS``
     (term, state) pairs: at d = 924 and q = 11, about 0.25 MiB at most.
-    The two eigensolves then dominate the cost; LAPACK's working copy of
-    each matrix, 16 d^2 bytes, comes on top, twice at once when they run
-    side by side.  ``dense_cap`` bounds the reduced register.
+    ``dense_cap`` bounds the reduced register.
 
-    The oracle's solve runs on a worker thread while the calling thread
-    runs the block's (numpy releases the GIL inside ``eigvalsh``) only
-    when all three of these hold, and otherwise after it:
-
-    * d >= ``SIDE_BY_SIDE_DIM``: on a 2-vCPU machine whose CPUs share one
-      core, two small solves at once were no faster than in turn (d = 256:
-      slower), while two at d = 924 took about half the time;
-    * at least two CPUs are usable by this process: on one, the two
-      threads would only take turns;
-    * at least one of ``BLAS_THREAD_VARS`` is set and every one that is set
-      reads 1: a BLAS at its default threading already uses every core,
-      and two solves side by side would only contend for them.
-
-    LAPACK sees the same lower triangles whichever way the solves run, so
-    the result does not depend on it.  A solve that raises raises from the
-    calling thread, after the worker has been joined, as it would in turn."""
+    The spectra are certified before they are solved.  For Hermitian A and
+    O, max_i |lambda_i(A) - lambda_i(O)| <= ||A - O||_F (Weyl), and
+    ``_spectrum_bound`` sums that norm from the two hermitized triangles
+    with ufunc reductions, no BLAS, so its bits do not depend on BLAS
+    threading.  When ``spectrum_bound * (1 + 1e-6) < SPECTRUM_TOL`` no
+    eigensolve runs, ``spectrum_deviation`` is None and ``passed`` is
+    ``max_deviation < tol``: the factor covers the sum's own rounding, a
+    relative error below d^2 2^-53, 2e-9 at d <= 2^12.  Otherwise, NaN and
+    inf included, the two eigensolves run in turn, on LAPACK's copies of
+    16 d^2 bytes each, and ``spectrum_deviation``, the largest difference
+    of the sorted eigenvalues, must stay below ``SPECTRUM_TOL`` as well."""
     dim = rh.spec.dimension
     if not isinstance(oracle, FermionOperator):
         oracle = np.asarray(oracle, dtype=complex)  # a complex matrix is not copied
@@ -501,11 +492,43 @@ def verify_reduction(
             columns, rows, counts = _matrix_passes(oracle)
         buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
         max_dev = _sweep(buf, _chunk_cuts(counts), columns, rows)
-    eig_block, eig_oracle = _eigvalsh_pair(buf[:dim].T, buf[1:], _solve_side_by_side(dim))
-    spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle))) if dim else 0.0
-
+        bound = _spectrum_bound(buf)
+    if bound * (1 + 1e-6) < SPECTRUM_TOL:
+        return ReductionCheck(max_dev, bound, None, max_dev < tol, tol)
+    eig_block = np.sort(np.linalg.eigvalsh(buf[:dim].T, UPLO="L"))
+    eig_oracle = np.sort(np.linalg.eigvalsh(buf[1:], UPLO="L"))
+    spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle)))  # d >= 1: d = 0 certifies
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
-    return ReductionCheck(max_dev, spectrum_dev, passed, tol)
+    return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
+
+
+def _spectrum_bound(buf: np.ndarray) -> float:
+    """||A - O||_F for the Hermitian matrices whose lower triangles
+    ``_sweep`` wrote into the (d + 1) x d buffer: A[i, j] = ``buf[j, i]``
+    and O[i, j] = ``buf[i + 1, j]`` for i >= j, what LAPACK reads, so the
+    rounding of the hermitization is covered.  With D = A - O it is
+    sqrt(sum_i |D_ii|^2 + 2 sum_{i>j} |D_ij|^2).
+
+    Column j of D's lower triangle is ``buf[j, j:] - buf[j + 1:, j]``; the
+    pass takes blocks of such columns, each of at most ``_VERIFY_ENTRIES``
+    entries or one column, and sums their squared parts with ufunc
+    reductions only.  A NaN or inf anywhere in the triangles gives a NaN or
+    inf bound, with no warning."""
+    dim, s, diag, off = buf.shape[1], 0, 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < dim:
+            n = dim - s
+            w = min(n, max(1, _VERIFY_ENTRIES // n))
+            # row a holds column s + a of D from row s on; below the diagonal
+            # of the block's first w columns are entries i < j, not D's
+            delta = np.subtract(buf[s:s + w, s:], buf[s + 1:, s:s + w].T)
+            square = delta[:, :w]
+            diag += float(np.square(np.abs(square.diagonal())).sum())
+            np.copyto(square, 0, where=np.tri(w, dtype=bool))
+            parts = delta.view(np.float64)
+            off += float(np.square(parts, out=parts).sum())
+            s += w
+    return float(np.sqrt(diag + 2 * off))
 
 
 def _sweep(buf: np.ndarray, cuts, columns, rows) -> float:
@@ -623,33 +646,3 @@ def _sweep_chunk(buf: np.ndarray, s: int, t: int, columns, rows):
         flat[at] = values[below:] + conj_rows
         np.true_divide(lower, 2, out=lower)
     return max_dev
-
-
-def _solve_side_by_side(dim: int) -> bool:
-    """Whether ``verify_reduction`` runs its two d x d eigensolves on two
-    threads at once; its docstring gives the rule and the reasons."""
-    if dim < SIDE_BY_SIDE_DIM:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    pins = [os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ]
-    return cpus >= 2 and bool(pins) and all(pin == "1" for pin in pins)
-
-
-def _eigvalsh_pair(a: np.ndarray, b: np.ndarray, side_by_side: bool):
-    """The sorted eigenvalues of the Hermitian matrices whose lower
-    triangles are those of ``a`` and ``b``; with ``side_by_side``, ``b`` is
-    solved on a worker thread while this one solves ``a``.  Either way an
-    exception from ``a``'s solve wins over one from ``b``'s."""
-    if not side_by_side:
-        eig_a = np.linalg.eigvalsh(a, UPLO="L")
-        return np.sort(eig_a), np.sort(np.linalg.eigvalsh(b, UPLO="L"))
-    # imported here: at module level it would slow every `import fermiperm.cli`
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:  # leaving the block joins the worker
-        eig_b = pool.submit(np.linalg.eigvalsh, b, UPLO="L")
-        eig_a = np.linalg.eigvalsh(a, UPLO="L")
-    return np.sort(eig_a), np.sort(eig_b.result())

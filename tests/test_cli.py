@@ -163,14 +163,15 @@ def test_reduce_verify_reports_spectrum_deviation(tmp_path, capsys):
     )
     assert code == 0
     verify = json.loads(out)["verify"]
-    assert list(verify) == ["max_deviation", "spectrum_deviation", "passed"]
-    assert 0.0 <= verify["spectrum_deviation"] < SPECTRUM_TOL
+    assert list(verify) == ["max_deviation", "spectrum_bound", "spectrum_deviation", "passed"]
+    assert verify["spectrum_deviation"] is None  # the bound certifies the spectra
+    assert 0.0 <= verify["spectrum_bound"] < SPECTRUM_TOL
 
     spec = SectorSpec(4, 2)
     h = parse_hamiltonian(text, n_modes=4)
     rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
     check = verify_reduction(rh, sector_oracle(h, spec))
-    assert verify["spectrum_deviation"] == check.spectrum_deviation
+    assert verify["spectrum_bound"] == check.spectrum_bound
 
 
 def test_dense_cap_option_is_passed_not_set(tmp_path, capsys, monkeypatch):
@@ -609,6 +610,19 @@ def test_verify_oracle_reports_a_deviation_past_the_tolerance(capsys):
     assert out.startswith("FAIL: deviation ") and out.endswith(" exceeds 1e-300\n")
     assert out.count("\n") == 1
     assert 1e-300 < float(out.split()[2]) < 1e-12
+
+
+def test_verify_oracle_names_a_failed_spectrum_check(capsys, monkeypatch):
+    """A check whose elements pass and whose spectra do not fails on the
+    spectrum line, with its deviation and bound, not the deviation line."""
+    from fermiperm.reduction import ReductionCheck
+
+    failed = ReductionCheck(1e-5, 2e-8, 1.5e-8, False, 1e-3)
+    monkeypatch.setattr(cli, "verify_reduction", lambda rh, h, tol: failed)
+    code, out, err = run(
+        capsys, "verify", "oracle", "--modes", "4", "--fermions", "2", "--tolerance", "1e-3",
+    )
+    assert (code, out, err) == (1, "FAIL: spectrum deviation 1.5e-08 exceeds 1e-08 (bound 2e-08)\n", "")
 
 
 def test_verify_oracle(capsys):
@@ -1233,7 +1247,8 @@ _REDUCE_PAYLOADS = st.builds(
         "fixed_qubits": [list(f) for f in fixed],
         "hamiltonian": {"n_qubits": n, "terms": terms},
         "state_map": [{"rank": r, "bits": b} for r, b in enumerate(bits)],
-        "verify": dict(zip(("max_deviation", "spectrum_deviation", "passed"), verify)),
+        "verify": dict(zip(("max_deviation", "spectrum_bound", "spectrum_deviation", "passed"),
+                           verify)),
         **({"overrides": overrides} if overrides else {}),
     },
     st.tuples(_COUNT, _COUNT, _COUNT),
@@ -1241,7 +1256,7 @@ _REDUCE_PAYLOADS = st.builds(
     _COUNT,
     _TERMS,
     st.lists(st.text("01", max_size=6), max_size=4),
-    st.tuples(_FLOATS, _FLOATS, st.booleans()),
+    st.tuples(_FLOATS, _FLOATS, st.one_of(st.none(), _FLOATS), st.booleans()),
     st.dictionaries(st.sampled_from(["dense_cap", "tolerance"]), st.one_of(_COUNT, _FLOATS)),
 )
 _STATS_PAYLOADS = st.builds(

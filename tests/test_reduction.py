@@ -1,9 +1,9 @@
 """Reduction pipeline against the brute-force sector oracle."""
 
 import re
-import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from fermiperm import (
 )
 from fermiperm import f2, reduction
 from fermiperm.pauli import PRUNE_TOL
+from fermiperm.reduction import SPECTRUM_TOL
 from helpers import (
     array_sum,
     conjugate_affine_loop,
@@ -787,17 +788,18 @@ def test_spectrum_containment():
     oracle = sector_oracle(h, spec)
     check = verify_reduction(rh, oracle)
     assert check.passed
-    assert check.spectrum_deviation < 1e-8
+    assert check.spectrum_deviation is None  # certified: no eigensolve ran
+    assert 0.0 <= check.spectrum_bound < SPECTRUM_TOL
 
 
 @st.composite
-def verify_cases(draw):
-    """A reduced operator and its sector oracle on N = 3..8 modes: one- and
-    two-body terms with complex coefficients, hermitized or not (then the
-    block is not Hermitian), reduced with a random affine permutation or a
-    random non-affine one; the oracle is sometimes perturbed, so that
-    ``passed`` goes both ways."""
-    n = draw(st.integers(3, 8))
+def verify_cases(draw, max_modes=8):
+    """A reduced operator and its sector oracle on N = 3..``max_modes``
+    modes: one- and two-body terms with complex coefficients, hermitized or
+    not (then the block is not Hermitian), reduced with a random affine
+    permutation or a random non-affine one; the oracle is sometimes
+    perturbed, so that ``passed`` goes both ways."""
+    n = draw(st.integers(3, max_modes))
     k = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     modes = st.integers(1, n)
@@ -827,33 +829,83 @@ def verify_cases(draw):
     return encode_and_reduce(h, p, spec), oracle
 
 
+def _check_bits(check):
+    """A ``ReductionCheck`` with its floats as bytes, so that -0.0 and NaN compare too."""
+    floats = (check.max_deviation, check.spectrum_bound, check.spectrum_deviation)
+    return (tuple(None if f is None else np.float64(f).tobytes() for f in floats),
+            check.passed, check.tolerance)
+
+
+def _assert_matches_reference(got, expected):
+    """``got`` has every field's bits of the whole-matrix reference's but the
+    bound's, which the reference sums in another order: that one is equal to
+    within a relative 1e-12."""
+    assert abs(got.spectrum_bound - expected.spectrum_bound) <= 1e-12 * expected.spectrum_bound
+    assert (_check_bits(replace(got, spectrum_bound=0.0))
+            == _check_bits(replace(expected, spectrum_bound=0.0)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(verify_cases())
 def test_verify_matches_dense_reference(case):
-    """Bit-equal fields against the whole-matrix reference, with the two
-    eigensolves in turn and side by side; the oracle is read-only, so a
-    write to it would raise."""
+    """Bit-equal fields against the whole-matrix reference, the bound to
+    within a relative 1e-12; the oracle is read-only, so a write to it would
+    raise."""
     rh, oracle = case
     oracle.setflags(write=False)
-    expected = verify_reduction_dense(rh, oracle)
-    for side_by_side in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reduction, "_solve_side_by_side", lambda dim: side_by_side)
-            got = verify_reduction(rh, oracle)
-        assert got == expected
-        for field in ("max_deviation", "spectrum_deviation"):
-            assert (np.float64(getattr(got, field)).tobytes()
-                    == np.float64(getattr(expected, field)).tobytes())
+    _assert_matches_reference(verify_reduction(rh, oracle), verify_reduction_dense(rh, oracle))
 
 
-@pytest.mark.parametrize("side_by_side", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(verify_cases(max_modes=10))
+def test_spectrum_certificate_is_sound_and_decides_as_the_eigensolves(case):
+    """N = 3..10: the bound is at least the spectrum deviation the two
+    eigensolves measure (up to their own rounding), and ``passed`` is what
+    the check that always solves decides."""
+    rh, oracle = case
+    check = verify_reduction(rh, oracle)
+    solved = verify_reduction_dense(rh, oracle, certify=False)
+    assert solved.spectrum_deviation <= check.spectrum_bound + 1e-12
+    assert check.passed == solved.passed
+
+
+@pytest.mark.parametrize(
+    "n, k, mapping",
+    [(4, 2, "index-embed"), (6, 3, "parity"), (8, 4, "index-embed"), (10, 5, "parity")],
+)
+def test_spectrum_fallback_is_the_eigensolve_check(n, k, mapping):
+    """A perturbation at 1e-6 fails the certificate, so the eigensolves run
+    and the result is the check that always solves: every field but the
+    bound bit for bit, the bound to within a relative 1e-12.  The oracle
+    matrix is perturbed, and so is the reduced operator, which verify then
+    checks given ``h`` and given the matrix."""
+    spec = SectorSpec(n, k)
+    rng = np.random.default_rng(11)
+    h = random_one_body(n, rng)
+    p = LinearEncodingF2.parity(n) if mapping == "parity" else minimal_permutation_index_embed(spec)
+    rh = encode_and_reduce(h, p, spec)
+    q, d = rh.pauli_sum.n_qubits, spec.dimension
+    oracle = sector_oracle(h, spec)
+    oracle.setflags(write=False)
+    noise = 1e-6 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    spiked = ReducedHamiltonian(rh.pauli_sum + 1e-6 * random_pauli_sum(q, 8, rng),
+                                rh.report, rh.spec, rh.labels)
+    noisy = oracle + noise
+    for reduced, source, matrix in ((rh, noisy, noisy), (spiked, h, oracle), (spiked, oracle, oracle)):
+        check = verify_reduction(reduced, source)
+        assert check.spectrum_bound >= SPECTRUM_TOL
+        assert check.spectrum_deviation is not None and not check.passed
+        _assert_matches_reference(check, verify_reduction_dense(reduced, matrix, certify=False))
+
+
+@pytest.mark.parametrize("read_only", [False, True])
 @pytest.mark.parametrize("broken", ["oracle", "block", "both"])
-def test_verify_raises_a_failed_solve_from_the_calling_thread(monkeypatch, broken, side_by_side):
+def test_verify_raises_a_failed_solve_from_the_calling_thread(broken, read_only):
     """An inf on the oracle's last diagonal entry makes its eigensolve raise
     (N=8, K=4, d = 70), and so does an inf identity term in the reduced
-    operator for the block's.  Whichever solve fails, on the worker thread
-    or on this one, verify raises what the reference raises, leaves the
-    oracle alone and leaves no thread behind."""
+    operator for the block's.  The inf makes the bound inf, so the solves
+    run; whichever fails, verify raises what the reference raises and
+    leaves the oracle alone, whether a write to it would raise or not."""
     spec = SectorSpec(8, 4)
     h = random_one_body(8, np.random.default_rng(7))
     rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
@@ -864,39 +916,14 @@ def test_verify_raises_a_failed_solve_from_the_calling_thread(monkeypatch, broke
         q = rh.pauli_sum.n_qubits
         spike = PauliSum.from_terms(q, [(np.inf, "I" * q)])
         rh = ReducedHamiltonian(rh.pauli_sum + spike, rh.report, rh.spec, rh.labels)
-    oracle.setflags(write=False)
+    oracle.setflags(write=not read_only)
     before = oracle.tobytes()
-    monkeypatch.setattr(reduction, "_solve_side_by_side", lambda dim: side_by_side)
-    threads = threading.active_count()
     with np.errstate(invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError) as reference:
             verify_reduction_dense(rh, oracle)
         with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
             verify_reduction(rh, oracle)
-    assert threading.active_count() == threads
     assert oracle.tobytes() == before
-
-
-@pytest.mark.parametrize(
-    "dim, cpus, env, expected",
-    [
-        (512, 2, {"OPENBLAS_NUM_THREADS": "1"}, True),
-        (512, 2, {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
-        (511, 2, {"OPENBLAS_NUM_THREADS": "1"}, False),  # below the sector-size constant
-        (512, 1, {"OPENBLAS_NUM_THREADS": "1"}, False),  # one usable CPU
-        (512, 2, {}, False),  # the BLAS at its default threading
-        (512, 2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
-        (512, 2, {"MKL_NUM_THREADS": ""}, False),
-    ],
-)
-def test_side_by_side_selection(monkeypatch, dim, cpus, env, expected):
-    for var in reduction.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(reduction.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    assert reduction._solve_side_by_side(dim) is expected
 
 
 def test_verify_holds_one_block():
@@ -917,17 +944,11 @@ def test_verify_holds_one_block():
         tracemalloc.stop()
     assert check.passed
     assert peak < 1.25 * 16 * d * d
-    assert check == verify_reduction_dense(rh, oracle)  # 9 chunks of 44 to 110 columns
+    _assert_matches_reference(check, verify_reduction_dense(rh, oracle))  # 9 chunks of 44 to 110
     spiked = oracle.copy()
     spiked[16, 923] += 1e-3  # an entry the oracle lacks, in the first chunk swept
     spiked.setflags(write=False)
-    assert verify_reduction(rh, spiked) == verify_reduction_dense(rh, spiked)
-
-
-def _check_bits(check):
-    """A ``ReductionCheck`` with its floats as bytes, so that -0.0 and NaN compare too."""
-    return (np.float64(check.max_deviation).tobytes(), np.float64(check.spectrum_deviation).tobytes(),
-            check.passed, check.tolerance)
+    _assert_matches_reference(verify_reduction(rh, spiked), verify_reduction_dense(rh, spiked))
 
 
 def _cuts(dim, width):
@@ -986,8 +1007,9 @@ def test_verify_from_the_operator_matches_the_matrix(case, width):
     h, rh = case
     oracle = sector_oracle(h, rh.spec)
     oracle.setflags(write=False)
-    expected = _check_bits(verify_reduction_dense(rh, oracle))
-    assert _check_bits(verify_reduction(rh, h)) == expected
+    got = verify_reduction(rh, h)
+    _assert_matches_reference(got, verify_reduction_dense(rh, oracle))
+    expected = _check_bits(got)
     assert _check_bits(verify_reduction(rh, oracle)) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_chunk_cuts", lambda counts: _cuts(counts.size, width))
@@ -1010,9 +1032,9 @@ def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
     rh = encode_and_reduce(h, p, spec)
     oracle = sector_oracle(h, spec)
     oracle.setflags(write=False)
-    expected = _check_bits(verify_reduction_dense(rh, oracle))
-    assert _check_bits(verify_reduction(rh, h)) == expected
-    assert _check_bits(verify_reduction(rh, oracle)) == expected
+    got = verify_reduction(rh, h)
+    _assert_matches_reference(got, verify_reduction_dense(rh, oracle))
+    assert _check_bits(verify_reduction(rh, oracle)) == _check_bits(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1063,6 +1085,34 @@ def test_sweep_writes_both_hermitized_triangles(d, width, seed):
         assert got[lower].tobytes() == ((a + a.conj().T) / 2)[lower].tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([1, 8, 100, 4096]), st.integers(0, 2**32 - 1))
+def test_spectrum_bound_is_the_norm_of_the_triangles_difference(d, entries, seed):
+    """The blocked pass, at entry budgets from below one column to the
+    whole buffer, against the Frobenius norm of A - O for the matrices whose
+    lower triangles are ``buf[:d].T``'s and ``buf[1:]``'s, to within a
+    relative 1e-12; an inf in one triangle makes it inf, a NaN NaN."""
+    rng = np.random.default_rng(seed)
+    buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
+    buf[rng.random((d + 1, d)) < 0.2] = -0.0
+
+    def from_lower(a):
+        return np.tril(a) + np.tril(a, -1).conj().T
+
+    delta = from_lower(buf[:d].T) - from_lower(buf[1:])
+    expected = np.sqrt(np.sum(np.abs(delta) ** 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
+        got = reduction._spectrum_bound(buf)
+        assert abs(got - expected) <= 1e-12 * expected
+        i, j = sorted(rng.integers(0, d, size=2), reverse=True)  # i >= j
+        for value, check in ((np.inf, np.isposinf), (np.nan, np.isnan)):
+            for at in ((j, i), (i + 1, j)):  # A[i, j], O[i, j]
+                spiked = buf.copy()
+                spiked[at] = value
+                assert check(reduction._spectrum_bound(spiked))
+
+
 def test_verify_from_the_operator_holds_one_buffer():
     """N=10, K=5 with the parity mapping (d = 252, 2 chunks): given ``h``,
     verify holds the (d + 1) x d buffer, never the d x d oracle.  Given the
@@ -1094,7 +1144,6 @@ def test_verify_scratch_keeps_to_one_budget():
     rh = encode_and_reduce(h, LinearEncodingF2.parity(n), spec)
     oracle = sector_oracle(h, spec)
     d = spec.dimension
-    verify_reduction(rh, oracle)  # imports the solves' worker pool, once a process
     for source in (h, oracle):
         tracemalloc.start()
         try:
