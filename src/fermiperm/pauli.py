@@ -241,7 +241,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 # Complex entries (64 KiB) that each array of verify's scratch holds, beside
-# the (d + 1) x d buffer of ``_dense_block(spare_row=True)``.
+# the d x d block of ``_dense_block(small_blocks=True)``.
 _VERIFY_ENTRIES = 1 << 12
 
 
@@ -570,15 +570,14 @@ class PauliSum:
         return self._dense_block(np.arange(1 << self.n_qubits))
 
     def _dense_block(
-        self, labels: np.ndarray, dense_cap: int = DENSE_CAP, spare_row: bool = False
+        self, labels: np.ndarray, dense_cap: int = DENSE_CAP, small_blocks: bool = False
     ) -> np.ndarray:
         """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
         labels, without the 2^n x 2^n matrix unless every label is asked for.
-        With ``spare_row`` the whole (d + 1) x d buffer is returned, B in its
-        first d rows and scratch values in its last.  Its blocks of X masks
-        then hold ``_VERIFY_ENTRIES`` entries, or one row: beside the buffer,
-        the block, the transform's second buffer and each gather of labels
-        hold 64 KiB at most, two rows at 2^11.
+        B is the first d rows of a (d + 1) x d buffer.  With ``small_blocks``
+        its blocks of X masks hold ``_VERIFY_ENTRIES`` entries, or one row:
+        beside the buffer, the block, the transform's second buffer and each
+        gather of labels hold 64 KiB at most, two rows at 2^11.
 
         Terms sharing an X mask x fill the entries (v (+) x, v); their values
         are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
@@ -609,7 +608,7 @@ class PauliSum:
         masks = xs[bounds[:-1]]
         del xs, new
         cols = np.arange(size)
-        step = max(1, _VERIFY_ENTRIES // dim) if spare_row else _block_rows(dim)
+        step = max(1, _VERIFY_ENTRIES // dim) if small_blocks else _block_rows(dim)
         # each term's power of i, a byte, so a block gathers its amplitudes
         phase = np.empty(x.size, dtype=np.uint8)
         for lo in range(0, x.size, _BLOCK_ENTRIES):
@@ -625,7 +624,7 @@ class PauliSum:
                 block.reshape(-1)[at] = coeff[terms] * _I_POWERS[phase[terms]]
                 _walsh_hadamard_rows(block)
                 out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
-        return out if spare_row else out[:size]
+        return out[:size]
 
     def __str__(self) -> str:
         if not len(self):

@@ -14,21 +14,20 @@ each sector rank's label, its basis index on the surviving qubits.
 one private kernel applies a chunk of terms' ladder strings to a set of
 sector states at once.  It is the ground truth that ``verify_reduction``
 compares against; given the operator itself, verify computes it a chunk of
-columns at a time, with the matching rows from the adjoint ladder strings,
-and never holds it whole.  Verification stays inside the sector: it builds
-only the d x d block of the reduced operator on the sector labels, never
-the 2^q x 2^q matrix.  One sweep writes both hermitized triangles into the
-(d + 1) x d buffer the block comes in, and one pass over them takes the
-Frobenius norm of their difference, which bounds the difference of the
-two sector spectra (Weyl); the two d x d eigensolves run only when that
-bound does not certify the spectrum check.  That buffer is the only d x d
-array verify holds, 16 (d + 1) d bytes (about 256 MiB under the default
-dense cap, d <= 2^12); LAPACK's own working copy of each matrix, 16 d^2
-bytes, is not counted there when the solves run.  Beside it, each array
-of verify's scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096,
-64 KiB), whatever d and the chunk width: the oracle reaches the sweep as
-the summed entries of a chunk of columns, and the sweep hermitizes in
-place.
+columns at a time and never holds it whole.  Verification stays inside the
+sector: it builds only the d x d block B of the reduced operator on the
+sector labels, never the 2^q x 2^q matrix.  One pass over chunks of
+columns subtracts the oracle O from B in place and takes max |B - O| and
+the Frobenius norm ||B - O||_F, which bounds the difference of the two
+hermitized sector spectra (Weyl); the two d x d eigensolves run only when
+that bound does not certify the spectrum check.  B is the only d x d array
+the pass holds, 16 (d + 1) d bytes with the spare row it is scattered
+through (about 256 MiB under the default dense cap, d <= 2^12).  Beside it,
+each array of the pass's scratch holds at most ``pauli._VERIFY_ENTRIES``
+entries (4096, 64 KiB), whatever d and the chunk width: the oracle reaches
+it as the summed entries of a chunk of columns.  When the bound fails, B is
+built again and O whole (given ``h``), one after the other, to be
+hermitized and solved.
 """
 
 from __future__ import annotations
@@ -214,15 +213,10 @@ def sector_oracle(
     return out
 
 
-def _ladder_strings(
-    h: FermionOperator, n: int, adjoint: bool = False
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The coefficients of the terms of ``h`` that do not kill every state,
     in order, and their ladder strings as ``need``, ``one``, ``flip``,
-    ``sign``, ``odd``, read from its array form.  With ``adjoint`` the
-    strings are those of each term's adjoint, its operators read left to
-    right with their dagger flags flipped; the coefficients are not
-    conjugated.
+    ``sign``, ``odd``, read from its array form.
 
     Ladder operators only flip mode bits, and the sign of each is the
     parity of the occupied modes left of it, which is linear over GF(2).
@@ -232,14 +226,11 @@ def _ladder_strings(
     asks one mode to be both occupied and empty is left out.  Raises
     ``DimensionError`` on a mode outside 1..n."""
     modes, daggers, lengths, coeff = h._arrays
-    # terms x operators in the order they apply; the padding, mode 0, has no
-    # bit and nothing left of it
-    filled = np.arange(modes.shape[1]) < lengths[:, None]
-    if adjoint:
-        grid, lowers = modes, filled & daggers
-    else:
-        filled, grid = filled[:, ::-1], modes[:, ::-1]
-        lowers = filled & ~daggers[:, ::-1]
+    # terms x operators in the order they apply, right to left; the padding,
+    # mode 0, has no bit and nothing left of it
+    filled = (np.arange(modes.shape[1]) < lengths[:, None])[:, ::-1]
+    grid = modes[:, ::-1]
+    lowers = filled & ~daggers[:, ::-1]
     used = grid[filled]
     if used.size and not 1 <= used.min() <= used.max() <= n:
         mode = next(m for m in used.tolist() if not 1 <= m <= n)
@@ -263,12 +254,12 @@ def _ladder_strings(
     return coeff[live], tuple(a[live] for a in masks)
 
 
-def _apply_ladders(starts, states, coeff, need, one, flip, sign, odd, first):
+def _apply_ladders(starts, states, coeff, need, one, flip, sign, odd):
     """Apply a chunk of ladder strings (``_ladder_strings`` masks, their
     coefficients ``coeff``) to every occupancy string in ``starts``.
-    Returns the surviving (term, column) pairs that land on a sector rank
-    r >= ``first``, in term-major order, as r - first, the column and the
-    signed coefficient."""
+    Returns the surviving (term, column) pairs that land on a sector rank,
+    in term-major order, as the rank, the column and the signed
+    coefficient."""
     term, col = np.nonzero((starts & need[:, None]) == one[:, None])
     state = starts[col]
     minus = parity_u64(state & sign[term]) != odd[term]
@@ -277,30 +268,26 @@ def _apply_ladders(starts, states, coeff, need, one, flip, sign, odd, first):
     np.minimum(rank, states.size - 1, out=rank)
     hit = states[rank] == state
     del state
-    if first:
-        hit &= rank >= first
     term, col, rank, minus = term[hit], col[hit], rank[hit], minus[hit]
-    rank -= first
     value = coeff[term]
     np.negative(value, out=value, where=minus)
     return rank, col, value
 
 
-def _scatter_ladders(starts, states, coeff, strings, first: int = 0):
+def _scatter_ladders(starts, states, coeff, strings):
     """The one oracle kernel: yield each term's element +-c from
-    ``starts[c]`` to sector rank r >= ``first`` as r - first, c and the
-    value, in term-major order.
+    ``starts[c]`` to sector rank r as r, c and the value, in term-major
+    order.
 
     ``_apply_ladders`` runs on ``_LADDER_PAIRS`` (term, start) pairs at a
     time, one yield each.  The results are ranked by binary search in the
-    sorted sector ``states``; those outside it, or ranked below ``first``,
-    are dropped.  One term sends distinct starts to distinct rows, so
+    sorted sector ``states``; those outside it are dropped.  One term sends distinct starts to distinct rows, so
     ``np.add.at`` over the yields in turn sums every entry's terms in their
     given order."""
     step = max(1, _LADDER_PAIRS // starts.size)
     for start in range(0, coeff.size, step):
         chunk = slice(start, start + step)
-        yield _apply_ladders(starts, states, coeff[chunk], *(a[chunk] for a in strings), first)
+        yield _apply_ladders(starts, states, coeff[chunk], *(a[chunk] for a in strings))
 
 
 def _ladder_counts(states, need, one, *_) -> np.ndarray:
@@ -351,35 +338,21 @@ def _checked_ladder_strings(h: FermionOperator, spec: SectorSpec, dense_cap: int
 
 
 def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
-    """The oracle's checks, then for the sector states s..t-1 its column
-    and row passes, and the most entries each column of the oracle O gets
-    from the kernel.  The column pass gives the entries of O[:, s:t] as
-    ``_summed`` does.  The row pass adds O[s:t, t:], transposed, into the
-    zeroed ``buf[t + 1:, s:t]``, one kernel step at a time; it applies the
-    adjoint ladder strings to the same states, since for a ladder product
-    T, <j| T |i> = <i| T^dagger |j>, a real +-1 or 0.
+    """The oracle's checks, then its column pass, which gives the entries
+    of O[:, s:t] for the sector states s..t-1 as ``_summed`` does, and the
+    most entries each column of the oracle O gets from the kernel.
 
     Below ``_ORACLE_SAFE_SUM`` per part, a sum of some of the coefficients
     cannot pass the largest float.  Otherwise an oracle entry may overflow,
     so the column pass runs once over every state here: its error then
     comes before any other of ``verify_reduction``'s, as when the whole
     oracle was built first."""
-    n = spec.n_modes
     coeff, strings = _checked_ladder_strings(h, spec, dense_cap)
-    states, dim = spec.states, spec.dimension
-    adjoint = None  # built by the first row pass; the last chunk runs none
+    states = spec.states
 
     def columns(s: int, t: int):
         with _overflow_raises("the sector oracle"):
             return _summed(_scatter_ladders(states[s:t], states, coeff, strings), t - s)
-
-    def rows(s: int, t: int, buf: np.ndarray) -> None:
-        nonlocal adjoint
-        adjoint = adjoint or _ladder_strings(h, n, adjoint=True)
-        flat = buf.reshape(-1)
-        with _overflow_raises("the sector oracle"):
-            for rank, col, value in _scatter_ladders(states[s:t], states, *adjoint, first=t):
-                np.add.at(flat, (rank + t + 1) * dim + s + col, value)
 
     counts = _ladder_counts(states, *strings)
     with np.errstate(over="ignore"):
@@ -388,13 +361,12 @@ def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
         cuts = _chunk_cuts(counts)
         for s, t in zip(cuts[:-1], cuts[1:]):
             columns(s, t)
-    return columns, rows, counts
+    return columns, counts
 
 
 def _matrix_passes(oracle: np.ndarray):
     """``_oracle_passes`` for a given complex matrix O: the column pass
-    gives the entries of O[:, s:t] that are not +0+0j, in row-major order;
-    the row pass copies O[s:t, t:], transposed, into ``buf[t + 1:, s:t]``;
+    gives the entries of O[:, s:t] that are not +0+0j, in row-major order,
     and each column's count of those entries.  Both read O in blocks of
     rows whose masks hold 8 ``_VERIFY_ENTRIES`` bools."""
     dim = len(oracle)
@@ -414,17 +386,14 @@ def _matrix_passes(oracle: np.ndarray):
             values.append(part[kept])
         return np.concatenate(keys), np.concatenate(values)
 
-    def rows(s: int, t: int, buf: np.ndarray) -> None:
-        buf[t + 1:, s:t] = oracle[s:t, t:].T
-
     counts = np.zeros(dim, dtype=np.int64)
     for _, _, kept in blocks(0, dim):
         counts += np.count_nonzero(kept, axis=0)
-    return columns, rows, counts
+    return columns, counts
 
 
 def _chunk_cuts(counts: np.ndarray) -> list[int]:
-    """Bounds 0 = c_0 < c_1 < ... = d of the sweep's chunks of columns,
+    """Bounds 0 = c_0 < c_1 < ... = d of verify's chunks of columns,
     taken left to right: each chunk is as wide as keeps the entries
     ``counts`` gives its columns within ``_VERIFY_ENTRIES``, and one column
     at least."""
@@ -459,27 +428,31 @@ def verify_reduction(
     (or anything ``np.asarray`` reads as that matrix), with the same result,
     bit for bit.  Given ``h``, the oracle's checks come first and it is
     computed a chunk of columns at a time, never whole; a given complex
-    array is only read.  Only the d x d block on the sector labels is
-    built, in the (d + 1) x d buffer ``_dense_block`` returns, and
-    ``_sweep`` writes both hermitized triangles into that buffer.  So verify
-    holds one d x d array, 16 (d + 1) d bytes (about 256 MiB under the
-    default ``dense_cap``, d <= 2^12).  Beside it, each array of scratch
-    holds at most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the
-    2^q-wide transform, and the oracle's kernel steps ``_LADDER_PAIRS``
-    (term, state) pairs: at d = 924 and q = 11, about 0.25 MiB at most.
+    array is only read.  Only the d x d block B on the sector labels is
+    built, and ``_deviation_and_bound`` subtracts O from it in place.  So
+    verify holds one d x d array, 16 (d + 1) d bytes with the spare row
+    ``_dense_block`` scatters into (about 256 MiB under the default
+    ``dense_cap``, d <= 2^12).  Beside it, each array of scratch holds at
+    most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the 2^q-wide
+    transform, and the oracle's kernel steps ``_LADDER_PAIRS`` (term,
+    state) pairs: at d = 924 and q = 11, about 0.25 MiB at most.
     ``dense_cap`` bounds the reduced register.
 
     The spectra are certified before they are solved.  For Hermitian A and
-    O, max_i |lambda_i(A) - lambda_i(O)| <= ||A - O||_F (Weyl), and
-    ``_spectrum_bound`` sums that norm from the two hermitized triangles
-    with ufunc reductions, no BLAS, so its bits do not depend on BLAS
-    threading.  When ``spectrum_bound * (1 + 1e-6) < SPECTRUM_TOL`` no
-    eigensolve runs, ``spectrum_deviation`` is None and ``passed`` is
-    ``max_deviation < tol``: the factor covers the sum's own rounding, a
-    relative error below d^2 2^-53, 2e-9 at d <= 2^12.  Otherwise, NaN and
-    inf included, the two eigensolves run in turn, on LAPACK's copies of
-    16 d^2 bytes each, and ``spectrum_deviation``, the largest difference
-    of the sorted eigenvalues, must stay below ``SPECTRUM_TOL`` as well."""
+    O', max_i |lambda_i(A) - lambda_i(O')| <= ||A - O'||_F (Weyl), and
+    hermitizing is a projection, so ||B - O||_F bounds the difference of
+    the spectra of (B + B^H) / 2 and (O + O^H) / 2 taken exactly (their
+    rounding, 2^-53 of each entry, is not counted).  It is summed with
+    ufunc reductions, no BLAS, so its bits do not depend on BLAS threading.
+    When ``spectrum_bound * (1 + 1e-6) < SPECTRUM_TOL`` no eigensolve runs,
+    ``spectrum_deviation`` is None and ``passed`` is ``max_deviation <
+    tol``: the factor covers the sum's own rounding, a relative error below
+    d^2 2^-53, 2e-9 at d <= 2^12.  Otherwise, NaN and inf included, B is
+    built again and O whole if ``h`` was given, and each is hermitized as
+    (a + a^H) / 2 and solved in turn; each is freed before the next is
+    built, so this path holds about three d x d arrays at its peak, LAPACK's
+    copy among them.  ``spectrum_deviation``, the largest difference of the
+    sorted eigenvalues, must stay below ``SPECTRUM_TOL`` as well."""
     dim = rh.spec.dimension
     if not isinstance(oracle, FermionOperator):
         oracle = np.asarray(oracle, dtype=complex)  # a complex matrix is not copied
@@ -487,88 +460,66 @@ def verify_reduction(
             raise DimensionError("oracle shape does not match the sector dimension")
     with _small_ufunc_buffers():
         if isinstance(oracle, FermionOperator):
-            columns, rows, counts = _oracle_passes(oracle, rh.spec, dense_cap)
+            columns, counts = _oracle_passes(oracle, rh.spec, dense_cap)
         else:
-            columns, rows, counts = _matrix_passes(oracle)
-        buf = rh.pauli_sum._dense_block(rh.labels, dense_cap, spare_row=True)
-        max_dev = _sweep(buf, _chunk_cuts(counts), columns, rows)
-        bound = _spectrum_bound(buf)
+            columns, counts = _matrix_passes(oracle)
+        block = rh.pauli_sum._dense_block(rh.labels, dense_cap, small_blocks=True)
+        max_dev, bound = _deviation_and_bound(block, _chunk_cuts(counts), columns)
+        del block  # holds B - O; a failed certificate builds B again
     if bound * (1 + 1e-6) < SPECTRUM_TOL:
         return ReductionCheck(max_dev, bound, None, max_dev < tol, tol)
-    eig_block = np.sort(np.linalg.eigvalsh(buf[:dim].T, UPLO="L"))
-    eig_oracle = np.sort(np.linalg.eigvalsh(buf[1:], UPLO="L"))
+    eig_block = _hermitized_spectrum(lambda: rh.pauli_sum._dense_block(rh.labels, dense_cap))
+    if isinstance(oracle, FermionOperator):
+        eig_oracle = _hermitized_spectrum(lambda: sector_oracle(oracle, rh.spec, dense_cap))
+    else:
+        eig_oracle = _hermitized_spectrum(lambda: oracle)
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle)))  # d >= 1: d = 0 certifies
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
 
 
-def _spectrum_bound(buf: np.ndarray) -> float:
-    """||A - O||_F for the Hermitian matrices whose lower triangles
-    ``_sweep`` wrote into the (d + 1) x d buffer: A[i, j] = ``buf[j, i]``
-    and O[i, j] = ``buf[i + 1, j]`` for i >= j, what LAPACK reads, so the
-    rounding of the hermitization is covered.  With D = A - O it is
-    sqrt(sum_i |D_ii|^2 + 2 sum_{i>j} |D_ij|^2).
-
-    Column j of D's lower triangle is ``buf[j, j:] - buf[j + 1:, j]``; the
-    pass takes blocks of such columns, each of at most ``_VERIFY_ENTRIES``
-    entries or one column, and sums their squared parts with ufunc
-    reductions only.  A NaN or inf anywhere in the triangles gives a NaN or
-    inf bound, with no warning."""
-    dim, s, diag, off = buf.shape[1], 0, 0.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while s < dim:
-            n = dim - s
-            w = min(n, max(1, _VERIFY_ENTRIES // n))
-            # row a holds column s + a of D from row s on; below the diagonal
-            # of the block's first w columns are entries i < j, not D's
-            delta = np.subtract(buf[s:s + w, s:], buf[s + 1:, s:s + w].T)
-            square = delta[:, :w]
-            diag += float(np.square(np.abs(square.diagonal())).sum())
-            np.copyto(square, 0, where=np.tri(w, dtype=bool))
-            parts = delta.view(np.float64)
-            off += float(np.square(parts, out=parts).sum())
-            s += w
-    return float(np.sqrt(diag + 2 * off))
-
-
-def _sweep(buf: np.ndarray, cuts, columns, rows) -> float:
-    """Return max |B - O| for the block B in the first d rows of the
-    (d + 1) x d buffer, and write both hermitized lower triangles, (a +
-    a^H) / 2, into it: B's, transposed, into the upper triangle of rows
-    0..d-1, read as ``buf[:d].T``; the oracle's into the strict lower
-    triangle, read as ``buf[1:]``.  ``columns(s, t)`` gives the entries of
+def _deviation_and_bound(block: np.ndarray, cuts, columns) -> tuple[float, float]:
+    """Subtract the oracle O from the d x d block B in place and return
+    max |B - O| and ||B - O||_F.  ``columns(s, t)`` gives the entries of
     O[:, s:t] as sorted, distinct flat indices of that array and their
-    values, every other entry +0+0j; ``rows(s, t, buf)`` writes O[s:t, t:],
-    transposed, into the zeroed ``buf[t + 1:, s:t]``.
+    values, every other entry +0+0j.
 
-    The chunks J = [s, t) between ``cuts`` run right to left.  When J's
-    turn comes no chunk has written to column J or to rows J right of the
-    diagonal, so:
+    Each chunk [s, t) between ``cuts`` has its entries subtracted with
+    ``np.subtract.at``, so B - O has the bits of the whole-matrix
+    difference.  Then blocks of rows, each of at most ``_VERIFY_ENTRIES``
+    absolute values or one row, give their max (``np.maximum`` keeps a
+    NaN, as one max over the whole array does) and their sum of squares;
+    those blocks do not depend on the cuts, so neither do the bits of the
+    norm.  A NaN or inf anywhere gives a NaN or inf bound, with no
+    warning.  No scratch array grows with d times the chunk width."""
+    dim = block.shape[1]
+    flat = block.reshape(-1)
+    for s, t in zip(cuts[:-1], cuts[1:]):
+        w = t - s
+        keys, values = columns(s, t)
+        np.subtract.at(flat, keys + keys // w * (dim - w) + s, values)
+        del keys, values  # before the next chunk's entries are made
+    max_dev, total = 0.0, 0.0
+    step = max(1, _VERIFY_ENTRIES // dim)
+    for a in range(0, dim, step):
+        mag = np.abs(block[a:a + step])
+        max_dev = np.maximum(max_dev, np.max(mag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float(np.square(mag, out=mag).sum())
+    return float(max_dev), float(np.sqrt(total))
 
-    1. the deviation reads B[:, J] raw, in blocks of rows: the block's
-       entries of O are subtracted in place, |B - O| there and |B| = |B -
-       0| elsewhere give the block's max, and B's bits are put back;
-    2. B's entries for rows J go into ``buf[J, s:]``: in place right of
-       J's square, and the square's rows from the diagonal on a block of
-       rows at a time, through an array of at most ``_VERIFY_ENTRIES``;
-    3. O's entries for columns J go into ``buf[j + 1:, j]``, over the raw B
-       entries steps 1 and 2 have just read.  The square's, a block of rows
-       at a time, through the same array: conj(O[J, J].T) from the entries,
-       0j added, and the entries added at their places.  Below the square,
-       in place: the region is zeroed, takes the row pass, is conjugated,
-       0j is added and the entries of O[t:, J] are added at their places.
 
-    Every entry is ``a[i, j] + conj(a[j, i])`` then ``/ 2``, the ufuncs of
-    ``(a + a.conj().T) / 2``, so it has the bits of the whole-matrix form:
-    where O has no entry, the +0+0j that ``0j +`` adds stands for it.  No
-    scratch array grows with d times the chunk width: each holds the
-    chunk's entries, a block of absolute values or of the square, at most
-    ``_VERIFY_ENTRIES`` entries' bytes.  ``verify_reduction`` runs it, and
-    the block, under ``_small_ufunc_buffers``."""
-    max_dev = 0.0  # np.maximum keeps a NaN, as one max over the whole array does
-    for s, t in reversed(list(zip(cuts[:-1], cuts[1:]))):
-        max_dev = np.maximum(max_dev, _sweep_chunk(buf, s, t, columns, rows))
-    return float(max_dev)
+def _hermitized_spectrum(build) -> np.ndarray:
+    """The sorted eigenvalues of (a + a^H) / 2 for the matrix a that
+    ``build()`` returns, with the whole-matrix ufuncs' bits; a is held only
+    until its hermitization is made."""
+    a = build()
+    with _overflow_raises("the hermitized sector matrix"):
+        herm = np.conjugate(a.T)
+        np.add(a, herm, out=herm)
+        del a
+        np.true_divide(herm, 2, out=herm)
+    return np.sort(np.linalg.eigvalsh(herm))
 
 
 @contextmanager
@@ -583,66 +534,3 @@ def _small_ufunc_buffers():
         yield
     finally:
         np.setbufsize(old)
-
-
-def _sweep_chunk(buf: np.ndarray, s: int, t: int, columns, rows):
-    """One chunk of ``_sweep``, whose docstring gives its steps; returns
-    its deviation.  Its arrays go when it returns, before the next chunk's
-    entries are made."""
-    dim, w = buf.shape[1], t - s
-    flat = buf.reshape(-1)
-    keys, values = columns(s, t)
-    inside, below = np.searchsorted(keys, [s * w, t * w])
-    square = values[inside:below]  # O[J, J]'s entries, at J's flat indices
-    direct = keys[inside:below] - s * w
-    moved = direct % w * w + direct // w  # and at conj(O[J, J].T)'s
-    at = keys + keys // w * (dim - w) + s  # each entry's index in ``flat``
-    del keys
-    max_dev = 0.0
-    step = max(1, 2 * _VERIFY_ENTRIES // w)  # |B| is 8 bytes, half an entry
-    bounds = np.searchsorted(at, np.arange(0, dim + step, step) * dim)
-    for i, a in enumerate(range(0, dim, step)):
-        # B - O at the block's entries, B - 0 = B elsewhere; B's bits go back
-        e = slice(bounds[i], bounds[i + 1])
-        raw = flat[at[e]]
-        np.subtract.at(flat, at[e], values[e])
-        max_dev = np.maximum(max_dev, np.max(np.abs(buf[a:min(a + step, dim), s:t])))
-        flat[at[e]] = raw
-    step = max(1, _VERIFY_ENTRIES // w)  # rows of J's square at a time
-    scratch = np.empty((step, w), dtype=complex)
-    with _overflow_raises("the hermitized sector matrix"):
-        right = buf[s:t, t:]
-        np.conjugate(right, out=right)
-        np.add(buf[t:dim, s:t].T, right, out=right)
-        np.true_divide(right, 2, out=right)
-        for a in range(0, w, step):  # B's, each row from the diagonal on
-            b = min(a + step, w)
-            herm = np.conjugate(buf[s + a:s + b, s + a:t], out=scratch[:b - a, a:])
-            np.add(buf[s + a:t, s + a:s + b].T, herm, out=herm)
-            np.true_divide(herm, 2, out=buf[s + a:s + b, s + a:t])
-        for a in range(0, w, step):  # O's: conj(O[J, J].T), then 0j or the entry + it
-            b = min(a + step, w)
-            herm = scratch[:b - a].reshape(-1)
-            herm[...] = np.conjugate(0j)
-            there = (moved >= a * w) & (moved < b * w) if step < w else slice(None)
-            herm[moved[there] - a * w] = np.conjugate(square[there])
-            here = slice(*np.searchsorted(direct, [a * w, b * w]))
-            conj_t = herm[direct[here] - a * w]
-            np.add(0j, herm, out=herm)
-            herm[direct[here] - a * w] = square[here] + conj_t
-            np.true_divide(herm, 2, out=herm)
-            np.copyto(buf[s + 1 + a:s + 1 + b, s:t], scratch[:b - a],
-                      where=np.tri(b - a, w, a, dtype=bool))
-        del scratch, herm, square, direct, moved, there, conj_t
-        if t == dim:  # no rows below the square
-            return max_dev
-        at = at[below:] + dim
-        lower = buf[t + 1:, s:t]
-        lower[...] = 0
-        rows(s, t, buf)
-        np.conjugate(lower, out=lower)
-        conj_rows = flat[at]
-        np.add(0j, lower, out=lower)
-        flat[at] = values[below:] + conj_rows
-        np.true_divide(lower, 2, out=lower)
-    return max_dev

@@ -1199,9 +1199,11 @@ DYADIC_HAMILTONIAN = """\
      (["--matrix", str(GOLDEN / "parity_n6.txt")], "reduce_n6_k3_parity.json")],
 )
 def test_reduce_golden_bytes(tmp_path, capsys, selector, golden):
-    """Everything before the verify block (spec, fixed qubits, Hamiltonian
-    terms, state map) is byte for byte the recorded output.  The 6-mode
-    parity matrix given as a ``--matrix`` file reduces to the bytes of
+    """The whole output (spec, fixed qubits, Hamiltonian terms, state map
+    and the verify block) is line for line the recorded output.  The
+    dyadic input makes B equal to the oracle, so the verify block is exact:
+    no deviation, a zero bound and no eigensolve.  The 6-mode parity
+    matrix given as a ``--matrix`` file reduces to the bytes of
     ``--mapping parity``."""
     ham = tmp_path / "h.txt"
     ham.write_text(DYADIC_HAMILTONIAN)
@@ -1210,13 +1212,11 @@ def test_reduce_golden_bytes(tmp_path, capsys, selector, golden):
         "--hamiltonian", str(ham), *selector,
     )
     assert code == 0
-    marker = '\n  "verify": {'
-    got = out.split(marker)[0].splitlines()
-    expected = (GOLDEN / golden).read_text().split(marker)[0].splitlines()
+    got = out.splitlines()
+    expected = (GOLDEN / golden).read_text().splitlines()
     if got != expected:  # a line diff: pytest's own diff of 30 kB strings is very slow
         diff = difflib.unified_diff(expected, got, "golden", "output", n=1, lineterm="")
         pytest.fail("\n".join(itertools.islice(diff, 40)))
-    assert json.loads(out)["verify"]["passed"] is True
 
 
 _FLOATS = st.one_of(
@@ -1602,7 +1602,6 @@ _HOPPINGS = "1 2 1e308 0\n2 1 1e308 0\n3 4 1e308 0\n4 3 1e308 0\n"
 @pytest.mark.parametrize(
     "text, selector, stage",
     [(_HOPPINGS, ["--index-embed"], "the Pauli decomposition"),
-     (_HOPPINGS, ["--mapping", "parity"], "the hermitized sector matrix"),
      ("1 1 1e308 0\n1 1 1e308 0\n", ["--mapping", "parity"], "the sector oracle"),
      ("1 1 1e308 0\n1 1 1e308 0\n", ["--index-embed"], "the dense conjugation")],
 )
@@ -1610,11 +1609,11 @@ def test_finite_sums_whose_dense_forms_overflow_are_a_usage_error(
     tmp_path, capsys, monkeypatch, text, selector, stage
 ):
     """Each input encodes to a finite sum, but the conjugation of the
-    hoppings (index embed), their hermitized sector matrix (parity), the
-    sector oracle's sum of the two number terms (parity) or the scatter of
-    their I and Z terms into one entry (index embed) passes the largest float:
-    exit 2 with one error line naming the overflow, before any numpy
-    warning and any eigensolve, with nothing on stdout and no file written."""
+    hoppings (index embed), the sector oracle's sum of the two number terms
+    (parity) or the scatter of their I and Z terms into one entry (index
+    embed) passes the largest float: exit 2 with one error line naming the
+    overflow, before any numpy warning and any eigensolve, with nothing on
+    stdout and no file written."""
     ham = tmp_path / "h.txt"
     ham.write_text(text)
     out = tmp_path / "out.json"
@@ -1630,6 +1629,28 @@ def test_finite_sums_whose_dense_forms_overflow_are_a_usage_error(
         for output in (["--output", str(out)], []):
             assert run(capsys, *argv, *output) == (2, "", error)
     assert not out.exists()
+
+
+def test_hoppings_whose_hermitization_would_overflow_are_certified(tmp_path, capsys, monkeypatch):
+    """With the parity map the 1e308 hoppings reduce to a sector block equal
+    to the oracle, so ||B - O||_F = 0 certifies the spectra: exit 0 and
+    ``passed``, with no numpy warning, no eigensolve and no hermitized
+    matrix, whose sums would pass the largest float."""
+    ham = tmp_path / "h.txt"
+    ham.write_text(_HOPPINGS)
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("a certified check reached the eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "reduce", "--modes", "4", "--fermions", "2",
+                           "--mapping", "parity", "--hamiltonian", str(ham))
+    assert code == 0
+    check = json.loads(out)["verify"]
+    assert check["passed"] is True
+    assert check["spectrum_bound"] == 0.0 and check["spectrum_deviation"] is None
 
 
 @pytest.mark.parametrize("selector", [["--mapping", "parity"], ["--index-embed"]])

@@ -50,7 +50,6 @@ from helpers import (
     random_pauli_sum,
     sector_oracle_loop,
     sector_oracle_term_loop,
-    sweep_dense_chunks,
     three_cnot_permutation,
     verify_reduction_dense,
 )
@@ -898,6 +897,21 @@ def test_spectrum_fallback_is_the_eigensolve_check(n, k, mapping):
         _assert_matches_reference(check, verify_reduction_dense(reduced, matrix, certify=False))
 
 
+def test_an_oracle_whose_hermitization_overflows_raises():
+    """N=4, K=2 with the parity map: a given oracle with 1e308 at [0, 1] and
+    [1, 0] fails the certificate, and (O + O^H) / 2 passes the largest float
+    there, so verify raises naming that stage, before any numpy warning."""
+    spec = SectorSpec(4, 2)
+    h = random_one_body(4, np.random.default_rng(7))
+    rh = encode_and_reduce(h, LinearEncodingF2.parity(4), spec)
+    oracle = sector_oracle(h, spec)
+    oracle[0, 1] = oracle[1, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the hermitized sector matrix overflows"):
+            verify_reduction(rh, oracle)
+
+
 @pytest.mark.parametrize("read_only", [False, True])
 @pytest.mark.parametrize("broken", ["oracle", "block", "both"])
 def test_verify_raises_a_failed_solve_from_the_calling_thread(broken, read_only):
@@ -1001,9 +1015,9 @@ def operator_reductions(draw):
 def test_verify_from_the_operator_matches_the_matrix(case, width):
     """Given ``h``, verify never builds the oracle, yet every field has the
     bits it has given ``sector_oracle(h, spec)`` and the whole-matrix
-    reference's.  At N <= 8 the sweep runs one chunk, so it runs again with
-    chunks of ``width`` columns: the row pass and every step of the sweep
-    then run at several column offsets."""
+    reference's.  At N <= 8 verify takes one chunk of columns, so it runs
+    again with chunks of ``width`` columns: the column pass and the
+    deviation then run at several column offsets."""
     h, rh = case
     oracle = sector_oracle(h, rh.spec)
     oracle.setflags(write=False)
@@ -1022,7 +1036,7 @@ def test_verify_from_the_operator_matches_the_matrix(case, width):
     [(10, 5, "index-embed", 1), (10, 5, "parity", 2), (12, 6, "parity", 1)],
 )
 def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
-    """Sectors of 252 and 924 states, swept in 2, 1 and 10 chunks of
+    """Sectors of 252 and 924 states, compared in 2, 1 and 10 chunks of
     columns as their entries fall: the operator and its matrix give the
     reference's bits."""
     spec = SectorSpec(n, k)
@@ -1040,77 +1054,22 @@ def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
 @settings(max_examples=150, deadline=None)
 @given(oracle_cases(), st.integers(1, 30))
 def test_row_pass_matches_the_oracle_rows(case, width):
-    """The adjoint ladder strings applied to the states s..t-1 give the
-    oracle's rows s..t-1 right of column t, and the column pass its columns
-    s..t-1, bit for bit: constant, one-body, two-body and arbitrary ladder
-    terms, signed zeros and repeated terms among them."""
+    """The column pass gives the oracle's columns s..t-1 bit for bit, and
+    its counts bound each column's entries: constant, one-body, two-body
+    and arbitrary ladder terms, signed zeros and repeated terms among
+    them."""
     h, spec = case
     oracle = sector_oracle(h, spec)
-    columns, rows, counts = reduction._oracle_passes(h, spec, spec.n_modes)
+    columns, counts = reduction._oracle_passes(h, spec, spec.n_modes)
     dim = spec.dimension
     assert np.all(counts >= np.count_nonzero(oracle, axis=0))
     for s in range(0, dim, width):
         t = min(s + width, dim)
-        buf = np.zeros((dim + 1, dim), dtype=complex)
-        rows(s, t, buf)
-        got = buf[t + 1:, s:t].T
-        assert got.shape == (t - s, dim - t) and got.tobytes() == oracle[s:t, t:].tobytes()
         keys, values = columns(s, t)
         assert np.all(keys[1:] > keys[:-1])
         got = np.zeros((dim, t - s), dtype=complex)
         got.reshape(-1)[keys] = values
         assert got.shape == (dim, t - s) and got.tobytes() == oracle[:, s:t].tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 45), st.integers(0, 2**32 - 1))
-def test_sweep_writes_both_hermitized_triangles(d, width, seed):
-    """Every chunk width against the whole-matrix forms: the deviation and
-    both lower triangles, diagonal included, have the bits of max |B - O|,
-    (B + B^H) / 2 and (O + O^H) / 2, signed zeros among the entries.  B's is
-    read as ``buf[:d].T`` and O's as ``buf[1:]``, which between them cover
-    every byte of the buffer; the oracle is only read."""
-    rng = np.random.default_rng(seed)
-    buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
-    buf[rng.random((d + 1, d)) < 0.2] = -0.0
-    oracle = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    oracle[rng.random((d, d)) < 0.2] = complex(-0.0, 0.0)
-    oracle.setflags(write=False)
-    block = buf[:d].copy()
-    columns, rows, _ = reduction._matrix_passes(oracle)
-    max_dev = reduction._sweep(buf, _cuts(d, width), columns, rows)
-    assert np.float64(max_dev).tobytes() == np.max(np.abs(block - oracle)).tobytes()
-    lower = np.tril_indices(d)
-    for got, a in ((buf[:d].T, block), (buf[1:], oracle)):
-        assert got[lower].tobytes() == ((a + a.conj().T) / 2)[lower].tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 40), st.sampled_from([1, 8, 100, 4096]), st.integers(0, 2**32 - 1))
-def test_spectrum_bound_is_the_norm_of_the_triangles_difference(d, entries, seed):
-    """The blocked pass, at entry budgets from below one column to the
-    whole buffer, against the Frobenius norm of A - O for the matrices whose
-    lower triangles are ``buf[:d].T``'s and ``buf[1:]``'s, to within a
-    relative 1e-12; an inf in one triangle makes it inf, a NaN NaN."""
-    rng = np.random.default_rng(seed)
-    buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
-    buf[rng.random((d + 1, d)) < 0.2] = -0.0
-
-    def from_lower(a):
-        return np.tril(a) + np.tril(a, -1).conj().T
-
-    delta = from_lower(buf[:d].T) - from_lower(buf[1:])
-    expected = np.sqrt(np.sum(np.abs(delta) ** 2))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
-        got = reduction._spectrum_bound(buf)
-        assert abs(got - expected) <= 1e-12 * expected
-        i, j = sorted(rng.integers(0, d, size=2), reverse=True)  # i >= j
-        for value, check in ((np.inf, np.isposinf), (np.nan, np.isnan)):
-            for at in ((j, i), (i + 1, j)):  # A[i, j], O[i, j]
-                spiked = buf.copy()
-                spiked[at] = value
-                assert check(reduction._spectrum_bound(spiked))
 
 
 def test_verify_from_the_operator_holds_one_buffer():
@@ -1156,11 +1115,11 @@ def test_verify_scratch_keeps_to_one_budget():
 
 
 @st.composite
-def sweep_cases(draw):
-    """A (d + 1) x d buffer, an oracle given as ``h`` or as a matrix, a
-    chunk width in 1..45 and an entry budget that cuts the deviation and
-    the squares into one block or many.  The buffer has -0.0 parts and,
-    sometimes, NaN.
+def deviation_cases(draw):
+    """A d x d block, an oracle given as ``h`` or as a matrix, a chunk width
+    in 1..45 and an entry budget that cuts each chunk into one block of
+    rows or many.  The block has -0.0 parts and, sometimes, a NaN, inf or
+    1e300 spike whose square makes the bound NaN or inf.
     ``h`` (N = 3..8) has one- and two-body terms, repeated terms and
     coefficients with -0.0 parts; the matrix has +0+0j, -0.0 parts and
     random entries, at a density drawn from sparse to dense."""
@@ -1188,37 +1147,43 @@ def sweep_cases(draw):
         source[rng.random((d, d)) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
         source[rng.random((d, d)) < 0.1] = complex(-0.0, 0.0)
         source[rng.random((d, d)) < 0.1] = complex(0.0, -0.0)
-    buf = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
-    buf[rng.random((d + 1, d)) < 0.3] = -0.0
-    if draw(st.booleans()):
-        buf[rng.random((d + 1, d)) < 0.05] = np.nan
-    return spec, source, buf, width, draw(st.sampled_from([8, 100, 4096]))
+    block = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    block[rng.random((d, d)) < 0.3] = -0.0
+    spike = draw(st.sampled_from([None, np.nan, np.inf, 1e300]))
+    if spike is not None:
+        block[tuple(rng.integers(0, d, size=2))] = spike
+    return spec, source, block, width, draw(st.sampled_from([8, 100, 4096]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(sweep_cases())
-def test_sweep_matches_the_dense_chunk_sweep(case):
-    """The entry-form sweep against the dense-chunk sweep it replaced, byte
-    for byte: the deviation and every byte of the buffer, the spare row
-    included, for the oracle given as ``h`` and as a matrix."""
-    spec, source, buf, width, entries = case
-    d = buf.shape[1]
+@given(deviation_cases())
+def test_deviation_and_bound_match_the_whole_matrix_forms(case):
+    """The chunked pass against the whole-matrix forms, for the oracle
+    given as ``h`` and as a matrix: B - O is left in the block byte for
+    byte, max |B - O| has its bits and ||B - O||_F is equal to within a
+    relative 1e-12, or NaN or inf as the whole-matrix norm is."""
+    spec, source, block, width, entries = case
+    d = block.shape[1]
     if spec is None:
         oracle = source
-        columns, rows, _ = reduction._matrix_passes(oracle)
+        columns, _ = reduction._matrix_passes(oracle)
     else:
         oracle = sector_oracle(source, spec)
-        columns, rows, _ = reduction._oracle_passes(source, spec, spec.n_modes)
+        columns, _ = reduction._oracle_passes(source, spec, spec.n_modes)
     oracle.setflags(write=False)
-    expected = buf.copy()
-    with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = block - oracle
+        max_dev = np.max(np.abs(delta))
+        norm = np.sqrt(np.sum(np.abs(delta) ** 2))
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
-        dev = sweep_dense_chunks(
-            expected, lambda s, t: oracle[:, s:t], lambda s, t: oracle[s:t, t:], width
-        )
-        got = reduction._sweep(buf, _cuts(d, width), columns, rows)
-    assert np.float64(got).tobytes() == np.float64(dev).tobytes()
-    assert buf.tobytes() == expected.tobytes()
+        got, bound = reduction._deviation_and_bound(block, _cuts(d, width), columns)
+    assert block.tobytes() == delta.tobytes()
+    assert np.float64(got).tobytes() == max_dev.tobytes()
+    if np.isfinite(norm):
+        assert abs(bound - norm) <= 1e-12 * norm
+    else:
+        assert np.float64(bound).tobytes() == norm.tobytes()
 
 
 def test_reduce_index_embed_projects_inside_the_transform():
@@ -1249,14 +1214,15 @@ def test_dense_block_holds_the_sort_order_not_sorted_copies():
     h = random_one_body(10, np.random.default_rng(7))
     rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
     s = rh.pauli_sum
+    d = spec.dimension
     tracemalloc.start()
     try:
-        buf = s._dense_block(rh.labels, spare_row=True)
+        block = s._dense_block(rh.labels, small_blocks=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(buf[:-1], s.to_dense()[np.ix_(rh.labels, rh.labels)])
-    assert peak < buf.nbytes + 48 * len(s)
+    assert np.array_equal(block, s.to_dense()[np.ix_(rh.labels, rh.labels)])
+    assert peak < 16 * (d + 1) * d + 48 * len(s)
 
 
 def test_identity_permutation_reduction_has_no_fixed_qubits():
