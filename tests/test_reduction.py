@@ -1155,13 +1155,11 @@ def deviation_cases(draw):
     return spec, source, block, width, draw(st.sampled_from([8, 100, 4096]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(deviation_cases())
-def test_deviation_and_bound_match_the_whole_matrix_forms(case):
-    """The chunked pass against the whole-matrix forms, for the oracle
-    given as ``h`` and as a matrix: B - O is left in the block byte for
-    byte, max |B - O| has its bits and ||B - O||_F is equal to within a
-    relative 1e-12, or NaN or inf as the whole-matrix norm is."""
+def _deviation_pass(case):
+    """Run the chunked pass on a drawn case, for the oracle given as ``h``
+    or as a matrix.  Returns the block it left, and B - O, max |B - O| and
+    ||B - O||_F computed on the whole matrices, and the pass's deviation
+    and bound."""
     spec, source, block, width, entries = case
     d = block.shape[1]
     if spec is None:
@@ -1178,8 +1176,35 @@ def test_deviation_and_bound_match_the_whole_matrix_forms(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
         got, bound = reduction._deviation_and_bound(block, _cuts(d, width), columns)
+    return block, delta, max_dev, norm, got, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(deviation_cases())
+def test_deviation_pass_leaves_b_minus_o_in_the_block(case):
+    """Every chunk width and entry budget: the pass leaves B - O in the
+    block byte for byte, signed zeros and NaN or inf spikes among the
+    entries; the oracle is only read."""
+    block, delta, _, _, _, _ = _deviation_pass(case)
     assert block.tobytes() == delta.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(deviation_cases())
+def test_deviation_pass_matches_the_whole_matrix_max(case):
+    """The deviation the chunked pass reads, for the oracle given as ``h``
+    and as a matrix, has the bits of max |B - O| on the whole matrices."""
+    _, _, max_dev, _, got, _ = _deviation_pass(case)
     assert np.float64(got).tobytes() == max_dev.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(deviation_cases())
+def test_spectrum_bound_is_the_norm_of_b_minus_o(case):
+    """The bound, at entry budgets from below one column to the whole
+    block, is ||B - O||_F to within a relative 1e-12, or NaN or inf as the
+    whole-matrix norm is."""
+    _, _, _, norm, _, bound = _deviation_pass(case)
     if np.isfinite(norm):
         assert abs(bound - norm) <= 1e-12 * norm
     else:
