@@ -26,8 +26,8 @@ through (about 256 MiB under the default dense cap, d <= 2^12).  Beside it,
 each array of the pass's scratch holds at most ``pauli._VERIFY_ENTRIES``
 entries (4096, 64 KiB), whatever d and the chunk width: the oracle reaches
 it as the summed entries of a chunk of columns.  When the bound fails, B is
-built again and O whole (given ``h``), one after the other, to be
-hermitized and solved.
+built again and O whole (given ``h``), one after the other, each to be
+hermitized in place and solved.
 """
 
 from __future__ import annotations
@@ -305,14 +305,20 @@ def _summed(entries, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct flat indices r * ``width`` + c of ``_scatter_ladders``
     yields, sorted, and each one's values summed by ``np.add.at`` from +0
     in the order given: the entries of the zeroed array that ``np.add.at``
-    over the yields in turn would fill."""
+    over the yields in turn would fill.  The n entries are grouped by one
+    sort of the words key * n + position, the stable order of the keys."""
     keys, values = [], []
     for rank, col, value in entries:
         keys.append(rank * width + col)
         values.append(value)
     keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    # The words fit in int64: keys < d * width <= 2^32 under the 2^16-state
+    # sector cap, and n < 2^31.  An empty chunk divides by 1.
+    n = max(keys.size, 1)
+    keys *= n
+    keys += np.arange(keys.size)
+    keys.sort()
+    keys, order = np.divmod(keys, n)
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     inverse = np.cumsum(first)  # each entry's distinct index, in sorted order
@@ -448,11 +454,12 @@ def verify_reduction(
     ``spectrum_deviation`` is None and ``passed`` is ``max_deviation <
     tol``: the factor covers the sum's own rounding, a relative error below
     d^2 2^-53, 2e-9 at d <= 2^12.  Otherwise, NaN and inf included, B is
-    built again and O whole if ``h`` was given, and each is hermitized as
-    (a + a^H) / 2 and solved in turn; each is freed before the next is
-    built, so this path holds about three d x d arrays at its peak, LAPACK's
-    copy among them.  ``spectrum_deviation``, the largest difference of the
-    sorted eigenvalues, must stay below ``SPECTRUM_TOL`` as well."""
+    built again, then O whole if ``h`` was given or else a copy of the given
+    matrix, and each is hermitized in place as (a + a^H) / 2 and solved
+    before the next is built: this path holds one d x d array beside
+    LAPACK's copy, a traced peak of 1.05 x 16 d^2 at d = 924.
+    ``spectrum_deviation``, the largest difference of the sorted
+    eigenvalues, must stay below ``SPECTRUM_TOL`` as well."""
     dim = rh.spec.dimension
     if not isinstance(oracle, FermionOperator):
         oracle = np.asarray(oracle, dtype=complex)  # a complex matrix is not copied
@@ -468,11 +475,11 @@ def verify_reduction(
         del block  # holds B - O; a failed certificate builds B again
     if bound * (1 + 1e-6) < SPECTRUM_TOL:
         return ReductionCheck(max_dev, bound, None, max_dev < tol, tol)
-    eig_block = _hermitized_spectrum(lambda: rh.pauli_sum._dense_block(rh.labels, dense_cap))
+    eig_block = _hermitized_spectrum(rh.pauli_sum._dense_block(rh.labels, dense_cap))
     if isinstance(oracle, FermionOperator):
-        eig_oracle = _hermitized_spectrum(lambda: sector_oracle(oracle, rh.spec, dense_cap))
+        eig_oracle = _hermitized_spectrum(sector_oracle(oracle, rh.spec, dense_cap))
     else:
-        eig_oracle = _hermitized_spectrum(lambda: oracle)
+        eig_oracle = _hermitized_spectrum(oracle.copy())  # the caller's matrix is only read
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle)))  # d >= 1: d = 0 certifies
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
@@ -487,11 +494,13 @@ def _deviation_and_bound(block: np.ndarray, cuts, columns) -> tuple[float, float
     Each chunk [s, t) between ``cuts`` has its entries subtracted with
     ``np.subtract.at``, so B - O has the bits of the whole-matrix
     difference.  Then blocks of rows, each of at most ``_VERIFY_ENTRIES``
-    absolute values or one row, give their max (``np.maximum`` keeps a
-    NaN, as one max over the whole array does) and their sum of squares;
-    those blocks do not depend on the cuts, so neither do the bits of the
-    norm.  A NaN or inf anywhere gives a NaN or inf bound, with no
-    warning.  No scratch array grows with d times the chunk width."""
+    entries or one row, write their absolute values into one buffer and
+    give their max and sum of squares; those blocks do not depend on the
+    cuts, so neither do the bits of the norm.  In block order, the maxes
+    are chained by ``np.maximum`` from 0.0, which keeps a NaN as one max
+    over the whole array does, and the sums are added to 0.0.  A NaN or
+    inf anywhere gives a NaN or inf bound, with no warning.  No scratch
+    array grows with d times the chunk width."""
     dim = block.shape[1]
     flat = block.reshape(-1)
     for s, t in zip(cuts[:-1], cuts[1:]):
@@ -499,27 +508,37 @@ def _deviation_and_bound(block: np.ndarray, cuts, columns) -> tuple[float, float
         keys, values = columns(s, t)
         np.subtract.at(flat, keys + keys // w * (dim - w) + s, values)
         del keys, values  # before the next chunk's entries are made
-    max_dev, total = 0.0, 0.0
     step = max(1, _VERIFY_ENTRIES // dim)
-    for a in range(0, dim, step):
-        mag = np.abs(block[a:a + step])
-        max_dev = np.maximum(max_dev, np.max(mag))
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += float(np.square(mag, out=mag).sum())
+    starts = range(0, dim, step)
+    mag = np.empty((min(step, dim), dim))
+    maxes, sums = np.zeros(len(starts) + 1), np.zeros(len(starts) + 1)  # [0]: the 0.0 start
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, a in enumerate(starts, 1):
+            part = np.abs(block[a:a + step], out=mag[:min(step, dim - a)])
+            maxes[i] = np.maximum.reduce(part, axis=None)
+            sums[i] = np.add.reduce(np.square(part, out=part), axis=None)
+        # accumulate runs the chains in order; a reduce may give another NaN's bits
+        max_dev = np.maximum.accumulate(maxes)[-1]
+        total = np.add.accumulate(sums)[-1]
     return float(max_dev), float(np.sqrt(total))
 
 
-def _hermitized_spectrum(build) -> np.ndarray:
-    """The sorted eigenvalues of (a + a^H) / 2 for the matrix a that
-    ``build()`` returns, with the whole-matrix ufuncs' bits; a is held only
-    until its hermitization is made."""
-    a = build()
-    with _overflow_raises("the hermitized sector matrix"):
-        herm = np.conjugate(a.T)
-        np.add(a, herm, out=herm)
-        del a
-        np.true_divide(herm, 2, out=herm)
-    return np.sort(np.linalg.eigvalsh(herm))
+def _hermitized_spectrum(a: np.ndarray) -> np.ndarray:
+    """The sorted eigenvalues of (a + a^H) / 2, with the whole-matrix
+    ufuncs' bits, for a square array ``a`` that verify built: its lower
+    triangle, all that ``eigvalsh`` reads, is hermitized in place, in blocks
+    of rows whose scratch holds ``_VERIFY_ENTRIES`` entries or one row.  As
+    (a + a^H)_ji = conj((a + a^H)_ij), it overflows iff the whole one does."""
+    dim = len(a)
+    step = max(1, _VERIFY_ENTRIES // dim)
+    with _small_ufunc_buffers(), _overflow_raises("the hermitized sector matrix"):
+        for s in range(0, dim, step):
+            t = min(s + step, dim)
+            herm = np.conjugate(a[:t, s:t].T)  # rows s..t-1 of a^H, to column t
+            np.add(a[s:t, :t], herm, out=herm)
+            np.true_divide(herm, 2, out=herm)
+            np.copyto(a[s:t, :t], herm, where=np.tri(t - s, t, s, dtype=bool))
+    return np.sort(np.linalg.eigvalsh(a))
 
 
 @contextmanager

@@ -437,6 +437,39 @@ def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP,
     return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
 
 
+def summed_argsort(entries, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``reduction._summed``: the entries grouped by a stable
+    argsort of their keys r * ``width`` + c, then summed from +0 by
+    ``np.add.at`` in the order given."""
+    keys, values = [], []
+    for rank, col, value in entries:
+        keys.append(rank * width + col)
+        values.append(value)
+    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    values = np.concatenate(values) if values else np.zeros(0, dtype=complex)
+    order = np.argsort(keys, kind="stable")
+    distinct, inverse = np.unique(keys[order], return_inverse=True)
+    total = np.zeros(distinct.size, dtype=complex)
+    np.add.at(total, inverse.reshape(-1), values[order])
+    return distinct, total
+
+
+def deviation_and_bound_rows(delta: np.ndarray, entries: int) -> tuple[float, float]:
+    """Reference for the row loop of ``reduction._deviation_and_bound`` on
+    B - O: blocks of ``entries // d`` rows, or one, each its own array of
+    absolute values, the maxes chained by ``np.maximum`` from 0.0 and each
+    block's sum of squares added to a 0.0 total, in block order."""
+    dim = delta.shape[1]
+    max_dev, total = 0.0, 0.0
+    step = max(1, entries // dim)
+    for a in range(0, dim, step):
+        mag = np.abs(delta[a:a + step])
+        max_dev = np.maximum(max_dev, np.max(mag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float(np.square(mag, out=mag).sum())
+    return float(max_dev), float(np.sqrt(total))
+
+
 # GF(2) references: three eliminations independent of ``f2._row_ops``, and
 # the matrix-vector product behind ``f2._xor_columns``.
 

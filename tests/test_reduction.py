@@ -44,12 +44,14 @@ from fermiperm.reduction import SPECTRUM_TOL
 from helpers import (
     array_sum,
     conjugate_affine_loop,
+    deviation_and_bound_rows,
     kron_dense,
     project_fixed_qubit_loop,
     random_invertible,
     random_pauli_sum,
     sector_oracle_loop,
     sector_oracle_term_loop,
+    summed_argsort,
     three_cnot_permutation,
     verify_reduction_dense,
 )
@@ -1053,7 +1055,7 @@ def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
 
 @settings(max_examples=150, deadline=None)
 @given(oracle_cases(), st.integers(1, 30))
-def test_row_pass_matches_the_oracle_rows(case, width):
+def test_column_pass_matches_the_oracle_columns(case, width):
     """The column pass gives the oracle's columns s..t-1 bit for bit, and
     its counts bound each column's entries: constant, one-body, two-body
     and arbitrary ladder terms, signed zeros and repeated terms among
@@ -1070,6 +1072,34 @@ def test_row_pass_matches_the_oracle_rows(case, width):
         got = np.zeros((dim, t - s), dtype=complex)
         got.reshape(-1)[keys] = values
         assert got.shape == (dim, t - s) and got.tobytes() == oracle[:, s:t].tobytes()
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.5, -0.25])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6),
+       st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _PARTS, _PARTS),
+                         max_size=8), max_size=4))
+@example(3, [])  # no yield at all
+@example(3, [[]])  # an empty chunk: one yield with no entries
+@example(3, [[(1, 2, 0.5, -0.0)]])  # a single entry
+@example(2, [[(0, 1, -0.0, -0.0), (4, 1, 1.5, 0.0), (0, 1, 0.0, 0.0)], [(0, 1, -0.0, 0.0)]])
+def test_summed_matches_the_stable_argsort(width, pieces):
+    """``_summed``'s one sort of packed words groups the entries as a
+    stable argsort of their keys does: the same distinct keys, and each
+    one's values summed from +0 in the order given, bit for bit, repeated
+    keys with -0.0 and +0.0 parts among them."""
+    def yields():
+        for piece in pieces:
+            rank = np.array([e[0] for e in piece], dtype=np.int64)
+            col = np.array([e[1] % width for e in piece], dtype=np.int64)
+            yield rank, col, np.array([complex(e[2], e[3]) for e in piece], dtype=complex)
+
+    keys, total = reduction._summed(yields(), width)
+    expected_keys, expected_total = summed_argsort(yields(), width)
+    assert keys.tobytes() == expected_keys.tobytes()
+    assert total.tobytes() == expected_total.tobytes()
 
 
 def test_verify_from_the_operator_holds_one_buffer():
@@ -1112,6 +1142,32 @@ def test_verify_scratch_keeps_to_one_budget():
             tracemalloc.stop()
         assert check.passed
         assert peak <= 16 * (d + 1) * d + 0.3 * 2**20
+
+
+def test_a_failed_certificate_holds_one_matrix():
+    """N=12, K=6 with the parity mapping, seed 7 (d = 924), 1e-6 X...X
+    added to the reduced operator: the certificate fails, so B and then O
+    are built again, each hermitized in place and solved.  Given ``h`` or
+    the matrix, verify's traced peak stays within 1.1 x 16 d^2 (2.02 with a
+    hermitized copy beside each), and the given matrix is left as it was."""
+    n, spec = 12, SectorSpec(12, 6)
+    h = random_one_body(n, np.random.default_rng(7))
+    rh = encode_and_reduce(h, LinearEncodingF2.parity(n), spec)
+    q, d = rh.pauli_sum.n_qubits, spec.dimension
+    spike = PauliSum.from_terms(q, [(1e-6, "X" * q)])
+    spiked = ReducedHamiltonian(rh.pauli_sum + spike, rh.report, rh.spec, rh.labels)
+    oracle = sector_oracle(h, spec)
+    before = oracle.tobytes()
+    for source in (h, oracle):
+        tracemalloc.start()
+        try:
+            check = verify_reduction(spiked, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.spectrum_deviation is not None and not check.passed
+        assert peak <= 1.1 * 16 * d * d
+    assert oracle.tobytes() == before
 
 
 @st.composite
@@ -1201,10 +1257,14 @@ def test_deviation_pass_matches_the_whole_matrix_max(case):
 @settings(max_examples=200, deadline=None)
 @given(deviation_cases())
 def test_spectrum_bound_is_the_norm_of_b_minus_o(case):
-    """The bound, at entry budgets from below one column to the whole
-    block, is ||B - O||_F to within a relative 1e-12, or NaN or inf as the
-    whole-matrix norm is."""
-    _, _, _, norm, _, bound = _deviation_pass(case)
+    """The deviation and the bound, at entry budgets from below one column
+    to the whole block, have the bits of the row loop that holds one array
+    of absolute values per block (``deviation_and_bound_rows``), NaN, inf
+    and 1e300 spikes included.  The bound is ||B - O||_F to within a
+    relative 1e-12, or NaN or inf as the whole-matrix norm is."""
+    _, delta, _, norm, got, bound = _deviation_pass(case)
+    expected = deviation_and_bound_rows(delta, case[-1])
+    assert np.array([got, bound]).tobytes() == np.array(expected).tobytes()
     if np.isfinite(norm):
         assert abs(bound - norm) <= 1e-12 * norm
     else:
