@@ -16,16 +16,16 @@ sector states at once.  It is the ground truth that ``verify_reduction``
 compares against; given the operator itself, verify computes it a chunk of
 columns at a time and never holds it whole.  Verification stays inside the
 sector: it builds only the d x d block B of the reduced operator on the
-sector labels, never the 2^q x 2^q matrix.  One pass over chunks of
-columns subtracts the oracle O from B in place and takes max |B - O| and
-the Frobenius norm ||B - O||_F, which bounds the difference of the two
+sector labels, never the 2^q x 2^q matrix.  The oracle O is subtracted
+from B in place, a chunk of columns at a time given ``h`` and in one ufunc
+call given its matrix; one pass over blocks of rows then takes max |B - O|
+and the Frobenius norm ||B - O||_F, which bounds the difference of the two
 hermitized sector spectra (Weyl); the two d x d eigensolves run only when
 that bound does not certify the spectrum check.  B is the only d x d array
-the pass holds, 16 (d + 1) d bytes with the spare row it is scattered
+verify builds, 16 (d + 1) d bytes with the spare row it is scattered
 through (about 256 MiB under the default dense cap, d <= 2^12).  Beside it,
-each array of the pass's scratch holds at most ``pauli._VERIFY_ENTRIES``
-entries (4096, 64 KiB), whatever d and the chunk width: the oracle reaches
-it as the summed entries of a chunk of columns.  When the bound fails, B is
+each array of scratch holds at most ``pauli._VERIFY_ENTRIES`` entries
+(4096, 64 KiB), whatever d and the chunk width.  When the bound fails, B is
 built again and O whole (given ``h``), one after the other, each to be
 hermitized in place and solved.
 """
@@ -370,34 +370,6 @@ def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
     return columns, counts
 
 
-def _matrix_passes(oracle: np.ndarray):
-    """``_oracle_passes`` for a given complex matrix O: the column pass
-    gives the entries of O[:, s:t] that are not +0+0j, in row-major order,
-    and each column's count of those entries.  Both read O in blocks of
-    rows whose masks hold 8 ``_VERIFY_ENTRIES`` bools."""
-    dim = len(oracle)
-
-    def blocks(s: int, t: int):
-        step = max(1, 8 * _VERIFY_ENTRIES // (t - s))
-        for a in range(0, dim, step):
-            part = oracle[a:a + step, s:t]
-            kept = part.real.view(np.int64) != 0  # the bits of a part are not all zero
-            kept |= part.imag.view(np.int64) != 0
-            yield a, part, kept
-
-    def columns(s: int, t: int):
-        keys, values = [], []
-        for a, part, kept in blocks(s, t):
-            keys.append(np.flatnonzero(kept) + a * (t - s))
-            values.append(part[kept])
-        return np.concatenate(keys), np.concatenate(values)
-
-    counts = np.zeros(dim, dtype=np.int64)
-    for _, _, kept in blocks(0, dim):
-        counts += np.count_nonzero(kept, axis=0)
-    return columns, counts
-
-
 def _chunk_cuts(counts: np.ndarray) -> list[int]:
     """Bounds 0 = c_0 < c_1 < ... = d of verify's chunks of columns,
     taken left to right: each chunk is as wide as keeps the entries
@@ -432,17 +404,18 @@ def verify_reduction(
 
     ``oracle`` is ``h`` itself or its matrix ``sector_oracle(h, rh.spec)``
     (or anything ``np.asarray`` reads as that matrix), with the same result,
-    bit for bit.  Given ``h``, the oracle's checks come first and it is
-    computed a chunk of columns at a time, never whole; a given complex
-    array is only read.  Only the d x d block B on the sector labels is
-    built, and ``_deviation_and_bound`` subtracts O from it in place.  So
-    verify holds one d x d array, 16 (d + 1) d bytes with the spare row
-    ``_dense_block`` scatters into (about 256 MiB under the default
-    ``dense_cap``, d <= 2^12).  Beside it, each array of scratch holds at
-    most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the 2^q-wide
-    transform, and the oracle's kernel steps ``_LADDER_PAIRS`` (term,
-    state) pairs: at d = 924 and q = 11, about 0.25 MiB at most.
-    ``dense_cap`` bounds the reduced register.
+    bit for bit.  Only the d x d block B on the sector labels is built, and
+    O is subtracted from it in place, an overflow giving inf, not a warning:
+    given ``h``, after the oracle's checks, a chunk of columns at a time and
+    never whole (``_subtract_chunks``); given a complex array of any layout,
+    in one ``np.subtract`` that only reads it.  So verify holds one d x d
+    array, 16 (d + 1) d bytes with the spare row ``_dense_block`` scatters
+    into (about 256 MiB under the default ``dense_cap``, d <= 2^12).
+    Beside it, each array of scratch holds at most ``_VERIFY_ENTRIES``
+    entries, 64 KiB, or one row of the 2^q-wide transform, and the
+    oracle's kernel steps ``_LADDER_PAIRS`` (term, state) pairs: at d = 924
+    and q = 11, at most about 0.25 MiB given ``h``, 0.16 MiB given the
+    matrix.  ``dense_cap`` bounds the reduced register.
 
     The spectra are certified before they are solved.  For Hermitian A and
     O', max_i |lambda_i(A) - lambda_i(O')| <= ||A - O'||_F (Weyl), and
@@ -468,10 +441,13 @@ def verify_reduction(
     with _small_ufunc_buffers():
         if isinstance(oracle, FermionOperator):
             columns, counts = _oracle_passes(oracle, rh.spec, dense_cap)
-        else:
-            columns, counts = _matrix_passes(oracle)
         block = rh.pauli_sum._dense_block(rh.labels, dense_cap, small_blocks=True)
-        max_dev, bound = _deviation_and_bound(block, _chunk_cuts(counts), columns)
+        if isinstance(oracle, FermionOperator):
+            _subtract_chunks(block, _chunk_cuts(counts), columns)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow, not a warning
+                np.subtract(block, oracle, out=block)
+        max_dev, bound = _deviation_and_bound(block)
         del block  # holds B - O; a failed certificate builds B again
     if bound * (1 + 1e-6) < SPECTRUM_TOL:
         return ReductionCheck(max_dev, bound, None, max_dev < tol, tol)
@@ -485,29 +461,31 @@ def verify_reduction(
     return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
 
 
-def _deviation_and_bound(block: np.ndarray, cuts, columns) -> tuple[float, float]:
-    """Subtract the oracle O from the d x d block B in place and return
-    max |B - O| and ||B - O||_F.  ``columns(s, t)`` gives the entries of
-    O[:, s:t] as sorted, distinct flat indices of that array and their
-    values, every other entry +0+0j.
-
-    Each chunk [s, t) between ``cuts`` has its entries subtracted with
-    ``np.subtract.at``, so B - O has the bits of the whole-matrix
-    difference.  Then blocks of rows, each of at most ``_VERIFY_ENTRIES``
-    entries or one row, write their absolute values into one buffer and
-    give their max and sum of squares; those blocks do not depend on the
-    cuts, so neither do the bits of the norm.  In block order, the maxes
-    are chained by ``np.maximum`` from 0.0, which keeps a NaN as one max
-    over the whole array does, and the sums are added to 0.0.  A NaN or
-    inf anywhere gives a NaN or inf bound, with no warning.  No scratch
-    array grows with d times the chunk width."""
+def _subtract_chunks(block: np.ndarray, cuts, columns) -> None:
+    """Subtract the oracle O from the d x d block B in place by chunks of
+    columns [s, t) between ``cuts``: ``columns(s, t)`` gives O[:, s:t] as
+    sorted, distinct flat indices of that array and their values, every
+    other entry +0+0j, and ``np.subtract.at`` takes those from B.  As
+    b - (+0.0) is b in every bit, B has the bits of the whole difference."""
     dim = block.shape[1]
     flat = block.reshape(-1)
     for s, t in zip(cuts[:-1], cuts[1:]):
         w = t - s
         keys, values = columns(s, t)
-        np.subtract.at(flat, keys + keys // w * (dim - w) + s, values)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow, not a warning
+            np.subtract.at(flat, keys + keys // w * (dim - w) + s, values)
         del keys, values  # before the next chunk's entries are made
+
+
+def _deviation_and_bound(block: np.ndarray) -> tuple[float, float]:
+    """max |B - O| and ||B - O||_F of a d x d block that holds B - O.
+    Blocks of rows, each of at most ``_VERIFY_ENTRIES`` entries or one
+    row, write their absolute values into one buffer and give their max
+    and sum of squares.  In block order, the maxes are chained by
+    ``np.maximum`` from 0.0, which keeps a NaN as one max over the whole
+    array does, and the sums are added to 0.0.  A NaN or inf anywhere
+    gives a NaN or inf bound, with no warning."""
+    dim = block.shape[1]
     step = max(1, _VERIFY_ENTRIES // dim)
     starts = range(0, dim, step)
     mag = np.empty((min(step, dim), dim))

@@ -914,6 +914,27 @@ def test_an_oracle_whose_hermitization_overflows_raises():
             verify_reduction(rh, oracle)
 
 
+def test_a_difference_that_overflows_is_inf_without_a_warning():
+    """N=4, K=2 index embed: 1e308 (X + iY)/2 on the last qubit puts 1e308
+    at [0, 1] of the sector block, and the given oracle has -1e308 there.
+    B - O passes the largest float: the deviation and the bound are inf and
+    the check fails on the spectra it then solves, with no numpy warning."""
+    spec = SectorSpec(4, 2)
+    h = random_one_body(4, np.random.default_rng(7))
+    rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
+    q = rh.pauli_sum.n_qubits
+    identities = "I" * (q - 1)
+    spike = PauliSum.from_terms(q, [(0.5e308, identities + "X"), (0.5e308j, identities + "Y")])
+    spiked = ReducedHamiltonian(rh.pauli_sum + spike, rh.report, rh.spec, rh.labels)
+    oracle = sector_oracle(h, spec)
+    oracle[0, 1] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = verify_reduction(spiked, oracle)
+    assert (check.max_deviation, check.spectrum_bound) == (np.inf, np.inf)
+    assert check.spectrum_deviation == 5e307 and not check.passed
+
+
 @pytest.mark.parametrize("read_only", [False, True])
 @pytest.mark.parametrize("broken", ["oracle", "block", "both"])
 def test_verify_raises_a_failed_solve_from_the_calling_thread(broken, read_only):
@@ -1039,18 +1060,27 @@ def test_verify_from_the_operator_matches_the_matrix(case, width):
 )
 def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
     """Sectors of 252 and 924 states, compared in 2, 1 and 10 chunks of
-    columns as their entries fall: the operator and its matrix give the
-    reference's bits."""
+    columns as their entries fall: the operator gives the reference's bits,
+    and so does its matrix, read-only, whether C-ordered, a Fortran-order
+    copy or a view of every other column of a d x 2d array, and left
+    unwritten."""
     spec = SectorSpec(n, k)
     rng = np.random.default_rng(5)
     h = random_one_body(n, rng) if body == 1 else _two_body(n, rng, 40)
     p = LinearEncodingF2.parity(n) if mapping == "parity" else minimal_permutation_index_embed(spec)
     rh = encode_and_reduce(h, p, spec)
     oracle = sector_oracle(h, spec)
-    oracle.setflags(write=False)
     got = verify_reduction(rh, h)
     _assert_matches_reference(got, verify_reduction_dense(rh, oracle))
-    assert _check_bits(verify_reduction(rh, oracle)) == _check_bits(got)
+    wide = np.zeros((len(oracle), 2 * len(oracle)), dtype=complex)
+    wide[:, ::2] = oracle
+    forms = (oracle, np.asfortranarray(oracle), wide[:, ::2])
+    assert [given.flags.c_contiguous for given in forms] == [True, False, False]
+    for given in forms:
+        given.setflags(write=False)
+        before = given.tobytes()
+        assert _check_bits(verify_reduction(rh, given)) == _check_bits(got)
+        assert given.tobytes() == before
 
 
 @settings(max_examples=150, deadline=None)
@@ -1173,9 +1203,10 @@ def test_a_failed_certificate_holds_one_matrix():
 @st.composite
 def deviation_cases(draw):
     """A d x d block, an oracle given as ``h`` or as a matrix, a chunk width
-    in 1..45 and an entry budget that cuts each chunk into one block of
-    rows or many.  The block has -0.0 parts and, sometimes, a NaN, inf or
-    1e300 spike whose square makes the bound NaN or inf.
+    in 1..45 for ``h``'s column pass and an entry budget that reads the
+    block in one block of rows or many.  The block has -0.0 parts and,
+    sometimes, a NaN, inf or 1e300 spike whose square makes the bound NaN
+    or inf.
     ``h`` (N = 3..8) has one- and two-body terms, repeated terms and
     coefficients with -0.0 parts; the matrix has +0+0j, -0.0 parts and
     random entries, at a density drawn from sparse to dense."""
@@ -1212,15 +1243,15 @@ def deviation_cases(draw):
 
 
 def _deviation_pass(case):
-    """Run the chunked pass on a drawn case, for the oracle given as ``h``
-    or as a matrix.  Returns the block it left, and B - O, max |B - O| and
-    ||B - O||_F computed on the whole matrices, and the pass's deviation
-    and bound."""
+    """Subtract a drawn case's oracle from its block as verify does: a
+    given matrix in one ``np.subtract``, ``h`` through the chunk
+    subtraction of its column pass.  Then read the deviation and the bound.
+    Returns the block it left, and B - O, max |B - O| and ||B - O||_F
+    computed on the whole matrices, and the pass's deviation and bound."""
     spec, source, block, width, entries = case
     d = block.shape[1]
     if spec is None:
         oracle = source
-        columns, _ = reduction._matrix_passes(oracle)
     else:
         oracle = sector_oracle(source, spec)
         columns, _ = reduction._oracle_passes(source, spec, spec.n_modes)
@@ -1231,7 +1262,11 @@ def _deviation_pass(case):
         norm = np.sqrt(np.sum(np.abs(delta) ** 2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
-        got, bound = reduction._deviation_and_bound(block, _cuts(d, width), columns)
+        if spec is None:
+            np.subtract(block, oracle, out=block)
+        else:
+            reduction._subtract_chunks(block, _cuts(d, width), columns)
+        got, bound = reduction._deviation_and_bound(block)
     return block, delta, max_dev, norm, got, bound
 
 
@@ -1248,8 +1283,8 @@ def test_deviation_pass_leaves_b_minus_o_in_the_block(case):
 @settings(max_examples=200, deadline=None)
 @given(deviation_cases())
 def test_deviation_pass_matches_the_whole_matrix_max(case):
-    """The deviation the chunked pass reads, for the oracle given as ``h``
-    and as a matrix, has the bits of max |B - O| on the whole matrices."""
+    """The deviation the pass reads, for the oracle given as ``h`` and as
+    a matrix, has the bits of max |B - O| on the whole matrices."""
     _, _, max_dev, _, got, _ = _deviation_pass(case)
     assert np.float64(got).tobytes() == max_dev.tobytes()
 
