@@ -39,7 +39,7 @@ q = rh.pauli_sum.n_qubits
 bits = {r: format(label, f"0{q}b") for r, label in enumerate(rh.labels)}
 print("rank -> surviving bits:", bits)
 
-check = verify_reduction(rh, h)  # computes the oracle a chunk of columns at a time
+check = verify_reduction(rh, h)  # sums the oracle into its one buffer, then subtracts B
 print(f"verified against the occupancy-string oracle: passed={check.passed}, "
       f"max deviation {check.max_deviation:.2e}")
 

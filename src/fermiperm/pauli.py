@@ -241,7 +241,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 # Complex entries (64 KiB) that each array of verify's scratch holds, beside
-# the d x d block of ``_dense_block(small_blocks=True)``.
+# the (d + 1) x d buffer that ``_dense_block`` subtracts B from.
 _VERIFY_ENTRIES = 1 << 12
 
 
@@ -570,12 +570,19 @@ class PauliSum:
         return self._dense_block(np.arange(1 << self.n_qubits))
 
     def _dense_block(
-        self, labels: np.ndarray, dense_cap: int = DENSE_CAP, small_blocks: bool = False
+        self,
+        labels: np.ndarray,
+        dense_cap: int = DENSE_CAP,
+        subtract_from: np.ndarray | None = None,
     ) -> np.ndarray:
         """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
         labels, without the 2^n x 2^n matrix unless every label is asked for.
-        B is the first d rows of a (d + 1) x d buffer.  With ``small_blocks``
-        its blocks of X masks hold ``_VERIFY_ENTRIES`` entries, or one row:
+        B is the first d rows of a zeroed (d + 1) x d buffer.  Given
+        ``subtract_from``, a C-contiguous (d + 1) x d buffer whose first d
+        rows hold O, each block's entries of B are gathered from it,
+        subtracted and scattered back instead, so it is left holding O - B,
+        inf where that passes the largest float, with no warning.  Its
+        blocks of X masks then hold ``_VERIFY_ENTRIES`` entries, or one row:
         beside the buffer, the block, the transform's second buffer and each
         gather of labels hold 64 KiB at most, two rows at 2^11.
 
@@ -583,7 +590,9 @@ class PauliSum:
         are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
         so the cost is O(n 2^n) per distinct X mask.  Column j reads that
         transform at v = labels[j] and keeps it when the row label v (+) x is
-        one of ``labels``; the others land in a spare row that is cut off.
+        one of ``labels``; the others land in the spare row, which is cut off.
+        Each entry of B is written once, or is +0+0j, so O - B has the bits
+        of one whole-matrix subtraction.
         """
         _check_dense_cap(self.n_qubits, dense_cap)
         dim = 1 << self.n_qubits
@@ -595,7 +604,7 @@ class PauliSum:
         pos[labels] = np.arange(size)
         if np.count_nonzero(pos < size) != size:
             raise ValueError("block labels must be distinct")
-        out = np.zeros((size + 1, size), dtype=complex)
+        out = np.zeros((size + 1, size), dtype=complex) if subtract_from is None else subtract_from
         x, z, coeff = self._arrays
         x, z = x.view(np.int64), z.view(np.int64)  # views of the uint64 masks, no copies
         # one stable sort by X mask, whose order each block of masks reads
@@ -608,7 +617,7 @@ class PauliSum:
         masks = xs[bounds[:-1]]
         del xs, new
         cols = np.arange(size)
-        step = max(1, _VERIFY_ENTRIES // dim) if small_blocks else _block_rows(dim)
+        step = _block_rows(dim) if subtract_from is None else max(1, _VERIFY_ENTRIES // dim)
         # each term's power of i, a byte, so a block gathers its amplitudes
         phase = np.empty(x.size, dtype=np.uint8)
         for lo in range(0, x.size, _BLOCK_ENTRIES):
@@ -623,7 +632,12 @@ class PauliSum:
                 at = z[terms] + np.repeat(rows, np.diff(bounds[start : stop + 1]))
                 block.reshape(-1)[at] = coeff[terms] * _I_POWERS[phase[terms]]
                 _walsh_hadamard_rows(block)
-                out[pos[masks[start:stop, None] ^ labels], cols] = block[:, labels]
+                entries = pos[masks[start:stop, None] ^ labels], cols
+                values = block[:, labels]
+                if subtract_from is not None:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        np.subtract(out[entries], values, out=values)
+                out[entries] = values
         return out[:size]
 
     def __str__(self) -> str:

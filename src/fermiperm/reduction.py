@@ -11,23 +11,24 @@ skips the terms with X or Y on them and projects them out of each block of
 transformed rows, with the same bits.  It returns the reduced operator plus
 each sector rank's label, its basis index on the surviving qubits.
 ``sector_oracle`` computes the same physics with no qubit encoding at all:
-one private kernel applies a chunk of terms' ladder strings to a set of
-sector states at once.  It is the ground truth that ``verify_reduction``
-compares against; given the operator itself, verify computes it a chunk of
-columns at a time and never holds it whole.  Verification stays inside the
-sector: it builds only the d x d block B of the reduced operator on the
-sector labels, never the 2^q x 2^q matrix.  The oracle O is subtracted
-from B in place, a chunk of columns at a time given ``h`` and in one ufunc
-call given its matrix; one pass over blocks of rows then takes max |B - O|
-and the Frobenius norm ||B - O||_F, which bounds the difference of the two
-hermitized sector spectra (Weyl); the two d x d eigensolves run only when
-that bound does not certify the spectrum check.  B is the only d x d array
-verify builds, 16 (d + 1) d bytes with the spare row it is scattered
-through (about 256 MiB under the default dense cap, d <= 2^12).  Beside it,
-each array of scratch holds at most ``pauli._VERIFY_ENTRIES`` entries
-(4096, 64 KiB), whatever d and the chunk width.  When the bound fails, B is
-built again and O whole (given ``h``), one after the other, each to be
-hermitized in place and solved.
+one private kernel applies a chunk of terms' ladder strings to every sector
+state at once and adds their elements into the matrix.  It is the ground
+truth that ``verify_reduction`` compares against.  Verification stays
+inside the sector: it builds only the d x d block B of the reduced operator
+on the sector labels, never the 2^q x 2^q matrix.  Verify fills one
+(d + 1) x d buffer with the oracle O, by that kernel given ``h`` or by one
+copy of a given matrix, and subtracts B from it in place, a block of X
+masks at a time.  Under round-to-nearest fl(o - b) = -fl(b - o), so
+|O - B| has the bits of |B - O|: one pass over blocks of rows then takes
+max |B - O| and the Frobenius norm ||B - O||_F, which bounds the
+difference of the two hermitized sector spectra (Weyl); the two d x d
+eigensolves run only when that bound does not certify the spectrum check.
+The buffer is the only d x d array verify builds, 16 (d + 1) d bytes
+(about 256 MiB under the default dense cap, d <= 2^12).  Beside it, each
+array of scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096,
+64 KiB), or a step of the oracle kernel.  When the bound fails, O whole
+(given ``h``, or a copy of the given matrix) and then B are built again,
+one after the other, each to be hermitized in place and solved.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .encodings import (
     jw_majoranas,
     linear_encoding_majoranas,
 )
+from . import pauli
 from .errors import DimensionError, InvalidEncodingError
 from .minimal import RedundancyReport, SectorSpec, _redundancy_of_images
 from .pauli import (
@@ -65,7 +67,6 @@ SPECTRUM_TOL = 1e-8
 # (term, state) pairs per chunk of the oracle kernel, whose broadcast mask
 # test holds about 24 bytes a pair, numpy's ufunc buffers included
 _LADDER_PAIRS = 1 << 13
-_ORACLE_SAFE_SUM = 2.0**1000  # far enough below the largest float, about 2^1024
 
 
 def project_fixed_qubit(s: PauliSum, qubit: int, value: int) -> PauliSum:
@@ -197,19 +198,14 @@ def sector_oracle(
     held as ``uint64`` occupancy strings (so N <= 64).  A state dies when a
     raised mode is occupied or a lowered one is empty, picks up the sign
     (-1)^(number of occupied modes left of the acted mode), and has that
-    mode flipped.  This is the column pass of ``_oracle_passes`` over every
-    state; ``verify_reduction``, given ``h``, runs it a chunk of columns at
-    a time.  Every entry sums its terms in their given order.  Every mode
-    is checked before anything is allocated.  The d x d matrix is dense, so
-    d may be at most 2^dense_cap.
+    mode flipped.  Every entry sums its terms in their given order
+    (``_add_ladders``, which ``verify_reduction`` given ``h`` runs into its
+    own buffer).  Every mode is checked before anything is allocated.  The
+    d x d matrix is dense, so d may be at most 2^dense_cap.
     """
     coeff, strings = _checked_ladder_strings(h, spec, dense_cap)
-    states, dim = spec.states, spec.dimension
-    out = np.zeros((dim, dim), dtype=complex)
-    flat = out.reshape(-1)
-    with _overflow_raises("the sector oracle"):
-        for rank, col, value in _scatter_ladders(states, states, coeff, strings):
-            np.add.at(flat, rank * dim + col, value)
+    out = np.zeros((spec.dimension, spec.dimension), dtype=complex)
+    _add_ladders(out, spec.states, coeff, strings)
     return out
 
 
@@ -254,14 +250,14 @@ def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.nd
     return coeff[live], tuple(a[live] for a in masks)
 
 
-def _apply_ladders(starts, states, coeff, need, one, flip, sign, odd):
+def _apply_ladders(states, coeff, need, one, flip, sign, odd):
     """Apply a chunk of ladder strings (``_ladder_strings`` masks, their
-    coefficients ``coeff``) to every occupancy string in ``starts``.
-    Returns the surviving (term, column) pairs that land on a sector rank,
-    in term-major order, as the rank, the column and the signed
-    coefficient."""
-    term, col = np.nonzero((starts & need[:, None]) == one[:, None])
-    state = starts[col]
+    coefficients ``coeff``) to every occupancy string in the sorted sector
+    ``states``.  Returns the surviving (term, column) pairs that land on a
+    sector rank, found by binary search, in term-major order, as the rank,
+    the column and the signed coefficient."""
+    term, col = np.nonzero((states & need[:, None]) == one[:, None])
+    state = states[col]
     minus = parity_u64(state & sign[term]) != odd[term]
     state ^= flip[term]
     rank = np.searchsorted(states, state)
@@ -274,64 +270,23 @@ def _apply_ladders(starts, states, coeff, need, one, flip, sign, odd):
     return rank, col, value
 
 
-def _scatter_ladders(starts, states, coeff, strings):
-    """The one oracle kernel: yield each term's element +-c from
-    ``starts[c]`` to sector rank r as r, c and the value, in term-major
-    order.
+def _add_ladders(out, states, coeff, strings) -> None:
+    """The one oracle kernel: add each term's element +-c from sector state
+    c to rank r into ``out[r, c]``, ``out`` C-contiguous with d columns and
+    at least d rows, in term-major order.
 
-    ``_apply_ladders`` runs on ``_LADDER_PAIRS`` (term, start) pairs at a
-    time, one yield each.  The results are ranked by binary search in the
-    sorted sector ``states``; those outside it are dropped.  One term sends distinct starts to distinct rows, so
-    ``np.add.at`` over the yields in turn sums every entry's terms in their
-    given order."""
-    step = max(1, _LADDER_PAIRS // starts.size)
-    for start in range(0, coeff.size, step):
-        chunk = slice(start, start + step)
-        yield _apply_ladders(starts, states, coeff[chunk], *(a[chunk] for a in strings))
-
-
-def _ladder_counts(states, need, one, *_) -> np.ndarray:
-    """How many of the ladder strings (``_ladder_strings`` masks) survive
-    on each of ``states``: the most entries the kernel gives its column."""
-    counts = np.zeros(states.size, dtype=np.int64)
-    step = max(1, _LADDER_PAIRS // states.size)
-    for start in range(0, need.size, step):
-        chunk = slice(start, start + step)
-        counts += np.count_nonzero((states & need[chunk, None]) == one[chunk, None], axis=0)
-    return counts
-
-
-def _summed(entries, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct flat indices r * ``width`` + c of ``_scatter_ladders``
-    yields, sorted, and each one's values summed by ``np.add.at`` from +0
-    in the order given: the entries of the zeroed array that ``np.add.at``
-    over the yields in turn would fill.  The n entries are grouped by one
-    sort of the words key * n + position, the stable order of the keys."""
-    keys, values = [], []
-    for rank, col, value in entries:
-        keys.append(rank * width + col)
-        values.append(value)
-    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    # The words fit in int64: keys < d * width <= 2^32 under the 2^16-state
-    # sector cap, and n < 2^31.  An empty chunk divides by 1.
-    n = max(keys.size, 1)
-    keys *= n
-    keys += np.arange(keys.size)
-    keys.sort()
-    keys, order = np.divmod(keys, n)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    inverse = np.cumsum(first)  # each entry's distinct index, in sorted order
-    inverse -= 1
-    inverse[order] = inverse.copy()  # and in the order given
-    del order
-    keys = keys[first]
-    total = np.zeros(keys.size, dtype=complex)
-    start = 0
-    for value in values:  # one piece at a time, in order
-        np.add.at(total, inverse[start:start + value.size], value)
-        start += value.size
-    return keys, total
+    ``_apply_ladders`` runs on ``_LADDER_PAIRS`` (term, state) pairs at a
+    time.  One term sends distinct states to distinct rows, so ``np.add.at``
+    over the steps in turn sums every entry's terms in their given order.
+    A sum past the largest float raises ``ValueError``."""
+    dim = states.size
+    flat = out.reshape(-1)
+    step = max(1, _LADDER_PAIRS // dim)
+    with _overflow_raises("the sector oracle"):
+        for start in range(0, coeff.size, step):
+            chunk = slice(start, start + step)
+            rank, col, value = _apply_ladders(states, coeff[chunk], *(a[chunk] for a in strings))
+            np.add.at(flat, rank * dim + col, value)
 
 
 def _checked_ladder_strings(h: FermionOperator, spec: SectorSpec, dense_cap: int):
@@ -341,47 +296,6 @@ def _checked_ladder_strings(h: FermionOperator, spec: SectorSpec, dense_cap: int
         raise DimensionError(f"the sector oracle handles at most 64 modes, got {n}")
     _check_dense_cap(spec.q_min, dense_cap)  # q_min = ceil(log2 d)
     return _ladder_strings(h, n)
-
-
-def _oracle_passes(h: FermionOperator, spec: SectorSpec, dense_cap: int):
-    """The oracle's checks, then its column pass, which gives the entries
-    of O[:, s:t] for the sector states s..t-1 as ``_summed`` does, and the
-    most entries each column of the oracle O gets from the kernel.
-
-    Below ``_ORACLE_SAFE_SUM`` per part, a sum of some of the coefficients
-    cannot pass the largest float.  Otherwise an oracle entry may overflow,
-    so the column pass runs once over every state here: its error then
-    comes before any other of ``verify_reduction``'s, as when the whole
-    oracle was built first."""
-    coeff, strings = _checked_ladder_strings(h, spec, dense_cap)
-    states = spec.states
-
-    def columns(s: int, t: int):
-        with _overflow_raises("the sector oracle"):
-            return _summed(_scatter_ladders(states[s:t], states, coeff, strings), t - s)
-
-    counts = _ladder_counts(states, *strings)
-    with np.errstate(over="ignore"):
-        safe = all(np.abs(part).sum() < _ORACLE_SAFE_SUM for part in (coeff.real, coeff.imag))
-    if not safe:
-        cuts = _chunk_cuts(counts)
-        for s, t in zip(cuts[:-1], cuts[1:]):
-            columns(s, t)
-    return columns, counts
-
-
-def _chunk_cuts(counts: np.ndarray) -> list[int]:
-    """Bounds 0 = c_0 < c_1 < ... = d of verify's chunks of columns,
-    taken left to right: each chunk is as wide as keeps the entries
-    ``counts`` gives its columns within ``_VERIFY_ENTRIES``, and one column
-    at least."""
-    total = np.concatenate(([0], np.cumsum(counts)))
-    cuts = [0]
-    while cuts[-1] < counts.size:
-        s = cuts[-1]
-        t = int(np.searchsorted(total, total[s] + _VERIFY_ENTRIES, side="right")) - 1
-        cuts.append(max(t, s + 1))
-    return cuts
 
 
 @dataclass(frozen=True)
@@ -404,84 +318,77 @@ def verify_reduction(
 
     ``oracle`` is ``h`` itself or its matrix ``sector_oracle(h, rh.spec)``
     (or anything ``np.asarray`` reads as that matrix), with the same result,
-    bit for bit.  Only the d x d block B on the sector labels is built, and
-    O is subtracted from it in place, an overflow giving inf, not a warning:
-    given ``h``, after the oracle's checks, a chunk of columns at a time and
-    never whole (``_subtract_chunks``); given a complex array of any layout,
-    in one ``np.subtract`` that only reads it.  So verify holds one d x d
-    array, 16 (d + 1) d bytes with the spare row ``_dense_block`` scatters
-    into (about 256 MiB under the default ``dense_cap``, d <= 2^12).
-    Beside it, each array of scratch holds at most ``_VERIFY_ENTRIES``
-    entries, 64 KiB, or one row of the 2^q-wide transform, and the
-    oracle's kernel steps ``_LADDER_PAIRS`` (term, state) pairs: at d = 924
-    and q = 11, at most about 0.25 MiB given ``h``, 0.16 MiB given the
-    matrix.  ``dense_cap`` bounds the reduced register.
+    bit for bit.  Verify holds one d x d array: a (d + 1) x d buffer, 16
+    (d + 1) d bytes (about 256 MiB under the default ``dense_cap``, d <=
+    2^12), whose first d rows are filled with O, whole, before B exists:
+    given ``h``, after the oracle's checks, by the oracle's own kernel
+    (``_add_ladders``); given a complex array of any layout, by one copy
+    that only reads it.  ``_dense_block`` then subtracts the d x d block B
+    on the sector labels from it in place, an overflow giving inf, not a
+    warning; its spare row takes the entries that leave the sector.  The
+    errors keep their order: the oracle's checks, the reduced register's
+    ``dense_cap``, checked before the buffer is allocated, the oracle's
+    overflow, then B's.  Beside the buffer, each array of scratch holds at
+    most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the 2^q-wide
+    transform, and the oracle's kernel steps ``_LADDER_PAIRS`` (term,
+    state) pairs: at d = 924 and q = 11, at most about 0.21 MiB given
+    ``h``, 0.20 MiB given the matrix.
 
     The spectra are certified before they are solved.  For Hermitian A and
     O', max_i |lambda_i(A) - lambda_i(O')| <= ||A - O'||_F (Weyl), and
     hermitizing is a projection, so ||B - O||_F bounds the difference of
     the spectra of (B + B^H) / 2 and (O + O^H) / 2 taken exactly (their
-    rounding, 2^-53 of each entry, is not counted).  It is summed with
-    ufunc reductions, no BLAS, so its bits do not depend on BLAS threading.
-    When ``spectrum_bound * (1 + 1e-6) < SPECTRUM_TOL`` no eigensolve runs,
-    ``spectrum_deviation`` is None and ``passed`` is ``max_deviation <
-    tol``: the factor covers the sum's own rounding, a relative error below
-    d^2 2^-53, 2e-9 at d <= 2^12.  Otherwise, NaN and inf included, B is
-    built again, then O whole if ``h`` was given or else a copy of the given
-    matrix, and each is hermitized in place as (a + a^H) / 2 and solved
-    before the next is built: this path holds one d x d array beside
-    LAPACK's copy, a traced peak of 1.05 x 16 d^2 at d = 924.
-    ``spectrum_deviation``, the largest difference of the sorted
-    eigenvalues, must stay below ``SPECTRUM_TOL`` as well."""
+    rounding, 2^-53 of each entry, is not counted).  Under round-to-nearest
+    fl(o - b) = -fl(b - o), so it is read from O - B with the same bits.
+    It is summed with ufunc reductions, no BLAS, so its bits do not depend
+    on BLAS threading.  When ``spectrum_bound * (1 + 1e-6) <
+    SPECTRUM_TOL`` no eigensolve runs, ``spectrum_deviation`` is None and
+    ``passed`` is ``max_deviation < tol``: the factor covers the sum's own
+    rounding, a relative error below d^2 2^-53, 2e-9 at d <= 2^12.
+    Otherwise, NaN and inf included, O is built whole again if ``h`` was
+    given or else the given matrix is copied, then B is built again, and
+    each is hermitized in place as (a + a^H) / 2 and solved before the next
+    is built: an O whose hermitization overflows raises before any
+    eigensolve.  This path holds one d x d array beside LAPACK's copy, a
+    traced peak of 1.05 x 16 d^2 at d = 924.  ``spectrum_deviation``, the
+    largest difference of the sorted eigenvalues, must stay below
+    ``SPECTRUM_TOL`` as well."""
     dim = rh.spec.dimension
-    if not isinstance(oracle, FermionOperator):
+    if isinstance(oracle, FermionOperator):
+        coeff, strings = _checked_ladder_strings(oracle, rh.spec, dense_cap)
+    else:
         oracle = np.asarray(oracle, dtype=complex)  # a complex matrix is not copied
         if oracle.shape != (dim, dim):
             raise DimensionError("oracle shape does not match the sector dimension")
+    pauli._check_dense_cap(rh.pauli_sum.n_qubits, dense_cap)  # the block's, before the buffer
     with _small_ufunc_buffers():
         if isinstance(oracle, FermionOperator):
-            columns, counts = _oracle_passes(oracle, rh.spec, dense_cap)
-        block = rh.pauli_sum._dense_block(rh.labels, dense_cap, small_blocks=True)
-        if isinstance(oracle, FermionOperator):
-            _subtract_chunks(block, _chunk_cuts(counts), columns)
+            buf = np.zeros((dim + 1, dim), dtype=complex)
+            _add_ladders(buf, rh.spec.states, coeff, strings)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow, not a warning
-                np.subtract(block, oracle, out=block)
-        max_dev, bound = _deviation_and_bound(block)
-        del block  # holds B - O; a failed certificate builds B again
+            buf = np.empty((dim + 1, dim), dtype=complex)
+            buf[:dim] = oracle
+            buf[dim] = 0
+        rh.pauli_sum._dense_block(rh.labels, dense_cap, subtract_from=buf)
+        max_dev, bound = _deviation_and_bound(buf[:dim])
+        del buf  # holds O - B; a failed certificate builds O and B again
     if bound * (1 + 1e-6) < SPECTRUM_TOL:
         return ReductionCheck(max_dev, bound, None, max_dev < tol, tol)
-    eig_block = _hermitized_spectrum(rh.pauli_sum._dense_block(rh.labels, dense_cap))
     if isinstance(oracle, FermionOperator):
         eig_oracle = _hermitized_spectrum(sector_oracle(oracle, rh.spec, dense_cap))
     else:
         eig_oracle = _hermitized_spectrum(oracle.copy())  # the caller's matrix is only read
+    eig_block = _hermitized_spectrum(rh.pauli_sum._dense_block(rh.labels, dense_cap))
     spectrum_dev = float(np.max(np.abs(eig_block - eig_oracle)))  # d >= 1: d = 0 certifies
     passed = max_dev < tol and spectrum_dev < SPECTRUM_TOL
     return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
 
 
-def _subtract_chunks(block: np.ndarray, cuts, columns) -> None:
-    """Subtract the oracle O from the d x d block B in place by chunks of
-    columns [s, t) between ``cuts``: ``columns(s, t)`` gives O[:, s:t] as
-    sorted, distinct flat indices of that array and their values, every
-    other entry +0+0j, and ``np.subtract.at`` takes those from B.  As
-    b - (+0.0) is b in every bit, B has the bits of the whole difference."""
-    dim = block.shape[1]
-    flat = block.reshape(-1)
-    for s, t in zip(cuts[:-1], cuts[1:]):
-        w = t - s
-        keys, values = columns(s, t)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow, not a warning
-            np.subtract.at(flat, keys + keys // w * (dim - w) + s, values)
-        del keys, values  # before the next chunk's entries are made
-
-
 def _deviation_and_bound(block: np.ndarray) -> tuple[float, float]:
-    """max |B - O| and ||B - O||_F of a d x d block that holds B - O.
-    Blocks of rows, each of at most ``_VERIFY_ENTRIES`` entries or one
-    row, write their absolute values into one buffer and give their max
-    and sum of squares.  In block order, the maxes are chained by
+    """max |B - O| and ||B - O||_F of a d x d array that holds B - O or,
+    with the same bits, O - B.  Blocks of rows, each of at most
+    ``_VERIFY_ENTRIES`` entries or one row, write their absolute values
+    into one buffer and give their max and sum of squares.  In block order, the maxes are chained by
     ``np.maximum`` from 0.0, which keeps a NaN as one max over the whole
     array does, and the sums are added to 0.0.  A NaN or inf anywhere
     gives a NaN or inf bound, with no warning."""

@@ -437,23 +437,6 @@ def verify_reduction_dense(rh, oracle, tol=ORACLE_TOL, dense_cap=DENSE_CAP,
     return ReductionCheck(max_dev, bound, spectrum_dev, passed, tol)
 
 
-def summed_argsort(entries, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for ``reduction._summed``: the entries grouped by a stable
-    argsort of their keys r * ``width`` + c, then summed from +0 by
-    ``np.add.at`` in the order given."""
-    keys, values = [], []
-    for rank, col, value in entries:
-        keys.append(rank * width + col)
-        values.append(value)
-    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    values = np.concatenate(values) if values else np.zeros(0, dtype=complex)
-    order = np.argsort(keys, kind="stable")
-    distinct, inverse = np.unique(keys[order], return_inverse=True)
-    total = np.zeros(distinct.size, dtype=complex)
-    np.add.at(total, inverse.reshape(-1), values[order])
-    return distinct, total
-
-
 def deviation_and_bound_rows(delta: np.ndarray, entries: int) -> tuple[float, float]:
     """Reference for the row loop of ``reduction._deviation_and_bound`` on
     B - O: blocks of ``entries // d`` rows, or one, each its own array of

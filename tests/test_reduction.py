@@ -51,7 +51,6 @@ from helpers import (
     random_pauli_sum,
     sector_oracle_loop,
     sector_oracle_term_loop,
-    summed_argsort,
     three_cnot_permutation,
     verify_reduction_dense,
 )
@@ -496,6 +495,39 @@ def test_dense_block_equals_dense_submatrix(n, seed):
     assert np.array_equal(block, s.to_dense()[np.ix_(labels, labels)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_dense_block_subtracts_itself_from_a_given_buffer(n, seed, huge):
+    """Given a (d + 1) x d buffer whose first d rows hold O, the block
+    leaves O - B there, byte for byte the whole-matrix subtraction, and
+    returns that view.  O has +0.0 and -0.0 parts; when ``huge``, B gets a
+    -1e308 identity term and O 1e308 real parts on its diagonal, so O - B
+    passes the largest float there: inf, with no warning."""
+    rng = np.random.default_rng(seed)
+    s = random_pauli_sum(n, int(rng.integers(0, 80)), rng)
+    labels = rng.permutation(1 << n)[: int(rng.integers(1, (1 << n) + 1))]
+    d = labels.size
+    if huge:
+        s = s + PauliSum.from_terms(n, [(-1e308, "I" * n)])
+    oracle = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for part in (oracle.real, oracle.imag):
+        part[rng.random((d, d)) < 0.2] = 0.0
+        part[rng.random((d, d)) < 0.2] = -0.0
+    if huge:
+        oracle.real[np.diag_indices(d)] = 1e308
+    with np.errstate(over="ignore"):
+        expected = oracle - s._dense_block(labels)
+    buf = np.empty((d + 1, d), dtype=complex)
+    buf[:d] = oracle
+    buf[d] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = s._dense_block(labels, subtract_from=buf)
+    assert np.shares_memory(got, buf) and got.shape == (d, d)
+    assert got.tobytes() == expected.tobytes()
+    assert np.isinf(got.real).any() == huge
+
+
 def test_dense_block_rejects_bad_labels():
     s = PauliSum.from_terms(3, [(1.0, "XYZ")])
     with pytest.raises(ValueError):
@@ -914,6 +946,27 @@ def test_an_oracle_whose_hermitization_overflows_raises():
             verify_reduction(rh, oracle)
 
 
+def test_an_oracle_whose_hermitization_overflows_raises_before_any_eigensolve(monkeypatch):
+    """The input above: a failed certificate hermitizes O before B is built
+    again, so O's overflow raises with no eigensolve run at all."""
+    spec = SectorSpec(4, 2)
+    h = random_one_body(4, np.random.default_rng(7))
+    rh = encode_and_reduce(h, LinearEncodingF2.parity(4), spec)
+    oracle = sector_oracle(h, spec)
+    oracle[0, 1] = oracle[1, 0] = 1e308
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    with pytest.raises(ValueError, match="the hermitized sector matrix overflows"):
+        verify_reduction(rh, oracle)
+    assert solved == []
+
+
 def test_a_difference_that_overflows_is_inf_without_a_warning():
     """N=4, K=2 index embed: 1e308 (X + iY)/2 on the last qubit puts 1e308
     at [0, 1] of the sector block, and the given oracle has -1e308 there.
@@ -981,16 +1034,11 @@ def test_verify_holds_one_block():
         tracemalloc.stop()
     assert check.passed
     assert peak < 1.25 * 16 * d * d
-    _assert_matches_reference(check, verify_reduction_dense(rh, oracle))  # 9 chunks of 44 to 110
+    _assert_matches_reference(check, verify_reduction_dense(rh, oracle))
     spiked = oracle.copy()
-    spiked[16, 923] += 1e-3  # an entry the oracle lacks, in the first chunk swept
+    spiked[16, 923] += 1e-3  # an entry the oracle lacks
     spiked.setflags(write=False)
     _assert_matches_reference(verify_reduction(rh, spiked), verify_reduction_dense(rh, spiked))
-
-
-def _cuts(dim, width):
-    """Chunk bounds of ``width`` columns, the last one narrower."""
-    return list(range(0, dim, width)) + [dim]
 
 
 def _two_body(n, rng, count):
@@ -1034,13 +1082,11 @@ def operator_reductions(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(operator_reductions(), st.integers(1, 9))
-def test_verify_from_the_operator_matches_the_matrix(case, width):
-    """Given ``h``, verify never builds the oracle, yet every field has the
-    bits it has given ``sector_oracle(h, spec)`` and the whole-matrix
-    reference's.  At N <= 8 verify takes one chunk of columns, so it runs
-    again with chunks of ``width`` columns: the column pass and the
-    deviation then run at several column offsets."""
+@given(operator_reductions())
+def test_verify_from_the_operator_matches_the_matrix(case):
+    """Given ``h``, verify sums the oracle into its own buffer and never
+    builds ``sector_oracle(h, spec)``, yet every field has the bits it has
+    given that matrix and the whole-matrix reference's."""
     h, rh = case
     oracle = sector_oracle(h, rh.spec)
     oracle.setflags(write=False)
@@ -1048,22 +1094,17 @@ def test_verify_from_the_operator_matches_the_matrix(case, width):
     _assert_matches_reference(got, verify_reduction_dense(rh, oracle))
     expected = _check_bits(got)
     assert _check_bits(verify_reduction(rh, oracle)) == expected
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "_chunk_cuts", lambda counts: _cuts(counts.size, width))
-        assert _check_bits(verify_reduction(rh, h)) == expected
-        assert _check_bits(verify_reduction(rh, oracle)) == expected
 
 
 @pytest.mark.parametrize(
     "n, k, mapping, body",
     [(10, 5, "index-embed", 1), (10, 5, "parity", 2), (12, 6, "parity", 1)],
 )
-def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
-    """Sectors of 252 and 924 states, compared in 2, 1 and 10 chunks of
-    columns as their entries fall: the operator gives the reference's bits,
-    and so does its matrix, read-only, whether C-ordered, a Fortran-order
-    copy or a view of every other column of a d x 2d array, and left
-    unwritten."""
+def test_verify_from_the_operator_on_wide_sectors(n, k, mapping, body):
+    """Sectors of 252 and 924 states, one- and two-body: the operator gives
+    the reference's bits, and so does its matrix, read-only, whether
+    C-ordered, a Fortran-order copy or a view of every other column of a
+    d x 2d array, and left unwritten."""
     spec = SectorSpec(n, k)
     rng = np.random.default_rng(5)
     h = random_one_body(n, rng) if body == 1 else _two_body(n, rng, 40)
@@ -1083,58 +1124,9 @@ def test_verify_from_the_operator_over_many_chunks(n, k, mapping, body):
         assert given.tobytes() == before
 
 
-@settings(max_examples=150, deadline=None)
-@given(oracle_cases(), st.integers(1, 30))
-def test_column_pass_matches_the_oracle_columns(case, width):
-    """The column pass gives the oracle's columns s..t-1 bit for bit, and
-    its counts bound each column's entries: constant, one-body, two-body
-    and arbitrary ladder terms, signed zeros and repeated terms among
-    them."""
-    h, spec = case
-    oracle = sector_oracle(h, spec)
-    columns, counts = reduction._oracle_passes(h, spec, spec.n_modes)
-    dim = spec.dimension
-    assert np.all(counts >= np.count_nonzero(oracle, axis=0))
-    for s in range(0, dim, width):
-        t = min(s + width, dim)
-        keys, values = columns(s, t)
-        assert np.all(keys[1:] > keys[:-1])
-        got = np.zeros((dim, t - s), dtype=complex)
-        got.reshape(-1)[keys] = values
-        assert got.shape == (dim, t - s) and got.tobytes() == oracle[:, s:t].tobytes()
-
-
-_PARTS = st.sampled_from([0.0, -0.0, 1.5, -0.25])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6),
-       st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _PARTS, _PARTS),
-                         max_size=8), max_size=4))
-@example(3, [])  # no yield at all
-@example(3, [[]])  # an empty chunk: one yield with no entries
-@example(3, [[(1, 2, 0.5, -0.0)]])  # a single entry
-@example(2, [[(0, 1, -0.0, -0.0), (4, 1, 1.5, 0.0), (0, 1, 0.0, 0.0)], [(0, 1, -0.0, 0.0)]])
-def test_summed_matches_the_stable_argsort(width, pieces):
-    """``_summed``'s one sort of packed words groups the entries as a
-    stable argsort of their keys does: the same distinct keys, and each
-    one's values summed from +0 in the order given, bit for bit, repeated
-    keys with -0.0 and +0.0 parts among them."""
-    def yields():
-        for piece in pieces:
-            rank = np.array([e[0] for e in piece], dtype=np.int64)
-            col = np.array([e[1] % width for e in piece], dtype=np.int64)
-            yield rank, col, np.array([complex(e[2], e[3]) for e in piece], dtype=complex)
-
-    keys, total = reduction._summed(yields(), width)
-    expected_keys, expected_total = summed_argsort(yields(), width)
-    assert keys.tobytes() == expected_keys.tobytes()
-    assert total.tobytes() == expected_total.tobytes()
-
-
 def test_verify_from_the_operator_holds_one_buffer():
-    """N=10, K=5 with the parity mapping (d = 252, 2 chunks): given ``h``,
-    verify holds the (d + 1) x d buffer, never the d x d oracle.  Given the
+    """N=10, K=5 with the parity mapping (d = 252): given ``h``, verify
+    holds the (d + 1) x d buffer, never the d x d oracle.  Given the
     matrix, verify itself holds no more."""
     n, spec = 10, SectorSpec(10, 5)
     h = random_one_body(n, np.random.default_rng(7))
@@ -1202,16 +1194,14 @@ def test_a_failed_certificate_holds_one_matrix():
 
 @st.composite
 def deviation_cases(draw):
-    """A d x d block, an oracle given as ``h`` or as a matrix, a chunk width
-    in 1..45 for ``h``'s column pass and an entry budget that reads the
-    block in one block of rows or many.  The block has -0.0 parts and,
-    sometimes, a NaN, inf or 1e300 spike whose square makes the bound NaN
-    or inf.
+    """A d x d block, an oracle given as ``h`` or as a matrix and an entry
+    budget that reads the difference in one block of rows or many.  The
+    block has -0.0 parts and, sometimes, a NaN, inf or 1e300 spike whose
+    square makes the bound NaN or inf.
     ``h`` (N = 3..8) has one- and two-body terms, repeated terms and
     coefficients with -0.0 parts; the matrix has +0+0j, -0.0 parts and
     random entries, at a density drawn from sparse to dense."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    width = draw(st.integers(1, 45))
     if draw(st.booleans()):
         n = draw(st.integers(3, 8))
         spec = SectorSpec(n, draw(st.integers(1, n - 1)))
@@ -1239,53 +1229,58 @@ def deviation_cases(draw):
     spike = draw(st.sampled_from([None, np.nan, np.inf, 1e300]))
     if spike is not None:
         block[tuple(rng.integers(0, d, size=2))] = spike
-    return spec, source, block, width, draw(st.sampled_from([8, 100, 4096]))
+    return spec, source, block, draw(st.sampled_from([8, 100, 4096]))
 
 
 def _deviation_pass(case):
-    """Subtract a drawn case's oracle from its block as verify does: a
-    given matrix in one ``np.subtract``, ``h`` through the chunk
-    subtraction of its column pass.  Then read the deviation and the bound.
-    Returns the block it left, and B - O, max |B - O| and ||B - O||_F
-    computed on the whole matrices, and the pass's deviation and bound."""
-    spec, source, block, width, entries = case
+    """Fill a (d + 1) x d buffer with a drawn case's oracle as verify does,
+    ``h`` by the oracle kernel into a zeroed buffer and a given matrix by
+    one copy, subtract the drawn block from its first d rows and read the
+    deviation and the bound there.  Returns the O - B it left, and O - B,
+    B - O, max |B - O| and ||B - O||_F computed on the whole matrices, and
+    the pass's deviation and bound."""
+    spec, source, block, entries = case
     d = block.shape[1]
     if spec is None:
         oracle = source
+        buf = np.empty((d + 1, d), dtype=complex)
+        buf[:d] = oracle
+        buf[d] = 0
     else:
         oracle = sector_oracle(source, spec)
-        columns, _ = reduction._oracle_passes(source, spec, spec.n_modes)
+        buf = np.zeros((d + 1, d), dtype=complex)
+        strings = reduction._checked_ladder_strings(source, spec, spec.n_modes)
+        reduction._add_ladders(buf, spec.states, *strings)
     oracle.setflags(write=False)
     with np.errstate(over="ignore", invalid="ignore"):
+        flipped = oracle - block
         delta = block - oracle
         max_dev = np.max(np.abs(delta))
         norm = np.sqrt(np.sum(np.abs(delta) ** 2))
+        np.subtract(buf[:d], block, out=buf[:d])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
-        if spec is None:
-            np.subtract(block, oracle, out=block)
-        else:
-            reduction._subtract_chunks(block, _cuts(d, width), columns)
-        got, bound = reduction._deviation_and_bound(block)
-    return block, delta, max_dev, norm, got, bound
+        got, bound = reduction._deviation_and_bound(buf[:d])
+    return buf[:d], flipped, delta, max_dev, norm, got, bound
 
 
 @settings(max_examples=200, deadline=None)
 @given(deviation_cases())
-def test_deviation_pass_leaves_b_minus_o_in_the_block(case):
-    """Every chunk width and entry budget: the pass leaves B - O in the
-    block byte for byte, signed zeros and NaN or inf spikes among the
-    entries; the oracle is only read."""
-    block, delta, _, _, _, _ = _deviation_pass(case)
-    assert block.tobytes() == delta.tobytes()
+def test_deviation_pass_leaves_o_minus_b_in_the_buffer(case):
+    """Every entry budget: the pass leaves O - B in the buffer byte for
+    byte, signed zeros and NaN or inf spikes among the entries; the oracle
+    is only read."""
+    left, flipped, _, _, _, _, _ = _deviation_pass(case)
+    assert left.tobytes() == flipped.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(deviation_cases())
 def test_deviation_pass_matches_the_whole_matrix_max(case):
     """The deviation the pass reads, for the oracle given as ``h`` and as
-    a matrix, has the bits of max |B - O| on the whole matrices."""
-    _, _, max_dev, _, got, _ = _deviation_pass(case)
+    a matrix, has the bits of max |B - O| on the whole matrices, though
+    the pass reads O - B."""
+    _, _, _, max_dev, _, got, _ = _deviation_pass(case)
     assert np.float64(got).tobytes() == max_dev.tobytes()
 
 
@@ -1296,8 +1291,9 @@ def test_spectrum_bound_is_the_norm_of_b_minus_o(case):
     to the whole block, have the bits of the row loop that holds one array
     of absolute values per block (``deviation_and_bound_rows``), NaN, inf
     and 1e300 spikes included.  The bound is ||B - O||_F to within a
-    relative 1e-12, or NaN or inf as the whole-matrix norm is."""
-    _, delta, _, norm, got, bound = _deviation_pass(case)
+    relative 1e-12, or NaN or inf as the whole-matrix norm is, though the
+    pass reads O - B and the references B - O."""
+    _, _, delta, _, norm, got, bound = _deviation_pass(case)
     expected = deviation_and_bound_rows(delta, case[-1])
     assert np.array([got, bound]).tobytes() == np.array(expected).tobytes()
     if np.isfinite(norm):
@@ -1326,10 +1322,11 @@ def test_reduce_index_embed_projects_inside_the_transform():
 
 
 def test_dense_block_holds_the_sort_order_not_sorted_copies():
-    """N=10, K=5 one-body index embed (50,378 terms, d = 252): beside its
-    (d + 1) x d buffer the block holds the terms' sort order and chunks of
-    about 2^14 entries, not sorted copies of every term array (81 bytes a
-    term beside the buffer before)."""
+    """N=10, K=5 one-body index embed (50,378 terms, d = 252): beside the
+    zeroed (d + 1) x d buffer it is subtracted from, the block holds the
+    terms' sort order and blocks of X masks within ``_VERIFY_ENTRIES``
+    entries, not sorted copies of every term array (81 bytes a term beside
+    the buffer before).  The buffer is left holding -B."""
     spec = SectorSpec(10, 5)
     h = random_one_body(10, np.random.default_rng(7))
     rh = encode_and_reduce(h, minimal_permutation_index_embed(spec), spec)
@@ -1337,11 +1334,12 @@ def test_dense_block_holds_the_sort_order_not_sorted_copies():
     d = spec.dimension
     tracemalloc.start()
     try:
-        block = s._dense_block(rh.labels, small_blocks=True)
+        buf = np.zeros((d + 1, d), dtype=complex)
+        s._dense_block(rh.labels, subtract_from=buf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(block, s.to_dense()[np.ix_(rh.labels, rh.labels)])
+    assert np.array_equal(-buf[:d], s.to_dense()[np.ix_(rh.labels, rh.labels)])
     assert peak < 16 * (d + 1) * d + 48 * len(s)
 
 
