@@ -241,7 +241,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 # Complex entries (64 KiB) that each array of verify's scratch holds, beside
-# the (d + 1) x d buffer that ``_dense_block`` subtracts B from.
+# the d x d buffer that ``_dense_block`` subtracts B from.
 _VERIFY_ENTRIES = 1 << 12
 
 
@@ -576,23 +576,25 @@ class PauliSum:
         subtract_from: np.ndarray | None = None,
     ) -> np.ndarray:
         """The block B[i, j] = <labels[i]| sum |labels[j]> for distinct basis
-        labels, without the 2^n x 2^n matrix unless every label is asked for.
-        B is the first d rows of a zeroed (d + 1) x d buffer.  Given
-        ``subtract_from``, a C-contiguous (d + 1) x d buffer whose first d
+        labels, without the 2^n x 2^n matrix unless every label is asked for,
+        as a zeroed d x d array it fills.  Given ``subtract_from``, a
+        C-contiguous array with d columns and at least d rows whose first d
         rows hold O, each block's entries of B are gathered from it,
-        subtracted and scattered back instead, so it is left holding O - B,
-        inf where that passes the largest float, with no warning.  Its
-        blocks of X masks then hold ``_VERIFY_ENTRIES`` entries, or one row:
-        beside the buffer, the block, the transform's second buffer and each
-        gather of labels hold 64 KiB at most, two rows at 2^11.
+        subtracted and scattered back instead, so its first d rows, which it
+        returns, are left holding O - B, inf where that passes the largest
+        float, with no warning; no other row is touched.  Its blocks of X
+        masks then hold ``_VERIFY_ENTRIES`` entries, or one row: beside the
+        buffer, the block, the transform's second buffer and each gather of
+        labels hold 64 KiB at most, two rows at 2^11.  Beside them, the
+        terms' sort order and a byte each are the only per-term arrays.
 
         Terms sharing an X mask x fill the entries (v (+) x, v); their values
         are one Walsh-Hadamard transform of the amplitudes indexed by Z mask,
         so the cost is O(n 2^n) per distinct X mask.  Column j reads that
-        transform at v = labels[j] and keeps it when the row label v (+) x is
-        one of ``labels``; the others land in the spare row, which is cut off.
-        Each entry of B is written once, or is +0+0j, so O - B has the bits
-        of one whole-matrix subtraction.
+        transform at v = labels[j].  When a label is left out, only the pairs
+        whose row label v (+) x is one of ``labels`` are gathered and written,
+        by flat index.  Each entry of B is written once, or is +0+0j, so O - B
+        has the bits of one whole-matrix subtraction.
         """
         _check_dense_cap(self.n_qubits, dense_cap)
         dim = 1 << self.n_qubits
@@ -604,25 +606,30 @@ class PauliSum:
         pos[labels] = np.arange(size)
         if np.count_nonzero(pos < size) != size:
             raise ValueError("block labels must be distinct")
-        out = np.zeros((size + 1, size), dtype=complex) if subtract_from is None else subtract_from
+        out = np.zeros((size, size), dtype=complex) if subtract_from is None else subtract_from
+        flat = out.reshape(-1)
         x, z, coeff = self._arrays
         x, z = x.view(np.int64), z.view(np.int64)  # views of the uint64 masks, no copies
-        # one stable sort by X mask, whose order each block of masks reads
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        new = np.empty(xs.size, dtype=bool)
+        # one stable sort by X mask, whose order each block of masks reads;
+        # argsort copies the strided masks anyway, so it sorts a copy in the
+        # narrowest word that holds x < dim, and each mask's first term is
+        # found in slices of the order, with no sorted copy of the masks
+        order = np.argsort(x.astype(np.min_scalar_type(dim - 1)), kind="stable")
+        new = np.empty(x.size, dtype=bool)
         new[:1] = True
-        np.not_equal(xs[1:], xs[:-1], out=new[1:])
-        bounds = np.append(np.flatnonzero(new), xs.size)  # where each X mask's terms start
-        masks = xs[bounds[:-1]]
-        del xs, new
-        cols = np.arange(size)
+        for lo in range(1, x.size, _VERIFY_ENTRIES):
+            hi = min(lo + _VERIFY_ENTRIES, x.size)
+            np.not_equal(x[order[lo:hi]], x[order[lo - 1 : hi - 1]], out=new[lo:hi])
+        bounds = np.append(np.flatnonzero(new), x.size)
+        del new
+        masks = x[order[bounds[:-1]]]
         step = _block_rows(dim) if subtract_from is None else max(1, _VERIFY_ENTRIES // dim)
         # each term's power of i, a byte, so a block gathers its amplitudes
         phase = np.empty(x.size, dtype=np.uint8)
-        for lo in range(0, x.size, _BLOCK_ENTRIES):
-            part = slice(lo, lo + _BLOCK_ENTRIES)
+        for lo in range(0, x.size, _VERIFY_ENTRIES):
+            part = slice(lo, lo + _VERIFY_ENTRIES)
             phase[part] = _popcount_u64(x[part] & z[part]) % 4
+        # each del frees an array once it is read: they set the traced peak
         with _overflow_raises("the dense form of the Pauli sum"):
             for start in range(0, masks.size, step):
                 stop = min(start + step, masks.size)
@@ -632,12 +639,28 @@ class PauliSum:
                 at = z[terms] + np.repeat(rows, np.diff(bounds[start : stop + 1]))
                 block.reshape(-1)[at] = coeff[terms] * _I_POWERS[phase[terms]]
                 _walsh_hadamard_rows(block)
-                entries = pos[masks[start:stop, None] ^ labels], cols
-                values = block[:, labels]
+                # each (mask, column) pair's row of B, size where its row label is not one
+                dest = pos[masks[start:stop, None] ^ labels]
+                if size == dim:  # every label is in, so is every row
+                    target, at, values = out, (dest, np.arange(size)), block[:, labels]
+                else:  # only the pairs whose row label is one, by flat index
+                    keep = np.flatnonzero(dest < size)
+                    mask, col = np.divmod(keep, size)
+                    at = dest.reshape(-1)[keep]
+                    del keep
+                    at *= size
+                    at += col  # each pair's entry of the buffer
+                    mask *= dim
+                    mask += labels[col]  # and of the block
+                    del col
+                    target, values = flat, block.reshape(-1)[mask]
+                    del mask
+                del block, dest
                 if subtract_from is not None:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        np.subtract(out[entries], values, out=values)
-                out[entries] = values
+                        np.subtract(target[at], values, out=values)
+                target[at] = values
+                del at, values
         return out[:size]
 
     def __str__(self) -> str:

@@ -15,20 +15,23 @@ one private kernel applies a chunk of terms' ladder strings to every sector
 state at once and adds their elements into the matrix.  It is the ground
 truth that ``verify_reduction`` compares against.  Verification stays
 inside the sector: it builds only the d x d block B of the reduced operator
-on the sector labels, never the 2^q x 2^q matrix.  Verify fills one
-(d + 1) x d buffer with the oracle O, by that kernel given ``h`` or by one
-copy of a given matrix, and subtracts B from it in place, a block of X
-masks at a time.  Under round-to-nearest fl(o - b) = -fl(b - o), so
-|O - B| has the bits of |B - O|: one pass over blocks of rows then takes
-max |B - O| and the Frobenius norm ||B - O||_F, which bounds the
+on the sector labels, never the 2^q x 2^q matrix.  Verify fills one d x d
+buffer with the oracle O, by that kernel given ``h`` or by one copy of a
+given matrix, and subtracts B from it in place, a block of X masks at a
+time, touching only the entries whose rows stay in the sector.  The kernel
+finds the rank a ladder string sends each state to with a second mask
+test, not a search.  Under round-to-nearest fl(o - b) = -fl(b - o), so
+|O - B| has the bits of |B - O|: one pass over slabs of row blocks then
+takes max |B - O| and the Frobenius norm ||B - O||_F, which bounds the
 difference of the two hermitized sector spectra (Weyl); the two d x d
 eigensolves run only when that bound does not certify the spectrum check.
-The buffer is the only d x d array verify builds, 16 (d + 1) d bytes
-(about 256 MiB under the default dense cap, d <= 2^12).  Beside it, each
-array of scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096,
-64 KiB), or a step of the oracle kernel.  When the bound fails, O whole
-(given ``h``, or a copy of the given matrix) and then B are built again,
-one after the other, each to be hermitized in place and solved.
+The buffer is the only d x d array verify builds, 16 d^2 bytes (about 256
+MiB under the default dense cap, d <= 2^12).  Beside it, each array of
+scratch holds at most ``pauli._VERIFY_ENTRIES`` entries (4096, 64 KiB), a
+slab of 4 x 4096 magnitudes (128 KiB) or a step of the oracle kernel.
+When the bound fails, O whole (given ``h``, or a copy of the given matrix)
+and then B are built again, one after the other, each to be hermitized in
+place and solved.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .pauli import (
     _fixed_mask,
     _key_groups,
     _overflow_raises,
+    _popcount_u64,
     parity_u64,
 )
 from .permutations import AffineMapF2, BasisPermutation, conjugate_pauli_dense
@@ -210,17 +214,21 @@ def sector_oracle(
 
 
 def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The coefficients of the terms of ``h`` that do not kill every state,
-    in order, and their ladder strings as ``need``, ``one``, ``flip``,
-    ``sign``, ``odd``, read from its array form.
+    """The coefficients of the terms of ``h`` that can act on some state
+    and keep its particle number, in order, and their ladder strings as
+    ``need``, ``one``, ``flip``, ``sign``, ``odd``, read from its array
+    form.
 
     Ladder operators only flip mode bits, and the sign of each is the
     parity of the occupied modes left of it, which is linear over GF(2).
     So on an occupancy string s, with the operators applied in turn, the
     term survives iff ``s & need == one``, ends at ``s ^ flip`` and carries
-    (-1)^(parity(s & sign) ^ odd), ``odd`` a 0/1 ``int64``.  A term that
-    asks one mode to be both occupied and empty is left out.  Raises
-    ``DimensionError`` on a mode outside 1..n."""
+    (-1)^(parity(s & sign) ^ odd), ``odd`` a 0/1 ``int64``.  ``flip`` lies
+    inside ``need``, so the survivor ends with ``one ^ flip`` on those
+    bits: a term whose ``one ^ flip`` and ``one`` differ in weight changes
+    the particle number and is left out, as is a term that asks one mode
+    to be both occupied and empty.  Raises ``DimensionError`` on a mode
+    outside 1..n."""
     modes, daggers, lengths, coeff = h._arrays
     # terms x operators in the order they apply, right to left; the padding,
     # mode 0, has no bit and nothing left of it
@@ -243,28 +251,36 @@ def _ladder_strings(h: FermionOperator, n: int) -> tuple[np.ndarray, tuple[np.nd
     occupied = lowers ^ ((before & bits) != 0)
     one = np.bitwise_or.reduce(np.where(occupied, bits, 0), axis=1)
     zero = np.bitwise_or.reduce(np.where(occupied, 0, bits), axis=1)
+    flip = np.bitwise_xor.reduce(bits, axis=1)
     odd = np.bitwise_xor.reduce(parity_u64(before & lefts), axis=1)
-    live = np.flatnonzero((one & zero) == 0)
-    masks = (one | zero, one, np.bitwise_xor.reduce(bits, axis=1),
-             np.bitwise_xor.reduce(lefts, axis=1), odd)
+    conserving = _popcount_u64(one ^ flip) == _popcount_u64(one)
+    live = np.flatnonzero(((one & zero) == 0) & conserving)
+    masks = (one | zero, one, flip, np.bitwise_xor.reduce(lefts, axis=1), odd)
     return coeff[live], tuple(a[live] for a in masks)
 
 
 def _apply_ladders(states, coeff, need, one, flip, sign, odd):
     """Apply a chunk of ladder strings (``_ladder_strings`` masks, their
     coefficients ``coeff``) to every occupancy string in the sorted sector
-    ``states``.  Returns the surviving (term, column) pairs that land on a
-    sector rank, found by binary search, in term-major order, as the rank,
-    the column and the signed coefficient."""
-    term, col = np.nonzero((states & need[:, None]) == one[:, None])
-    state = states[col]
-    minus = parity_u64(state & sign[term]) != odd[term]
-    state ^= flip[term]
-    rank = np.searchsorted(states, state)
-    np.minimum(rank, states.size - 1, out=rank)
-    hit = states[rank] == state
-    del state
-    term, col, rank, minus = term[hit], col[hit], rank[hit], minus[hit]
+    ``states``.  Returns the surviving (term, column) pairs in term-major
+    order, as the rank of the state each lands on, the column and the
+    signed coefficient.
+
+    No search finds the ranks.  On a term's survivors, s & need == one, the
+    map s -> s ^ flip sets the ``need`` bits to ``one ^ flip`` and keeps the
+    others, so it keeps order, and the terms conserve the particle number,
+    so it maps them onto exactly the sector states t with t & need == one ^
+    flip.  The ranks are those states' places, in order: the columns of a
+    second mask test, paired in order with the survivors'."""
+    live = states & need[:, None]
+    leave, arrive = live == one[:, None], live == (one ^ flip)[:, None]
+    del live
+    term, col = np.nonzero(leave)
+    del leave
+    rank = np.flatnonzero(arrive)
+    del arrive
+    rank %= states.size
+    minus = parity_u64(states[col] & sign[term]) != odd[term]
     value = coeff[term]
     np.negative(value, out=value, where=minus)
     return rank, col, value
@@ -276,9 +292,11 @@ def _add_ladders(out, states, coeff, strings) -> None:
     at least d rows, in term-major order.
 
     ``_apply_ladders`` runs on ``_LADDER_PAIRS`` (term, state) pairs at a
-    time.  One term sends distinct states to distinct rows, so ``np.add.at``
-    over the steps in turn sums every entry's terms in their given order.
-    A sum past the largest float raises ``ValueError``."""
+    time and ranks the states they land on by a second mask test, with no
+    search, so no pair leaves the sector and no spare row is needed.  One
+    term sends distinct states to distinct rows, so ``np.add.at`` over the
+    steps in turn sums every entry's terms in their given order.  A sum
+    past the largest float raises ``ValueError``."""
     dim = states.size
     flat = out.reshape(-1)
     step = max(1, _LADDER_PAIRS // dim)
@@ -286,7 +304,10 @@ def _add_ladders(out, states, coeff, strings) -> None:
         for start in range(0, coeff.size, step):
             chunk = slice(start, start + step)
             rank, col, value = _apply_ladders(states, coeff[chunk], *(a[chunk] for a in strings))
-            np.add.at(flat, rank * dim + col, value)
+            rank *= dim
+            rank += col
+            del col
+            np.add.at(flat, rank, value)
 
 
 def _checked_ladder_strings(h: FermionOperator, spec: SectorSpec, dense_cap: int):
@@ -318,21 +339,22 @@ def verify_reduction(
 
     ``oracle`` is ``h`` itself or its matrix ``sector_oracle(h, rh.spec)``
     (or anything ``np.asarray`` reads as that matrix), with the same result,
-    bit for bit.  Verify holds one d x d array: a (d + 1) x d buffer, 16
-    (d + 1) d bytes (about 256 MiB under the default ``dense_cap``, d <=
-    2^12), whose first d rows are filled with O, whole, before B exists:
-    given ``h``, after the oracle's checks, by the oracle's own kernel
-    (``_add_ladders``); given a complex array of any layout, by one copy
-    that only reads it.  ``_dense_block`` then subtracts the d x d block B
-    on the sector labels from it in place, an overflow giving inf, not a
-    warning; its spare row takes the entries that leave the sector.  The
+    bit for bit.  Verify holds one d x d array, a buffer of 16 d^2 bytes
+    (about 256 MiB under the default ``dense_cap``, d <= 2^12) with no
+    spare row, filled with O, whole, before B exists: given ``h``, after
+    the oracle's checks, by the oracle's own kernel (``_add_ladders``);
+    given a complex array of any layout, by one copy that only reads it.
+    ``_dense_block`` then subtracts the d x d block B on the sector labels
+    from it in place, an overflow giving inf, not a warning; it gathers
+    and writes only the entries whose rows stay in the sector.  The
     errors keep their order: the oracle's checks, the reduced register's
     ``dense_cap``, checked before the buffer is allocated, the oracle's
     overflow, then B's.  Beside the buffer, each array of scratch holds at
     most ``_VERIFY_ENTRIES`` entries, 64 KiB, or one row of the 2^q-wide
-    transform, and the oracle's kernel steps ``_LADDER_PAIRS`` (term,
-    state) pairs: at d = 924 and q = 11, at most about 0.21 MiB given
-    ``h``, 0.20 MiB given the matrix.
+    transform, the deviation's slab of magnitudes 128 KiB, and the
+    oracle's kernel steps ``_LADDER_PAIRS`` (term, state) pairs: at d =
+    924 and q = 11, at most about 0.20 MiB given ``h``, 0.16 MiB given the
+    matrix.
 
     The spectra are certified before they are solved.  For Hermitian A and
     O', max_i |lambda_i(A) - lambda_i(O')| <= ||A - O'||_F (Weyl), and
@@ -363,14 +385,13 @@ def verify_reduction(
     pauli._check_dense_cap(rh.pauli_sum.n_qubits, dense_cap)  # the block's, before the buffer
     with _small_ufunc_buffers():
         if isinstance(oracle, FermionOperator):
-            buf = np.zeros((dim + 1, dim), dtype=complex)
+            buf = np.zeros((dim, dim), dtype=complex)
             _add_ladders(buf, rh.spec.states, coeff, strings)
         else:
-            buf = np.empty((dim + 1, dim), dtype=complex)
-            buf[:dim] = oracle
-            buf[dim] = 0
+            buf = np.empty((dim, dim), dtype=complex)
+            buf[...] = oracle
         rh.pauli_sum._dense_block(rh.labels, dense_cap, subtract_from=buf)
-        max_dev, bound = _deviation_and_bound(buf[:dim])
+        max_dev, bound = _deviation_and_bound(buf)
         del buf  # holds O - B; a failed certificate builds O and B again
     if bound * (1 + 1e-6) < SPECTRUM_TOL:
         return ReductionCheck(max_dev, bound, None, max_dev < tol, tol)
@@ -387,21 +408,34 @@ def verify_reduction(
 def _deviation_and_bound(block: np.ndarray) -> tuple[float, float]:
     """max |B - O| and ||B - O||_F of a d x d array that holds B - O or,
     with the same bits, O - B.  Blocks of rows, each of at most
-    ``_VERIFY_ENTRIES`` entries or one row, write their absolute values
-    into one buffer and give their max and sum of squares.  In block order, the maxes are chained by
-    ``np.maximum`` from 0.0, which keeps a NaN as one max over the whole
-    array does, and the sums are added to 0.0.  A NaN or inf anywhere
-    gives a NaN or inf bound, with no warning."""
+    ``_VERIFY_ENTRIES`` entries or one row, give their max and sum of
+    squares.  A slab of whole blocks, up to 4 x ``_VERIFY_ENTRIES``
+    magnitudes, writes its absolute values into one buffer with one call,
+    and one ``axis=1`` reduce over its (blocks, block entries) view gives
+    each block's max, then its pairwise sum of squares, with the bits of
+    that block reduced alone; a last block of fewer rows is read on its
+    own.  In block order, the maxes are chained by ``np.maximum`` from
+    0.0, which keeps a NaN as one max over the whole array does, and the
+    sums are added to 0.0.  A NaN or inf anywhere gives a NaN or inf
+    bound, with no warning."""
     dim = block.shape[1]
-    step = max(1, _VERIFY_ENTRIES // dim)
-    starts = range(0, dim, step)
-    mag = np.empty((min(step, dim), dim))
-    maxes, sums = np.zeros(len(starts) + 1), np.zeros(len(starts) + 1)  # [0]: the 0.0 start
+    step = max(1, _VERIFY_ENTRIES // dim)  # rows a block
+    size = step * dim  # entries a whole block
+    span = step * max(1, 4 * _VERIFY_ENTRIES // size)  # rows a slab: whole blocks
+    mag = np.empty(min(span, dim) * dim)
+    maxes, sums = np.zeros((2, -(-dim // step) + 1))  # [0]: the 0.0 start
+    i = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, a in enumerate(starts, 1):
-            part = np.abs(block[a:a + step], out=mag[:min(step, dim - a)])
-            maxes[i] = np.maximum.reduce(part, axis=None)
-            sums[i] = np.add.reduce(np.square(part, out=part), axis=None)
+        for a in range(0, dim, span):
+            part = mag[: min(span, dim - a) * dim]
+            np.abs(block[a : a + span], out=part.reshape(-1, dim))
+            whole = part.size - part.size % size
+            for rows in (part[:whole], part[whole:]):  # whole blocks, then the rest
+                if rows.size:
+                    rows = rows.reshape(-1, min(rows.size, size))
+                    np.maximum.reduce(rows, axis=1, out=maxes[i : i + len(rows)])
+                    np.add.reduce(np.square(rows, out=rows), axis=1, out=sums[i : i + len(rows)])
+                    i += len(rows)
         # accumulate runs the chains in order; a reduce may give another NaN's bits
         max_dev = np.maximum.accumulate(maxes)[-1]
         total = np.add.accumulate(sums)[-1]

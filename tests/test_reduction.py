@@ -406,6 +406,15 @@ def test_oracle_rejects_modes_outside_the_register():
         sector_oracle(h, SectorSpec(4, 1))
 
 
+def _ladders(terms) -> FermionOperator:
+    """Terms given as (coefficient, "m^ n ..."): the ladder operators of
+    the product as written, ^ for a raising one."""
+    return FermionOperator.from_terms([
+        FermionTerm.make(c, [(int(op.rstrip("^")), op.endswith("^")) for op in ops.split()])
+        for c, ops in terms
+    ])
+
+
 @st.composite
 def oracle_cases(draw):
     """(operator, sector), N = 3..10: constant, one-body, two-body and
@@ -435,9 +444,19 @@ def oracle_cases(draw):
 @given(oracle_cases())
 @example((FermionOperator(), SectorSpec(5, 2)))
 @example((FermionOperator.from_terms([FermionTerm.make(-0.0 - 0.5j, [])] * 2), SectorSpec(4, 2)))
+@example((_ladders([(1.0, "1^ 2^ 3"), (0.5j, "1^ 2"), (1.0, "1^ 2^ 3"), (-0.25, "4^ 4")]), SectorSpec(5, 2)))
+@example((_ladders([(2.0, "1^"), (1.0, "1^ 2"), (2.0, "1^"), (-1.0, "3^ 3"), (0.5, "4")]), SectorSpec(4, 2)))
+@example((_ladders([(1.0, "1^ 2^ 3"), (1.0j, "3^ 2"), (1.0, "1^ 2^ 3")]), SectorSpec(6, 3)))
+@example((_ladders([(1.0, "1^"), (0.5, "1^ 1"), (1.0, "2^"), (-1.0, "1^ 2")]), SectorSpec(3, 0)))
+@example((_ladders([(1.0, "1"), (0.5, "1^ 1"), (1.0, "2"), (-1.0, "1^ 2")]), SectorSpec(3, 3)))
 def test_oracle_bit_identical_to_term_loop(case):
     """The chunked ladder kernel sums every entry's terms in their given
-    order, as the per-term loop does: the same bits, signed zeros included."""
+    order, as the per-term loop does: the same bits, signed zeros included.
+    The examples mix terms that change the particle number (a^+_1 a^+_2 a_3,
+    a^+_1, a_4) with conserving and repeated ones, at K = 0 and K = N too.
+    Some of them leave from as many sector states as they arrive at, on
+    the bits that they need, so only the weight check keeps them from
+    writing wrong entries."""
     h, spec = case
     assert sector_oracle(h, spec).tobytes() == sector_oracle_term_loop(h, spec).tobytes()
 
@@ -498,9 +517,11 @@ def test_dense_block_equals_dense_submatrix(n, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
 def test_dense_block_subtracts_itself_from_a_given_buffer(n, seed, huge):
-    """Given a (d + 1) x d buffer whose first d rows hold O, the block
-    leaves O - B there, byte for byte the whole-matrix subtraction, and
-    returns that view.  O has +0.0 and -0.0 parts; when ``huge``, B gets a
+    """Given a buffer whose first d rows hold O, the block leaves O - B
+    there, byte for byte the whole-matrix subtraction, and returns that
+    view.  It writes no other row: a row of signaling NaNs after the
+    first d comes back byte for byte, and a plain d x d buffer gives the
+    same O - B bytes.  O has +0.0 and -0.0 parts; when ``huge``, B gets a
     -1e308 identity term and O 1e308 real parts on its diagonal, so O - B
     passes the largest float there: inf, with no warning."""
     rng = np.random.default_rng(seed)
@@ -519,12 +540,17 @@ def test_dense_block_subtracts_itself_from_a_given_buffer(n, seed, huge):
         expected = oracle - s._dense_block(labels)
     buf = np.empty((d + 1, d), dtype=complex)
     buf[:d] = oracle
-    buf[d] = 0
+    buf[d].view(np.uint64)[:] = 0x7FF0_0000_0000_0001  # a signaling NaN: any write quiets it
+    sentinel = buf[d].tobytes()
+    plain = oracle.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = s._dense_block(labels, subtract_from=buf)
+        s._dense_block(labels, subtract_from=plain)
     assert np.shares_memory(got, buf) and got.shape == (d, d)
     assert got.tobytes() == expected.tobytes()
+    assert buf[d].tobytes() == sentinel
+    assert plain.tobytes() == expected.tobytes()
     assert np.isinf(got.real).any() == huge
 
 
@@ -1126,13 +1152,13 @@ def test_verify_from_the_operator_on_wide_sectors(n, k, mapping, body):
 
 def test_verify_from_the_operator_holds_one_buffer():
     """N=10, K=5 with the parity mapping (d = 252): given ``h``, verify
-    holds the (d + 1) x d buffer, never the d x d oracle.  Given the
-    matrix, verify itself holds no more."""
+    holds its d x d buffer, never a second d x d array for the oracle.
+    Given the matrix, verify itself holds no more."""
     n, spec = 10, SectorSpec(10, 5)
     h = random_one_body(n, np.random.default_rng(7))
     rh = encode_and_reduce(h, LinearEncodingF2.parity(n), spec)
     d = spec.dimension
-    bound = 1.15 * 16 * (d + 1) * d + 2**20
+    bound = 1.15 * 16 * d * d + 2**20
     oracle = sector_oracle(h, spec)
     for source in (h, oracle):
         tracemalloc.start()
@@ -1233,22 +1259,20 @@ def deviation_cases(draw):
 
 
 def _deviation_pass(case):
-    """Fill a (d + 1) x d buffer with a drawn case's oracle as verify does,
+    """Fill a d x d buffer with a drawn case's oracle as verify does,
     ``h`` by the oracle kernel into a zeroed buffer and a given matrix by
-    one copy, subtract the drawn block from its first d rows and read the
-    deviation and the bound there.  Returns the O - B it left, and O - B,
-    B - O, max |B - O| and ||B - O||_F computed on the whole matrices, and
-    the pass's deviation and bound."""
+    one copy, subtract the drawn block from it and read the deviation and
+    the bound there.  Returns the O - B it left, and O - B, B - O, max
+    |B - O| and ||B - O||_F computed on the whole matrices, and the pass's
+    deviation and bound."""
     spec, source, block, entries = case
     d = block.shape[1]
     if spec is None:
         oracle = source
-        buf = np.empty((d + 1, d), dtype=complex)
-        buf[:d] = oracle
-        buf[d] = 0
+        buf = oracle.copy()
     else:
         oracle = sector_oracle(source, spec)
-        buf = np.zeros((d + 1, d), dtype=complex)
+        buf = np.zeros((d, d), dtype=complex)
         strings = reduction._checked_ladder_strings(source, spec, spec.n_modes)
         reduction._add_ladders(buf, spec.states, *strings)
     oracle.setflags(write=False)
@@ -1257,11 +1281,11 @@ def _deviation_pass(case):
         delta = block - oracle
         max_dev = np.max(np.abs(delta))
         norm = np.sqrt(np.sum(np.abs(delta) ** 2))
-        np.subtract(buf[:d], block, out=buf[:d])
+        np.subtract(buf, block, out=buf)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_VERIFY_ENTRIES", entries)
-        got, bound = reduction._deviation_and_bound(buf[:d])
-    return buf[:d], flipped, delta, max_dev, norm, got, bound
+        got, bound = reduction._deviation_and_bound(buf)
+    return buf, flipped, delta, max_dev, norm, got, bound
 
 
 @settings(max_examples=200, deadline=None)
